@@ -89,11 +89,8 @@ use serde_json::Value;
 /// Every path the throughput report must contain. Extending the bench with
 /// a new path means extending this list — that is the point: the gate, not
 /// just the bench, documents the measured surface.
-const REQUIRED_PATHS: [&str; 10] = [
+const REQUIRED_PATHS: [&str; 7] = [
     "scan",
-    "legacy_filtered",
-    "filtered_baseline",
-    "accumulator",
     "accumulator_pruned",
     "prefix_pruned",
     "packed_pruned",
@@ -108,12 +105,11 @@ const DENSE_REQUIRED_PATHS: [&str; 3] = ["scan", "prefix_pruned", "packed_pruned
 
 /// Every engine variant the scale-sweep report must measure at every
 /// scale. Extending the sweep grid means extending this list.
-const REQUIRED_SWEEP_VARIANTS: [&str; 6] = [
+const REQUIRED_SWEEP_VARIANTS: [&str; 5] = [
     "raw",
     "raw_noprefix",
     "packed",
     "packed_noprefix",
-    "packed_scalar",
     "packed_sharded4",
 ];
 
@@ -1406,7 +1402,6 @@ mod tests {
             sweep_cell("raw_noprefix", 42, 10_000 * unit, 100_000 * unit, 900.0),
             sweep_cell("packed", 42, 3_000 * unit, 60_000 * unit, 950.0),
             sweep_cell("packed_noprefix", 42, 3_000 * unit, 60_000 * unit, 850.0),
-            sweep_cell("packed_scalar", 42, 3_000 * unit, 60_000 * unit, 940.0),
             sweep_cell("packed_sharded4", 42, 3_200 * unit, 70_000 * unit, 800.0),
         ];
         format!(
@@ -1446,13 +1441,13 @@ mod tests {
     fn sweep_rejects_a_missing_cell() {
         // Renaming a cell out of the grid drops the required variant.
         let broken = sweep_json(&[sweep_scale(1_000, 1)]).replace(
-            "\"variant\": \"packed_scalar\"",
-            "\"variant\": \"packed_scalar_gone\"",
+            "\"variant\": \"packed_noprefix\"",
+            "\"variant\": \"packed_noprefix_gone\"",
         );
         let p = write_report(&broken);
         assert_eq!(
             check_sweep(&p).unwrap_err(),
-            "sweep scale 1000: required cell `packed_scalar` is missing"
+            "sweep scale 1000: required cell `packed_noprefix` is missing"
         );
         std::fs::remove_file(p).unwrap();
     }
@@ -1489,10 +1484,10 @@ mod tests {
 
     #[test]
     fn sweep_rejects_a_dominated_or_empty_frontier() {
-        // A dominated cell (`packed_scalar`) on the committed frontier.
+        // A dominated cell (`packed_noprefix`) on the committed frontier.
         let broken = sweep_json(&[sweep_scale(1_000, 1)]).replace(
             "\"frontier\": [{\"variant\": \"packed\"",
-            "\"frontier\": [{\"variant\": \"packed_scalar\"",
+            "\"frontier\": [{\"variant\": \"packed_noprefix\"",
         );
         let p = write_report(&broken);
         let err = check_sweep(&p).unwrap_err();

@@ -5,18 +5,9 @@
 //! space budget by default) and measures, for the same workload:
 //!
 //! * `scan` — the full-scan reference path (sorted merge per record),
-//! * `legacy_filtered` — a faithful replica of the original pre-accumulator
-//!   `search_filtered`: one heap-allocated sketch per record, hash-map
-//!   candidate deduplication and a per-candidate `estimate_pair` sorted
-//!   merge,
-//! * `filtered_baseline` — the same algorithm over the flat CSR store (the
-//!   in-index reference path, isolating the storage-layout win),
-//! * `accumulator` — the staged pipeline with the prune stage and prefix
-//!   filter disabled: term-at-a-time accumulation over the CSR sketch
-//!   store (the PR 2 engine, kept as the ablation),
 //! * `accumulator_pruned` — size-ordered posting pruning, then unfiltered
-//!   accumulation (candidates below the overlap threshold die before the
-//!   finish; the PR 3 engine, kept as the prefix-filter ablation),
+//!   term-at-a-time accumulation (candidates below the overlap threshold
+//!   die before the finish; the prefix-filter ablation),
 //! * `prefix_pruned` — pruning plus the signature prefix filter (only the
 //!   rarest df-ordered hashes of a query mint candidates; the frequent
 //!   ones accumulate lookup-only), measured over **raw** posting lists so
@@ -43,8 +34,8 @@
 //! and the hybrid encoder elects bitmap blocks. The section records both
 //! formats' posting bytes, the bitmap-block count (floored above zero by
 //! `bench_check`) and the name-keyed `packed_pruned / prefix_pruned`
-//! speedup on exactly the shape the vectorized finish kernel and bitmap
-//! walk target.
+//! speedup on exactly the shape the batched accumulate and the bitmap walk
+//! target.
 //!
 //! A `persistence` section measures the single-file index arena: the
 //! packed default engine's index is saved (`--save PATH`, default
@@ -79,14 +70,9 @@
 //!
 //! Usage: `query_throughput [--records N] [--queries N] [--budget F]
 //! [--threshold F] [--threads N] [--shards N] [--reps N] [--readers N]
-//! [--ingest N] [--ingest-batches N] [--kernel scalar|vectorized]
-//! [--save PATH] [--load PATH] [--out PATH]`
-//!
-//! `--kernel` pins every engine's finish kernel (default `vectorized`);
-//! CI smokes both settings so the scalar oracle keeps passing the same
-//! end-to-end bit-identity asserts as the default.
+//! [--ingest N] [--ingest-batches N] [--save PATH] [--load PATH]
+//! [--out PATH]`
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use serde::Serialize;
@@ -94,94 +80,14 @@ use serde::Serialize;
 use gbkmv_bench::harness::arg_value;
 use gbkmv_bench::report::{latency_stats, measure, parsed_arg};
 use gbkmv_core::dataset::Record;
-use gbkmv_core::gbkmv::GbKmvRecordSketch;
-use gbkmv_core::index::{
-    FinishKernel, GbKmvConfig, GbKmvIndex, PostingFormat, QueryPipeline, SearchHit,
-};
+use gbkmv_core::index::{GbKmvConfig, GbKmvIndex, PostingFormat, QueryPipeline, SearchHit};
 use gbkmv_core::mem::MemUsage;
 use gbkmv_core::parallel::resolve_threads;
 use gbkmv_core::persist::DeltaStats;
 use gbkmv_core::service::ContainmentService;
-use gbkmv_core::sim::OverlapThreshold;
 use gbkmv_datagen::queries::QueryWorkload;
 use gbkmv_datagen::synthetic::{SyntheticConfig, SyntheticDataset};
 use gbkmv_eval::report::{format_table, write_json_report};
-
-/// Replica of the pre-accumulator query engine, the "before" of this
-/// benchmark: per-record heap-allocated sketches, a fresh `HashMap`
-/// candidate set per query and an O(|L_Q| + |L_X|) `estimate_pair` sorted
-/// merge per candidate.
-struct LegacyFiltered {
-    sketches: Vec<GbKmvRecordSketch>,
-    signature_postings: HashMap<u64, Vec<u32>>,
-    buffer_postings: Vec<Vec<u32>>,
-}
-
-impl LegacyFiltered {
-    fn build(index: &GbKmvIndex) -> Self {
-        let sketches: Vec<GbKmvRecordSketch> = (0..index.num_records())
-            .map(|id| index.record_sketch(id))
-            .collect();
-        let mut signature_postings: HashMap<u64, Vec<u32>> = HashMap::new();
-        let mut buffer_postings: Vec<Vec<u32>> = vec![Vec::new(); index.sketcher().layout().size()];
-        for (id, sketch) in sketches.iter().enumerate() {
-            for &h in sketch.gkmv.hashes() {
-                signature_postings.entry(h).or_default().push(id as u32);
-            }
-            for pos in sketch.buffer.set_positions() {
-                buffer_postings[pos as usize].push(id as u32);
-            }
-        }
-        LegacyFiltered {
-            sketches,
-            signature_postings,
-            buffer_postings,
-        }
-    }
-
-    fn search(&self, index: &GbKmvIndex, query: &Record, t_star: f64) -> Vec<SearchHit> {
-        let q = query.len();
-        let threshold = OverlapThreshold::new(q, t_star);
-        let q_sketch = index.sketch_query(query);
-
-        let mut candidates: HashMap<u32, ()> = HashMap::new();
-        for &h in q_sketch.gkmv.hashes() {
-            if let Some(postings) = self.signature_postings.get(&h) {
-                for &rid in postings {
-                    candidates.insert(rid, ());
-                }
-            }
-        }
-        for pos in q_sketch.buffer.set_positions() {
-            for &rid in &self.buffer_postings[pos as usize] {
-                candidates.insert(rid, ());
-            }
-        }
-
-        let mut hits = Vec::new();
-        for (&rid, _) in candidates.iter() {
-            let id = rid as usize;
-            let sketch = &self.sketches[id];
-            if sketch.record_size < threshold.exact {
-                continue;
-            }
-            let pair = index.sketcher().estimate_pair(&q_sketch, sketch);
-            if pair.intersection_estimate + 1e-9 >= threshold.raw {
-                hits.push(SearchHit {
-                    record_id: id,
-                    estimated_overlap: pair.intersection_estimate,
-                    estimated_containment: if q == 0 {
-                        0.0
-                    } else {
-                        pair.intersection_estimate / q as f64
-                    },
-                });
-            }
-        }
-        hits.sort_by_key(|h| h.record_id);
-        hits
-    }
-}
 
 #[derive(Debug, Serialize)]
 struct DatasetSection {
@@ -317,7 +223,7 @@ struct PostingMemorySection {
 /// distribution (`alpha_element_freq` ≈ 1.01) over a small universe, so
 /// frequent signatures land in most records' sketches and their posting
 /// lists cover well over half of the slot space. This is the shape the
-/// hybrid encoder's bitmap blocks and the vectorized finish kernel target;
+/// hybrid encoder's bitmap blocks and the batched accumulate target;
 /// the sparse default profile above exercises the gap-coded side.
 #[derive(Debug, Serialize)]
 struct DenseProfileSection {
@@ -390,23 +296,17 @@ struct ThroughputReport {
     /// clone, batch flush throughput, snapshot sharing, and the
     /// delta-vs-full checkpoint comparison.
     ingest: IngestSection,
-    /// The dense-postings companion profile (bitmap blocks + vectorized
-    /// finish at their target shape).
+    /// The dense-postings companion profile (bitmap blocks + batched
+    /// accumulate at their target shape).
     dense_profile: DenseProfileSection,
     paths: Vec<PathSection>,
-    /// Speedups of the `accumulator` path (the unpruned engine) — the same
-    /// metric earlier trajectory points recorded under these names.
-    speedup_accumulator_vs_legacy: f64,
-    speedup_accumulator_vs_baseline: f64,
-    speedup_accumulator_vs_scan: f64,
-    /// Speedups of the pruning stage (`accumulator_pruned`).
-    speedup_pruned_vs_unpruned: f64,
+    /// Speedup of the pruning stage (`accumulator_pruned`).
     speedup_pruned_vs_scan: f64,
     /// Speedups of the prefix-filtered engine (`prefix_pruned`).
     speedup_prefix_vs_pruned: f64,
     speedup_prefix_vs_scan: f64,
-    /// Block-compressed postings vs the raw-format engine, both running
-    /// the vectorized finish kernel. Since the batched block decode landed
+    /// Block-compressed postings vs the raw-format engine. Since the
+    /// batched block decode landed
     /// the committed full-scale runs hold ≥ 1.0x (the packed engine pays
     /// for its several-fold memory cut with block-skip pruning and the
     /// unrolled prefix-sum decode); `bench_check` floors this ratio at
@@ -528,7 +428,7 @@ fn measure_persistence(
     // workload's steady state.
     let total_hits_built: usize = queries
         .iter()
-        .map(|q| built.search_filtered(q, threshold).len())
+        .map(|q| built.search_record(q, threshold).len())
         .sum();
     let mut pipeline = QueryPipeline::new();
     let total_hits_loaded: usize = queries
@@ -610,7 +510,7 @@ fn measure_concurrent(
                 while !done.load(Ordering::Acquire) {
                     for q in queries {
                         let snapshot = service.snapshot();
-                        std::hint::black_box(snapshot.search_filtered(q, threshold));
+                        std::hint::black_box(snapshot.search_record(q, threshold));
                         served += 1;
                         if done.load(Ordering::Acquire) {
                             break;
@@ -637,11 +537,11 @@ fn measure_concurrent(
     let snapshot = service.snapshot();
     let total_hits_service: usize = queries
         .iter()
-        .map(|q| snapshot.search_filtered(q, threshold).len())
+        .map(|q| snapshot.search_record(q, threshold).len())
         .sum();
     let total_hits_direct: usize = queries
         .iter()
-        .map(|q| direct.search_filtered(q, threshold).len())
+        .map(|q| direct.search_record(q, threshold).len())
         .sum();
     assert_eq!(
         total_hits_service, total_hits_direct,
@@ -792,11 +692,11 @@ fn measure_ingest(
     let quiesced = service.snapshot();
     let total_hits_service: usize = queries
         .iter()
-        .map(|q| quiesced.search_filtered(q, threshold).len())
+        .map(|q| quiesced.search_record(q, threshold).len())
         .sum();
     let total_hits_direct: usize = queries
         .iter()
-        .map(|q| direct.search_filtered(q, threshold).len())
+        .map(|q| direct.search_record(q, threshold).len())
         .sum();
     assert_eq!(
         total_hits_service, total_hits_direct,
@@ -876,7 +776,6 @@ fn measure_ingest(
 /// lists force the hybrid encoder into bitmap blocks. Asserts the bitmap
 /// encoding actually engaged and that both engines stay bit-identical to
 /// the scan reference before timing anything.
-#[allow(clippy::too_many_arguments)]
 fn measure_dense_profile(
     num_records: usize,
     num_queries: usize,
@@ -884,7 +783,6 @@ fn measure_dense_profile(
     threshold: f64,
     threads: usize,
     reps: usize,
-    kernel: FinishKernel,
 ) -> DenseProfileSection {
     let config = SyntheticConfig {
         num_records,
@@ -901,11 +799,7 @@ fn measure_dense_profile(
 
     // Same operating point as the main profile (sketch-only, pinned buffer)
     // so the two sections differ only in the data shape.
-    let engine_config = || {
-        GbKmvConfig::with_space_fraction(budget)
-            .buffer_size(0)
-            .finish_kernel(kernel)
-    };
+    let engine_config = || GbKmvConfig::with_space_fraction(budget).buffer_size(0);
     let raw_index = GbKmvIndex::build(
         &dataset,
         engine_config()
@@ -924,12 +818,12 @@ fn measure_dense_profile(
         .collect();
     for (qi, (q, expected)) in queries.iter().zip(&reference).enumerate() {
         assert_eq!(
-            &raw_index.search_filtered(q, threshold),
+            &raw_index.search_record(q, threshold),
             expected,
             "dense prefix_pruned diverged from scan on query {qi}"
         );
         assert_eq!(
-            &packed_index.search_filtered(q, threshold),
+            &packed_index.search_record(q, threshold),
             expected,
             "dense packed_pruned diverged from scan on query {qi}"
         );
@@ -1002,14 +896,6 @@ fn main() {
     // reuses sections from, and the delta-produced arena CI uploads.
     let full_out = format!("{out}.full.arena");
     let delta_out = format!("{out}.delta.arena");
-    // `--kernel scalar` runs every engine on the per-slot oracle kernel; CI
-    // smokes both settings so the scalar path keeps passing the binary's
-    // own bit-identity asserts end-to-end, not just the unit proptests.
-    let kernel = match arg_value("--kernel").as_deref() {
-        None | Some("vectorized") => FinishKernel::Vectorized,
-        Some("scalar") => FinishKernel::Scalar,
-        Some(other) => panic!("--kernel must be `scalar` or `vectorized`, got `{other}`"),
-    };
 
     let config = SyntheticConfig {
         num_records,
@@ -1036,7 +922,7 @@ fn main() {
     // runs first so allocator/page-cache warm-up is not recorded as parallel
     // speedup; each timed variant then takes its best of `reps` runs.
     //
-    // `index` is built with RAW posting lists so the historical entries
+    // `index` is built with RAW posting lists so the raw-format entries
     // (scan through prefix_pruned) keep measuring the layout they always
     // measured; `packed_index` is the same index under the default
     // block-compressed format (the `packed_pruned` entry and the memory
@@ -1051,11 +937,7 @@ fn main() {
     // buffer-dominant r, which empties the sketches and would have
     // silently swapped the workload under the historical entries. Whether
     // Auto picks well is the eval suite's question, not this bench's.)
-    let engine_config = || {
-        GbKmvConfig::with_space_fraction(budget)
-            .buffer_size(0)
-            .finish_kernel(kernel)
-    };
+    let engine_config = || GbKmvConfig::with_space_fraction(budget).buffer_size(0);
     let _warmup = GbKmvIndex::build(&dataset, engine_config());
     let time_build = |t: usize| {
         (0..reps.max(1))
@@ -1090,7 +972,6 @@ fn main() {
         posting_bitmap_blocks: packed_index.bitmap_blocks(),
     };
 
-    let legacy = LegacyFiltered::build(&index);
     let queries = &workload.queries;
 
     // Per-query, bit-identical agreement of every path against the scan
@@ -1106,21 +987,17 @@ fn main() {
             assert_eq!(&f(q), expected, "{name} diverged from scan on query {qi}");
         }
     };
-    assert_agrees("legacy_filtered", &|q| legacy.search(&index, q, threshold));
-    assert_agrees("filtered_baseline", &|q| {
-        index.search_filtered_baseline(q, threshold)
-    });
     assert_agrees("accumulator_pruned", &|q| {
         QueryPipeline::new()
             .prefix_filter(false)
             .search(&index, q.elements(), threshold)
     });
-    assert_agrees("prefix_pruned", &|q| index.search_filtered(q, threshold));
+    assert_agrees("prefix_pruned", &|q| index.search_record(q, threshold));
     assert_agrees("packed_pruned", &|q| {
-        packed_index.search_filtered(q, threshold)
+        packed_index.search_record(q, threshold)
     });
     assert_agrees("sharded_pruned", &|q| {
-        sharded_index.search_filtered(q, threshold)
+        sharded_index.search_record(q, threshold)
     });
     assert_agrees("single_query_parallel", &|q| {
         sharded_index.search_parallel(q.elements(), threshold)
@@ -1132,17 +1009,6 @@ fn main() {
     );
 
     let (scan_lat, scan_hits) = measure(queries, reps, |q| index.search_scan(q, threshold).len());
-    let (legacy_lat, legacy_hits) =
-        measure(queries, reps, |q| legacy.search(&index, q, threshold).len());
-    let (base_lat, base_hits) = measure(queries, reps, |q| {
-        index.search_filtered_baseline(q, threshold).len()
-    });
-    let mut unpruned = QueryPipeline::new().pruning(false).prefix_filter(false);
-    let (acc_lat, acc_hits) = measure(queries, reps, |q| {
-        unpruned
-            .search_sorted(&index, q.elements(), threshold)
-            .len()
-    });
     let mut pruned = QueryPipeline::new().prefix_filter(false);
     let (pruned_lat, pruned_hits) = measure(queries, reps, |q| {
         pruned.search_sorted(&index, q.elements(), threshold).len()
@@ -1235,24 +1101,14 @@ fn main() {
         },
     );
 
-    // The dense-postings companion profile (bitmap blocks + vectorized
-    // finish at their target shape).
-    let dense_profile = measure_dense_profile(
-        num_records,
-        num_queries,
-        budget,
-        threshold,
-        threads,
-        reps,
-        kernel,
-    );
+    // The dense-postings companion profile (bitmap blocks + batched
+    // accumulate at their target shape).
+    let dense_profile =
+        measure_dense_profile(num_records, num_queries, budget, threshold, threads, reps);
 
     // Belt-and-braces on top of the per-query agreement check above: the
     // measured loops must reproduce the same workload-wide hit count.
     for (name, hits) in [
-        ("legacy_filtered", legacy_hits),
-        ("filtered_baseline", base_hits),
-        ("accumulator", acc_hits),
         ("accumulator_pruned", pruned_hits),
         ("prefix_pruned", prefix_hits),
         ("packed_pruned", packed_hits),
@@ -1265,9 +1121,6 @@ fn main() {
 
     let paths = vec![
         path_section("scan", scan_lat, scan_hits),
-        path_section("legacy_filtered", legacy_lat, legacy_hits),
-        path_section("filtered_baseline", base_lat, base_hits),
-        path_section("accumulator", acc_lat, acc_hits),
         path_section("accumulator_pruned", pruned_lat, pruned_hits),
         path_section("prefix_pruned", prefix_lat, prefix_hits),
         path_section("packed_pruned", packed_lat, packed_hits),
@@ -1303,11 +1156,6 @@ fn main() {
         concurrent,
         ingest: ingest_section,
         dense_profile,
-        speedup_accumulator_vs_legacy: qps(&paths, "accumulator") / qps(&paths, "legacy_filtered"),
-        speedup_accumulator_vs_baseline: qps(&paths, "accumulator")
-            / qps(&paths, "filtered_baseline"),
-        speedup_accumulator_vs_scan: qps(&paths, "accumulator") / qps(&paths, "scan"),
-        speedup_pruned_vs_unpruned: qps(&paths, "accumulator_pruned") / qps(&paths, "accumulator"),
         speedup_pruned_vs_scan: qps(&paths, "accumulator_pruned") / qps(&paths, "scan"),
         speedup_prefix_vs_pruned: qps(&paths, "prefix_pruned") / qps(&paths, "accumulator_pruned"),
         speedup_prefix_vs_scan: qps(&paths, "prefix_pruned") / qps(&paths, "scan"),
@@ -1348,14 +1196,9 @@ fn main() {
         }
     );
     println!(
-        "accumulator speedup: {:.2}x vs legacy_filtered, {:.2}x vs filtered_baseline, \
-         {:.2}x vs scan; pruned: {:.2}x vs unpruned, {:.2}x vs scan; \
+        "pruned: {:.2}x vs scan; \
          prefix-filtered engine: {:.2}x vs pruned, {:.2}x vs scan; \
          packed postings: {:.2}x vs prefix_pruned ({} shards for batch)",
-        report.speedup_accumulator_vs_legacy,
-        report.speedup_accumulator_vs_baseline,
-        report.speedup_accumulator_vs_scan,
-        report.speedup_pruned_vs_unpruned,
         report.speedup_pruned_vs_scan,
         report.speedup_prefix_vs_pruned,
         report.speedup_prefix_vs_scan,

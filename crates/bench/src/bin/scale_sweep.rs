@@ -9,14 +9,13 @@
 //! build in a small container), then builds and measures one index per
 //! engine variant:
 //!
-//! | variant | postings | prefix filter | finish kernel | shards |
-//! |---------------------|--------|-----|------------|---|
-//! | `raw`               | raw    | on  | vectorized | 1 |
-//! | `raw_noprefix`      | raw    | off | vectorized | 1 |
-//! | `packed`            | packed | on  | vectorized | 1 |
-//! | `packed_noprefix`   | packed | off | vectorized | 1 |
-//! | `packed_scalar`     | packed | on  | scalar     | 1 |
-//! | `packed_sharded4`   | packed | on  | vectorized | 4 |
+//! | variant | postings | prefix filter | shards |
+//! |---------------------|--------|-----|---|
+//! | `raw`               | raw    | on  | 1 |
+//! | `raw_noprefix`      | raw    | off | 1 |
+//! | `packed`            | packed | on  | 1 |
+//! | `packed_noprefix`   | packed | off | 1 |
+//! | `packed_sharded4`   | packed | on  | 4 |
 //!
 //! Every variant pins the sketch-only operating point (`buffer_size(0)`)
 //! so the cells differ only along the engine axes, never in sketch shape.
@@ -45,9 +44,7 @@ use serde::Serialize;
 use gbkmv_bench::harness::arg_value;
 use gbkmv_bench::report::{latency_stats, measure, pareto_frontier, parsed_arg};
 use gbkmv_core::dataset::Dataset;
-use gbkmv_core::index::{
-    FinishKernel, GbKmvConfig, GbKmvIndex, PostingFormat, QueryPipeline, SearchHit,
-};
+use gbkmv_core::index::{GbKmvConfig, GbKmvIndex, PostingFormat, QueryPipeline, SearchHit};
 use gbkmv_core::mem::MemUsage;
 use gbkmv_datagen::queries::QueryWorkload;
 use gbkmv_datagen::synthetic::{SyntheticConfig, SyntheticStream};
@@ -58,29 +55,25 @@ struct Variant {
     name: &'static str,
     format: PostingFormat,
     prefix_filter: bool,
-    kernel: FinishKernel,
     shards: usize,
 }
 
 /// The fixed variant grid: both posting formats, the prefix filter off
-/// for each, the scalar finish-kernel oracle, and a 4-way sharded cell.
+/// for each, and a 4-way sharded cell.
 fn variants() -> Vec<Variant> {
-    use FinishKernel::{Scalar, Vectorized};
     use PostingFormat::{Packed, Raw};
-    let v = |name, format, prefix_filter, kernel, shards| Variant {
+    let v = |name, format, prefix_filter, shards| Variant {
         name,
         format,
         prefix_filter,
-        kernel,
         shards,
     };
     vec![
-        v("raw", Raw, true, Vectorized, 1),
-        v("raw_noprefix", Raw, false, Vectorized, 1),
-        v("packed", Packed, true, Vectorized, 1),
-        v("packed_noprefix", Packed, false, Vectorized, 1),
-        v("packed_scalar", Packed, true, Scalar, 1),
-        v("packed_sharded4", Packed, true, Vectorized, 4),
+        v("raw", Raw, true, 1),
+        v("raw_noprefix", Raw, false, 1),
+        v("packed", Packed, true, 1),
+        v("packed_noprefix", Packed, false, 1),
+        v("packed_sharded4", Packed, true, 4),
     ]
 }
 
@@ -93,8 +86,6 @@ struct Cell {
     posting_format: String,
     /// Whether the signature prefix filter ran during measurement.
     prefix_filter: bool,
-    /// Finish kernel the measured pipeline used.
-    finish_kernel: String,
     /// Shard count of this cell's index.
     shards: usize,
     /// Wall time of the single measured `GbKmvIndex::build`, seconds.
@@ -163,7 +154,7 @@ struct SweepReport {
 /// variant's per-query hits become the reference; every later variant must
 /// reproduce them bit-for-bit before its timed passes run. Indexes are
 /// dropped as soon as their cell is measured so the peak footprint stays
-/// one index, not six.
+/// one index, not five.
 fn measure_scale(
     num_records: usize,
     num_queries: usize,
@@ -206,17 +197,16 @@ fn measure_scale(
                 .threads(threads)
                 .posting_format(spec.format)
                 .prefix_filter(spec.prefix_filter)
-                .finish_kernel(spec.kernel)
                 .shards(spec.shards),
         );
         let build_seconds = build_start.elapsed().as_secs_f64();
 
         // Hit identity across the whole grid, per query, before timing:
-        // `search_filtered` honours the index's own prefix/kernel config,
-        // so this exercises exactly the path the cell measures.
+        // `search_record` honours the index's own prefix config, so this
+        // exercises exactly the path the cell measures.
         let hits: Vec<Vec<SearchHit>> = queries
             .iter()
-            .map(|q| index.search_filtered(q, threshold))
+            .map(|q| index.search_record(q, threshold))
             .collect();
         match &reference {
             None => reference = Some(hits),
@@ -232,9 +222,7 @@ fn measure_scale(
             }
         }
 
-        let mut pipeline = QueryPipeline::new()
-            .prefix_filter(spec.prefix_filter)
-            .finish_kernel(spec.kernel);
+        let mut pipeline = QueryPipeline::new().prefix_filter(spec.prefix_filter);
         let (latencies, total_hits) = measure(queries, reps, |q| {
             pipeline
                 .search_sorted(&index, q.elements(), threshold)
@@ -250,10 +238,6 @@ fn measure_scale(
                 PostingFormat::Packed => "packed".to_string(),
             },
             prefix_filter: spec.prefix_filter,
-            finish_kernel: match spec.kernel {
-                FinishKernel::Scalar => "scalar".to_string(),
-                FinishKernel::Vectorized => "vectorized".to_string(),
-            },
             shards: spec.shards,
             build_seconds,
             queries_per_sec: stats.queries_per_sec,

@@ -8,29 +8,15 @@
 //! range *before* traversal — the prune stage's live-prefix cutoff, and in
 //! the intra-query parallel path additionally the worker's slot sub-range —
 //! so a candidate outside the range is never touched, let alone finished.
-//! Truncation goes through the posting layer either way; *how* the
-//! surviving slots reach the scratch is the [`FinishKernel`] knob
-//! ([`crate::index::GbKmvConfig::finish_kernel`]):
-//!
-//! * [`FinishKernel::Vectorized`] (the default) walks
-//!   [`PostingList::for_each_chunk_in_range`](crate::index::postings::PostingList::for_each_chunk_in_range):
-//!   each surviving block arrives as one ascending
-//!   [`PostingChunk`] — a decoded slot run (4-lane unrolled gap prefix
-//!   sum, or a copy-free slice cut on the raw format) consumed by the
-//!   scratch's batched slice methods, or an undecoded bitmap mask
-//!   consumed by the mask-form methods — notably the branch-free
-//!   lookup-only passes
-//!   ([`QueryScratch::add_signature_hits_if_candidate`] and its mask
-//!   form's linear window sweep).
-//! * [`FinishKernel::Scalar`] walks
-//!   [`PostingList::for_each_in_range`](crate::index::postings::PostingList::for_each_in_range)
-//!   with one closure call per slot — the original finish loop, kept as
-//!   the correctness oracle the agreement proptests pin the vectorized
-//!   kernel against.
-//!
-//! Both kernels visit the identical slot sequence in the identical order,
-//! so candidate sets, `K∩` counts and first-touch order — and with them
-//! every downstream answer — are bit-identical.
+//! Truncation goes through the posting layer's batched walk,
+//! [`PostingList::for_each_chunk_in_range`](crate::index::postings::PostingList::for_each_chunk_in_range):
+//! each surviving block arrives as one ascending [`PostingChunk`] — a
+//! decoded slot run (4-lane unrolled gap prefix sum, or a copy-free slice
+//! cut on the raw format) consumed by the scratch's batched slice methods,
+//! or an undecoded bitmap mask consumed by the mask-form methods — notably
+//! the branch-free lookup-only passes
+//! ([`QueryScratch::add_signature_hits_if_candidate`] and its mask form's
+//! linear window sweep).
 //!
 //! # Prefix-filtered minting
 //!
@@ -55,29 +41,12 @@
 //!
 //! [`SketchStore`]: crate::store::SketchStore
 
-use serde::{Deserialize, Serialize};
-
 use crate::buffer::ElementBuffer;
 use crate::gbkmv::GbKmvRecordSketch;
-use crate::index::postings::PostingChunk;
+use crate::index::postings::{PostingChunk, PostingList};
 use crate::index::sharded::Shard;
 use crate::scratch::QueryScratch;
 use crate::store::SketchStore;
-
-/// The accumulate kernel of the candidates stage, chosen per index via
-/// [`crate::index::GbKmvConfig::finish_kernel`]. The kernel never changes
-/// any answer — both variants feed the scratch the identical slot sequence
-/// — only how many slots move per instruction. See the module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum FinishKernel {
-    /// One closure call per posting slot — the original finish loop, kept
-    /// as the correctness oracle of the agreement proptests.
-    Scalar,
-    /// Batched: one decoded block per call into the scratch's unrolled
-    /// accumulate methods (the default).
-    #[default]
-    Vectorized,
-}
 
 /// Borrowed scalar view of a query sketch, so the inner loops never touch
 /// the `GbKmvRecordSketch` struct.
@@ -112,27 +81,25 @@ impl<'a> QuerySketchView<'a> {
 /// non-zero only for the intra-query parallel workers, which partition the
 /// live range. `minting` is the number of df-ordered signature hashes
 /// allowed to mint new candidates; pass `view.hashes.len()` to disable the
-/// prefix filter. `kernel` picks the accumulate kernel (see
-/// [`FinishKernel`]); answers are identical either way.
+/// prefix filter.
 pub(crate) fn accumulate(
     shard: &Shard,
     view: &QuerySketchView<'_>,
     lo: usize,
     hi: usize,
     minting: usize,
-    kernel: FinishKernel,
     scratch: &mut QueryScratch,
 ) {
     scratch.begin(shard.len());
     if minting >= view.hashes.len() {
-        walk_unfiltered(shard, view, lo, hi, kernel, scratch);
+        walk_unfiltered(shard, view, lo, hi, scratch);
         return;
     }
     // The ordering buffer lives in the scratch and is only moved out while
     // borrowed alongside it.
     let mut order = std::mem::take(&mut scratch.hash_order);
     df_order(shard.store(), view, &mut order);
-    walk_prefixed(shard, view, lo, hi, minting, &order, kernel, scratch);
+    walk_prefixed(shard, view, lo, hi, minting, &order, scratch);
     scratch.hash_order = order;
 }
 
@@ -140,7 +107,6 @@ pub(crate) fn accumulate(
 /// ordering depends only on (query, shard), so the intra-query parallel
 /// path computes it once per shard ([`df_order`]) and shares it across the
 /// shard's slot-sub-range tasks instead of re-sorting per task.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn accumulate_ordered(
     shard: &Shard,
     view: &QuerySketchView<'_>,
@@ -148,14 +114,13 @@ pub(crate) fn accumulate_ordered(
     hi: usize,
     minting: usize,
     order: &[(u32, u64)],
-    kernel: FinishKernel,
     scratch: &mut QueryScratch,
 ) {
     scratch.begin(shard.len());
     if minting >= view.hashes.len() {
-        walk_unfiltered(shard, view, lo, hi, kernel, scratch);
+        walk_unfiltered(shard, view, lo, hi, scratch);
     } else {
-        walk_prefixed(shard, view, lo, hi, minting, order, kernel, scratch);
+        walk_prefixed(shard, view, lo, hi, minting, order, scratch);
     }
 }
 
@@ -174,39 +139,41 @@ pub(crate) fn df_order(
     order.sort_unstable();
 }
 
+/// Minting walk of one signature posting list: every slot in range
+/// accumulates and becomes a candidate.
+#[inline]
+fn mint_signature(
+    postings: &PostingList,
+    lo: usize,
+    hi: usize,
+    decode: &mut Vec<u32>,
+    scratch: &mut QueryScratch,
+) {
+    postings.for_each_chunk_in_range(lo, hi, decode, |chunk| match chunk {
+        PostingChunk::Slots(slots) => scratch.add_signature_hits(slots),
+        PostingChunk::Bitmap { base, words } => scratch.add_signature_hits_mask(base, words),
+    });
+}
+
 /// The unfiltered walk: every signature hash mints.
 fn walk_unfiltered(
     shard: &Shard,
     view: &QuerySketchView<'_>,
     lo: usize,
     hi: usize,
-    kernel: FinishKernel,
     scratch: &mut QueryScratch,
 ) {
     let mut decode = std::mem::take(&mut scratch.block_decode);
     for &h in view.hashes {
         if let Some(postings) = shard.signature_postings(h) {
-            match kernel {
-                FinishKernel::Scalar => postings.for_each_in_range(lo, hi, &mut decode, |slot| {
-                    scratch.add_signature_hit(slot);
-                }),
-                FinishKernel::Vectorized => {
-                    postings.for_each_chunk_in_range(lo, hi, &mut decode, |chunk| match chunk {
-                        PostingChunk::Slots(slots) => scratch.add_signature_hits(slots),
-                        PostingChunk::Bitmap { base, words } => {
-                            scratch.add_signature_hits_mask(base, words)
-                        }
-                    })
-                }
-            }
+            mint_signature(postings, lo, hi, &mut decode, scratch);
         }
     }
-    walk_buffer(shard, view, lo, hi, kernel, &mut decode, scratch);
+    walk_buffer(shard, view, lo, hi, &mut decode, scratch);
     scratch.block_decode = decode;
 }
 
 /// The prefix-filtered three-pass walk over a df-ordered hash list.
-#[allow(clippy::too_many_arguments)]
 fn walk_prefixed(
     shard: &Shard,
     view: &QuerySketchView<'_>,
@@ -214,49 +181,27 @@ fn walk_prefixed(
     hi: usize,
     minting: usize,
     order: &[(u32, u64)],
-    kernel: FinishKernel,
     scratch: &mut QueryScratch,
 ) {
     let mut decode = std::mem::take(&mut scratch.block_decode);
     for &(_, h) in &order[..minting] {
         if let Some(postings) = shard.signature_postings(h) {
-            match kernel {
-                FinishKernel::Scalar => postings.for_each_in_range(lo, hi, &mut decode, |slot| {
-                    scratch.add_signature_hit(slot);
-                }),
-                FinishKernel::Vectorized => {
-                    postings.for_each_chunk_in_range(lo, hi, &mut decode, |chunk| match chunk {
-                        PostingChunk::Slots(slots) => scratch.add_signature_hits(slots),
-                        PostingChunk::Bitmap { base, words } => {
-                            scratch.add_signature_hits_mask(base, words)
-                        }
-                    })
-                }
-            }
+            mint_signature(postings, lo, hi, &mut decode, scratch);
         }
     }
     // Buffer candidates must be minted BEFORE the lookup-only pass, or a
     // buffer-only candidate would miss its frequent-hash accumulations.
-    walk_buffer(shard, view, lo, hi, kernel, &mut decode, scratch);
+    walk_buffer(shard, view, lo, hi, &mut decode, scratch);
     // The lookup-only pass owns the longest posting lists, which is where
-    // the vectorized kernel's branch-free batched accumulate pays off.
+    // the branch-free batched accumulate pays off.
     for &(_, h) in &order[minting..] {
         if let Some(postings) = shard.signature_postings(h) {
-            match kernel {
-                FinishKernel::Scalar => postings.for_each_in_range(lo, hi, &mut decode, |slot| {
-                    scratch.add_signature_hit_if_candidate(slot);
-                }),
-                FinishKernel::Vectorized => {
-                    postings.for_each_chunk_in_range(lo, hi, &mut decode, |chunk| match chunk {
-                        PostingChunk::Slots(slots) => {
-                            scratch.add_signature_hits_if_candidate(slots)
-                        }
-                        PostingChunk::Bitmap { base, words } => {
-                            scratch.add_signature_hits_if_candidate_mask(base, words)
-                        }
-                    })
+            postings.for_each_chunk_in_range(lo, hi, &mut decode, |chunk| match chunk {
+                PostingChunk::Slots(slots) => scratch.add_signature_hits_if_candidate(slots),
+                PostingChunk::Bitmap { base, words } => {
+                    scratch.add_signature_hits_if_candidate_mask(base, words)
                 }
-            }
+            });
         }
     }
     scratch.block_decode = decode;
@@ -272,24 +217,15 @@ fn walk_buffer(
     view: &QuerySketchView<'_>,
     lo: usize,
     hi: usize,
-    kernel: FinishKernel,
     decode: &mut Vec<u32>,
     scratch: &mut QueryScratch,
 ) {
     for pos in view.buffer.set_positions() {
-        let postings = shard.buffer_postings(pos);
-        match kernel {
-            FinishKernel::Scalar => postings.for_each_in_range(lo, hi, decode, |slot| {
-                scratch.add_candidate(slot);
-            }),
-            FinishKernel::Vectorized => {
-                postings.for_each_chunk_in_range(lo, hi, decode, |chunk| match chunk {
-                    PostingChunk::Slots(slots) => scratch.add_candidates(slots),
-                    PostingChunk::Bitmap { base, words } => {
-                        scratch.add_candidates_mask(base, words)
-                    }
-                })
-            }
-        }
+        shard
+            .buffer_postings(pos)
+            .for_each_chunk_in_range(lo, hi, decode, |chunk| match chunk {
+                PostingChunk::Slots(slots) => scratch.add_candidates(slots),
+                PostingChunk::Bitmap { base, words } => scratch.add_candidates_mask(base, words),
+            });
     }
 }

@@ -3,7 +3,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::cost::CostModelConfig;
-use crate::index::candidates::FinishKernel;
 use crate::index::postings::PostingFormat;
 
 /// How the buffer size is chosen at build time.
@@ -53,19 +52,15 @@ pub struct GbKmvConfig {
     /// format never changes any answer — every query path walks the
     /// identical slot sequence — only the memory footprint.
     pub posting_format: PostingFormat,
-    /// Accumulate kernel of the candidates stage (see
-    /// [`crate::index::candidates::FinishKernel`]): batched block-at-a-time
-    /// accumulation by default, one-slot-at-a-time as the correctness
-    /// oracle and ablation. The kernel never changes any answer — both
-    /// walk the identical slot sequence — only the finish throughput.
-    pub finish_kernel: FinishKernel,
     /// Cost model configuration used when `buffer` is [`BufferSizing::Auto`].
     pub cost_model: CostModelConfig,
     /// Queue length at which a [`crate::service::ContainmentService`]
     /// wrapping an index built with this configuration publishes a new
     /// generation automatically (`0` is clamped to 1: publish every
-    /// record). Larger batches amortise the O(index) generation clone over
-    /// more inserts; smaller ones shorten the ingest-to-visible latency.
+    /// record). A flush costs O(touched shard + batch), not O(index) (see
+    /// [`crate::service`]): larger batches amortise the per-flush copy of
+    /// the touched shard and the publication over more inserts; smaller
+    /// ones shorten the ingest-to-visible latency.
     pub ingest_batch: usize,
 }
 
@@ -81,7 +76,6 @@ impl Default for GbKmvConfig {
             threads: 0,
             shards: 1,
             posting_format: PostingFormat::default(),
-            finish_kernel: FinishKernel::default(),
             cost_model: CostModelConfig::default(),
             ingest_batch: 64,
         }
@@ -149,13 +143,6 @@ impl GbKmvConfig {
         self
     }
 
-    /// Sets the candidates-stage accumulate kernel (answers are identical
-    /// for every kernel; only the finish throughput changes).
-    pub fn finish_kernel(mut self, kernel: FinishKernel) -> Self {
-        self.finish_kernel = kernel;
-        self
-    }
-
     /// Sets the serving-layer ingest batch size: how many queued records a
     /// [`crate::service::ContainmentService`] accumulates before publishing
     /// a new generation.
@@ -216,7 +203,6 @@ mod tests {
             .threads(2)
             .shards(4)
             .posting_format(PostingFormat::Raw)
-            .finish_kernel(FinishKernel::Scalar)
             .ingest_batch(16);
         assert_eq!(c.buffer, BufferSizing::Fixed(8));
         assert_eq!(c.hash_seed, 7);
@@ -226,12 +212,6 @@ mod tests {
         assert_eq!(c.threads, 2);
         assert_eq!(c.shards, 4);
         assert_eq!(c.posting_format, PostingFormat::Raw);
-        assert_eq!(c.finish_kernel, FinishKernel::Scalar);
-        // Vectorized is the default: the scalar loop is the oracle.
-        assert_eq!(
-            GbKmvConfig::default().finish_kernel,
-            FinishKernel::Vectorized
-        );
         assert_eq!(c.ingest_batch, 16);
         assert_eq!(GbKmvConfig::default().ingest_batch, 64);
         // Packed is the default: the compressed subsystem is the engine,

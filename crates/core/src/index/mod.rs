@@ -32,8 +32,8 @@
 //!   lists — need only score already-minted candidates.
 //! * [`candidates`] — term-at-a-time walk of the query's signature-hash and
 //!   buffer-bit postings, accumulating `K∩` and candidate membership into an
-//!   epoch-stamped [`QueryScratch`]: minting hashes are ordered by ascending
-//!   **document frequency** (maintained in the
+//!   epoch-stamped [`QueryScratch`](crate::scratch::QueryScratch): minting
+//!   hashes are ordered by ascending **document frequency** (maintained in the
 //!   [`SketchStore`](crate::store::SketchStore) through build and insert)
 //!   and walked first, then the buffer postings mint, then the frequent
 //!   hashes accumulate lookup-only.
@@ -50,11 +50,24 @@
 //! (throughput — one pipeline per worker), and
 //! [`GbKmvIndex::search_parallel`] fans a *single* query's live slot ranges
 //! over scoped threads (latency — per-worker scratches, merged by one
-//! record-id sort). The unaccelerated [`GbKmvIndex::search_scan`] and
-//! [`GbKmvIndex::search_filtered_baseline`] reference paths are retained in
-//! [`mod@reference`]: every path returns bit-identical hits, which the
-//! agreement tests and the `query_agreement` property suite enforce for all
-//! shard counts, thread counts and the pruning/prefix ablations.
+//! record-id sort). The unaccelerated [`GbKmvIndex::search_scan`] in
+//! [`mod@reference`] is the one oracle: every path returns bit-identical
+//! hits to it, which the agreement tests and the `query_agreement` property
+//! suite enforce for all shard counts, thread counts, posting formats and
+//! the prefix-filter ablation.
+//!
+//! # Entry points
+//!
+//! * [`GbKmvIndex::search_record`] / [`GbKmvIndex::search_elements`] — one
+//!   thresholded query through a thread-local [`QueryPipeline`];
+//! * [`GbKmvIndex::search_topk`] — the `k` best-scoring records;
+//! * [`GbKmvIndex::search_batch`], [`GbKmvIndex::search_parallel`] and
+//!   [`GbKmvIndex::search_auto`] — the parallel schedules (plus the
+//!   `*_threads` variants with an explicit thread count);
+//! * [`GbKmvIndex::search_scan`] — the reference.
+//!
+//! Query loops that manage their own per-thread state use
+//! [`QueryPipeline`] directly.
 
 pub mod build;
 pub mod candidates;
@@ -74,7 +87,6 @@ use std::cell::RefCell;
 
 use serde::{Deserialize, Serialize};
 
-pub use candidates::FinishKernel;
 pub use config::{BufferSizing, GbKmvConfig, IndexSummary};
 pub use pipeline::QueryPipeline;
 pub use postings::{PostingChunk, PostingFormat, PostingList};
@@ -83,7 +95,6 @@ pub use sharded::{Shard, ShardedIndex};
 use crate::dataset::{ElementId, Record, RecordId};
 use crate::gbkmv::{GbKmvRecordSketch, GbKmvSketcher};
 use crate::parallel;
-use crate::scratch::QueryScratch;
 use crate::store::SketchView;
 
 /// A single search result.
@@ -163,9 +174,8 @@ thread_local! {
     /// The pipeline's scratch grows to the largest shard searched on the
     /// thread (8 bytes per record) and stays resident for the thread's
     /// lifetime — even after the index is dropped. Query loops that care
-    /// about retained memory should run their own [`QueryPipeline`] (or pass
-    /// a scratch via [`GbKmvIndex::search_filtered_with`] /
-    /// [`GbKmvIndex::search_topk_with`]) and drop it when done.
+    /// about retained memory should run their own [`QueryPipeline`] and
+    /// drop it when done.
     static QUERY_PIPELINE: RefCell<QueryPipeline> = RefCell::new(QueryPipeline::new());
 }
 
@@ -323,8 +333,12 @@ impl GbKmvIndex {
         finish::merge_overlap(shard.store(), &view, slot) / query.len() as f64
     }
 
-    /// Containment similarity search (Algorithm 2) using the staged pipeline
-    /// when the candidate filter is enabled.
+    /// Containment similarity search (Algorithm 2) through the staged
+    /// pipeline (prune → candidates → finish → rank).
+    ///
+    /// When the index was built with the candidate filter disabled (the
+    /// ablation configuration) no postings exist, so this answers via
+    /// [`GbKmvIndex::search_scan`] rather than from an empty candidate set.
     pub fn search_record(&self, query: &Record, t_star: f64) -> Vec<SearchHit> {
         self.search_sorted(query.elements(), t_star)
     }
@@ -343,11 +357,7 @@ impl GbKmvIndex {
         if self.config.use_candidate_filter {
             QUERY_PIPELINE.with(|p| {
                 let mut p = p.borrow_mut();
-                p.set_stages(
-                    true,
-                    self.config.use_prefix_filter,
-                    self.config.finish_kernel,
-                );
+                p.set_stages(self.config.use_prefix_filter);
                 p.search_sorted(self, query, t_star)
             })
         } else {
@@ -362,53 +372,6 @@ impl GbKmvIndex {
         reference::scan_sorted(self, query.elements(), t_star)
     }
 
-    /// Candidate-filtered search through the staged pipeline
-    /// (prune → candidates → finish → rank).
-    ///
-    /// When the index was built with the candidate filter disabled (the
-    /// ablation configuration) no postings exist, so this falls back to
-    /// [`GbKmvIndex::search_scan`] rather than answering from an empty
-    /// candidate set.
-    pub fn search_filtered(&self, query: &Record, t_star: f64) -> Vec<SearchHit> {
-        QUERY_PIPELINE.with(|p| {
-            let mut p = p.borrow_mut();
-            p.set_stages(
-                true,
-                self.config.use_prefix_filter,
-                self.config.finish_kernel,
-            );
-            p.search_sorted(self, query.elements(), t_star)
-        })
-    }
-
-    /// [`GbKmvIndex::search_filtered`] with an explicit reusable scratch —
-    /// the zero-per-query-allocation entry point for query-loop callers that
-    /// predates [`QueryPipeline`] (which is the richer equivalent).
-    pub fn search_filtered_with(
-        &self,
-        query: &Record,
-        t_star: f64,
-        scratch: &mut QueryScratch,
-    ) -> Vec<SearchHit> {
-        pipeline::filtered_sorted(
-            self,
-            query.elements(),
-            t_star,
-            prune::PruneStage::new(true, self.config.use_prefix_filter),
-            self.config.finish_kernel,
-            scratch,
-        )
-    }
-
-    /// The pre-accumulator candidate-filtered search, kept as a reference
-    /// implementation and for the throughput ablation benchmark: candidates
-    /// are deduplicated through a fresh hash set and every candidate pays an
-    /// O(|L_Q| + |L_X|) sorted merge. Falls back to the scan under the same
-    /// conditions as [`GbKmvIndex::search_filtered`].
-    pub fn search_filtered_baseline(&self, query: &Record, t_star: f64) -> Vec<SearchHit> {
-        reference::baseline_sorted(self, query.elements(), t_star)
-    }
-
     /// Top-k containment search: the `k` records with the highest estimated
     /// containment similarity with respect to the query.
     ///
@@ -419,36 +382,11 @@ impl GbKmvIndex {
     /// element or a signature hash with the query — the prune stage is
     /// skipped, since ranking has no overlap threshold) and ranked through a
     /// bounded binary heap; ties are broken by ascending record id for
-    /// determinism.
+    /// determinism. Only records with a positive estimated overlap are
+    /// ranked, so a `k` above their count returns fewer than `k` hits — the
+    /// same hits with and without the candidate filter.
     pub fn search_topk(&self, query: &Record, k: usize) -> Vec<SearchHit> {
-        QUERY_PIPELINE.with(|p| {
-            let mut p = p.borrow_mut();
-            // Top-k has no prune/prefix stages, but the accumulate kernel
-            // still applies: honour the index's config on the shared
-            // thread-local pipeline (another index may have set it).
-            p.set_stages(
-                true,
-                self.config.use_prefix_filter,
-                self.config.finish_kernel,
-            );
-            p.topk(self, query.elements(), k)
-        })
-    }
-
-    /// [`GbKmvIndex::search_topk`] with an explicit reusable scratch.
-    pub fn search_topk_with(
-        &self,
-        query: &Record,
-        k: usize,
-        scratch: &mut QueryScratch,
-    ) -> Vec<SearchHit> {
-        pipeline::topk_sorted(
-            self,
-            query.elements(),
-            k,
-            self.config.finish_kernel,
-            scratch,
-        )
+        QUERY_PIPELINE.with(|p| p.borrow_mut().topk(self, query.elements(), k))
     }
 
     /// Intra-query parallel search: answers one query with its posting and
@@ -479,11 +417,7 @@ impl GbKmvIndex {
         }
         QUERY_PIPELINE.with(|p| {
             let mut p = p.borrow_mut();
-            p.set_stages(
-                true,
-                self.config.use_prefix_filter,
-                self.config.finish_kernel,
-            );
+            p.set_stages(self.config.use_prefix_filter);
             p.search_parallel(self, query, t_star, threads)
         })
     }
@@ -543,12 +477,9 @@ impl GbKmvIndex {
         threads: usize,
     ) -> Vec<Vec<SearchHit>> {
         parallel::map_chunks(queries, threads, |_, chunk| {
-            // Honour the index's prefix-filter and kernel knobs like every
-            // other entry point, so the config-level ablations also ablate
-            // this path.
-            let mut pipeline = QueryPipeline::new()
-                .prefix_filter(self.config.use_prefix_filter)
-                .finish_kernel(self.config.finish_kernel);
+            // Honour the index's prefix-filter knob like every other entry
+            // point, so the config-level ablation also ablates this path.
+            let mut pipeline = QueryPipeline::new().prefix_filter(self.config.use_prefix_filter);
             chunk
                 .iter()
                 .map(|q| pipeline.search_sorted(self, q.elements(), t_star))

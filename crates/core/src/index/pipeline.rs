@@ -1,13 +1,11 @@
 //! The staged query pipeline: **candidates → prune → finish → rank**.
 //!
 //! [`QueryPipeline`] owns the per-stage state (the epoch-stamped
-//! [`QueryScratch`] of the candidate stage plus the prune/prefix toggles)
+//! [`QueryScratch`] of the candidate stage plus the prefix-filter toggle)
 //! and composes the stage modules into the search variants; the batch path
 //! runs one pipeline per worker thread over its query slab, and the
 //! intra-query parallel path ([`QueryPipeline::search_parallel`]) fans the
-//! posting work of a *single* query over scoped threads. The free functions
-//! taking an explicit scratch back the `*_with` entry points of
-//! [`GbKmvIndex`], which predate the pipeline type and stay supported.
+//! posting work of a *single* query over scoped threads.
 //!
 //! Stage composition for a thresholded search, per shard:
 //!
@@ -41,7 +39,7 @@
 //! microsecond-scale queries of a small index.
 
 use crate::dataset::ElementId;
-use crate::index::candidates::{self, FinishKernel, QuerySketchView};
+use crate::index::candidates::{self, QuerySketchView};
 use crate::index::finish;
 use crate::index::prune::PruneStage;
 use crate::index::rank::{ThresholdCollector, TopK};
@@ -73,30 +71,18 @@ pub struct QueryPipeline {
     /// per query would cost O(shard len × workers) on exactly the
     /// large-shard path the parallel schedule exists for.
     worker_scratches: Vec<QueryScratch>,
-    prune: bool,
     prefix: bool,
-    kernel: FinishKernel,
 }
 
 impl QueryPipeline {
-    /// A pipeline with size pruning, the signature prefix filter and the
-    /// vectorized finish kernel enabled (the default engine).
+    /// A pipeline with the signature prefix filter enabled (the default
+    /// engine).
     pub fn new() -> Self {
         QueryPipeline {
             scratch: QueryScratch::new(),
             worker_scratches: Vec::new(),
-            prune: true,
             prefix: true,
-            kernel: FinishKernel::default(),
         }
-    }
-
-    /// Enables or disables the prune stage. Disabling never changes any
-    /// answer — the size filter then runs per candidate at finish time, as
-    /// the pre-pruning engine did — and exists for the ablation benchmark.
-    pub fn pruning(mut self, enabled: bool) -> Self {
-        self.prune = enabled;
-        self
     }
 
     /// Enables or disables the signature prefix filter of the candidates
@@ -105,13 +91,6 @@ impl QueryPipeline {
     /// the ablation benchmark.
     pub fn prefix_filter(mut self, enabled: bool) -> Self {
         self.prefix = enabled;
-        self
-    }
-
-    /// Sets the candidates-stage accumulate kernel. Both kernels produce
-    /// bit-identical answers; the scalar loop is the oracle and ablation.
-    pub fn finish_kernel(mut self, kernel: FinishKernel) -> Self {
-        self.kernel = kernel;
         self
     }
 
@@ -131,17 +110,15 @@ impl QueryPipeline {
                 .sum::<usize>()
     }
 
-    /// Sets the per-query knobs in place (used by the convenience entry
+    /// Sets the prefix-filter knob in place (used by the convenience entry
     /// points of [`GbKmvIndex`], which honour the index's config on a
     /// shared thread-local pipeline).
-    pub(crate) fn set_stages(&mut self, prune: bool, prefix: bool, kernel: FinishKernel) {
-        self.prune = prune;
+    pub(crate) fn set_stages(&mut self, prefix: bool) {
         self.prefix = prefix;
-        self.kernel = kernel;
     }
 
     fn stages(&self) -> PruneStage {
-        PruneStage::new(self.prune, self.prefix)
+        PruneStage::new(self.prefix)
     }
 
     /// Thresholded containment search over a borrowed element slice
@@ -164,14 +141,7 @@ impl QueryPipeline {
         query: &[ElementId],
         t_star: f64,
     ) -> Vec<SearchHit> {
-        filtered_sorted(
-            index,
-            query,
-            t_star,
-            self.stages(),
-            self.kernel,
-            &mut self.scratch,
-        )
+        filtered_sorted(index, query, t_star, self.stages(), &mut self.scratch)
     }
 
     /// Thresholded search with the candidates + finish stages of one query
@@ -198,7 +168,6 @@ impl QueryPipeline {
                 q,
                 t_star,
                 stages,
-                self.kernel,
                 threads,
                 &mut self.scratch,
                 &mut self.worker_scratches,
@@ -208,9 +177,7 @@ impl QueryPipeline {
 
     /// Top-k containment search, equivalent to [`GbKmvIndex::search_topk`].
     pub fn topk(&mut self, index: &GbKmvIndex, query: &[ElementId], k: usize) -> Vec<SearchHit> {
-        crate::index::with_canonical_query(query, |q| {
-            topk_sorted(index, q, k, self.kernel, &mut self.scratch)
-        })
+        crate::index::with_canonical_query(query, |q| topk_sorted(index, q, k, &mut self.scratch))
     }
 }
 
@@ -219,12 +186,9 @@ impl QueryPipeline {
 struct StageContext<'a> {
     view: QuerySketchView<'a>,
     threshold: OverlapThreshold,
-    prune: PruneStage,
     /// Number of df-ordered signature hashes allowed to mint candidates.
     minting: usize,
     query_len: usize,
-    /// Accumulate kernel of the candidates stage (never changes answers).
-    kernel: FinishKernel,
 }
 
 /// Runs the candidates → finish stages for the slot range `lo..hi` of one
@@ -243,25 +207,13 @@ fn finish_range(
     out: &mut ThresholdCollector,
 ) {
     match order {
-        Some(order) => candidates::accumulate_ordered(
-            shard,
-            &ctx.view,
-            lo,
-            hi,
-            ctx.minting,
-            order,
-            ctx.kernel,
-            scratch,
-        ),
-        None => candidates::accumulate(shard, &ctx.view, lo, hi, ctx.minting, ctx.kernel, scratch),
+        Some(order) => {
+            candidates::accumulate_ordered(shard, &ctx.view, lo, hi, ctx.minting, order, scratch)
+        }
+        None => candidates::accumulate(shard, &ctx.view, lo, hi, ctx.minting, scratch),
     }
     let store = shard.store();
     for &slot in scratch.candidates() {
-        if !ctx.prune.size_enabled() && store.record_size(slot as usize) < ctx.threshold.exact {
-            // Pruning disabled (ablation): the size filter runs here,
-            // per candidate, exactly as the pre-pruning engine did.
-            continue;
-        }
         let overlap = finish::accumulated_overlap(store, &ctx.view, scratch, slot);
         if let Some(hit) = finish::hit_if_qualifies(
             shard.global_id(slot as usize),
@@ -285,7 +237,6 @@ pub(crate) fn filtered_sorted(
     query: &[ElementId],
     t_star: f64,
     prune: PruneStage,
-    kernel: FinishKernel,
     scratch: &mut QueryScratch,
 ) -> Vec<SearchHit> {
     let q = query.len();
@@ -299,9 +250,7 @@ pub(crate) fn filtered_sorted(
         minting: prune.minting_hashes(&view, threshold),
         view,
         threshold,
-        prune,
         query_len: q,
-        kernel,
     };
 
     let mut collector = ThresholdCollector::default();
@@ -322,13 +271,11 @@ pub(crate) fn filtered_sorted(
 /// record-id sort. Degrades to the sequential path — on `scratch`, so the
 /// caller's pipeline keeps its zero-allocation property — when only one
 /// thread resolves or the live range is too small to amortise the spawns.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn parallel_sorted(
     index: &GbKmvIndex,
     query: &[ElementId],
     t_star: f64,
     prune: PruneStage,
-    kernel: FinishKernel,
     threads: usize,
     scratch: &mut QueryScratch,
     worker_scratches: &mut Vec<QueryScratch>,
@@ -346,7 +293,7 @@ pub(crate) fn parallel_sorted(
     let total_live: usize = live.iter().sum();
     let threads = parallel::resolve_threads(threads);
     if threads <= 1 || total_live < PARALLEL_MIN_LIVE_SLOTS {
-        return filtered_sorted(index, query, t_star, prune, kernel, scratch);
+        return filtered_sorted(index, query, t_star, prune, scratch);
     }
 
     let q_sketch = index.sketcher.sketch_elements(query);
@@ -355,9 +302,7 @@ pub(crate) fn parallel_sorted(
         minting: prune.minting_hashes(&view, threshold),
         view,
         threshold,
-        prune,
         query_len: q,
-        kernel,
     };
 
     // One task per contiguous slot sub-range, ~`threads` tasks in total,
@@ -440,12 +385,13 @@ pub(crate) fn parallel_sorted(
 /// mints) → finish → bounded-heap rank.
 ///
 /// Without the candidate filter the index has no postings, so every slot is
-/// finished with the reference sorted merge instead.
+/// finished with the reference sorted merge instead. Either way only
+/// positive-score records are ranked (see `TopK::consider`), so the
+/// answer does not depend on the candidate filter.
 pub(crate) fn topk_sorted(
     index: &GbKmvIndex,
     query: &[ElementId],
     k: usize,
-    kernel: FinishKernel,
     scratch: &mut QueryScratch,
 ) -> Vec<SearchHit> {
     if k == 0 || query.is_empty() {
@@ -459,15 +405,7 @@ pub(crate) fn topk_sorted(
     for shard in index.sharded.shards() {
         let store = shard.store();
         if index.config.use_candidate_filter {
-            candidates::accumulate(
-                shard,
-                &view,
-                0,
-                shard.len(),
-                view.hashes.len(),
-                kernel,
-                scratch,
-            );
+            candidates::accumulate(shard, &view, 0, shard.len(), view.hashes.len(), scratch);
             for &slot in scratch.candidates() {
                 let overlap = finish::accumulated_overlap(store, &view, scratch, slot);
                 topk.consider(shard.global_id(slot as usize), overlap, q);

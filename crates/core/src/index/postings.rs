@@ -37,27 +37,25 @@
 //! # Traversal and block skipping
 //!
 //! The candidate stage never materialises a whole list: it walks a slot
-//! range `lo..hi` via [`PostingList::for_each_in_range`], which — on the
-//! packed representation — **skips whole blocks on their `first` slot**
+//! range `lo..hi` via [`PostingList::for_each_chunk_in_range`], which — on
+//! the packed representation — **skips whole blocks on their `first` slot**
 //! (blocks are ascending, so every block whose `first` is at or past the
 //! prune stage's `hi` cutoff dies with one comparison, and the first
-//! relevant block is found with one binary search over the metas), decodes
-//! each surviving block into a caller-provided reusable buffer (the
-//! [`crate::scratch::QueryScratch`] owns one per pipeline), and finishes
-//! the boundary blocks with one in-block binary search — bit-identical to
-//! the binary-search truncation the raw representation performs, which is
-//! what keeps every query path's answers independent of the format.
-//!
-//! The batched variant [`PostingList::for_each_chunk_in_range`] walks the
-//! same slots but hands them out **one block at a time** as a
-//! [`PostingChunk`]: the raw format hands out its cut sub-slice in one
-//! piece copy-free, gap blocks decode with a 4-lane unrolled prefix sum
-//! over the non-straddling per-word layout, dense runs materialise
-//! arithmetically — and fully-in-range bitmap blocks are handed out
-//! **undecoded**, as their 16-byte mask, so the accumulator consumes the
-//! set bits without a decode-buffer round trip. This is the substrate of
-//! the vectorized accumulate kernel in [`crate::index::candidates`]
-//! ([`crate::index::candidates::FinishKernel::Vectorized`]).
+//! relevant block is found with one binary search over the metas) and hands
+//! each surviving block out as one [`PostingChunk`]: the raw format hands
+//! out its cut sub-slice in one piece copy-free, gap blocks decode into a
+//! caller-provided reusable buffer (the [`crate::scratch::QueryScratch`]
+//! owns one per pipeline) with a 4-lane unrolled prefix sum over the
+//! non-straddling per-word layout, dense runs materialise arithmetically —
+//! and fully-in-range bitmap blocks are handed out **undecoded**, as their
+//! 16-byte mask, so the accumulator consumes the set bits without a
+//! decode-buffer round trip. Boundary blocks are cut to the range by one
+//! in-block binary search (or mask trim) — bit-identical to the
+//! binary-search truncation the raw representation performs, which is what
+//! keeps every query path's answers independent of the format. The
+//! per-slot visitors ([`PostingList::for_each_in_range`],
+//! [`PostingList::for_each`], [`PostingList::to_vec`]) are thin wrappers
+//! over the same chunk walk.
 //!
 //! # Dynamic maintenance
 //!
@@ -526,14 +524,19 @@ impl PackedList {
             .saturating_sub(1)
     }
 
-    /// Walks every slot in `lo..hi` in ascending order: whole blocks are
-    /// skipped on `first` alone; full interior gap blocks of a multi-block
-    /// list decode into `buf` and are streamed from it; short and boundary
-    /// blocks decode **fused** — the visitor runs inside the
-    /// bit-extraction loop, so a one-entry list costs a handful of
-    /// instructions. Bitmap blocks are walked by bit iteration and
-    /// dense-run blocks (width 0) arithmetically, without decoding at all.
-    fn for_each_in_range<F: FnMut(u32)>(&self, lo: usize, hi: usize, buf: &mut Vec<u32>, mut f: F) {
+    /// The walk behind [`PostingList::for_each_chunk_in_range`]: whole
+    /// blocks are skipped on `first` alone, and each surviving block is
+    /// handed to `f` as one ascending [`PostingChunk`]. Bitmap blocks pass
+    /// their 16-byte mask through undecoded (range-cut boundary blocks
+    /// with out-of-range bits cleared); gap blocks and dense runs
+    /// materialise into `buf` first via the 4-lane unrolled prefix sum.
+    fn for_each_chunk_in_range<F: FnMut(PostingChunk)>(
+        &self,
+        lo: usize,
+        hi: usize,
+        buf: &mut Vec<u32>,
+        mut f: F,
+    ) {
         if self.len == 0 || lo >= hi || (self.last as usize) < lo {
             return;
         }
@@ -543,7 +546,7 @@ impl PackedList {
             if (self.first as usize) < hi {
                 let below_hi = (self.last as usize) < hi;
                 let b = self.meta(0);
-                self.walk_block(b, below_hi, lo, hi, buf, &mut f);
+                self.chunk_block(b, below_hi, lo, hi, buf, &mut f);
             }
             return;
         }
@@ -561,56 +564,17 @@ impl PackedList {
                 Some(next) => (next.first as usize) <= hi,
                 None => (self.last as usize) < hi,
             };
-            self.walk_block(b, below_hi, lo, hi, buf, &mut f);
-        }
-    }
-
-    /// The batched walk behind
-    /// [`PostingList::for_each_chunk_in_range`]: identical block skipping
-    /// to [`PackedList::for_each_in_range`], but each surviving block is
-    /// handed to `f` as one ascending [`PostingChunk`]. Bitmap blocks pass
-    /// their 16-byte mask through undecoded (range-cut boundary blocks
-    /// with out-of-range bits cleared); gap blocks and dense runs
-    /// materialise into `buf` first via the 4-lane unrolled prefix sum.
-    fn for_each_chunk_in_range<F: FnMut(PostingChunk)>(
-        &self,
-        lo: usize,
-        hi: usize,
-        buf: &mut Vec<u32>,
-        mut f: F,
-    ) {
-        if self.len == 0 || lo >= hi || (self.last as usize) < lo {
-            return;
-        }
-        if self.blocks.is_empty() {
-            if (self.first as usize) < hi {
-                let below_hi = (self.last as usize) < hi;
-                let b = self.meta(0);
-                self.chunk_block(b, below_hi, lo, hi, buf, &mut f);
-            }
-            return;
-        }
-        let nblocks = self.blocks.len();
-        for idx in self.first_block_reaching(lo)..nblocks {
-            let b = self.blocks[idx];
-            if (b.first as usize) >= hi {
-                break;
-            }
-            let below_hi = match self.blocks.get(idx + 1) {
-                Some(next) => (next.first as usize) <= hi,
-                None => (self.last as usize) < hi,
-            };
             self.chunk_block(b, below_hi, lo, hi, buf, &mut f);
         }
     }
 
-    /// Emits one surviving block of a chunked walk. Bitmap blocks always
-    /// hand off undecoded — a boundary block just clears the out-of-range
-    /// bits of the mask first. Gap blocks always decode in full with the
-    /// unrolled prefix sum and trim to the range by binary search, which
-    /// beats a fused per-slot decode that range-checks every slot. The
-    /// emitted slots and their order are identical to
-    /// [`PackedList::walk_block`] either way.
+    /// Emits one surviving block of a chunked walk. `below_hi` asserts
+    /// that every slot of the block is below `hi` (the caller derives it
+    /// from the next block's `first`). Bitmap blocks always hand off
+    /// undecoded — a boundary block just clears the out-of-range bits of
+    /// the mask first. Gap blocks always decode in full with the unrolled
+    /// prefix sum and trim to the range by binary search, which beats a
+    /// fused per-slot decode that range-checks every slot.
     #[inline]
     fn chunk_block<F: FnMut(PostingChunk)>(
         &self,
@@ -689,136 +653,6 @@ impl PackedList {
         }
     }
 
-    /// Visits one block's slots within `lo..hi`. `below_hi` asserts that
-    /// every slot of the block is below `hi` (the caller derives it from
-    /// the next block's `first`), so fully-in-range blocks run check-free.
-    #[inline]
-    fn walk_block<F: FnMut(u32)>(
-        &self,
-        b: BlockMeta,
-        below_hi: bool,
-        lo: usize,
-        hi: usize,
-        buf: &mut Vec<u32>,
-        f: &mut F,
-    ) {
-        let first = b.first as usize;
-        let n = b.len as usize;
-        if b.width == 0 {
-            // Consecutive run `first..first + n`: the sub-range is pure
-            // arithmetic, no decode.
-            let s = lo.saturating_sub(first).min(n);
-            let e = n.min(hi - first);
-            for slot in first + s..first + e {
-                f(slot as u32);
-            }
-            return;
-        }
-        if b.width == BITMAP_WIDTH {
-            if first >= lo && below_hi {
-                self.walk_bitmap(b, |slot| {
-                    f(slot);
-                    true
-                });
-            } else {
-                // Boundary bitmap block: per-bit range checks, cutting off
-                // at `hi` (bits are visited in ascending slot order).
-                self.walk_bitmap(b, |slot| {
-                    let p = slot as usize;
-                    if p >= hi {
-                        return false;
-                    }
-                    if p >= lo {
-                        f(slot);
-                    }
-                    true
-                });
-            }
-            return;
-        }
-        if first >= lo && below_hi {
-            if n == BLOCK_LEN {
-                // Full interior gap block of a long list: blocked decode
-                // into the reusable buffer, then stream it.
-                buf.clear();
-                self.decode_block(b, buf);
-                for &slot in buf.iter() {
-                    f(slot);
-                }
-            } else {
-                // Short fully-in-range block: fused decode-and-visit.
-                self.walk_payload(b, |slot| {
-                    f(slot);
-                    true
-                });
-            }
-            return;
-        }
-        // Boundary block: fused decode with per-slot range checks, cutting
-        // off as soon as a slot reaches `hi` (slots ascend).
-        self.walk_payload(b, |slot| {
-            let p = slot as usize;
-            if p >= hi {
-                return false;
-            }
-            if p >= lo {
-                f(slot);
-            }
-            true
-        });
-    }
-
-    /// Fused decode of one gap block (`0 < width < BITMAP_WIDTH`):
-    /// reconstructs each slot from the per-word packed gaps and hands it to
-    /// `emit`; stops early when `emit` returns false. The non-straddling
-    /// layout makes the inner loop a shift + mask + add per slot.
-    #[inline]
-    fn walk_payload<F: FnMut(u32) -> bool>(&self, b: BlockMeta, mut emit: F) {
-        debug_assert!(b.width > 0 && b.width != BITMAP_WIDTH);
-        if !emit(b.first) {
-            return;
-        }
-        let width = b.width as usize;
-        let mask = (1u64 << width) - 1;
-        let per_word = 64 / width;
-        let words = &self.words[b.word_offset as usize..];
-        let mut prev = b.first;
-        let mut remaining = b.len as usize - 1;
-        let mut widx = 0usize;
-        while remaining > 0 {
-            let mut v = words[widx];
-            widx += 1;
-            let take = remaining.min(per_word);
-            for _ in 0..take {
-                prev += (v & mask) as u32 + 1;
-                if !emit(prev) {
-                    return;
-                }
-                v >>= width;
-            }
-            remaining -= take;
-        }
-    }
-
-    /// Fused walk of one bitmap block: visits each set bit of the two-word
-    /// mask as `first + bit` in ascending order; stops early when `emit`
-    /// returns false.
-    #[inline]
-    fn walk_bitmap<F: FnMut(u32) -> bool>(&self, b: BlockMeta, mut emit: F) {
-        debug_assert_eq!(b.width, BITMAP_WIDTH);
-        let base = b.word_offset as usize;
-        for wi in 0..BITMAP_WORDS {
-            let mut w = self.words[base + wi];
-            while w != 0 {
-                let bit = w.trailing_zeros();
-                if !emit(b.first + (wi as u32) * 64 + bit) {
-                    return;
-                }
-                w &= w - 1;
-            }
-        }
-    }
-
     /// Batched decode of one gap block's payload into `out`: extracts four
     /// gap lanes per iteration from the non-straddling word layout and
     /// resolves them with a short explicit prefix sum, so the four loads
@@ -870,8 +704,8 @@ impl PackedList {
         }
     }
 
-    /// Decodes one block (by metadata) into `out` — the buffered half of
-    /// the walk, also backing [`PackedList::decode_block_into`].
+    /// Decodes one block (by metadata) into `out` — backs
+    /// [`PackedList::decode_block_into`].
     fn decode_block(&self, b: BlockMeta, out: &mut Vec<u32>) {
         let n = b.len as usize;
         if b.width == 0 {
@@ -886,11 +720,13 @@ impl PackedList {
             return;
         }
         if b.width == BITMAP_WIDTH {
+            let w = b.word_offset as usize;
             out.reserve(n);
-            self.walk_bitmap(b, |slot| {
-                out.push(slot);
-                true
-            });
+            PostingChunk::Bitmap {
+                base: b.first,
+                words: [self.words[w], self.words[w + 1]],
+            }
+            .for_each_slot(|slot| out.push(slot));
             return;
         }
         self.decode_payload_unrolled(b, out);
@@ -1135,39 +971,31 @@ impl PostingList {
         }
     }
 
-    /// Calls `f` on every stored slot in `lo..hi`, in ascending order.
+    /// Calls `f` on every stored slot in `lo..hi`, in ascending order — the
+    /// per-slot view of [`PostingList::for_each_chunk_in_range`].
     ///
     /// `buf` is the caller's reusable block-decode scratch (unused by the
-    /// raw representation); its contents are clobbered. On the raw
-    /// representation the range is cut with the same binary searches (and
-    /// the same `lo == 0` / short-list fast paths) the candidates stage
-    /// used before this subsystem existed; the packed representation skips
-    /// whole blocks on `first` and finishes the boundary blocks with one
-    /// in-block search — same slots, same order, either way.
+    /// raw representation); its contents are clobbered.
     #[inline]
-    pub fn for_each_in_range<F: FnMut(u32)>(&self, lo: usize, hi: usize, buf: &mut Vec<u32>, f: F) {
-        match self {
-            PostingList::Raw(list) => {
-                let (start, end) = raw_range_bounds(list, lo, hi);
-                let mut f = f;
-                for &slot in &list[start..end] {
-                    f(slot);
-                }
-            }
-            PostingList::Packed(packed) => packed.for_each_in_range(lo, hi, buf, f),
-        }
+    pub fn for_each_in_range<F: FnMut(u32)>(
+        &self,
+        lo: usize,
+        hi: usize,
+        buf: &mut Vec<u32>,
+        mut f: F,
+    ) {
+        self.for_each_chunk_in_range(lo, hi, buf, |chunk| chunk.for_each_slot(&mut f));
     }
 
     /// Calls `f` on every stored slot in `lo..hi`, in ascending order,
-    /// **one [`PostingChunk`] at a time** — the batched walk the
-    /// vectorized accumulate kernel
-    /// ([`crate::index::candidates::FinishKernel`]) consumes. The raw
-    /// representation hands out its cut sub-slice in a single copy-free
-    /// chunk; the packed representation hands out each surviving block —
-    /// fully-in-range bitmap blocks as their undecoded mask, everything
-    /// else materialised into `buf`. The concatenation of the chunks'
-    /// slots is exactly the sequence [`PostingList::for_each_in_range`]
-    /// visits.
+    /// **one [`PostingChunk`] at a time** — the walk the candidates
+    /// stage's batched accumulate consumes. The raw representation hands
+    /// out its cut sub-slice in a single copy-free chunk; the packed
+    /// representation hands out each surviving block — fully-in-range
+    /// bitmap blocks as their undecoded mask, everything else materialised
+    /// into `buf`. Raw lists are cut with binary searches (plus `lo == 0` /
+    /// short-list fast paths); packed lists skip whole blocks on `first`
+    /// and cut the boundary blocks — same slots, same order, either way.
     #[inline]
     pub fn for_each_chunk_in_range<F: FnMut(PostingChunk)>(
         &self,
@@ -1188,7 +1016,7 @@ impl PostingList {
     }
 
     /// Calls `f` on every stored slot in ascending order (the whole-list
-    /// walk of the reference paths).
+    /// walk).
     #[inline]
     pub fn for_each<F: FnMut(u32)>(&self, buf: &mut Vec<u32>, f: F) {
         self.for_each_in_range(0, usize::MAX, buf, f);
@@ -1273,7 +1101,7 @@ impl PostingList {
     }
 
     /// Decodes the full list (tests and diagnostics; query paths stream
-    /// through [`PostingList::for_each_in_range`] instead).
+    /// through [`PostingList::for_each_chunk_in_range`] instead).
     pub fn to_vec(&self) -> Vec<u32> {
         let mut out = Vec::with_capacity(self.len());
         let mut buf = Vec::new();
@@ -1285,7 +1113,7 @@ impl PostingList {
 /// The `[start, end)` index range of a raw list's slots within the slot
 /// range `lo..hi`: the same binary searches (and the same `lo == 0` /
 /// short-list fast paths) the candidates stage used before the posting
-/// subsystem existed, shared by the per-slot and chunked walks.
+/// subsystem existed.
 #[inline]
 fn raw_range_bounds(list: &[u32], lo: usize, hi: usize) -> (usize, usize) {
     let start = if lo == 0 {
@@ -1444,10 +1272,11 @@ mod tests {
     }
 
     #[test]
-    fn chunked_walks_concatenate_to_the_per_slot_walk() {
-        // The batched walk must visit the identical slot sequence for
-        // every range and both formats — including bitmap-heavy,
-        // gap-heavy and dense-run shapes.
+    fn chunked_walks_match_the_range_filtered_input() {
+        // The chunk walk must visit exactly the input slots inside `lo..hi`,
+        // in order, for every range and both formats — including
+        // bitmap-heavy, gap-heavy and dense-run shapes. The oracle is the
+        // sorted input itself, independent of any walk.
         let shapes: [Vec<u32>; 4] = [
             (0..400u32).map(|i| i * 3 + (i % 3)).collect(),
             bitmap_heavy_slots(900),
@@ -1459,9 +1288,14 @@ mod tests {
             for list in both(slots) {
                 for lo in [0, 1, 64, 127, 128, 129, max / 2, max, max + 1] {
                     for hi in [0, 1, 65, 128, 256, max / 2 + 1, max, max + 1, usize::MAX] {
+                        let expected: Vec<u32> = slots
+                            .iter()
+                            .copied()
+                            .filter(|&s| (s as usize) >= lo && (s as usize) < hi)
+                            .collect();
                         assert_eq!(
                             chunk_range_of(&list, lo, hi),
-                            range_of(&list, lo, hi),
+                            expected,
                             "chunked walk diverged on {lo}..{hi}"
                         );
                     }

@@ -69,37 +69,21 @@ pub(crate) const SHORT_SIGNATURE_LEN: usize = 8;
 /// per shard.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PruneStage {
-    /// Whether size pruning is enabled (disabled for the ablation benchmark;
-    /// the size filter then runs per candidate at finish time instead,
-    /// exactly as the pre-pruning engine did).
-    size: bool,
     /// Whether the signature prefix filter is enabled (disabled for the
-    /// ablation benchmark; every signature hash then mints candidates, as
-    /// the PR-3 engine did).
+    /// ablation benchmark; every signature hash then mints candidates).
     prefix: bool,
 }
 
 impl PruneStage {
-    pub(crate) fn new(size: bool, prefix: bool) -> Self {
-        PruneStage { size, prefix }
-    }
-
-    /// Whether structural size pruning is active.
-    #[inline]
-    pub(crate) fn size_enabled(&self) -> bool {
-        self.size
+    pub(crate) fn new(prefix: bool) -> Self {
+        PruneStage { prefix }
     }
 
     /// The number of leading slots of `shard` that survive the overlap
-    /// threshold — the candidate stage's posting-list cutoff. With pruning
-    /// disabled every slot is live.
+    /// threshold — the candidate stage's posting-list cutoff.
     #[inline]
     pub(crate) fn live_slots(&self, shard: &Shard, threshold: OverlapThreshold) -> usize {
-        if self.size {
-            shard.store().live_prefix(threshold.exact)
-        } else {
-            shard.len()
-        }
+        shard.store().live_prefix(threshold.exact)
     }
 
     /// Number of the query's (df-ordered) signature hashes allowed to mint
@@ -166,7 +150,7 @@ mod tests {
         // u_Q = 1.0 (max hash saturates the unit interval): θ_sig = ⌈t*·|Q|⌉.
         let hashes = twelve_hashes(u64::MAX);
         let view = view_with(&hashes, &buffer);
-        let stage = PruneStage::new(true, true);
+        let stage = PruneStage::new(true);
         // θ = 0 ⇒ everything mints.
         assert_eq!(
             stage.minting_hashes(&view, OverlapThreshold::new(10, 0.0)),
@@ -189,7 +173,7 @@ mod tests {
         );
         // Filter disabled ⇒ everything mints regardless.
         assert_eq!(
-            PruneStage::new(true, false).minting_hashes(&view, OverlapThreshold::new(10, 0.5)),
+            PruneStage::new(false).minting_hashes(&view, OverlapThreshold::new(10, 0.5)),
             12
         );
         // Empty signature ⇒ nothing to order.
@@ -209,7 +193,7 @@ mod tests {
         // returning `n` is what makes the candidates stage skip the sort.
         let hashes = [1u64, 2, 3, u64::MAX];
         let view = view_with(&hashes, &buffer);
-        let stage = PruneStage::new(true, true);
+        let stage = PruneStage::new(true);
         assert_eq!(
             stage.minting_hashes(&view, OverlapThreshold::new(10, 0.5)),
             4
@@ -237,7 +221,7 @@ mod tests {
         // though the naive ⌈t*·|L_Q|⌉ = 6 bound would have cut the prefix.
         let hashes = twelve_hashes(u64::MAX / 32);
         let view = view_with(&hashes, &buffer);
-        let stage = PruneStage::new(true, true);
+        let stage = PruneStage::new(true);
         assert_eq!(
             stage.minting_hashes(&view, OverlapThreshold::new(8, 0.5)),
             12

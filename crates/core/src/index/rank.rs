@@ -8,6 +8,10 @@
 //!   candidates, so one final sort beats pre-sorting the candidate list.
 //! * `TopK` — a bounded binary min-heap keeping the best `k` hits
 //!   (O(n log k)); ties broken by ascending record id for determinism.
+//!   Records with a zero estimated overlap are never ranked: they share
+//!   nothing with the query, and dropping them here is what makes top-k
+//!   answers identical with and without the candidate filter (the filtered
+//!   walk never touches them, the scan fallback offers every slot).
 
 use std::collections::BinaryHeap;
 
@@ -57,10 +61,11 @@ impl TopK {
     }
 
     /// Offers one candidate (global record id, estimated overlap) for a
-    /// query of `query_size` elements.
+    /// query of `query_size` elements. Candidates without a positive
+    /// overlap are ignored.
     #[inline]
     pub(crate) fn consider(&mut self, record_id: usize, overlap: f64, query_size: usize) {
-        if self.k == 0 {
+        if self.k == 0 || overlap <= 0.0 {
             return;
         }
         let entry = TopKEntry::new(record_id, overlap, query_size);
@@ -145,6 +150,16 @@ mod tests {
         let ids: Vec<usize> = topk.into_hits().iter().map(|h| h.record_id).collect();
         // 4.0 ties broken by ascending id; 3.0 fills the last slot.
         assert_eq!(ids, vec![1, 9, 7]);
+    }
+
+    #[test]
+    fn zero_overlap_is_never_ranked() {
+        let mut topk = TopK::new(5);
+        for (rid, overlap) in [(0, 0.0), (1, 2.0), (2, 0.0), (3, 1.0)] {
+            topk.consider(rid, overlap, 4);
+        }
+        let ids: Vec<usize> = topk.into_hits().iter().map(|h| h.record_id).collect();
+        assert_eq!(ids, vec![1, 3]);
     }
 
     #[test]

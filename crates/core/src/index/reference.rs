@@ -1,15 +1,9 @@
-//! Retained reference implementations the pipeline is pinned against.
+//! The reference implementation the pipeline is pinned against.
 //!
-//! * `scan_sorted` — estimate every record (subject to the size filter)
-//!   with a per-record sorted merge; no postings, no accumulation. This is
-//!   the ground truth of the agreement tests: every accelerated path must
-//!   return **bit-identical** hits.
-//! * `baseline_sorted` — the pre-accumulator candidate-filtered design:
-//!   candidates deduplicated through a fresh hash map, then one
-//!   O(|L_Q| + |L_X|) sorted merge per candidate. Kept for the throughput
-//!   ablation benchmark.
-
-use std::collections::HashMap;
+//! `scan_sorted` estimates every record (subject to the size filter) with a
+//! per-record sorted merge; no postings, no accumulation. This is the
+//! ground truth of the agreement tests: every accelerated path must return
+//! **bit-identical** hits.
 
 use crate::dataset::ElementId;
 use crate::index::candidates::QuerySketchView;
@@ -28,54 +22,6 @@ pub(crate) fn scan_sorted(index: &GbKmvIndex, query: &[ElementId], t_star: f64) 
     for shard in index.sharded.shards() {
         let store = shard.store();
         for slot in 0..store.len() {
-            if store.record_size(slot) < threshold.exact {
-                continue;
-            }
-            let overlap = finish::merge_overlap(store, &view, slot);
-            if let Some(hit) =
-                finish::hit_if_qualifies(shard.global_id(slot), overlap, q, threshold.raw)
-            {
-                collector.push(hit);
-            }
-        }
-    }
-    collector.into_sorted()
-}
-
-/// Pre-accumulator baseline search over a sorted query slice. Falls back to
-/// the scan under the same conditions as the pipeline.
-pub(crate) fn baseline_sorted(
-    index: &GbKmvIndex,
-    query: &[ElementId],
-    t_star: f64,
-) -> Vec<SearchHit> {
-    let q = query.len();
-    let threshold = OverlapThreshold::new(q, t_star);
-    if threshold.raw <= 1e-9 || !index.config.use_candidate_filter {
-        return scan_sorted(index, query, t_star);
-    }
-    let q_sketch = index.sketcher.sketch_elements(query);
-    let view = QuerySketchView::new(&q_sketch);
-
-    let mut collector = ThresholdCollector::default();
-    let mut decode = Vec::new();
-    for shard in index.sharded.shards() {
-        let store = shard.store();
-        let mut candidates: HashMap<u32, ()> = HashMap::new();
-        for &h in view.hashes {
-            if let Some(postings) = shard.signature_postings(h) {
-                postings.for_each(&mut decode, |slot| {
-                    candidates.insert(slot, ());
-                });
-            }
-        }
-        for pos in q_sketch.buffer.set_positions() {
-            shard.buffer_postings(pos).for_each(&mut decode, |slot| {
-                candidates.insert(slot, ());
-            });
-        }
-        for (&slot, _) in candidates.iter() {
-            let slot = slot as usize;
             if store.record_size(slot) < threshold.exact {
                 continue;
             }

@@ -77,42 +77,45 @@ fn summary_reports_space_within_budget() {
 }
 
 #[test]
-fn filtered_scan_and_baseline_agree_bitwise() {
+fn every_entry_point_agrees_with_scan_bitwise() {
+    // Ordinary thresholds plus adversarial ones (NaN, ±∞, out of [0, 1]):
+    // no path may panic, and every path — single query, batch, intra-query
+    // parallel, a service snapshot — returns the scan's exact answer.
     let dataset = varied_dataset(120);
-    let index = GbKmvIndex::build(&dataset, GbKmvConfig::with_space_fraction(0.25));
+    let index = GbKmvIndex::build(&dataset, GbKmvConfig::with_space_fraction(0.25).shards(2));
+    let service = crate::service::ContainmentService::new(index.clone());
+    let snapshot = service.snapshot();
+    let adversarial = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5, 1.5];
     for qid in [0usize, 17, 63, 99] {
         let query = dataset.record(qid).clone();
-        for t_star in [0.0, 0.2, 0.4, 0.8] {
+        for t_star in [0.0, 0.2, 0.4, 0.8].into_iter().chain(adversarial) {
             let scan = index.search_scan(&query, t_star);
-            let filt = index.search_filtered(&query, t_star);
-            let base = index.search_filtered_baseline(&query, t_star);
+            let label = format!("query {qid} at t*={t_star}");
             assert_eq!(
-                scan, filt,
-                "query {qid} at t*={t_star}: pipeline diverged from scan"
+                index.search_record(&query, t_star),
+                scan,
+                "{label}: pipeline"
             );
             assert_eq!(
-                scan, base,
-                "query {qid} at t*={t_star}: baseline diverged from scan"
+                index.search_batch_threads(&[query.clone(), query.clone()], t_star, 2),
+                vec![scan.clone(), scan.clone()],
+                "{label}: batch"
             );
-        }
-    }
-}
-
-#[test]
-fn pruning_ablation_is_bit_identical() {
-    let dataset = varied_dataset(140);
-    let index = GbKmvIndex::build(&dataset, GbKmvConfig::with_space_fraction(0.25));
-    let mut pruned = QueryPipeline::new();
-    let mut unpruned = QueryPipeline::new().pruning(false);
-    for qid in (0..140).step_by(11) {
-        let query = dataset.record(qid);
-        for t_star in [0.0, 0.3, 0.6, 0.9] {
             assert_eq!(
-                pruned.search(&index, query.elements(), t_star),
-                unpruned.search(&index, query.elements(), t_star),
-                "query {qid} at t*={t_star}: pruning changed the answer"
+                index.search_parallel_threads(query.elements(), t_star, 3),
+                scan,
+                "{label}: intra-query parallel"
+            );
+            assert_eq!(
+                snapshot.search_record(&query, t_star),
+                scan,
+                "{label}: service snapshot"
             );
         }
+        // NaN and +∞ admit nothing; a negative threshold admits everything.
+        assert!(index.search_record(&query, f64::NAN).is_empty());
+        assert!(index.search_record(&query, f64::INFINITY).is_empty());
+        assert_eq!(index.search_record(&query, -0.5).len(), dataset.len());
     }
 }
 
@@ -141,8 +144,8 @@ fn prefix_filter_ablation_is_bit_identical() {
     );
     let query = dataset.record(23);
     assert_eq!(
-        index.search_filtered(query, 0.5),
-        unfiltered_index.search_filtered(query, 0.5)
+        index.search_record(query, 0.5),
+        unfiltered_index.search_record(query, 0.5)
     );
 }
 
@@ -241,8 +244,8 @@ fn sharded_index_answers_are_bit_identical_to_unsharded() {
             let query = dataset.record(qid);
             for t_star in [0.0, 0.4, 0.8] {
                 assert_eq!(
-                    unsharded.search_filtered(query, t_star),
-                    sharded.search_filtered(query, t_star),
+                    unsharded.search_record(query, t_star),
+                    sharded.search_record(query, t_star),
                     "query {qid} at t*={t_star}: {shards}-shard answer diverged"
                 );
             }
@@ -282,10 +285,10 @@ fn batch_search_matches_single_queries_for_any_thread_count() {
 }
 
 #[test]
-fn filtered_paths_fall_back_to_scan_without_candidate_filter() {
+fn entry_points_fall_back_to_scan_without_candidate_filter() {
     // With the candidate filter disabled no postings are built; the
-    // public filtered entry points must answer via the scan instead of
-    // an empty candidate set.
+    // public entry points must answer via the scan instead of an empty
+    // candidate set.
     let dataset = skewed_dataset(60);
     let index = GbKmvIndex::build(
         &dataset,
@@ -294,10 +297,11 @@ fn filtered_paths_fall_back_to_scan_without_candidate_filter() {
     let query = dataset.record(9);
     let scan = index.search_scan(query, 0.5);
     assert!(!scan.is_empty());
-    assert_eq!(index.search_filtered(query, 0.5), scan);
-    assert_eq!(index.search_filtered_baseline(query, 0.5), scan);
-    let mut scratch = QueryScratch::new();
-    assert_eq!(index.search_filtered_with(query, 0.5, &mut scratch), scan);
+    assert_eq!(index.search_record(query, 0.5), scan);
+    assert_eq!(
+        QueryPipeline::new().search(&index, query.elements(), 0.5),
+        scan
+    );
     assert_eq!(
         index.search_batch(std::slice::from_ref(query), 0.5),
         vec![scan]
@@ -312,8 +316,7 @@ fn results_are_sorted_by_record_id() {
         let query = dataset.record(qid);
         for hits in [
             index.search_scan(query, 0.3),
-            index.search_filtered(query, 0.3),
-            index.search_filtered_baseline(query, 0.3),
+            index.search_record(query, 0.3),
         ] {
             assert!(
                 hits.windows(2).all(|w| w[0].record_id < w[1].record_id),
@@ -338,15 +341,14 @@ fn parallel_build_is_identical_to_sequential() {
 }
 
 #[test]
-fn scratch_reuse_across_queries_matches_fresh_scratch() {
+fn pipeline_reuse_across_queries_matches_fresh_pipeline() {
     let dataset = varied_dataset(100);
     let index = GbKmvIndex::build(&dataset, GbKmvConfig::with_space_fraction(0.25));
-    let mut reused = QueryScratch::new();
+    let mut reused = QueryPipeline::new();
     for qid in 0..100 {
         let query = dataset.record(qid);
-        let with_reuse = index.search_filtered_with(query, 0.4, &mut reused);
-        let mut fresh = QueryScratch::new();
-        let with_fresh = index.search_filtered_with(query, 0.4, &mut fresh);
+        let with_reuse = reused.search_sorted(&index, query.elements(), 0.4);
+        let with_fresh = QueryPipeline::new().search_sorted(&index, query.elements(), 0.4);
         assert_eq!(
             with_reuse, with_fresh,
             "query {qid}: reused scratch leaked state from earlier queries"
@@ -514,7 +516,7 @@ fn insert_keeps_sharded_answers_consistent() {
             let query = base.record(qid);
             for t_star in [0.3, 0.7] {
                 assert_eq!(
-                    index.search_filtered(query, t_star),
+                    index.search_record(query, t_star),
                     index.search_scan(query, t_star),
                     "{shards}-shard grown index: pipeline diverged from scan"
                 );
@@ -522,7 +524,7 @@ fn insert_keeps_sharded_answers_consistent() {
         }
         for record in &extra {
             assert_eq!(
-                index.search_filtered(record, 0.6),
+                index.search_record(record, 0.6),
                 index.search_scan(record, 0.6),
                 "{shards}-shard grown index: inserted-record query diverged"
             );
@@ -587,6 +589,41 @@ fn topk_matches_between_filtered_and_scan_modes() {
         .map(|h| h.record_id)
         .collect();
     assert_eq!(a, b);
+}
+
+#[test]
+fn topk_never_ranks_zero_overlap_records() {
+    // Two element-disjoint halves: a query drawn from one half shares
+    // nothing with the other, whose records score exactly zero. With k above
+    // the positive-score count, both candidate-filter settings must return
+    // exactly the ranked positive-score scan.
+    let recs: Vec<Vec<u32>> = (0..80u32)
+        .map(|i| {
+            let base = if i % 2 == 0 { 0 } else { 50_000 };
+            (0..40u32).map(|j| base + (i * 7 + j * 3) % 2_000).collect()
+        })
+        .collect();
+    let dataset = Dataset::from_records(recs);
+    let query = dataset.record(0);
+    for filter in [true, false] {
+        let index = GbKmvIndex::build(
+            &dataset,
+            GbKmvConfig::with_space_fraction(0.3).candidate_filter(filter),
+        );
+        let mut expected = index.search_scan(query, 0.0);
+        expected.retain(|h| h.estimated_overlap > 0.0);
+        expected.sort_by(|a, b| {
+            b.estimated_containment
+                .total_cmp(&a.estimated_containment)
+                .then_with(|| a.record_id.cmp(&b.record_id))
+        });
+        assert!(!expected.is_empty() && expected.len() < dataset.len());
+        assert_eq!(
+            index.search_topk(query, 1_000),
+            expected,
+            "candidate_filter({filter}): top-k ranked a zero-overlap record"
+        );
+    }
 }
 
 #[test]

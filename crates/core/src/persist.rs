@@ -100,7 +100,7 @@ use crate::hash::{mix64, Hasher64};
 use crate::index::postings::{BlockMeta, PackedList, PostingList};
 use crate::index::sharded::Shard;
 use crate::index::{
-    BufferSizing, FinishKernel, GbKmvConfig, GbKmvIndex, IndexSummary, PostingFormat, ShardedIndex,
+    BufferSizing, GbKmvConfig, GbKmvIndex, IndexSummary, PostingFormat, ShardedIndex,
 };
 use crate::store::{RecordMeta, SketchStore};
 
@@ -276,13 +276,6 @@ fn format_tag(format: PostingFormat) -> u8 {
     }
 }
 
-fn kernel_tag(kernel: FinishKernel) -> u8 {
-    match kernel {
-        FinishKernel::Vectorized => 0,
-        FinishKernel::Scalar => 1,
-    }
-}
-
 fn write_config(out: &mut Vec<u8>, c: &GbKmvConfig) {
     put_f64(out, c.space_fraction);
     match c.budget_elements {
@@ -311,7 +304,9 @@ fn write_config(out: &mut Vec<u8>, c: &GbKmvConfig) {
     put_u64(out, c.threads as u64);
     put_u64(out, c.shards as u64);
     put_u8(out, format_tag(c.posting_format));
-    put_u8(out, kernel_tag(c.finish_kernel));
+    // Reserved byte: it held the tag of a since-removed accumulate-kernel
+    // knob. Always written as 0 so the layout (and version) stay put.
+    put_u8(out, 0);
     put_u64(out, c.cost_model.grid_step as u64);
     put_u64(out, c.cost_model.max_buffer_size as u64);
     put_u64(out, c.cost_model.pair_sample_size as u64);
@@ -523,11 +518,11 @@ fn read_config(cur: &mut MetaCursor) -> Result<GbKmvConfig> {
     let threads = to_usize(cur.u64()?)?;
     let shards = to_usize(cur.u64()?)?;
     let posting_format = read_format(cur)?;
-    let finish_kernel = match cur.u8()? {
-        0 => FinishKernel::Vectorized,
-        1 => FinishKernel::Scalar,
-        _ => return Err(corrupt("invalid finish-kernel tag")),
-    };
+    // The reserved former kernel byte: images written before the knob was
+    // removed carry 0 or 1 (kernels never changed an answer), so both load.
+    if cur.u8()? > 1 {
+        return Err(corrupt("invalid finish-kernel tag"));
+    }
     let cost_model = CostModelConfig {
         grid_step: to_usize(cur.u64()?)?,
         max_buffer_size: to_usize(cur.u64()?)?,
@@ -544,7 +539,6 @@ fn read_config(cur: &mut MetaCursor) -> Result<GbKmvConfig> {
         threads,
         shards,
         posting_format,
-        finish_kernel,
         cost_model,
         ingest_batch,
     })

@@ -34,10 +34,9 @@ pub struct QueryScratch {
     /// Reusable block-decode buffer of the posting walk: block-compressed
     /// posting lists ([`crate::index::postings::PostingList`]) decode each
     /// surviving block into this buffer, so traversal allocates nothing
-    /// after the first query. The vectorized finish kernel
-    /// ([`crate::index::candidates::FinishKernel::Vectorized`]) consumes it
-    /// one whole chunk at a time through the batched accumulate methods
-    /// below.
+    /// after the first query. The candidates stage
+    /// ([`crate::index::candidates`]) consumes it one whole chunk at a time
+    /// through the batched accumulate methods below.
     pub(crate) block_decode: Vec<u32>,
 }
 
@@ -336,8 +335,8 @@ mod tests {
 
     #[test]
     fn batched_accumulates_match_per_slot_calls() {
-        // The vectorized kernel's batched methods must leave the scratch in
-        // exactly the state the scalar per-slot calls produce — including
+        // The batched methods must leave the scratch in exactly the state
+        // the per-slot calls produce — including
         // first-touch order and remainder handling (lengths not ≡ 0 mod 4).
         let chunks: [&[u32]; 3] = [&[9, 1, 4, 7, 2], &[1, 4, 11, 0], &[2]];
         let mut scalar = QueryScratch::new();

@@ -110,6 +110,17 @@ fn single_bit_flips_never_panic_and_never_load() {
     }
 }
 
+/// Offset of the config's reserved byte (it held the tag of the removed
+/// accumulate-kernel knob) in a serialized arena. Section 0 — the meta
+/// head, whose offset is the first section-table entry at byte 48 — opens
+/// with the config; the fields before the reserved byte take 53 bytes
+/// (`f64`, two `u8`+`u64` tagged options, seed `u64`, two filter `u8`s,
+/// threads and shards `u64`s, the posting-format `u8`).
+fn reserved_config_byte(bytes: &[u8]) -> usize {
+    let head = u64::from_le_bytes(bytes[48..56].try_into().expect("8-byte table word"));
+    usize::try_from(head).expect("section offset fits in usize") + 53
+}
+
 #[test]
 fn checksum_valid_structural_corruption_is_still_rejected() {
     // Mutate body bytes and re-stamp the checksum, so only the structural
@@ -139,6 +150,45 @@ fn checksum_valid_structural_corruption_is_still_rejected() {
         rejected > 0,
         "no checksum-valid mutation tripped the structural validators"
     );
+
+    // The reserved config byte: writers emit 0, images written while the
+    // byte still tagged a kernel may carry 1 and must keep loading (with
+    // identical answers — kernels never changed one); any other value is a
+    // typed error.
+    let at = reserved_config_byte(&bytes);
+    assert_eq!(bytes[at], 0, "writers must emit the reserved byte as 0");
+    let raw = arena(GbKmvConfig::with_space_fraction(0.4).posting_format(PostingFormat::Raw));
+    assert_eq!(
+        raw[reserved_config_byte(&raw) - 1],
+        1,
+        "the byte before the reserved one must be the posting-format tag"
+    );
+    let original = GbKmvIndex::from_arena_bytes(&bytes).expect("pristine image loads");
+    let query = [1u32, 2, 3, 50, 700];
+    let mut old_kernel = bytes.clone();
+    old_kernel[at] = 1;
+    rewrite_checksum(&mut old_kernel);
+    let loaded = GbKmvIndex::from_arena_bytes(&old_kernel)
+        .expect("an image with the old scalar-kernel tag must still load");
+    assert_eq!(
+        loaded.search_elements(&query, 0.3),
+        original.search_elements(&query, 0.3)
+    );
+    assert_eq!(
+        loaded.to_arena_bytes(),
+        bytes,
+        "re-saving writes the byte as 0"
+    );
+    for value in [2u8, 0xff] {
+        let mut corrupted = bytes.clone();
+        corrupted[at] = value;
+        rewrite_checksum(&mut corrupted);
+        match GbKmvIndex::from_arena_bytes(&corrupted) {
+            Err(Error::PersistCorrupt { .. }) => {}
+            Err(other) => panic!("reserved byte {value}: expected PersistCorrupt, got {other}"),
+            Ok(_) => panic!("reserved byte {value} loaded"),
+        }
+    }
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! bit-identical to the same inserts applied to the built index.
 
 use gbkmv_core::dataset::{Dataset, Record};
-use gbkmv_core::index::{FinishKernel, GbKmvConfig, GbKmvIndex, PostingFormat};
+use gbkmv_core::index::{GbKmvConfig, GbKmvIndex, PostingFormat};
 use gbkmv_core::service::ContainmentService;
 
 fn dataset(n: usize) -> Dataset {
@@ -40,8 +40,8 @@ fn configs() -> Vec<(&'static str, GbKmvConfig)> {
             GbKmvConfig::with_space_fraction(0.4).buffer_size(0),
         ),
         (
-            "scalar-kernel",
-            GbKmvConfig::with_space_fraction(0.4).finish_kernel(FinishKernel::Scalar),
+            "no-prefix-filter",
+            GbKmvConfig::with_space_fraction(0.4).prefix_filter(false),
         ),
         ("saturated", GbKmvConfig::with_space_fraction(2.0)),
     ]

@@ -8,9 +8,10 @@
 //!
 //! * **round trip** — `encode → decode` is the identity for every
 //!   ascending deduplicated slot sequence;
-//! * **range walks** — `for_each_in_range` visits exactly the slots of
-//!   `lo..hi`, in order, identically for both formats (the contract the
-//!   candidates stage and the prune-stage truncation rely on);
+//! * **range walks** — `for_each_in_range` and the chunked
+//!   `for_each_chunk_in_range` it wraps visit exactly the input slots of
+//!   `lo..hi`, in order, for both formats (the contract the candidates
+//!   stage and the prune-stage truncation rely on);
 //! * **mutations** — `insert_sorted` and `renumber_from` (the dynamic
 //!   insert path) commute with encoding: mutating the packed list equals
 //!   mutating the raw oracle and re-encoding.
@@ -20,8 +21,8 @@
 //! per-block size rule actually chooses **bitmap** blocks (mostly gap-1
 //! runs broken by occasional gaps of 2–4: enough entries per 128-slot
 //! window that the 2-word presence mask beats the packed gap chain). The
-//! chunked walk (`for_each_chunk_in_range`, the vectorized kernel's
-//! substrate) is pinned to concatenate to the per-slot walk on both.
+//! range-walk oracle is always the sorted input filtered to `lo..hi`,
+//! independent of the packed code.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -82,6 +83,15 @@ fn decode_range(list: &PostingList, lo: usize, hi: usize) -> Vec<u32> {
     out
 }
 
+/// The range-walk oracle: the sorted input slots inside `lo..hi`.
+fn expected_range(slots: &[u32], lo: usize, hi: usize) -> Vec<u32> {
+    slots
+        .iter()
+        .copied()
+        .filter(|&s| (s as usize) >= lo && (s as usize) < hi)
+        .collect()
+}
+
 fn decode_chunked_range(list: &PostingList, lo: usize, hi: usize) -> Vec<u32> {
     let mut out = Vec::new();
     let mut buf = Vec::new();
@@ -138,11 +148,7 @@ proptest! {
         let lo = lo_pick * (max + 2) / 1_000;
         let hi = lo + span_pick * (max + 2 - lo.min(max + 1)) / 1_000;
         for (lo, hi) in [(lo, hi), (0, max + 1), (0, usize::MAX), (max, max), (lo, lo)] {
-            let expected: Vec<u32> = slots
-                .iter()
-                .copied()
-                .filter(|&s| (s as usize) >= lo && (s as usize) < hi)
-                .collect();
+            let expected = expected_range(&slots, lo, hi);
             prop_assert_eq!(
                 decode_range(&raw, lo, hi),
                 expected.clone(),
@@ -221,25 +227,30 @@ proptest! {
         let lo = lo_pick * (max + 2) / 1_000;
         let hi = lo + span_pick * (max + 2 - lo.min(max + 1)) / 1_000;
         for (lo, hi) in [(lo, hi), (0, max + 1), (0, usize::MAX), (lo, lo)] {
+            let expected = expected_range(&slots, lo, hi);
+            prop_assert_eq!(
+                decode_range(&raw, lo, hi),
+                expected.clone(),
+                "raw walk broke on {}..{}", lo, hi
+            );
             prop_assert_eq!(
                 decode_range(&packed, lo, hi),
-                decode_range(&raw, lo, hi),
-                "hybrid walk diverged from the raw oracle on {}..{}", lo, hi
+                expected,
+                "hybrid walk broke on {}..{}", lo, hi
             );
         }
     }
 
     #[test]
-    fn chunked_walk_concatenates_to_the_per_slot_walk(
+    fn chunked_walk_matches_the_range_filtered_input(
         general in slots_strategy(),
         dense in dense_slots_strategy(),
         lo_pick in 0usize..1_000,
         span_pick in 0usize..1_000,
     ) {
-        // The vectorized kernel consumes `for_each_chunk_in_range`; its
-        // chunks must concatenate to exactly the per-slot walk's sequence
-        // for both formats and every range — this is what makes the
-        // kernels bit-identical end to end.
+        // The candidates stage consumes `for_each_chunk_in_range`; its
+        // chunks must concatenate to exactly the input slots of the range,
+        // for both formats and every range.
         for slots in [general, dense] {
             let max = slots.last().copied().unwrap_or(0) as usize;
             let lo = lo_pick * (max + 2) / 1_000;
@@ -249,7 +260,7 @@ proptest! {
                 for (lo, hi) in [(lo, hi), (0, max + 1), (0, usize::MAX), (lo, lo)] {
                     prop_assert_eq!(
                         decode_chunked_range(&list, lo, hi),
-                        decode_range(&list, lo, hi),
+                        expected_range(&slots, lo, hi),
                         "chunked walk diverged on {}..{} ({:?})", lo, hi, format
                     );
                 }

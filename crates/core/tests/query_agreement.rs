@@ -1,33 +1,28 @@
-//! Property tests pinning the staged query pipeline to the reference paths:
-//! across random datasets, space budgets, buffer sizes, shard counts,
+//! Property tests pinning the staged query pipeline to the one reference
+//! path: across random datasets, space budgets, buffer sizes, shard counts,
 //! posting-list storage formats (block-compressed packed vs raw) and
-//! thresholds, the pruned pipeline (`search_filtered`, with its signature
-//! prefix filter on by default), the pruning- and prefix-disabled
-//! ablations, the sharded index, the parallel batch path, the intra-query
-//! parallel path (`search_parallel`), the auto-scheduled path
-//! (`search_auto`) and `search_filtered_baseline` (hash-set candidates +
-//! sorted merges) must all return **bit-identical** hits — same record
-//! ids, same `f64` estimates, same order — as the full-scan reference
-//! `search_scan`; and the bounded-heap top-k must match a sort-everything
-//! reference. Saturated sketches (budgets above 100%), empty queries,
-//! (near-)zero thresholds (where no prefix exists and every hash mints)
-//! and queries whose signature is entirely absent from the index are
-//! exercised explicitly. The posting format is crossed with prefix,
-//! sharding and insert-then-search, so compression can never change an
-//! answer; the candidates-stage finish kernel (scalar oracle vs the
-//! default vectorized block-at-a-time accumulate) is crossed with format,
-//! prefix, sharding, the parallel paths, top-k and the serving layer, so
-//! the batched kernel can never change one either.
+//! thresholds, the pipeline (`search_record`, with its signature prefix
+//! filter on by default), the prefix-disabled ablation, the sharded index,
+//! the parallel batch path, the intra-query parallel path
+//! (`search_parallel`) and the auto-scheduled path (`search_auto`) must all
+//! return **bit-identical** hits — same record ids, same `f64` estimates,
+//! same order — as the full-scan reference `search_scan`; and the
+//! bounded-heap top-k must match a sort-everything reference of the
+//! positive-score records. Saturated sketches (budgets above 100%), empty
+//! queries, (near-)zero thresholds (where no prefix exists and every hash
+//! mints) and queries whose signature is entirely absent from the index
+//! are exercised explicitly. The posting format is crossed with prefix,
+//! sharding, insert-then-search, the parallel paths, top-k, persistence
+//! and the serving layer, so compression can never change an answer.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 use gbkmv_core::dataset::{Dataset, Record};
 use gbkmv_core::index::{
-    BufferSizing, FinishKernel, GbKmvConfig, GbKmvIndex, PostingFormat, QueryPipeline, SearchHit,
+    BufferSizing, GbKmvConfig, GbKmvIndex, PostingFormat, QueryPipeline, SearchHit,
 };
 use gbkmv_core::service::ContainmentService;
-use gbkmv_core::store::QueryScratch;
 
 fn dataset_strategy() -> impl Strategy<Value = Dataset> {
     vec(vec(0u32..3_000, 1..120), 4..48).prop_map(Dataset::from_records)
@@ -63,32 +58,22 @@ proptest! {
         let query = dataset.record(query_pick % dataset.len()).clone();
 
         let scan = index.search_scan(&query, t_star);
-        let filtered = index.search_filtered(&query, t_star);
-        let baseline = index.search_filtered_baseline(&query, t_star);
+        let filtered = index.search_record(&query, t_star);
 
         // Bit-identical: SearchHit's PartialEq compares the f64 estimates
         // exactly, not approximately.
         prop_assert_eq!(&scan, &filtered,
             "pruned pipeline diverged from scan (t*={}, budget={})", t_star, budget_fraction);
-        prop_assert_eq!(&scan, &baseline,
-            "baseline diverged from scan (t*={}, budget={})", t_star, budget_fraction);
 
-        // Pruning and prefix filtering are structural, never semantic: all
-        // four toggle combinations agree.
-        let mut unpruned = QueryPipeline::new().pruning(false);
-        prop_assert_eq!(&scan, &unpruned.search(&index, query.elements(), t_star),
-            "disabling the prune stage changed the answer (t*={})", t_star);
+        // Prefix filtering is structural, never semantic.
         let mut unprefixed = QueryPipeline::new().prefix_filter(false);
         prop_assert_eq!(&scan, &unprefixed.search(&index, query.elements(), t_star),
             "disabling the prefix filter changed the answer (t*={})", t_star);
-        let mut neither = QueryPipeline::new().pruning(false).prefix_filter(false);
-        prop_assert_eq!(&scan, &neither.search(&index, query.elements(), t_star),
-            "the PR-2 ablation (no prune, no prefix) diverged (t*={})", t_star);
 
         // Sharding never changes an answer either, on the single-query, the
         // parallel batch or the intra-query parallel path, for any thread
         // count.
-        prop_assert_eq!(&scan, &sharded.search_filtered(&query, t_star),
+        prop_assert_eq!(&scan, &sharded.search_record(&query, t_star),
             "{}-shard pipeline diverged from scan (t*={})", shards, t_star);
         let batch_queries = [query.clone(), query.clone()];
         for threads in [1usize, 3] {
@@ -109,22 +94,12 @@ proptest! {
         // the unsharded and the sharded index returns bit-identical hits
         // (the default indexes above run the packed format).
         let raw_format = GbKmvIndex::build(&dataset, config.posting_format(PostingFormat::Raw));
-        prop_assert_eq!(&scan, &raw_format.search_filtered(&query, t_star),
+        prop_assert_eq!(&scan, &raw_format.search_record(&query, t_star),
             "raw posting format diverged from scan (t*={})", t_star);
         let raw_sharded = GbKmvIndex::build(
             &dataset, config.shards(shards).posting_format(PostingFormat::Raw));
-        prop_assert_eq!(&scan, &raw_sharded.search_filtered(&query, t_star),
+        prop_assert_eq!(&scan, &raw_sharded.search_record(&query, t_star),
             "raw-format {}-shard pipeline diverged (t*={})", shards, t_star);
-
-        // The finish kernel is pure mechanics: the scalar-oracle config and
-        // a scalar pipeline over the vectorized-default index both return
-        // bit-identical hits (the default indexes above run vectorized).
-        let scalar = GbKmvIndex::build(&dataset, config.finish_kernel(FinishKernel::Scalar));
-        prop_assert_eq!(&scan, &scalar.search_filtered(&query, t_star),
-            "scalar finish kernel diverged from scan (t*={})", t_star);
-        let mut scalar_pipeline = QueryPipeline::new().finish_kernel(FinishKernel::Scalar);
-        prop_assert_eq!(&scan, &scalar_pipeline.search(&index, query.elements(), t_star),
-            "scalar-kernel pipeline over a vectorized index diverged (t*={})", t_star);
 
         // The auto-scheduled path picks its own engine but never its own
         // answers — single-query and multi-query workloads alike.
@@ -139,13 +114,13 @@ proptest! {
         // The ContainmentIndex ordering contract: ascending record id.
         prop_assert!(scan.windows(2).all(|w| w[0].record_id < w[1].record_id));
 
-        // Reusing one scratch for a second pass over the same query changes
+        // Reusing one pipeline for a second pass over the same query changes
         // nothing (epoch reset works under arbitrary configurations).
-        let mut scratch = QueryScratch::new();
-        let first = index.search_filtered_with(&query, t_star, &mut scratch);
-        let second = index.search_filtered_with(&query, t_star, &mut scratch);
+        let mut pipeline = QueryPipeline::new();
+        let first = pipeline.search_sorted(&index, query.elements(), t_star);
+        let second = pipeline.search_sorted(&index, query.elements(), t_star);
         prop_assert_eq!(&first, &second, "scratch reuse leaked state");
-        prop_assert_eq!(&first, &scan, "explicit-scratch path diverged from scan");
+        prop_assert_eq!(&first, &scan, "reused pipeline diverged from scan");
     }
 
     #[test]
@@ -166,10 +141,8 @@ proptest! {
         let query = dataset.record(query_pick % dataset.len()).clone();
 
         let scan = index.search_scan(&query, t_star);
-        prop_assert_eq!(&scan, &index.search_filtered(&query, t_star),
+        prop_assert_eq!(&scan, &index.search_record(&query, t_star),
             "saturated: pruned pipeline diverged from scan (t*={})", t_star);
-        prop_assert_eq!(&scan, &index.search_filtered_baseline(&query, t_star),
-            "saturated: baseline diverged from scan (t*={})", t_star);
 
         // Empty query: θ = t*·0 = 0, so every path must degenerate to the
         // all-records answer with zero estimates, identically.
@@ -177,7 +150,7 @@ proptest! {
         prop_assert_eq!(empty_scan.len(), dataset.len());
         prop_assert!(empty_scan.iter().all(|h| h.estimated_containment == 0.0));
         prop_assert_eq!(&empty_scan, &index.search_elements(&[], t_star));
-        prop_assert_eq!(&empty_scan, &index.search_filtered(&Record::default(), t_star));
+        prop_assert_eq!(&empty_scan, &index.search_record(&Record::default(), t_star));
         let batch = index.search_batch(&[Record::default()], t_star);
         prop_assert_eq!(&empty_scan, &batch[0],
             "empty-query batch diverged (t*={})", t_star);
@@ -213,7 +186,7 @@ proptest! {
         for (label, query) in [("sampled", &in_dataset), ("absent", &absent)] {
             for &t_star in &[0.0, tiny_t, 0.6] {
                 let scan = index.search_scan(query, t_star);
-                prop_assert_eq!(&scan, &index.search_filtered(query, t_star),
+                prop_assert_eq!(&scan, &index.search_record(query, t_star),
                     "{} query: pipeline diverged (t*={})", label, t_star);
                 prop_assert_eq!(
                     &scan,
@@ -225,7 +198,7 @@ proptest! {
                     "{} query: batch diverged (t*={})", label, t_star);
             }
         }
-        let positive_absent = index.search_filtered(&absent, 0.6);
+        let positive_absent = index.search_record(&absent, 0.6);
         prop_assert!(positive_absent.is_empty(),
             "absent-signature query matched records at a positive threshold");
     }
@@ -271,7 +244,8 @@ proptest! {
         seed in 0u64..1_000_000,
         query_pick in 0usize..1_000,
     ) {
-        // Scan mode ranks *every* record, so the reference is unambiguous.
+        // Scan mode offers *every* record to the ranking, which keeps the
+        // positive-score ones, so the reference is unambiguous.
         let config = GbKmvConfig::with_space_fraction(budget_fraction)
             .hash_seed(seed | 1)
             .candidate_filter(false);
@@ -282,13 +256,15 @@ proptest! {
         let top = index.search_topk(&query, k);
 
         // Reference: estimate every record (threshold 0 returns all), sort by
-        // (containment desc, record id asc), truncate.
+        // (containment desc, record id asc), keep the positive scores,
+        // truncate.
         let mut reference: Vec<SearchHit> = index.search_scan(&query, 0.0);
         reference.sort_by(|a, b| {
             b.estimated_containment
                 .total_cmp(&a.estimated_containment)
                 .then_with(|| a.record_id.cmp(&b.record_id))
         });
+        reference.retain(|h| h.estimated_overlap > 0.0);
         reference.truncate(k);
         prop_assert_eq!(top, reference, "heap top-k diverged from sort reference");
     }
@@ -319,7 +295,7 @@ proptest! {
             }
             for query in inserted.iter().chain(std::iter::once(dataset.record(0))) {
                 let scan = index.search_scan(query, t_star);
-                prop_assert_eq!(&scan, &index.search_filtered(query, t_star),
+                prop_assert_eq!(&scan, &index.search_record(query, t_star),
                     "grown {}-shard {:?}-format index: pipeline diverged from scan (t*={})",
                     shards, format, t_star);
             }
@@ -327,7 +303,7 @@ proptest! {
     }
 
     #[test]
-    fn finish_kernels_agree_across_every_engine_variant(
+    fn engine_variants_agree_with_scan(
         dataset in dataset_strategy(),
         budget_fraction in 0.05f64..1.1,
         t_star in 0.0f64..1.0,
@@ -337,11 +313,10 @@ proptest! {
         k in 1usize..12,
         extra in vec(vec(0u32..3_000, 1..60), 1..3),
     ) {
-        // The dedicated kernel-dimension sweep: scalar vs vectorized,
-        // crossed with posting format × prefix filter × shard count, over
-        // the sequential, intra-query-parallel, batch and top-k paths and
-        // the serving layer — every combination pinned bit-identical to
-        // the kernel-free scan reference.
+        // The engine-variant sweep: posting format × prefix filter × shard
+        // count, over the sequential, intra-query-parallel, batch and top-k
+        // paths, persistence and the serving layer (insert-then-search) —
+        // every combination pinned bit-identical to the scan reference.
         let base = GbKmvConfig::with_space_fraction(budget_fraction)
             .hash_seed(seed | 1)
             .shards(shards);
@@ -360,57 +335,51 @@ proptest! {
         let loaded = GbKmvIndex::from_arena_bytes(&arena).expect("arena round trip failed");
         prop_assert_eq!(loaded.sharded(), reference.sharded(),
             "loaded storage diverged from the built index ({} shards)", shards);
-        prop_assert_eq!(&scan, &loaded.search_filtered(&query, t_star),
+        prop_assert_eq!(&scan, &loaded.search_record(&query, t_star),
             "loaded index answers diverged (t*={})", t_star);
         prop_assert_eq!(&topk_reference, &loaded.search_topk(&query, k),
             "loaded index top-k diverged (k={})", k);
         prop_assert_eq!(loaded.to_arena_bytes(), arena, "re-saved arena bytes diverged");
 
-        for kernel in [FinishKernel::Scalar, FinishKernel::Vectorized] {
-            for format in [PostingFormat::Packed, PostingFormat::Raw] {
-                for prefix in [true, false] {
-                    let config = base
-                        .finish_kernel(kernel)
-                        .posting_format(format)
-                        .prefix_filter(prefix);
-                    let index = GbKmvIndex::build(&dataset, config);
-                    let label = format!("{kernel:?}/{format:?}/prefix={prefix}");
-                    prop_assert_eq!(&scan, &index.search_filtered(&query, t_star),
-                        "{}: sequential pipeline diverged (t*={})", &label, t_star);
-                    prop_assert_eq!(
-                        &scan,
-                        &index.search_parallel_threads(query.elements(), t_star, 3),
-                        "{}: intra-query parallel diverged (t*={})", &label, t_star);
-                    let batch = index.search_batch_threads(
-                        std::slice::from_ref(&query), t_star, 2);
-                    prop_assert_eq!(&scan, &batch[0],
-                        "{}: batch diverged (t*={})", &label, t_star);
-                    prop_assert_eq!(&topk_reference, &index.search_topk(&query, k),
-                        "{}: top-k diverged (k={})", &label, k);
-                }
-            }
+        for format in [PostingFormat::Packed, PostingFormat::Raw] {
+            for prefix in [true, false] {
+                let config = base.posting_format(format).prefix_filter(prefix);
+                let index = GbKmvIndex::build(&dataset, config);
+                let label = format!("{format:?}/prefix={prefix}");
+                prop_assert_eq!(&scan, &index.search_record(&query, t_star),
+                    "{}: sequential pipeline diverged (t*={})", &label, t_star);
+                prop_assert_eq!(
+                    &scan,
+                    &index.search_parallel_threads(query.elements(), t_star, 3),
+                    "{}: intra-query parallel diverged (t*={})", &label, t_star);
+                let batch = index.search_batch_threads(
+                    std::slice::from_ref(&query), t_star, 2);
+                prop_assert_eq!(&scan, &batch[0],
+                    "{}: batch diverged (t*={})", &label, t_star);
+                prop_assert_eq!(&topk_reference, &index.search_topk(&query, k),
+                    "{}: top-k diverged (k={})", &label, k);
 
-            // The service dimension: snapshots of a scalar-kernel and a
-            // vectorized-kernel service answer identically as they grow.
-            let config = base.finish_kernel(kernel);
-            let service = ContainmentService::new(GbKmvIndex::build(&dataset, config));
-            let mut grown = GbKmvIndex::build(&dataset, config);
-            for record in &inserted {
-                service.submit(record.clone()).unwrap();
-                grown.insert(record);
+                // The service dimension: a grown snapshot answers like the
+                // directly grown index and like its own scan.
+                let service = ContainmentService::new(index.clone());
+                let mut grown = index;
+                for record in &inserted {
+                    service.submit(record.clone()).unwrap();
+                    grown.insert(record);
+                }
+                service.flush();
+                let snapshot = service.snapshot();
+                prop_assert_eq!(
+                    &snapshot.search_record(&query, t_star),
+                    &grown.search_record(&query, t_star),
+                    "{}: service snapshot diverged from the grown index (t*={})",
+                    &label, t_star);
+                prop_assert_eq!(
+                    &snapshot.search_record(&query, t_star),
+                    &snapshot.search_scan(&query, t_star),
+                    "{}: grown service snapshot diverged from its own scan (t*={})",
+                    &label, t_star);
             }
-            service.flush();
-            let snapshot = service.snapshot();
-            prop_assert_eq!(
-                &snapshot.search_filtered(&query, t_star),
-                &grown.search_filtered(&query, t_star),
-                "{:?}: service snapshot diverged from the grown index (t*={})",
-                kernel, t_star);
-            prop_assert_eq!(
-                &snapshot.search_filtered(&query, t_star),
-                &snapshot.search_scan(&query, t_star),
-                "{:?}: grown service snapshot diverged from its own scan (t*={})",
-                kernel, t_star);
         }
     }
 
@@ -451,8 +420,8 @@ proptest! {
                  index ({} shards, batch {})",
                 service.generation(), shards, batch);
             prop_assert_eq!(
-                &snapshot.search_filtered(record, t_star),
-                &reference.search_filtered(record, t_star),
+                &snapshot.search_record(record, t_star),
+                &reference.search_record(record, t_star),
                 "service snapshot answers diverged (t*={})", t_star);
         }
         prop_assert_eq!(service.pending(), 0);
@@ -467,10 +436,9 @@ proptest! {
         shards in 2usize..5,
         seed in 0u64..1_000_000,
         format_knob in 0usize..2,
-        kernel_knob in 0usize..2,
     ) {
         // The copy-on-write dimension of the agreement suite, crossed with
-        // posting format and finish kernel: generations share untouched
+        // posting format: generations share untouched
         // shards behind `Arc`s, so this pins (a) that a *held* snapshot
         // stays bit-identical to its sequentially grown reference prefix
         // while later flushes mutate the index underneath it, and (b) that
@@ -478,12 +446,10 @@ proptest! {
         // are pointer-equal, the lineage stamp is stable, and only the
         // tail shard's dirty epoch moves.
         let format = [PostingFormat::Packed, PostingFormat::Raw][format_knob];
-        let kernel = [FinishKernel::Vectorized, FinishKernel::Scalar][kernel_knob];
         let config = GbKmvConfig::with_space_fraction(budget_fraction)
             .hash_seed(seed | 1)
             .shards(shards)
             .posting_format(format)
-            .finish_kernel(kernel)
             .ingest_batch(1_000_000); // flushes are explicit below
         let service = ContainmentService::new(GbKmvIndex::build(&dataset, config));
         let mut reference = GbKmvIndex::build(&dataset, config);
@@ -525,11 +491,11 @@ proptest! {
         // (a) every held snapshot still equals its reference prefix.
         for (generation, (snapshot, prefix)) in held.iter().enumerate() {
             prop_assert_eq!(snapshot.sharded(), prefix.sharded(),
-                "held snapshot of generation {} diverged ({:?}/{:?})",
-                generation, format, kernel);
+                "held snapshot of generation {} diverged ({:?})",
+                generation, format);
             prop_assert_eq!(
-                &snapshot.search_filtered(&query, t_star),
-                &prefix.search_filtered(&query, t_star),
+                &snapshot.search_record(&query, t_star),
+                &prefix.search_record(&query, t_star),
                 "held snapshot answers diverged at generation {} (t*={})",
                 generation, t_star);
         }
@@ -569,12 +535,12 @@ fn concurrent_readers_observe_only_published_generations() {
     // Expected answer per published generation, from a sequentially grown
     // reference (generation g = base index + the first g batches).
     let mut reference = GbKmvIndex::build(&dataset, config);
-    let mut expected: Vec<Vec<SearchHit>> = vec![reference.search_filtered(&query, t_star)];
+    let mut expected: Vec<Vec<SearchHit>> = vec![reference.search_record(&query, t_star)];
     for batch in &batches {
         for record in batch {
             reference.insert(record);
         }
-        expected.push(reference.search_filtered(&query, t_star));
+        expected.push(reference.search_record(&query, t_star));
     }
 
     let done = AtomicBool::new(false);
@@ -586,7 +552,7 @@ fn concurrent_readers_observe_only_published_generations() {
                 loop {
                     let finished = done.load(Ordering::Acquire);
                     let snapshot = service.snapshot();
-                    let hits = snapshot.search_filtered(query, t_star);
+                    let hits = snapshot.search_record(query, t_star);
                     assert!(
                         expected.iter().any(|e| e == &hits),
                         "reader observed a result set matching no published generation"
@@ -619,7 +585,7 @@ fn concurrent_readers_observe_only_published_generations() {
     let final_snapshot = service.snapshot();
     assert_eq!(final_snapshot.sharded(), reference.sharded());
     assert_eq!(
-        final_snapshot.search_filtered(&query, t_star),
+        final_snapshot.search_record(&query, t_star),
         *expected.last().unwrap()
     );
 }
