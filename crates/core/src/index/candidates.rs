@@ -27,8 +27,12 @@
 //! equals the posting-list length) and runs in three passes:
 //!
 //! 1. the `minting` rarest hashes insert new candidates and accumulate,
-//! 2. the buffer-bit postings mint their candidates (buffered overlap is
-//!    exact, so these never go through the signature bound),
+//! 2. the shortest `B_q − b_min + 1` of the query's `B_q` buffer-bit
+//!    postings mint their candidates, and none when `b_min > B_q`: a record
+//!    no minting hash reached qualifies only with an exact buffered overlap
+//!    of at least `b_min`, so by pigeonhole it sits on at least one of any
+//!    `B_q − b_min + 1` of its query's buffer postings (the joint bound of
+//!    [`crate::index::prune`]),
 //! 3. the remaining frequent hashes accumulate **lookup-only**: they score
 //!    candidates already minted but never insert — which is where the
 //!    filter wins, because the frequent hashes own the longest posting
@@ -36,14 +40,17 @@
 //!
 //! The per-slot results are independent of the pass structure: `K∩` counts
 //! every query hash shared with the slot either way, so surviving
-//! candidates score bit-identically to the unfiltered walk; the bound
-//! guarantees the skipped ones could never qualify.
+//! candidates score bit-identically to the unfiltered walk; the bounds
+//! guarantee the skipped ones could never qualify. The unfiltered walk
+//! (every hash mints) cuts its buffer pass by the same `b_min`, with
+//! `S_max = 0`.
 //!
 //! [`SketchStore`]: crate::store::SketchStore
 
 use crate::buffer::ElementBuffer;
 use crate::gbkmv::GbKmvRecordSketch;
 use crate::index::postings::{PostingChunk, PostingList};
+use crate::index::prune::Minting;
 use crate::index::sharded::Shard;
 use crate::scratch::QueryScratch;
 use crate::store::SketchStore;
@@ -79,20 +86,20 @@ impl<'a> QuerySketchView<'a> {
 /// for the shard). `hi` is the prune stage's cutoff (pass `shard.len()` to
 /// disable pruning — the top-k path, which ranks every candidate); `lo` is
 /// non-zero only for the intra-query parallel workers, which partition the
-/// live range. `minting` is the number of df-ordered signature hashes
-/// allowed to mint new candidates; pass `view.hashes.len()` to disable the
-/// prefix filter.
+/// live range. `minting` holds the prune stage's bounds: how many
+/// df-ordered signature hashes may mint new candidates, and the buffer
+/// walk's `b_min`; pass [`Minting::all`] to disable both filters.
 pub(crate) fn accumulate(
     shard: &Shard,
     view: &QuerySketchView<'_>,
     lo: usize,
     hi: usize,
-    minting: usize,
+    minting: Minting,
     scratch: &mut QueryScratch,
 ) {
     scratch.begin(shard.len());
-    if minting >= view.hashes.len() {
-        walk_unfiltered(shard, view, lo, hi, scratch);
+    if minting.hashes >= view.hashes.len() {
+        walk_unfiltered(shard, view, lo, hi, minting.b_min, scratch);
         return;
     }
     // The ordering buffer lives in the scratch and is only moved out while
@@ -112,13 +119,13 @@ pub(crate) fn accumulate_ordered(
     view: &QuerySketchView<'_>,
     lo: usize,
     hi: usize,
-    minting: usize,
+    minting: Minting,
     order: &[(u32, u64)],
     scratch: &mut QueryScratch,
 ) {
     scratch.begin(shard.len());
-    if minting >= view.hashes.len() {
-        walk_unfiltered(shard, view, lo, hi, scratch);
+    if minting.hashes >= view.hashes.len() {
+        walk_unfiltered(shard, view, lo, hi, minting.b_min, scratch);
     } else {
         walk_prefixed(shard, view, lo, hi, minting, order, scratch);
     }
@@ -155,12 +162,29 @@ fn mint_signature(
     });
 }
 
+/// Minting walk of one buffer posting list: every slot in range becomes a
+/// candidate.
+#[inline]
+fn mint_buffer(
+    postings: &PostingList,
+    lo: usize,
+    hi: usize,
+    decode: &mut Vec<u32>,
+    scratch: &mut QueryScratch,
+) {
+    postings.for_each_chunk_in_range(lo, hi, decode, |chunk| match chunk {
+        PostingChunk::Slots(slots) => scratch.add_candidates(slots),
+        PostingChunk::Bitmap { base, words } => scratch.add_candidates_mask(base, words),
+    });
+}
+
 /// The unfiltered walk: every signature hash mints.
 fn walk_unfiltered(
     shard: &Shard,
     view: &QuerySketchView<'_>,
     lo: usize,
     hi: usize,
+    b_min: usize,
     scratch: &mut QueryScratch,
 ) {
     let mut decode = std::mem::take(&mut scratch.block_decode);
@@ -169,7 +193,7 @@ fn walk_unfiltered(
             mint_signature(postings, lo, hi, &mut decode, scratch);
         }
     }
-    walk_buffer(shard, view, lo, hi, &mut decode, scratch);
+    walk_buffer(shard, view, lo, hi, b_min, &mut decode, scratch);
     scratch.block_decode = decode;
 }
 
@@ -179,22 +203,23 @@ fn walk_prefixed(
     view: &QuerySketchView<'_>,
     lo: usize,
     hi: usize,
-    minting: usize,
+    minting: Minting,
     order: &[(u32, u64)],
     scratch: &mut QueryScratch,
 ) {
     let mut decode = std::mem::take(&mut scratch.block_decode);
-    for &(_, h) in &order[..minting] {
+    let (mint, lookup) = order.split_at(minting.hashes);
+    for &(_, h) in mint {
         if let Some(postings) = shard.signature_postings(h) {
             mint_signature(postings, lo, hi, &mut decode, scratch);
         }
     }
     // Buffer candidates must be minted BEFORE the lookup-only pass, or a
     // buffer-only candidate would miss its frequent-hash accumulations.
-    walk_buffer(shard, view, lo, hi, &mut decode, scratch);
+    walk_buffer(shard, view, lo, hi, minting.b_min, &mut decode, scratch);
     // The lookup-only pass owns the longest posting lists, which is where
     // the branch-free batched accumulate pays off.
-    for &(_, h) in &order[minting..] {
+    for &(_, h) in lookup {
         if let Some(postings) = shard.signature_postings(h) {
             postings.for_each_chunk_in_range(lo, hi, &mut decode, |chunk| match chunk {
                 PostingChunk::Slots(slots) => scratch.add_signature_hits_if_candidate(slots),
@@ -207,7 +232,11 @@ fn walk_prefixed(
     scratch.block_decode = decode;
 }
 
-/// The buffer-posting walk, shared by both minting modes. It only
+/// The buffer-posting walk, shared by both minting modes. It mints from
+/// the `B_q − b_min + 1` shortest of the query's `B_q` buffer postings
+/// (see [`crate::index::prune`] for the bound), from all of
+/// them when `b_min ≤ 1` and from none when `b_min > B_q`; only the middle
+/// case sorts, into the scratch's reusable `buffer_order`. It only
 /// contributes candidate *membership*: the overlap itself is recomputed at
 /// finish time as a popcount over the store's fixed-stride words, which is
 /// cheaper than one counter increment per posting entry.
@@ -217,15 +246,30 @@ fn walk_buffer(
     view: &QuerySketchView<'_>,
     lo: usize,
     hi: usize,
+    b_min: usize,
     decode: &mut Vec<u32>,
     scratch: &mut QueryScratch,
 ) {
-    for pos in view.buffer.set_positions() {
-        shard
-            .buffer_postings(pos)
-            .for_each_chunk_in_range(lo, hi, decode, |chunk| match chunk {
-                PostingChunk::Slots(slots) => scratch.add_candidates(slots),
-                PostingChunk::Bitmap { base, words } => scratch.add_candidates_mask(base, words),
-            });
+    if b_min <= 1 {
+        for pos in view.buffer.set_positions() {
+            mint_buffer(shard.buffer_postings(pos), lo, hi, decode, scratch);
+        }
+        return;
     }
+    let positions = view.buffer.count_ones();
+    if b_min > positions {
+        return;
+    }
+    let mut order = std::mem::take(&mut scratch.buffer_order);
+    order.clear();
+    order.extend(
+        view.buffer
+            .set_positions()
+            .map(|pos| (shard.buffer_postings(pos).len() as u32, pos)),
+    );
+    order.sort_unstable();
+    for &(_, pos) in &order[..=positions - b_min] {
+        mint_buffer(shard.buffer_postings(pos), lo, hi, decode, scratch);
+    }
+    scratch.buffer_order = order;
 }

@@ -12,11 +12,13 @@
 //! 1. **prune** ([`crate::index::prune`]) — one binary search over the
 //!    size-ordered slots gives the live prefix `0..live`; smaller records
 //!    cannot reach the overlap threshold. The same stage derives the
-//!    signature minting prefix for step 2.
+//!    minting bounds for step 2: the signature minting prefix and the
+//!    buffer walk's minimum buffered overlap `b_min`.
 //! 2. **candidates** ([`crate::index::candidates`]) — walk the query's
 //!    signature and buffer postings, each truncated at `live`: the rarest
-//!    `minting` hashes (df-ordered) and the buffer bits mint candidates,
-//!    the frequent remainder accumulates lookup-only.
+//!    `minting` hashes (df-ordered) and the `B_q − b_min + 1` shortest
+//!    buffer postings (none when `b_min > B_q`) mint candidates, the
+//!    frequent hashes' remainder accumulates lookup-only.
 //! 3. **finish** ([`crate::index::finish`]) — O(1) Equation-27 estimate per
 //!    surviving candidate.
 //! 4. **rank** ([`crate::index::rank`]) — collect qualifying hits, sort by
@@ -41,7 +43,7 @@
 use crate::dataset::ElementId;
 use crate::index::candidates::{self, QuerySketchView};
 use crate::index::finish;
-use crate::index::prune::PruneStage;
+use crate::index::prune::{Minting, PruneStage};
 use crate::index::rank::{ThresholdCollector, TopK};
 use crate::index::reference;
 use crate::index::sharded::Shard;
@@ -88,7 +90,8 @@ impl QueryPipeline {
     /// Enables or disables the signature prefix filter of the candidates
     /// stage. Disabling never changes any answer — every signature hash
     /// then mints candidates, as the pre-prefix engine did — and exists for
-    /// the ablation benchmark.
+    /// the ablation benchmark. The buffer walk's bound stays on either way
+    /// (see [`crate::index::prune`]).
     pub fn prefix_filter(mut self, enabled: bool) -> Self {
         self.prefix = enabled;
         self
@@ -186,8 +189,9 @@ impl QueryPipeline {
 struct StageContext<'a> {
     view: QuerySketchView<'a>,
     threshold: OverlapThreshold,
-    /// Number of df-ordered signature hashes allowed to mint candidates.
-    minting: usize,
+    /// The prune stage's minting bounds: the signature minting prefix and
+    /// the buffer walk's `b_min`.
+    minting: Minting,
     query_len: usize,
 }
 
@@ -247,7 +251,7 @@ pub(crate) fn filtered_sorted(
     let q_sketch = index.sketcher.sketch_elements(query);
     let view = QuerySketchView::new(&q_sketch);
     let ctx = StageContext {
-        minting: prune.minting_hashes(&view, threshold),
+        minting: prune.minting(&view, threshold),
         view,
         threshold,
         query_len: q,
@@ -299,7 +303,7 @@ pub(crate) fn parallel_sorted(
     let q_sketch = index.sketcher.sketch_elements(query);
     let view = QuerySketchView::new(&q_sketch);
     let ctx = StageContext {
-        minting: prune.minting_hashes(&view, threshold),
+        minting: prune.minting(&view, threshold),
         view,
         threshold,
         query_len: q,
@@ -324,7 +328,8 @@ pub(crate) fn parallel_sorted(
     // shard here and share it (read-only) across all of a shard's sub-range
     // tasks, instead of re-sorting inside every task. Fully size-pruned
     // shards appear in no task, so their slot stays an empty Vec.
-    let orders: Option<Vec<Vec<(u32, u64)>>> = (ctx.minting < ctx.view.hashes.len()).then(|| {
+    let prefixed = ctx.minting.hashes < ctx.view.hashes.len();
+    let orders: Option<Vec<Vec<(u32, u64)>>> = prefixed.then(|| {
         shards
             .iter()
             .zip(&live)
@@ -380,9 +385,9 @@ pub(crate) fn parallel_sorted(
     merged.into_sorted()
 }
 
-/// Top-k search: candidates (no pruning or prefix filtering — ranking has
-/// no overlap threshold, so every touched candidate competes and every hash
-/// mints) → finish → bounded-heap rank.
+/// Top-k search: candidates (no pruning, prefix filtering or buffer bound
+/// — ranking has no overlap threshold, so every touched candidate competes
+/// and every hash and buffer posting mints) → finish → bounded-heap rank.
 ///
 /// Without the candidate filter the index has no postings, so every slot is
 /// finished with the reference sorted merge instead. Either way only
@@ -401,11 +406,12 @@ pub(crate) fn topk_sorted(
     let q_sketch = index.sketcher.sketch_elements(query);
     let view = QuerySketchView::new(&q_sketch);
 
+    let mint_all = Minting::all(&view);
     let mut topk = TopK::new(k);
     for shard in index.sharded.shards() {
         let store = shard.store();
         if index.config.use_candidate_filter {
-            candidates::accumulate(shard, &view, 0, shard.len(), view.hashes.len(), scratch);
+            candidates::accumulate(shard, &view, 0, shard.len(), mint_all, scratch);
             for &slot in scratch.candidates() {
                 let overlap = finish::accumulated_overlap(store, &view, scratch, slot);
                 topk.consider(shard.global_id(slot as usize), overlap, q);

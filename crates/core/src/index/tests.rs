@@ -731,3 +731,116 @@ fn insert_after_build_agrees_across_posting_formats() {
         }
     }
 }
+
+/// Hot-element dataset for the buffer walk's bound: the eight elements
+/// `0..8` each sit in 80% of the records (so a buffer of eight holds
+/// exactly them), beside a 40-element tail drawn from a wide range. Large
+/// enough (4,500 records) that the intra-query parallel path really spawns
+/// workers at low thresholds.
+fn hot_buffer_dataset() -> Dataset {
+    let recs: Vec<Vec<u32>> = (0..4_500u32)
+        .map(|i| {
+            let mut v: Vec<u32> = (0..8u32).filter(|h| (i * 7 + h * 3) % 10 < 8).collect();
+            v.extend((0..40u32).map(|j| 100 + (i * 37 + j * 11) % 20_000));
+            v
+        })
+        .collect();
+    Dataset::from_records(recs)
+}
+
+#[test]
+fn buffer_bound_branches_are_bit_identical_to_scan() {
+    use crate::index::candidates::QuerySketchView;
+    use crate::index::prune::{min_buffer_overlap, PruneStage};
+    use crate::sim::OverlapThreshold;
+
+    let dataset = hot_buffer_dataset();
+    let config = GbKmvConfig::with_space_fraction(0.1).buffer_size(8);
+    let index = GbKmvIndex::build(&dataset, config);
+    let sharded = GbKmvIndex::build(&dataset, config.shards(4));
+    let service = crate::service::ContainmentService::new(index.clone());
+    let snapshot = service.snapshot();
+    let mut prefixed = QueryPipeline::new();
+    let mut unprefixed = QueryPipeline::new().prefix_filter(false);
+
+    // Each query joins the first `hot` buffered elements to up to `tail`
+    // tail elements of one record.
+    let queries: Vec<Record> = [(8u32, 0usize, 40usize), (2, 97, 30), (5, 291, 20)]
+        .into_iter()
+        .map(|(hot, rid, tail)| {
+            let mut q: Vec<u32> = (0..hot).collect();
+            let elements = dataset.record(rid).elements().iter();
+            q.extend(elements.copied().filter(|&e| e >= 100).take(tail));
+            Record::new(q)
+        })
+        .collect();
+    // Which branches of the bound the grid reached: b_min > B_q (no buffer
+    // posting walked), b_min == B_q (exactly one), and a signature prefix
+    // (S_max > 0) lowering b_min to 2..B_q (a strict subset, sorted).
+    let (mut skip, mut single, mut lowered) = (false, false, false);
+    for (qi, query) in queries.iter().enumerate() {
+        let sketch = index.sketch_query(query);
+        let view = QuerySketchView::new(&sketch);
+        let b_q = view.buffer.count_ones();
+        for t_star in [0.05, 0.15, 0.2, 0.25, 0.5, 0.9] {
+            let threshold = OverlapThreshold::new(query.len(), t_star);
+            for prune in [PruneStage::new(true), PruneStage::new(false)] {
+                let m = prune.minting(&view, threshold);
+                let b_min = m.b_min;
+                skip |= b_min > b_q;
+                single |= b_min == b_q;
+                lowered |= m.hashes < view.hashes.len()
+                    && (2..b_q).contains(&b_min)
+                    && b_min < min_buffer_overlap(threshold.raw, 0, 1.0);
+            }
+            let scan = index.search_scan(query, t_star);
+            let label = format!("query {qi} at t*={t_star}");
+            assert_eq!(
+                index.search_record(query, t_star),
+                scan,
+                "{label}: pipeline"
+            );
+            assert_eq!(
+                index.search_batch_threads(&[query.clone(), query.clone()], t_star, 2),
+                vec![scan.clone(), scan.clone()],
+                "{label}: batch"
+            );
+            assert_eq!(
+                snapshot.search_record(query, t_star),
+                scan,
+                "{label}: service snapshot"
+            );
+            for pipeline in [&mut prefixed, &mut unprefixed] {
+                let q = query.elements();
+                assert_eq!(
+                    pipeline.search(&index, q, t_star),
+                    scan,
+                    "{label}: sequential"
+                );
+                assert_eq!(
+                    pipeline.search_parallel(&index, q, t_star, 3),
+                    scan,
+                    "{label}: intra-query parallel"
+                );
+                assert_eq!(
+                    pipeline.search(&sharded, q, t_star),
+                    scan,
+                    "{label}: 4 shards"
+                );
+            }
+        }
+    }
+    assert!(
+        skip && single && lowered,
+        "branches reached: skip {skip}, single {single}, lowered {lowered}"
+    );
+    // The buffer ordering reuses scratch memory: a second pass over the
+    // same queries grows nothing.
+    let warm = prefixed.scratch_bytes();
+    for query in &queries {
+        for t_star in [0.15, 0.25] {
+            prefixed.search(&index, query.elements(), t_star);
+        }
+    }
+    assert_eq!(prefixed.scratch_bytes(), warm);
+}

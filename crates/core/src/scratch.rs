@@ -31,6 +31,11 @@ pub struct QueryScratch {
     /// sorts the query's signature hashes into (rarest first); lives here so
     /// the per-query ordering allocates nothing after the first query.
     pub(crate) hash_order: Vec<(u32, u64)>,
+    /// Reusable `(posting length, position)` buffer the buffer walk sorts
+    /// the query's buffered positions into (shortest posting first) when
+    /// the buffer bound lets it skip some of them; lives here for the same
+    /// zero-allocation reason as `hash_order`.
+    pub(crate) buffer_order: Vec<(u32, u32)>,
     /// Reusable block-decode buffer of the posting walk: block-compressed
     /// posting lists ([`crate::index::postings::PostingList`]) decode each
     /// surviving block into this buffer, so traversal allocates nothing
@@ -246,6 +251,7 @@ impl QueryScratch {
             + self.k_int.capacity() * std::mem::size_of::<u32>()
             + self.touched.capacity() * std::mem::size_of::<u32>()
             + self.hash_order.capacity() * std::mem::size_of::<(u32, u64)>()
+            + self.buffer_order.capacity() * std::mem::size_of::<(u32, u32)>()
             + self.block_decode.capacity() * std::mem::size_of::<u32>()
     }
 

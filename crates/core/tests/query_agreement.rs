@@ -28,12 +28,16 @@ fn dataset_strategy() -> impl Strategy<Value = Dataset> {
     vec(vec(0u32..3_000, 1..120), 4..48).prop_map(Dataset::from_records)
 }
 
-/// Maps a raw generated buffer knob onto the three sizing modes.
-fn buffer_sizing(knob: usize) -> BufferSizing {
+/// Maps a raw generated buffer knob onto the sizing modes: plain G-KMV, a
+/// one-word buffer, the cost model's choice, or a multi-word buffer of
+/// `wide` bits (drawn from 64..=130, past the one-word boundary — REUTERS
+/// picks r = 120).
+fn buffer_sizing(knob: usize, wide: usize) -> BufferSizing {
     match knob {
         0 => BufferSizing::Fixed(0), // plain G-KMV
         k if k < 20 => BufferSizing::Fixed(k),
-        _ => BufferSizing::Auto,
+        k if k < 24 => BufferSizing::Auto,
+        _ => BufferSizing::Fixed(wide),
     }
 }
 
@@ -45,14 +49,15 @@ proptest! {
         dataset in dataset_strategy(),
         budget_fraction in 0.03f64..1.2,
         t_star in 0.0f64..1.0,
-        buffer_knob in 0usize..24,
+        buffer_knob in 0usize..32,
+        wide_buffer in 64usize..131,
         shards in 1usize..5,
         seed in 0u64..1_000_000,
         query_pick in 0usize..1_000,
     ) {
         let mut config = GbKmvConfig::with_space_fraction(budget_fraction)
             .hash_seed(seed | 1);
-        config.buffer = buffer_sizing(buffer_knob);
+        config.buffer = buffer_sizing(buffer_knob, wide_buffer);
         let index = GbKmvIndex::build(&dataset, config);
         let sharded = GbKmvIndex::build(&dataset, config.shards(shards));
         let query = dataset.record(query_pick % dataset.len()).clone();
