@@ -2,14 +2,15 @@
 //! surviving candidate.
 //!
 //! Both finishes compute Equation 27 — the exact buffered overlap (a 1–2
-//! word popcount over the CSR arena) plus the G-KMV estimate — through the
+//! word popcount over the store's buffer words) plus the G-KMV estimate — through the
 //! single shared [`GKmvPairEstimate::from_parts`] arithmetic, so the
 //! accumulator and reference paths are bit-identical by construction:
 //!
 //! * `accumulated_overlap` — O(1) finish from the candidate stage's `K∩`
 //!   counter and the store's per-slot scalars (the pipeline path),
 //! * `merge_overlap` — O(|L_Q| + |L_X|) sorted-merge finish straight off
-//!   the arenas (the scan and baseline reference paths).
+//!   the arenas (the scan reference path, single-record estimates, and
+//!   top-k on an index without postings).
 
 use crate::gkmv::GKmvPairEstimate;
 use crate::index::candidates::QuerySketchView;

@@ -16,8 +16,9 @@
 //!                 ┌────────────────────────────── per shard ──────────────────────────────┐
 //! query ─ sketch ─┤ prune ─────────► candidates ─────────► finish ──────────► rank        ├─► hits
 //!                 │ (live prefix +   (df-ordered minting   (O(1) Equation-27  (threshold  │
-//!                 │  sig. minting     prefix + lookup-only  estimate)          collect /  │
-//!                 │  prefix)          accumulation)                            top-k)     │
+//!                 │  sig. minting     prefix, buffer walk   estimate)          collect /  │
+//!                 │  prefix + b_min)  or popcount sweep,                       top-k)     │
+//!                 │                   lookup-only suffix)                                 │
 //!                 └────────────────────────────────────────────────────────────────────────┘
 //! ```
 //!
@@ -30,12 +31,14 @@
 //!   qualifying candidate (the `u_Q`-corrected pigeonhole bound of the
 //!   module docs); the frequent rest — which own the longest posting
 //!   lists — need only score already-minted candidates.
-//! * [`candidates`] — term-at-a-time walk of the query's signature-hash and
-//!   buffer-bit postings, accumulating `K∩` and candidate membership into an
+//! * [`candidates`] — term-at-a-time walk of the query's signature-hash
+//!   postings, accumulating `K∩` and candidate membership into an
 //!   epoch-stamped [`QueryScratch`](crate::scratch::QueryScratch): minting
 //!   hashes are ordered by ascending **document frequency** (maintained in the
 //!   [`SketchStore`](crate::store::SketchStore) through build and insert)
-//!   and walked first, then the buffer postings mint, then the frequent
+//!   and walked first, then the buffered candidates mint — from the shortest
+//!   buffer-bit postings, or by a popcount sweep over the store's buffer
+//!   words when a per-query cost rule finds that cheaper — then the frequent
 //!   hashes accumulate lookup-only.
 //! * [`finish`] — O(1) per-candidate estimate
 //!   ([`GKmvPairEstimate::from_parts`](crate::gkmv::GKmvPairEstimate::from_parts))

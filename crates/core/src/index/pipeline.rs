@@ -15,10 +15,13 @@
 //!    minting bounds for step 2: the signature minting prefix and the
 //!    buffer walk's minimum buffered overlap `b_min`.
 //! 2. **candidates** ([`crate::index::candidates`]) — walk the query's
-//!    signature and buffer postings, each truncated at `live`: the rarest
-//!    `minting` hashes (df-ordered) and the `B_q − b_min + 1` shortest
-//!    buffer postings (none when `b_min > B_q`) mint candidates, the
-//!    frequent hashes' remainder accumulates lookup-only.
+//!    signature postings, each truncated at `live`: the rarest `minting`
+//!    hashes (df-ordered) mint candidates, the frequent hashes' remainder
+//!    accumulates lookup-only. Between the two, the buffer pass mints the
+//!    buffered candidates (none when `b_min > B_q`): either every slot on
+//!    the `B_q − b_min + 1` shortest buffer postings, or — when a per-query
+//!    cost rule finds it cheaper — only the slots of `0..live` whose
+//!    buffer-word popcount against the query reaches `b_min`.
 //! 3. **finish** ([`crate::index::finish`]) — O(1) Equation-27 estimate per
 //!    surviving candidate.
 //! 4. **rank** ([`crate::index::rank`]) — collect qualifying hits, sort by

@@ -81,8 +81,10 @@
 //! The pigeonhole argument then applies to the query's `B_q` buffered
 //! positions: a record sharing at least `b_min` of them shares at least one
 //! of **any** `B_q − b_min + 1` of them, so only that many buffer postings
-//! (the shortest) need to mint, and none when `b_min > B_q`. A record the
-//! cut skips was reached by no minting posting at all, so it can never
+//! (the shortest) need to mint, and none when `b_min > B_q`. Where that
+//! walk would cost more, the candidates stage instead sweeps the buffer
+//! words and mints exactly the records with `b ≥ b_min`. A record either
+//! cut skips has `b < b_min` and no minting hash, so it can never
 //! qualify; every record that does become a candidate accumulates the same
 //! `K∩` and the same popcount as before, so answers stay bit-identical. A
 //! NaN or infinite input, or `u_Q = 0`, falls back to `b_min = 1` — every
@@ -108,9 +110,10 @@ pub(crate) const SHORT_SIGNATURE_LEN: usize = 8;
 pub(crate) struct Minting {
     /// Number of df-ordered signature hashes allowed to mint candidates.
     pub(crate) hashes: usize,
-    /// `b_min` of the joint bound (module docs): the buffer walk mints from
-    /// the `B_q − b_min + 1` shortest buffer postings, and from none when
-    /// `b_min > B_q`. `1` walks every buffer posting.
+    /// `b_min` of the joint bound (module docs): the buffer pass mints from
+    /// the `B_q − b_min + 1` shortest buffer postings (or sweeps the buffer
+    /// words for overlaps of at least `b_min`), and mints nothing when
+    /// `b_min > B_q`. `1` mints every record on any buffer posting.
     pub(crate) b_min: usize,
 }
 

@@ -42,6 +42,20 @@ fn varied_dataset(records: usize) -> Dataset {
     Dataset::from_records(recs)
 }
 
+/// The top-k reference: the scan's positive-score hits ranked by
+/// descending containment (ties by ascending record id), cut at `k`.
+fn ranked_scan(index: &GbKmvIndex, query: &Record, k: usize) -> Vec<SearchHit> {
+    let mut ranked = index.search_scan(query, 0.0);
+    ranked.retain(|h| h.estimated_overlap > 0.0);
+    ranked.sort_by(|a, b| {
+        b.estimated_containment
+            .total_cmp(&a.estimated_containment)
+            .then_with(|| a.record_id.cmp(&b.record_id))
+    });
+    ranked.truncate(k);
+    ranked
+}
+
 #[test]
 fn full_budget_reproduces_exact_answers_on_paper_example() {
     let dataset = paper_dataset();
@@ -610,13 +624,7 @@ fn topk_never_ranks_zero_overlap_records() {
             &dataset,
             GbKmvConfig::with_space_fraction(0.3).candidate_filter(filter),
         );
-        let mut expected = index.search_scan(query, 0.0);
-        expected.retain(|h| h.estimated_overlap > 0.0);
-        expected.sort_by(|a, b| {
-            b.estimated_containment
-                .total_cmp(&a.estimated_containment)
-                .then_with(|| a.record_id.cmp(&b.record_id))
-        });
+        let expected = ranked_scan(&index, query, usize::MAX);
         assert!(!expected.is_empty() && expected.len() < dataset.len());
         assert_eq!(
             index.search_topk(query, 1_000),
@@ -843,4 +851,197 @@ fn buffer_bound_branches_are_bit_identical_to_scan() {
         }
     }
     assert_eq!(prefixed.scratch_bytes(), warm);
+}
+
+#[test]
+fn buffer_sweep_and_posting_walk_are_bit_identical_to_scan() {
+    use crate::index::candidates::{buffer_mint, BufferMint, QuerySketchView};
+    use crate::index::prune::PruneStage;
+    use crate::sim::OverlapThreshold;
+
+    // A buffer of 16 holds the eight hot elements (postings of ~3,600
+    // slots: the sweep is cheaper) and eight tail elements (postings of
+    // ~10 slots: the walk is cheaper).
+    let dataset = hot_buffer_dataset();
+    let config = GbKmvConfig::with_space_fraction(0.1).buffer_size(16);
+    let index = GbKmvIndex::build(&dataset, config);
+    let sharded = GbKmvIndex::build(&dataset, config.shards(4));
+    let dir = std::env::temp_dir().join("gbkmv_buffer_sweep_branches");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("index.arena");
+    index.save(&path).expect("save");
+    let reopened = GbKmvIndex::open(&path).expect("open");
+    std::fs::remove_file(&path).ok();
+    let service = crate::service::ContainmentService::new(index.clone());
+    let snapshot = service.snapshot();
+    let mut prefixed = QueryPipeline::new();
+    let mut unprefixed = QueryPipeline::new().prefix_filter(false);
+
+    let buffered_tail: Vec<u32> = index
+        .sketcher()
+        .layout()
+        .elements()
+        .iter()
+        .copied()
+        .filter(|&e| e >= 100)
+        .collect();
+    assert_eq!(buffered_tail.len(), 8, "test shape drifted");
+    // Hot queries: the first `hot` hot elements plus up to 40 tail
+    // elements of one record. Tail queries: buffered tail elements only,
+    // plus one record's unbuffered tail.
+    let mut queries: Vec<Record> = [(8u32, 0usize), (5, 291), (3, 1_234)]
+        .into_iter()
+        .map(|(hot, rid)| {
+            let mut q: Vec<u32> = (0..hot).collect();
+            q.extend(dataset.record(rid).elements().iter().filter(|&&e| e >= 100));
+            Record::new(q)
+        })
+        .collect();
+    for (take, rid) in [(8usize, 7usize), (3, 2_000)] {
+        let mut q = buffered_tail[..take].to_vec();
+        q.extend(
+            dataset
+                .record(rid)
+                .elements()
+                .iter()
+                .filter(|&&e| e >= 100)
+                .take(10),
+        );
+        queries.push(Record::new(q));
+    }
+
+    // Which buffer-pass modes the grid reached, as the candidates stage
+    // decides them for each shard's live range and for top-k's full range.
+    let shards: Vec<&std::sync::Arc<Shard>> = index
+        .sharded
+        .shards()
+        .iter()
+        .chain(sharded.sharded.shards())
+        .collect();
+    let (mut sweep, mut sweep_all, mut walk) = (false, false, false);
+    let mut order = Vec::new();
+    for (qi, query) in queries.iter().enumerate() {
+        let sketch = index.sketch_query(query);
+        let view = QuerySketchView::new(&sketch);
+        for shard in &shards {
+            match buffer_mint(shard, &view, 0, shard.len(), 1, &mut order) {
+                BufferMint::Sweep => sweep_all = true,
+                BufferMint::Postings(n) => walk |= n > 0,
+                BufferMint::Skip => {}
+            }
+        }
+        let label = format!("query {qi} top-k");
+        let ranked = ranked_scan(&index, query, 25);
+        for engine in [&index, &sharded, &reopened] {
+            assert_eq!(engine.search_topk(query, 25), ranked, "{label}");
+        }
+        assert_eq!(
+            prefixed.topk(&index, query.elements(), 25),
+            ranked,
+            "{label}"
+        );
+
+        for t_star in [0.05, 0.15, 0.25, 0.5, 0.9] {
+            let threshold = OverlapThreshold::new(query.len(), t_star);
+            for prune in [PruneStage::new(true), PruneStage::new(false)] {
+                let b_min = prune.minting(&view, threshold).b_min;
+                for shard in &shards {
+                    let live = prune.live_slots(shard, threshold);
+                    match buffer_mint(shard, &view, 0, live, b_min, &mut order) {
+                        BufferMint::Sweep => sweep |= b_min >= 2,
+                        BufferMint::Postings(n) => walk |= n > 0,
+                        BufferMint::Skip => {}
+                    }
+                }
+            }
+            let scan = index.search_scan(query, t_star);
+            let label = format!("query {qi} at t*={t_star}");
+            assert_eq!(
+                index.search_record(query, t_star),
+                scan,
+                "{label}: pipeline"
+            );
+            assert_eq!(
+                index.search_batch_threads(&[query.clone(), query.clone()], t_star, 2),
+                vec![scan.clone(), scan.clone()],
+                "{label}: batch"
+            );
+            assert_eq!(
+                snapshot.search_record(query, t_star),
+                scan,
+                "{label}: service"
+            );
+            assert_eq!(
+                reopened.search_record(query, t_star),
+                scan,
+                "{label}: reopened"
+            );
+            for pipeline in [&mut prefixed, &mut unprefixed] {
+                let q = query.elements();
+                assert_eq!(
+                    pipeline.search(&index, q, t_star),
+                    scan,
+                    "{label}: sequential"
+                );
+                assert_eq!(
+                    pipeline.search_parallel(&index, q, t_star, 3),
+                    scan,
+                    "{label}: intra-query parallel"
+                );
+                assert_eq!(
+                    pipeline.search(&sharded, q, t_star),
+                    scan,
+                    "{label}: 4 shards"
+                );
+                assert_eq!(
+                    pipeline.search(&reopened, q, t_star),
+                    scan,
+                    "{label}: reopened"
+                );
+            }
+        }
+    }
+    assert!(
+        sweep && sweep_all && walk,
+        "modes reached: threshold sweep {sweep}, top-k sweep {sweep_all}, posting walk {walk}"
+    );
+    // Neither mode grows scratch memory on a warm rerun.
+    let warm = prefixed.scratch_bytes();
+    for query in &queries {
+        for t_star in [0.05, 0.25] {
+            prefixed.search(&index, query.elements(), t_star);
+            prefixed.search_parallel(&index, query.elements(), t_star, 3);
+        }
+        prefixed.topk(&index, query.elements(), 25);
+    }
+    assert_eq!(prefixed.scratch_bytes(), warm);
+}
+
+#[test]
+fn zero_width_buffer_never_sweeps() {
+    use crate::index::candidates::{buffer_mint, BufferMint, QuerySketchView};
+
+    let dataset = hot_buffer_dataset();
+    let index = GbKmvIndex::build(
+        &dataset,
+        GbKmvConfig::with_space_fraction(0.1).buffer_size(0),
+    );
+    let query = dataset.record(11);
+    let sketch = index.sketch_query(query);
+    let view = QuerySketchView::new(&sketch);
+    let mut order = Vec::new();
+    for shard in index.sharded.shards() {
+        assert_eq!(shard.store().words_per_record(), 0);
+        assert_eq!(
+            buffer_mint(shard, &view, 0, shard.len(), 1, &mut order),
+            BufferMint::Skip
+        );
+    }
+    for t_star in [0.1, 0.5] {
+        assert_eq!(
+            index.search_record(query, t_star),
+            index.search_scan(query, t_star)
+        );
+    }
+    assert_eq!(index.search_topk(query, 10), ranked_scan(&index, query, 10));
 }

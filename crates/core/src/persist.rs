@@ -1586,6 +1586,39 @@ mod tests {
     }
 
     #[test]
+    fn loaded_buffer_words_range_concatenates_per_slot_words() {
+        // The popcount sweep reads a loaded store's buffer words as one
+        // borrowed slice per slot range.
+        let dir = std::env::temp_dir().join("gbkmv_persist_buffer_range");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("range.arena");
+        let built = build(
+            GbKmvConfig::with_space_fraction(0.6)
+                .buffer_size(70)
+                .shards(2),
+        );
+        built.save(&path).expect("save");
+        let loaded = GbKmvIndex::open(&path).expect("open");
+        std::fs::remove_file(&path).ok();
+        assert!(loaded.mem_usage().borrowed_bytes > 0);
+        for shard in loaded.sharded.shards() {
+            let store = shard.store();
+            assert_eq!(store.words_per_record(), 2);
+            let n = store.len();
+            for (lo, hi) in [(0, n), (1, n), (3, n / 2), (n, n)] {
+                let expected: Vec<u64> = (lo..hi)
+                    .flat_map(|slot| store.buffer_words(slot).iter().copied())
+                    .collect();
+                assert_eq!(
+                    store.buffer_words_range(lo, hi),
+                    expected,
+                    "slots {lo}..{hi}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn loaded_index_answers_identically() {
         let built = build(GbKmvConfig::with_space_fraction(0.6).shards(2));
         let loaded = GbKmvIndex::from_arena_bytes(&built.to_arena_bytes()).expect("load");

@@ -13,10 +13,11 @@
 /// epoch, so starting a new query is one epoch increment — no O(m) clear, no
 /// per-query hash map. Slots touched by the current query are tracked in
 /// `touched` (insertion order; callers sort as their output contract
-/// requires). Only `K∩` is accumulated: the buffer overlap is cheaper to
-/// recompute at finish time as a popcount over the
-/// [`crate::store::SketchStore`] words, so buffer postings contribute
-/// candidate membership only ([`QueryScratch::add_candidate`]).
+/// requires). Only `K∩` is accumulated: the buffer pass only mints
+/// candidates ([`QueryScratch::add_candidate`]), by walking buffer postings
+/// or by a popcount sweep over the [`crate::store::SketchStore`]'s buffer
+/// words (see [`crate::index::candidates`]), and the finish stage reads
+/// each candidate's exact buffered overlap as a popcount over those words.
 ///
 /// When an index is sharded, the same scratch is reused across the shards of
 /// one query: each shard's candidate stage calls [`QueryScratch::begin`]
@@ -31,10 +32,11 @@ pub struct QueryScratch {
     /// sorts the query's signature hashes into (rarest first); lives here so
     /// the per-query ordering allocates nothing after the first query.
     pub(crate) hash_order: Vec<(u32, u64)>,
-    /// Reusable `(posting length, position)` buffer the buffer walk sorts
-    /// the query's buffered positions into (shortest posting first) when
-    /// the buffer bound lets it skip some of them; lives here for the same
-    /// zero-allocation reason as `hash_order`.
+    /// Reusable `(posting length, position)` buffer of the buffer pass: the
+    /// query's buffered positions, sorted shortest posting first when the
+    /// buffer bound lets the walk skip some of them, whose lengths feed the
+    /// walk-or-sweep cost rule; lives here for the same zero-allocation
+    /// reason as `hash_order`.
     pub(crate) buffer_order: Vec<(u32, u32)>,
     /// Reusable block-decode buffer of the posting walk: block-compressed
     /// posting lists ([`crate::index::postings::PostingList`]) decode each
@@ -90,8 +92,9 @@ impl QueryScratch {
     }
 
     /// Registers `slot` as a candidate without accumulating any overlap —
-    /// used by the buffer-posting walk, whose overlap is cheaper to recompute
-    /// at finish time as a 1–2 word popcount over the CSR store.
+    /// used by both minting modes of the buffer pass (posting walk and
+    /// popcount sweep); the finish stage reads the buffered overlap itself
+    /// as a popcount over the store's buffer words.
     #[inline]
     pub fn add_candidate(&mut self, slot: u32) {
         self.activate(slot);

@@ -417,6 +417,14 @@ impl SketchStore {
         &self.buffer_arena[start..start + self.words_per_record]
     }
 
+    /// The buffer bitmap words of slots `lo..hi`, contiguous in slot order
+    /// (`words_per_record` per slot): the concatenation of
+    /// [`SketchStore::buffer_words`] over the range, as one slice.
+    #[inline]
+    pub(crate) fn buffer_words_range(&self, lo: usize, hi: usize) -> &[u64] {
+        &self.buffer_arena[lo * self.words_per_record..hi * self.words_per_record]
+    }
+
     /// The true record size `|X|` of the record in `slot`.
     #[inline]
     pub fn record_size(&self, slot: usize) -> usize {
@@ -726,5 +734,41 @@ mod tests {
         let store = SketchStore::from_sketches(0, [&a]);
         assert_eq!(store.buffer_words(0), &[] as &[u64]);
         assert_eq!(store.buffer_intersection_count(&[], 0), 0);
+    }
+
+    /// `buffer_words_range(lo, hi)` is the per-slot words of `lo..hi`,
+    /// concatenated, for every range of the store.
+    fn assert_buffer_words_range_concatenates(store: &SketchStore) {
+        for lo in 0..=store.len() {
+            for hi in lo..=store.len() {
+                let expected: Vec<u64> = (lo..hi)
+                    .flat_map(|slot| store.buffer_words(slot).iter().copied())
+                    .collect();
+                assert_eq!(
+                    store.buffer_words_range(lo, hi),
+                    expected,
+                    "slots {lo}..{hi}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn buffer_words_range_concatenates_per_slot_words() {
+        // Two-word stride: bits on both sides of the word boundary.
+        let layout = BufferLayout::new((0..70).collect());
+        let sketches = vec![
+            sketch(&[1, 65, 100], &layout),
+            sketch(&[0, 2, 3, 66, 69, 200, 201], &layout),
+            sketch(&[64, 300], &layout),
+            sketch(&[5, 6, 7, 8], &layout),
+        ];
+        let store = SketchStore::from_sketches(layout.words(), &sketches);
+        assert_eq!(store.words_per_record(), 2);
+        assert_buffer_words_range_concatenates(&store);
+
+        let empty = BufferLayout::empty();
+        let zero = [sketch(&[5, 6], &empty), sketch(&[7], &empty)];
+        assert_buffer_words_range_concatenates(&SketchStore::from_sketches(0, &zero));
     }
 }
