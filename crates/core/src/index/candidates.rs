@@ -32,18 +32,15 @@
 //! 2. the buffer pass mints the buffered candidates, and none when
 //!    `b_min > B_q`: a record no minting hash reached qualifies only with
 //!    an exact buffered overlap of at least `b_min` (the joint bound of
-//!    [`crate::index::prune`]). It mints in one of two ways, whichever a
-//!    per-query cost rule (`buffer_mint`, `SWEEP_ENTRY_COST`) finds
-//!    cheaper for the slot range:
-//!    - the **posting walk** mints every slot on the shortest
-//!      `B_q − b_min + 1` of the query's `B_q` buffer-bit postings (by
-//!      pigeonhole, a record sharing `b_min` buffered positions sits on at
-//!      least one of any `B_q − b_min + 1` of them);
-//!    - the **popcount sweep** (`sweep_buffer`) reads the range's
-//!      fixed-stride buffer words in one pass and mints only the slots
-//!      whose overlap `popcount(record_words & query_words)` reaches
-//!      `b_min` — a subset of the walk's candidates that drops only slots
-//!      the bound rules out, so fewer candidates reach the finish,
+//!    [`crate::index::prune`]). It mints in one of two ways
+//!    (`buffer_mint`):
+//!    - at `b_min ≤ 1`, the **posting walk** mints every slot on any of the
+//!      query's `B_q` buffer-bit postings;
+//!    - at `2 ≤ b_min ≤ B_q`, the **popcount sweep** (`sweep_buffer`) reads
+//!      the range's fixed-stride buffer words in one pass and mints only
+//!      the slots whose overlap `popcount(record_words & query_words)`
+//!      reaches `b_min`, so no record the bound rules out reaches the
+//!      finish,
 //! 3. the remaining frequent hashes accumulate **lookup-only**: they score
 //!    candidates already minted but never insert — which is where the
 //!    filter wins, because the frequent hashes own the longest posting
@@ -54,8 +51,7 @@
 //! candidates score bit-identically to the unfiltered walk; the bounds
 //! guarantee the skipped ones could never qualify. The unfiltered walk
 //! (every hash mints) cuts its buffer pass by the same `b_min`, with
-//! `S_max = 0`; top-k passes `b_min = 1`, where both buffer modes mint the
-//! same candidate set.
+//! `S_max = 0`; top-k passes `b_min = 1` and walks every buffer posting.
 //!
 //! [`SketchStore`]: crate::store::SketchStore
 
@@ -244,89 +240,52 @@ fn walk_prefixed(
     scratch.block_decode = decode;
 }
 
-/// Cost rule of the buffer pass ([`buffer_mint`]): the popcount sweep
-/// replaces the posting walk when the posting entries the walk would visit,
-/// times this factor, exceed the buffer words the sweep reads. One sweep
-/// word is a sequential load, an AND and a popcount; one posting entry is a
-/// block decode plus a random stamp read-modify-write, and every entry
-/// whose slot falls short of `b_min` is also finished and thrown away. On
-/// perfbench `zipf_threshold` (seed 1, 6 s runs, two per factor, 2-core
-/// shared x86-64 host) `query_p99_us` was 3,347 / 3,112 with the walk
-/// only, 3,024 / 2,914 at factor 2, 2,150 / 2,141 at 4, 1,778 / 1,682 at
-/// 8, 1,552 / 1,631 at 16, 1,550 / 1,704 at 32 and 1,615 / 1,660 when
-/// always sweeping: flat from 8 up, and 16 sits inside that plateau. The
-/// answers are identical either way; only the work changes.
-pub(crate) const SWEEP_ENTRY_COST: usize = 16;
-
-/// How the buffer pass of one (query, shard, slot range) mints its
-/// candidates.
+/// How the buffer pass of one query mints its candidates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BufferMint {
     /// Nothing to mint: the query buffers nothing, or `b_min > B_q`.
     Skip,
-    /// Walk the first `n` postings of the buffer order: all `B_q` of them
-    /// in position order when `b_min ≤ 1`, else the `B_q − b_min + 1`
-    /// shortest.
-    Postings(usize),
+    /// Walk all `B_q` buffer postings (`b_min ≤ 1`).
+    Postings,
     /// Sweep the range's buffer words ([`sweep_buffer`]), minting the slots
-    /// whose buffered overlap reaches `b_min`.
+    /// whose buffered overlap reaches `b_min` (`2 ≤ b_min ≤ B_q`).
     Sweep,
 }
 
-/// Decides how the buffer pass mints over the slot range `lo..hi`, filling
-/// `order` with the query's `(posting length, position)` pairs — sorted
-/// shortest first when only a strict subset of the postings must mint.
+/// Decides how the buffer pass mints for a query with minimum buffered
+/// overlap `b_min` (the joint bound of [`crate::index::prune`]).
 ///
-/// The posting walk mints from the postings the joint bound of
-/// [`crate::index::prune`] requires. The sweep mints the slots whose exact
-/// buffered overlap reaches `b_min`, a subset of the walk's candidates that
-/// drops only slots the bound rules out (at `b_min = 1`, exactly the walk's
-/// candidates). The sweep wins when the walked entries, each capped at the
-/// range's length, times [`SWEEP_ENTRY_COST`] exceed the `(hi − lo) ×
-/// words_per_record` words the sweep reads. A zero-width buffer never
-/// sweeps.
-pub(crate) fn buffer_mint(
-    shard: &Shard,
-    view: &QuerySketchView<'_>,
-    lo: usize,
-    hi: usize,
-    b_min: usize,
-    order: &mut Vec<(u32, u32)>,
-) -> BufferMint {
+/// At `b_min ≤ 1` every record on any of the query's buffer postings is a
+/// candidate, and the posting walk mints exactly those. Above it the sweep
+/// mints only the records whose exact buffered overlap reaches `b_min`;
+/// the pigeonhole walk over the `B_q − b_min + 1` shortest postings would
+/// also mint every record sharing a single position, only for the finish
+/// stage to discard it. A query that buffers nothing never sweeps, and so
+/// neither does a zero-width buffer.
+///
+/// A per-query cost rule that walked the shortest postings when 16× their
+/// entries undercut the swept words was measured and not kept. On
+/// perfbench (seed 1, 12 s, 2-core shared x86-64 host, 10 alternating
+/// pairs) it was not better by more than its own interquartile range:
+/// `query_p99_us` medians 1,451 (rule) vs 1,489 µs (sweep) on
+/// `zipf_threshold` and 844 vs 873 µs on `ingest_mixed`, `query_qps`
+/// 4,724 vs 4,958 and 8,146 vs 7,939.
+pub(crate) fn buffer_mint(view: &QuerySketchView<'_>, b_min: usize) -> BufferMint {
     let positions = view.buffer.count_ones();
     if positions == 0 || b_min > positions {
-        return BufferMint::Skip;
-    }
-    order.clear();
-    order.extend(
-        view.buffer
-            .set_positions()
-            .map(|pos| (shard.buffer_postings(pos).len() as u32, pos)),
-    );
-    let walked = if b_min <= 1 {
-        positions
+        BufferMint::Skip
+    } else if b_min <= 1 {
+        BufferMint::Postings
     } else {
-        order.sort_unstable();
-        positions - b_min + 1
-    };
-    let span = hi - lo;
-    let entries: usize = order[..walked]
-        .iter()
-        .map(|&(len, _)| (len as usize).min(span))
-        .sum();
-    let words = span * shard.store().words_per_record();
-    if words > 0 && entries.saturating_mul(SWEEP_ENTRY_COST) > words {
         BufferMint::Sweep
-    } else {
-        BufferMint::Postings(walked)
     }
 }
 
 /// The buffer pass, shared by both signature minting modes: mints buffered
 /// candidates by the posting walk or the popcount sweep, as
-/// [`buffer_mint`] decides. Either way it only contributes candidate
-/// *membership*; the finish stage recomputes each candidate's buffered
-/// overlap as a popcount over the store's fixed-stride words.
+/// [`buffer_mint`] decides. Either way it only mints; the finish stage
+/// reads each candidate's buffered overlap as a popcount over the store's
+/// fixed-stride words.
 #[inline]
 fn walk_buffer(
     shard: &Shard,
@@ -337,11 +296,10 @@ fn walk_buffer(
     decode: &mut Vec<u32>,
     scratch: &mut QueryScratch,
 ) {
-    let mut order = std::mem::take(&mut scratch.buffer_order);
-    match buffer_mint(shard, view, lo, hi, b_min, &mut order) {
+    match buffer_mint(view, b_min) {
         BufferMint::Skip => {}
-        BufferMint::Postings(walked) => {
-            for &(_, pos) in &order[..walked] {
+        BufferMint::Postings => {
+            for pos in view.buffer.set_positions() {
                 mint_buffer(shard.buffer_postings(pos), lo, hi, decode, scratch);
             }
         }
@@ -349,7 +307,6 @@ fn walk_buffer(
             sweep_buffer(shard.store(), view.buffer_words(), lo, hi, b_min, scratch);
         }
     }
-    scratch.buffer_order = order;
 }
 
 /// The popcount sweep: mints every slot of `lo..hi` whose buffered overlap
@@ -372,8 +329,12 @@ pub(crate) fn sweep_buffer(
     let words = store.buffer_words_range(lo, hi);
     let min = u32::try_from(b_min.max(1)).unwrap_or(u32::MAX);
     // One-word strides (buffers of up to 64 elements) get a loop without
-    // the per-slot inner zip: on `zipf_threshold` it cut p99 from about
-    // 1.7 ms (generic loop) to 1.4 ms.
+    // the per-slot inner zip. Against the generic loop alone (perfbench,
+    // 10 alternating pairs, settings and host as in the `buffer_mint`
+    // docs) it won every pair, by more than the generic loop's quartile
+    // spread: median `query_p99_us` 1,701 → 1,489 µs and `query_qps`
+    // 3,813 → 4,958 on `zipf_threshold`, 989 → 873 µs and 6,302 → 7,939
+    // on `ingest_mixed`.
     if let (1, Some(&q)) = (stride, query_words.first()) {
         for (slot, &w) in (lo as u32..).zip(words) {
             if (w & q).count_ones() >= min {

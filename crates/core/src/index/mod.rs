@@ -36,10 +36,9 @@
 //!   epoch-stamped [`QueryScratch`](crate::scratch::QueryScratch): minting
 //!   hashes are ordered by ascending **document frequency** (maintained in the
 //!   [`SketchStore`](crate::store::SketchStore) through build and insert)
-//!   and walked first, then the buffered candidates mint — from the shortest
-//!   buffer-bit postings, or by a popcount sweep over the store's buffer
-//!   words when a per-query cost rule finds that cheaper — then the frequent
-//!   hashes accumulate lookup-only.
+//!   and walked first, then the buffered candidates mint — from the
+//!   buffer-bit postings when `b_min ≤ 1`, else by a popcount sweep over the
+//!   store's buffer words — then the frequent hashes accumulate lookup-only.
 //! * [`finish`] — O(1) per-candidate estimate
 //!   ([`GKmvPairEstimate::from_parts`](crate::gkmv::GKmvPairEstimate::from_parts))
 //!   from the store's packed scalars plus a 1–2 word popcount.

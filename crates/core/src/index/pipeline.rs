@@ -13,15 +13,15 @@
 //!    size-ordered slots gives the live prefix `0..live`; smaller records
 //!    cannot reach the overlap threshold. The same stage derives the
 //!    minting bounds for step 2: the signature minting prefix and the
-//!    buffer walk's minimum buffered overlap `b_min`.
+//!    buffer pass's minimum buffered overlap `b_min`.
 //! 2. **candidates** ([`crate::index::candidates`]) — walk the query's
 //!    signature postings, each truncated at `live`: the rarest `minting`
 //!    hashes (df-ordered) mint candidates, the frequent hashes' remainder
 //!    accumulates lookup-only. Between the two, the buffer pass mints the
-//!    buffered candidates (none when `b_min > B_q`): either every slot on
-//!    the `B_q − b_min + 1` shortest buffer postings, or — when a per-query
-//!    cost rule finds it cheaper — only the slots of `0..live` whose
-//!    buffer-word popcount against the query reaches `b_min`.
+//!    buffered candidates (none when `b_min > B_q`): every slot on any
+//!    buffer posting when `b_min ≤ 1`, else — by a sweep over the buffer
+//!    words — only the slots of `0..live` whose buffer-word popcount
+//!    against the query reaches `b_min`.
 //! 3. **finish** ([`crate::index::finish`]) — O(1) Equation-27 estimate per
 //!    surviving candidate.
 //! 4. **rank** ([`crate::index::rank`]) — collect qualifying hits, sort by
@@ -93,7 +93,7 @@ impl QueryPipeline {
     /// Enables or disables the signature prefix filter of the candidates
     /// stage. Disabling never changes any answer — every signature hash
     /// then mints candidates, as the pre-prefix engine did — and exists for
-    /// the ablation benchmark. The buffer walk's bound stays on either way
+    /// the ablation benchmark. The buffer pass's bound stays on either way
     /// (see [`crate::index::prune`]).
     pub fn prefix_filter(mut self, enabled: bool) -> Self {
         self.prefix = enabled;
@@ -193,7 +193,7 @@ struct StageContext<'a> {
     view: QuerySketchView<'a>,
     threshold: OverlapThreshold,
     /// The prune stage's minting bounds: the signature minting prefix and
-    /// the buffer walk's `b_min`.
+    /// the buffer pass's `b_min`.
     minting: Minting,
     query_len: usize,
 }

@@ -78,17 +78,15 @@
 //! (The `max(1, ·)` only records that a record sharing no buffered element
 //! appears in no buffer posting; such a record is covered by the signature
 //! bound above.)
-//! The pigeonhole argument then applies to the query's `B_q` buffered
-//! positions: a record sharing at least `b_min` of them shares at least one
-//! of **any** `B_q − b_min + 1` of them, so only that many buffer postings
-//! (the shortest) need to mint, and none when `b_min > B_q`. Where that
-//! walk would cost more, the candidates stage instead sweeps the buffer
-//! words and mints exactly the records with `b ≥ b_min`. A record either
-//! cut skips has `b < b_min` and no minting hash, so it can never
-//! qualify; every record that does become a candidate accumulates the same
-//! `K∩` and the same popcount as before, so answers stay bit-identical. A
-//! NaN or infinite input, or `u_Q = 0`, falls back to `b_min = 1` — every
-//! buffer posting mints, which is always sound.
+//! So only records with `b ≥ b_min` need to mint from the buffer side, and
+//! none when `b_min > B_q`: the candidates stage sweeps the buffer words
+//! and mints exactly those records (at `b_min = 1`, where any shared
+//! buffered element qualifies, it walks every buffer posting instead). A
+//! record the cut skips has `b < b_min` and no minting hash, so it can
+//! never qualify; every record that does become a candidate accumulates
+//! the same `K∩` and the same popcount as before, so answers stay
+//! bit-identical. A NaN or infinite input, or `u_Q = 0`, falls back to
+//! `b_min = 1` — every buffer posting mints, which is always sound.
 
 use crate::hash::unit_hash;
 use crate::index::candidates::QuerySketchView;
@@ -110,10 +108,10 @@ pub(crate) const SHORT_SIGNATURE_LEN: usize = 8;
 pub(crate) struct Minting {
     /// Number of df-ordered signature hashes allowed to mint candidates.
     pub(crate) hashes: usize,
-    /// `b_min` of the joint bound (module docs): the buffer pass mints from
-    /// the `B_q − b_min + 1` shortest buffer postings (or sweeps the buffer
-    /// words for overlaps of at least `b_min`), and mints nothing when
-    /// `b_min > B_q`. `1` mints every record on any buffer posting.
+    /// `b_min` of the joint bound (module docs): the buffer pass mints the
+    /// records whose buffered overlap with the query reaches `b_min`, and
+    /// nothing when `b_min > B_q`. `1` mints every record on any buffer
+    /// posting.
     pub(crate) b_min: usize,
 }
 

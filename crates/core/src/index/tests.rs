@@ -782,9 +782,9 @@ fn buffer_bound_branches_are_bit_identical_to_scan() {
             Record::new(q)
         })
         .collect();
-    // Which branches of the bound the grid reached: b_min > B_q (no buffer
-    // posting walked), b_min == B_q (exactly one), and a signature prefix
-    // (S_max > 0) lowering b_min to 2..B_q (a strict subset, sorted).
+    // Which branches of the bound the grid reached: b_min > B_q (nothing
+    // minted from the buffer), b_min == B_q (every buffered element must be
+    // shared), and a signature prefix (S_max > 0) lowering b_min to 2..B_q.
     let (mut skip, mut single, mut lowered) = (false, false, false);
     for (qi, query) in queries.iter().enumerate() {
         let sketch = index.sketch_query(query);
@@ -860,8 +860,9 @@ fn buffer_sweep_and_posting_walk_are_bit_identical_to_scan() {
     use crate::sim::OverlapThreshold;
 
     // A buffer of 16 holds the eight hot elements (postings of ~3,600
-    // slots: the sweep is cheaper) and eight tail elements (postings of
-    // ~10 slots: the walk is cheaper).
+    // slots) and eight tail elements (postings of ~10 slots): the hot
+    // queries reach b_min ≥ 2 (sweep), the short tail queries b_min = 1
+    // (posting walk).
     let dataset = hot_buffer_dataset();
     let config = GbKmvConfig::with_space_fraction(0.1).buffer_size(16);
     let index = GbKmvIndex::build(&dataset, config);
@@ -910,26 +911,13 @@ fn buffer_sweep_and_posting_walk_are_bit_identical_to_scan() {
         queries.push(Record::new(q));
     }
 
-    // Which buffer-pass modes the grid reached, as the candidates stage
-    // decides them for each shard's live range and for top-k's full range.
-    let shards: Vec<&std::sync::Arc<Shard>> = index
-        .sharded
-        .shards()
-        .iter()
-        .chain(sharded.sharded.shards())
-        .collect();
-    let (mut sweep, mut sweep_all, mut walk) = (false, false, false);
-    let mut order = Vec::new();
+    // Which buffer-pass modes the threshold grid reached, as the candidates
+    // stage decides them; top-k (b_min = 1) always walks the postings.
+    let (mut sweep, mut walk) = (false, false);
     for (qi, query) in queries.iter().enumerate() {
         let sketch = index.sketch_query(query);
         let view = QuerySketchView::new(&sketch);
-        for shard in &shards {
-            match buffer_mint(shard, &view, 0, shard.len(), 1, &mut order) {
-                BufferMint::Sweep => sweep_all = true,
-                BufferMint::Postings(n) => walk |= n > 0,
-                BufferMint::Skip => {}
-            }
-        }
+        assert_eq!(buffer_mint(&view, 1), BufferMint::Postings);
         let label = format!("query {qi} top-k");
         let ranked = ranked_scan(&index, query, 25);
         for engine in [&index, &sharded, &reopened] {
@@ -944,14 +932,10 @@ fn buffer_sweep_and_posting_walk_are_bit_identical_to_scan() {
         for t_star in [0.05, 0.15, 0.25, 0.5, 0.9] {
             let threshold = OverlapThreshold::new(query.len(), t_star);
             for prune in [PruneStage::new(true), PruneStage::new(false)] {
-                let b_min = prune.minting(&view, threshold).b_min;
-                for shard in &shards {
-                    let live = prune.live_slots(shard, threshold);
-                    match buffer_mint(shard, &view, 0, live, b_min, &mut order) {
-                        BufferMint::Sweep => sweep |= b_min >= 2,
-                        BufferMint::Postings(n) => walk |= n > 0,
-                        BufferMint::Skip => {}
-                    }
+                match buffer_mint(&view, prune.minting(&view, threshold).b_min) {
+                    BufferMint::Sweep => sweep = true,
+                    BufferMint::Postings => walk = true,
+                    BufferMint::Skip => {}
                 }
             }
             let scan = index.search_scan(query, t_star);
@@ -1002,8 +986,8 @@ fn buffer_sweep_and_posting_walk_are_bit_identical_to_scan() {
         }
     }
     assert!(
-        sweep && sweep_all && walk,
-        "modes reached: threshold sweep {sweep}, top-k sweep {sweep_all}, posting walk {walk}"
+        sweep && walk,
+        "modes reached: sweep {sweep}, posting walk {walk}"
     );
     // Neither mode grows scratch memory on a warm rerun.
     let warm = prefixed.scratch_bytes();
@@ -1029,13 +1013,11 @@ fn zero_width_buffer_never_sweeps() {
     let query = dataset.record(11);
     let sketch = index.sketch_query(query);
     let view = QuerySketchView::new(&sketch);
-    let mut order = Vec::new();
     for shard in index.sharded.shards() {
         assert_eq!(shard.store().words_per_record(), 0);
-        assert_eq!(
-            buffer_mint(shard, &view, 0, shard.len(), 1, &mut order),
-            BufferMint::Skip
-        );
+    }
+    for b_min in 0..=3 {
+        assert_eq!(buffer_mint(&view, b_min), BufferMint::Skip);
     }
     for t_star in [0.1, 0.5] {
         assert_eq!(
