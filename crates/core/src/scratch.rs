@@ -85,10 +85,12 @@ impl QueryScratch {
         self.k_int[slot as usize] += 1;
     }
 
-    /// Registers `slot` as a candidate without accumulating any overlap —
-    /// used by both minting modes of the buffer pass (posting walk and
-    /// popcount sweep); the finish stage reads the buffered overlap itself
-    /// as a popcount over the store's buffer words.
+    /// Registers `slot` as a candidate without accumulating any overlap.
+    /// Both minting modes of the buffer pass mint through its batched and
+    /// mask forms (the posting walk through [`QueryScratch::add_candidates`]
+    /// and [`QueryScratch::add_candidates_mask`], the popcount sweep one
+    /// 64-slot hit mask at a time); the finish stage reads the buffered
+    /// overlap itself as a popcount over the store's buffer words.
     #[inline]
     pub fn add_candidate(&mut self, slot: u32) {
         self.activate(slot);
@@ -202,12 +204,18 @@ impl QueryScratch {
     /// of `words` (as slot `base + b`, ascending) as a candidate.
     #[inline]
     pub fn add_candidates_mask(&mut self, base: u32, words: [u64; 2]) {
-        for (wi, mut w) in words.into_iter().enumerate() {
-            let word_base = base + (wi as u32) * 64;
-            while w != 0 {
-                self.activate(word_base + w.trailing_zeros());
-                w &= w - 1;
-            }
+        for (wi, w) in words.into_iter().enumerate() {
+            self.add_candidates_word(base + (wi as u32) * 64, w);
+        }
+    }
+
+    /// One-word [`QueryScratch::add_candidates_mask`]: registers every set
+    /// bit `b` of `w` as candidate slot `base + b`, in ascending order.
+    #[inline]
+    pub(crate) fn add_candidates_word(&mut self, base: u32, mut w: u64) {
+        while w != 0 {
+            self.activate(base + w.trailing_zeros());
+            w &= w - 1;
         }
     }
 
