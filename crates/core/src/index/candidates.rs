@@ -42,10 +42,11 @@
 //!      reaches `b_min`, so no record the bound rules out reaches the
 //!      finish. Its kernel (`sweep_body`) builds a branch-free 64-slot hit
 //!      mask per chunk of records, then mints the mask's set bits in
-//!      ascending order. The kernel is compiled for AVX-512 (with
-//!      VPOPCNTDQ), for AVX2 and as portable code, and each sweep runs the
-//!      fastest one the host supports (`SweepTier`, chosen at run time by
-//!      feature detection),
+//!      ascending order and hands the scratch each newly minted slot's
+//!      overlap, which the finish stage then reuses. The kernel is
+//!      compiled for AVX-512 (with VPOPCNTDQ), for AVX2 and as portable
+//!      code, and each sweep runs the fastest one the host supports
+//!      (`SweepTier`, chosen at run time by feature detection),
 //! 3. the remaining frequent hashes accumulate **lookup-only**: they score
 //!    candidates already minted but never insert — which is where the
 //!    filter wins, because the frequent hashes own the longest posting
@@ -288,8 +289,9 @@ pub(crate) fn buffer_mint(view: &QuerySketchView<'_>, b_min: usize) -> BufferMin
 
 /// The buffer pass, shared by both signature minting modes: mints buffered
 /// candidates by the posting walk or the popcount sweep, as
-/// [`buffer_mint`] decides. Either way it only mints; the finish stage
-/// reads each candidate's buffered overlap as a popcount over the store's
+/// [`buffer_mint`] decides. Either way it accumulates no `K∩`. The sweep
+/// records the buffered overlap of each slot it mints; the finish stage
+/// reads every other candidate's as a popcount over the store's
 /// fixed-stride words.
 #[inline]
 fn walk_buffer(
@@ -317,8 +319,10 @@ fn walk_buffer(
 /// The popcount sweep: mints every slot of `lo..hi` whose buffered overlap
 /// with `query_words`, `popcount(record_words & query_words)`, reaches
 /// `b_min` (at least 1), reading the store's buffer words for the range as
-/// one contiguous slice. Slots are minted in ascending order; slots already
-/// minted keep their `K∩`. A zero-width buffer mints nothing.
+/// one contiguous slice. Slots are minted in ascending order, each newly
+/// minted one with its buffered overlap recorded in the scratch
+/// ([`QueryScratch::swept`]); slots already minted keep their `K∩` and
+/// record nothing. A zero-width buffer mints nothing.
 ///
 /// It runs the fastest [`SweepTier`] the host supports: one body
 /// ([`sweep_body`]) compiled three times. Measured on perfbench
@@ -400,6 +404,7 @@ fn sweep_buffer_in(
     b_min: usize,
     scratch: &mut QueryScratch,
 ) {
+    scratch.begin_sweep();
     let stride = store.words_per_record();
     if stride == 0 {
         return;
@@ -450,9 +455,11 @@ impl Sweep<'_> {
 
 /// The sweep body, in two phases per 64-slot chunk: build the chunk's hit
 /// mask without branches (bit `j` set when the chunk's record `j` reaches
-/// `min`), then mint the mask's set bits in ascending order. A per-slot
-/// branch on a hit rate of about 5% is one the predictor cannot learn; the
-/// mask loop has no branch, so the compiler vectorises it across records.
+/// `min`), keeping each record's overlap, then mint the mask's set bits in
+/// ascending order, handing the scratch the overlap of each slot it newly
+/// mints, so the finish stage need not recount it. A per-slot branch on a
+/// hit rate of about 5% is one the predictor cannot learn; the mask loop
+/// has no branch, so the compiler vectorises it across records.
 ///
 /// One-word strides (buffers of up to 64 elements) get their own loop
 /// over fixed 64-word chunks. With the stride a runtime value, the
@@ -467,32 +474,40 @@ fn sweep_body(sweep: &Sweep<'_>, scratch: &mut QueryScratch) {
         lo,
         min,
     } = sweep;
+    let mut counts = [0u32; 64];
     if let (1, Some(&q)) = (stride, query_words.first()) {
-        let hits = |chunk: &[u64]| {
+        let hits = |chunk: &[u64], counts: &mut [u32; 64]| {
             let mut mask = 0u64;
-            for (j, &w) in chunk.iter().enumerate() {
-                mask |= u64::from((w & q).count_ones() >= min) << j;
+            for (j, (&w, count)) in chunk.iter().zip(counts.iter_mut()).enumerate() {
+                *count = (w & q).count_ones();
+                mask |= u64::from(*count >= min) << j;
             }
             mask
         };
         let (full, tail) = words.as_chunks::<64>();
         for (chunk, base) in full.iter().zip((lo..).step_by(64)) {
-            scratch.add_candidates_word(base, hits(chunk));
+            let mask = hits(chunk, &mut counts);
+            scratch.add_swept_word(base, mask, &counts);
         }
-        scratch.add_candidates_word(lo + 64 * full.len() as u32, hits(tail));
+        let mask = hits(tail, &mut counts);
+        scratch.add_swept_word(lo + 64 * full.len() as u32, mask, &counts);
         return;
     }
     for (chunk, base) in words.chunks(64 * stride).zip((lo..).step_by(64)) {
         let mut mask = 0u64;
-        for (j, record) in chunk.chunks_exact(stride).enumerate() {
-            let overlap: u32 = record
+        for (j, (record, count)) in chunk
+            .chunks_exact(stride)
+            .zip(counts.iter_mut())
+            .enumerate()
+        {
+            *count = record
                 .iter()
                 .zip(query_words)
                 .map(|(a, b)| (a & b).count_ones())
                 .sum();
-            mask |= u64::from(overlap >= min) << j;
+            mask |= u64::from(*count >= min) << j;
         }
-        scratch.add_candidates_word(base, mask);
+        scratch.add_swept_word(base, mask, &counts);
     }
 }
 
@@ -587,6 +602,22 @@ mod tests {
                         .collect();
                     let label = format!("{tier}: stride {stride}, slots {lo}..{hi}, b_min {b_min}");
                     assert_eq!(scratch.candidates(), expected, "{label}");
+                    // The sweep's own mints are the run after the signature
+                    // pass's, each with its buffered overlap, in order.
+                    let (swept, counts) = scratch.swept();
+                    assert_eq!(swept, &expected[2..], "{label}: swept run");
+                    for (&s, &count) in swept.iter().zip(counts) {
+                        assert_eq!(
+                            count as usize,
+                            store.buffer_intersection_count(&query, s as usize),
+                            "{label}: recorded overlap of slot {s}"
+                        );
+                    }
+                    assert_eq!(
+                        scratch.unswept().concat(),
+                        [6, 130],
+                        "{label}: unswept candidates"
+                    );
                     for &s in &expected {
                         let k = match s {
                             6 => 1,

@@ -21,11 +21,17 @@
 //!    buffered candidates (none when `b_min > B_q`): every slot on any
 //!    buffer posting when `b_min ≤ 1`, else — by a sweep over the buffer
 //!    words — only the slots of `0..live` whose buffer-word popcount
-//!    against the query reaches `b_min`.
+//!    against the query reaches `b_min`; the sweep records the overlap of
+//!    each slot it mints.
 //! 3. **finish** ([`crate::index::finish`]) — O(1) Equation-27 estimate per
-//!    surviving candidate.
-//! 4. **rank** ([`crate::index::rank`]) — collect qualifying hits, sort by
-//!    ascending global record id (or keep the best `k` in a bounded heap).
+//!    surviving candidate. A swept slot takes its buffered overlap from the
+//!    sweep's record; when no signature hash reached it (`K∩ = 0`), that
+//!    overlap is its whole estimate and the threshold test needs no store
+//!    read. Every other candidate recounts its overlap from the buffer
+//!    words.
+//! 4. **rank** ([`crate::index::rank`]) — collect qualifying hits and order
+//!    them by ascending global record id, by a radix sort linear in the
+//!    answer (or keep the best `k` in a bounded heap).
 //!
 //! # Intra-query parallelism
 //!
@@ -199,7 +205,9 @@ struct StageContext<'a> {
 }
 
 /// Runs the candidates → finish stages for the slot range `lo..hi` of one
-/// shard, pushing qualifying hits into `out`. The shared inner loop of the
+/// shard, pushing qualifying hits into `out`: the candidates the sweep
+/// minted are finished from the overlaps it recorded, the rest from the
+/// store's buffer words. The shared inner loop of the
 /// sequential and intra-query-parallel paths; `order` is the shard's
 /// precomputed df-ordering when the caller shares one across sub-range
 /// tasks (the parallel path), `None` to let the candidates stage derive it
@@ -220,8 +228,7 @@ fn finish_range(
         None => candidates::accumulate(shard, &ctx.view, lo, hi, ctx.minting, scratch),
     }
     let store = shard.store();
-    for &slot in scratch.candidates() {
-        let overlap = finish::accumulated_overlap(store, &ctx.view, scratch, slot);
+    let mut emit = |slot: u32, overlap: f64| {
         if let Some(hit) = finish::hit_if_qualifies(
             shard.global_id(slot as usize),
             overlap,
@@ -230,6 +237,17 @@ fn finish_range(
         ) {
             out.push(hit);
         }
+    };
+    for unswept in scratch.unswept() {
+        for &slot in unswept {
+            let overlap = finish::accumulated_overlap(store, &ctx.view, scratch, slot);
+            emit(slot, overlap);
+        }
+    }
+    let (swept, counts) = scratch.swept();
+    for (&slot, &buffered) in swept.iter().zip(counts) {
+        let overlap = finish::swept_overlap(store, &ctx.view, scratch, slot, buffered);
+        emit(slot, overlap);
     }
 }
 

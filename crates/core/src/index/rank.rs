@@ -2,10 +2,13 @@
 //!
 //! Two collectors close a query:
 //!
-//! * `ThresholdCollector` — gathers every qualifying hit and sorts once by
-//!   ascending global record id (the [`crate::index::ContainmentIndex`]
-//!   contract). The qualifying hits are a small subset of the touched
-//!   candidates, so one final sort beats pre-sorting the candidate list.
+//! * `ThresholdCollector` — gathers every qualifying hit and orders them
+//!   once by ascending global record id (the
+//!   [`crate::index::ContainmentIndex`] contract). The answer can be most
+//!   of the touched candidates: a swept `zipf_threshold` query qualifies
+//!   about 2,590 of its 2,690. So the collector emits by an LSD radix sort
+//!   of packed `(record id, hit index)` keys and one gather, linear in the
+//!   answer, instead of comparison-sorting the 24-byte hits.
 //! * `TopK` — a bounded binary min-heap keeping the best `k` hits
 //!   (O(n log k)); ties broken by ascending record id for determinism.
 //!   Records with a zero estimated overlap are never ranked: they share
@@ -37,9 +40,73 @@ impl ThresholdCollector {
     }
 
     /// The hits sorted by ascending global record id.
+    ///
+    /// Each hit becomes one `record_id << 32 | index` key; an LSD radix
+    /// sort over the id half orders the keys, and the hits are gathered in
+    /// key order. Up to [`RADIX_MIN_HITS`] hits, or with an id that does
+    /// not fit in 32 bits, the hits are comparison-sorted instead.
     pub(crate) fn into_sorted(mut self) -> Vec<SearchHit> {
-        self.hits.sort_unstable_by_key(|h| h.record_id);
-        self.hits
+        let max_id = (self.hits.len() > RADIX_MIN_HITS)
+            .then(|| self.hits.iter().map(|h| h.record_id).max())
+            .flatten()
+            .and_then(|id| u32::try_from(id).ok());
+        let Some(max_id) = max_id else {
+            self.hits.sort_unstable_by_key(|h| h.record_id);
+            return self.hits;
+        };
+        let id_bits = u32::BITS - max_id.leading_zeros();
+        let mut keys: Vec<u64> = self
+            .hits
+            .iter()
+            .zip(0u64..)
+            .map(|(h, i)| ((h.record_id as u64) << 32) | i)
+            .collect();
+        radix_sort_high_half(&mut keys, id_bits);
+        keys.iter().map(|&k| self.hits[k as u32 as usize]).collect()
+    }
+}
+
+/// Hit counts up to which [`ThresholdCollector::into_sorted`]
+/// comparison-sorts: there, the radix sort's per-pass histograms cost as
+/// much as the sort they replace. Measured on 200 sets of distinct random
+/// ids below 200,000 (2-core x86-64 host): at 64 hits both took 1.3 µs, at
+/// 32 the comparison sort took 0.5–0.6 µs and the radix sort 0.8–1.6 µs,
+/// at 128 the comparison sort took 3.1 µs and the radix sort 1.7–2.2 µs.
+pub(crate) const RADIX_MIN_HITS: usize = 64;
+
+/// Widest radix digit, in bits: a 2,048-entry histogram stays in L1.
+const RADIX_DIGIT_BITS: u32 = 11;
+
+/// Stable LSD radix sort of `keys` by their high 32 bits, of which only
+/// the low `bits` may be set. The bits split into as few passes of at most
+/// [`RADIX_DIGIT_BITS`] as they need (ids below 2^11, 2^22 and 2^32 take 1,
+/// 2 and 3 passes), with equal digit widths.
+fn radix_sort_high_half(keys: &mut Vec<u64>, bits: u32) {
+    let passes = bits.div_ceil(RADIX_DIGIT_BITS).max(1);
+    let width = bits.div_ceil(passes);
+    let digit_mask = (1u64 << width) - 1;
+    let mut buckets = [0u32; 1 << RADIX_DIGIT_BITS];
+    let buckets = &mut buckets[..1 << width];
+    let mut sorted = vec![0u64; keys.len()];
+    for pass in 0..passes {
+        let shift = 32 + pass * width;
+        let digit = |key: u64| ((key >> shift) & digit_mask) as usize;
+        buckets.fill(0);
+        for &key in keys.iter() {
+            buckets[digit(key)] += 1;
+        }
+        let mut start = 0;
+        for bucket in buckets.iter_mut() {
+            let len = *bucket;
+            *bucket = start;
+            start += len;
+        }
+        for &key in keys.iter() {
+            let bucket = &mut buckets[digit(key)];
+            sorted[*bucket as usize] = key;
+            *bucket += 1;
+        }
+        std::mem::swap(keys, &mut sorted);
     }
 }
 
@@ -140,6 +207,67 @@ impl Ord for TopKEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `len` hits with distinct record ids spread over `0..2^bits`, the
+    /// largest, `2^bits − 1`, always among them: `id_i = (2^bits − 1 + i ·
+    /// odd) mod 2^bits` is injective for `i < 2^bits`. Each hit's overlap
+    /// is its push index, so a misplaced gather shows.
+    fn hits_with_ids(len: usize, bits: u32, odd: u64) -> Vec<SearchHit> {
+        let modulus_mask = (1u64 << bits) - 1;
+        (0..len as u64)
+            .map(|i| SearchHit {
+                record_id: (modulus_mask.wrapping_add(i.wrapping_mul(odd)) & modulus_mask) as usize,
+                estimated_overlap: i as f64,
+                estimated_containment: 0.5,
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// `into_sorted` equals a comparison sort by record id: at 0 and 1
+        /// hits, on both sides of `RADIX_MIN_HITS`, at a few hundred and at
+        /// 3,000 or more hits, with the largest id needing 1, 2 or 3 radix
+        /// passes of 11 bits or not fitting in 32 bits.
+        #[test]
+        fn into_sorted_matches_a_comparison_sort_by_record_id(
+            len_class in 0..6usize,
+            bits_class in 0..4usize,
+            spread in 1..401usize,
+            odd in any::<u64>(),
+        ) {
+            let bits = [11u32, 22, 32, 40][bits_class];
+            let len = [0, 1, RADIX_MIN_HITS, RADIX_MIN_HITS + 1, 1 + spread, 3_000 + spread][len_class];
+            // 2^11 ids cannot hold 3,000 distinct ones.
+            let len = len.min(1 << bits);
+            let hits = hits_with_ids(len, bits, odd | 1);
+            let mut collector = ThresholdCollector::default();
+            for &hit in &hits {
+                collector.push(hit);
+            }
+            let mut expected = hits;
+            expected.sort_unstable_by_key(|h| h.record_id);
+            prop_assert_eq!(collector.into_sorted(), expected);
+        }
+    }
+
+    #[test]
+    fn radix_sort_orders_by_the_high_half_stably() {
+        // Equal ids keep their low halves' input order; ids need 1, 2 and
+        // 3 passes.
+        for bits in [1u32, 11, 12, 22, 23, 32] {
+            let top = (1u64 << bits) - 1;
+            let mut keys: Vec<u64> = [top, 0, top, 1, top >> 1, 0]
+                .iter()
+                .zip(0u64..)
+                .map(|(&id, i)| (id << 32) | i)
+                .collect();
+            let mut expected = keys.clone();
+            expected.sort_by_key(|k| k >> 32);
+            radix_sort_high_half(&mut keys, bits);
+            assert_eq!(keys, expected, "{bits} bits");
+        }
+    }
 
     #[test]
     fn topk_keeps_best_with_id_tiebreak() {

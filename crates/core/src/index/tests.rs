@@ -855,8 +855,10 @@ fn buffer_bound_branches_are_bit_identical_to_scan() {
 
 #[test]
 fn buffer_sweep_and_posting_walk_are_bit_identical_to_scan() {
-    use crate::index::candidates::{buffer_mint, BufferMint, QuerySketchView};
+    use crate::index::candidates::{self, buffer_mint, BufferMint, QuerySketchView};
     use crate::index::prune::PruneStage;
+    use crate::index::rank::RADIX_MIN_HITS;
+    use crate::scratch::QueryScratch;
     use crate::sim::OverlapThreshold;
 
     // A buffer of 16 holds the eight hot elements (postings of ~3,600
@@ -913,7 +915,12 @@ fn buffer_sweep_and_posting_walk_are_bit_identical_to_scan() {
 
     // Which buffer-pass modes the threshold grid reached, as the candidates
     // stage decides them; top-k (b_min = 1) always walks the postings.
+    // Also whether a swept slot gained `K∩ > 0` (a lookup-only hash reached
+    // it, so its finish is not the buffered overlap alone) and whether an
+    // answer was long enough for the rank stage's radix emission.
     let (mut sweep, mut walk) = (false, false);
+    let (mut swept_reached, mut radix) = (false, false);
+    let mut scratch = QueryScratch::new();
     for (qi, query) in queries.iter().enumerate() {
         let sketch = index.sketch_query(query);
         let view = QuerySketchView::new(&sketch);
@@ -932,13 +939,21 @@ fn buffer_sweep_and_posting_walk_are_bit_identical_to_scan() {
         for t_star in [0.05, 0.15, 0.25, 0.5, 0.9] {
             let threshold = OverlapThreshold::new(query.len(), t_star);
             for prune in [PruneStage::new(true), PruneStage::new(false)] {
-                match buffer_mint(&view, prune.minting(&view, threshold).b_min) {
+                let minting = prune.minting(&view, threshold);
+                match buffer_mint(&view, minting.b_min) {
                     BufferMint::Sweep => sweep = true,
                     BufferMint::Postings => walk = true,
                     BufferMint::Skip => {}
                 }
+                for shard in index.sharded.shards() {
+                    let live = prune.live_slots(shard, threshold);
+                    candidates::accumulate(shard, &view, 0, live, minting, &mut scratch);
+                    let (swept, _) = scratch.swept();
+                    swept_reached |= swept.iter().any(|&s| scratch.k_intersection(s) > 0);
+                }
             }
             let scan = index.search_scan(query, t_star);
+            radix |= scan.len() > RADIX_MIN_HITS;
             let label = format!("query {qi} at t*={t_star}");
             assert_eq!(
                 index.search_record(query, t_star),
@@ -986,8 +1001,9 @@ fn buffer_sweep_and_posting_walk_are_bit_identical_to_scan() {
         }
     }
     assert!(
-        sweep && walk,
-        "modes reached: sweep {sweep}, posting walk {walk}"
+        sweep && walk && swept_reached && radix,
+        "reached: sweep {sweep}, posting walk {walk}, swept K∩ > 0 {swept_reached}, \
+         radix emission {radix}"
     );
     // Neither mode grows scratch memory on a warm rerun.
     let warm = prefixed.scratch_bytes();
@@ -999,6 +1015,63 @@ fn buffer_sweep_and_posting_walk_are_bit_identical_to_scan() {
         prefixed.topk(&index, query.elements(), 25);
     }
     assert_eq!(prefixed.scratch_bytes(), warm);
+}
+
+#[test]
+fn swept_finish_is_bit_identical_to_the_accumulated_finish() {
+    use crate::index::candidates::{self, buffer_mint, BufferMint, QuerySketchView};
+    use crate::index::finish;
+    use crate::index::prune::{Minting, PruneStage};
+    use crate::scratch::QueryScratch;
+    use crate::sim::OverlapThreshold;
+
+    let dataset = hot_buffer_dataset();
+    let config = GbKmvConfig::with_space_fraction(0.1).buffer_size(16);
+    let index = GbKmvIndex::build(&dataset, config);
+    let mut scratch = QueryScratch::new();
+    // Swept slots finished with K∩ = 0 and with K∩ > 0.
+    let (mut unreached, mut reached) = (0usize, 0usize);
+    for rid in [0usize, 7, 291, 1_234, 2_000] {
+        let query = dataset.record(rid);
+        let sketch = index.sketch_query(query);
+        let view = QuerySketchView::new(&sketch);
+        // The prune stage's minting at a few thresholds, and a sweep at
+        // b_min = 2 with every signature hash lookup-only, so that those
+        // hashes reach swept slots.
+        let mut mintings = vec![Minting {
+            hashes: 0,
+            b_min: 2,
+        }];
+        mintings.extend([0.1, 0.25, 0.5].map(|t_star| {
+            PruneStage::new(true).minting(&view, OverlapThreshold::new(query.len(), t_star))
+        }));
+        for minting in mintings {
+            if buffer_mint(&view, minting.b_min) != BufferMint::Sweep {
+                continue;
+            }
+            for shard in index.sharded.shards() {
+                let store = shard.store();
+                candidates::accumulate(shard, &view, 0, shard.len(), minting, &mut scratch);
+                let (swept, counts) = scratch.swept();
+                for (&slot, &buffered) in swept.iter().zip(counts) {
+                    let label = format!("record {rid}, {minting:?}, slot {slot}");
+                    assert_eq!(
+                        finish::swept_overlap(store, &view, &scratch, slot, buffered).to_bits(),
+                        finish::accumulated_overlap(store, &view, &scratch, slot).to_bits(),
+                        "{label}"
+                    );
+                    match scratch.k_intersection(slot) {
+                        0 => unreached += 1,
+                        _ => reached += 1,
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        unreached > 0 && reached > 0,
+        "swept slots finished: K∩ = 0 {unreached}, K∩ > 0 {reached}"
+    );
 }
 
 #[test]

@@ -13,11 +13,14 @@
 /// epoch, so starting a new query is one epoch increment — no O(m) clear, no
 /// per-query hash map. Slots touched by the current query are tracked in
 /// `touched` (insertion order; callers sort as their output contract
-/// requires). Only `K∩` is accumulated: the buffer pass only mints
-/// candidates ([`QueryScratch::add_candidate`]), by walking buffer postings
+/// requires). `K∩` is accumulated per slot; the buffer pass only mints
+/// candidates, by walking buffer postings ([`QueryScratch::add_candidate`])
 /// or by a popcount sweep over the [`crate::store::SketchStore`]'s buffer
-/// words (see [`crate::index::candidates`]), and the finish stage reads
-/// each candidate's exact buffered overlap as a popcount over those words.
+/// words (see [`crate::index::candidates`]). The sweep computes each
+/// slot's exact buffered overlap anyway, so it records the overlap of every
+/// slot it mints, aligned with its run of `touched`. The finish stage takes
+/// the swept slots' overlaps from that record and reads the other
+/// candidates' as a popcount over the store's words.
 ///
 /// When an index is sharded, the same scratch is reused across the shards of
 /// one query: each shard's candidate stage calls [`QueryScratch::begin`]
@@ -28,6 +31,11 @@ pub struct QueryScratch {
     pub(crate) stamp: Vec<u32>,
     pub(crate) k_int: Vec<u32>,
     touched: Vec<u32>,
+    /// Where the popcount sweep's run of `touched` starts.
+    swept_from: usize,
+    /// Buffered overlap of each slot the popcount sweep minted, in mint
+    /// order: entry `i` belongs to `touched[swept_from + i]`.
+    swept_counts: Vec<u32>,
     /// Reusable `(document frequency, hash)` buffer the prefix-filter stage
     /// sorts the query's signature hashes into (rarest first); lives here so
     /// the per-query ordering allocates nothing after the first query.
@@ -64,18 +72,23 @@ impl QueryScratch {
             self.epoch = 1;
         }
         self.touched.clear();
+        self.swept_from = 0;
+        self.swept_counts.clear();
     }
 
     /// Registers `slot` as touched by the current query, zeroing its
-    /// accumulators on first touch.
+    /// accumulators on first touch. Returns whether this was the first
+    /// touch.
     #[inline]
-    fn activate(&mut self, slot: u32) {
+    fn activate(&mut self, slot: u32) -> bool {
         let i = slot as usize;
-        if self.stamp[i] != self.epoch {
+        let first = self.stamp[i] != self.epoch;
+        if first {
             self.stamp[i] = self.epoch;
             self.k_int[i] = 0;
             self.touched.push(slot);
         }
+        first
     }
 
     /// Accumulates one shared G-KMV signature hash for `slot` (one posting).
@@ -86,11 +99,10 @@ impl QueryScratch {
     }
 
     /// Registers `slot` as a candidate without accumulating any overlap.
-    /// Both minting modes of the buffer pass mint through its batched and
-    /// mask forms (the posting walk through [`QueryScratch::add_candidates`]
-    /// and [`QueryScratch::add_candidates_mask`], the popcount sweep one
-    /// 64-slot hit mask at a time); the finish stage reads the buffered
-    /// overlap itself as a popcount over the store's buffer words.
+    /// The posting walk of the buffer pass mints through its batched and
+    /// mask forms ([`QueryScratch::add_candidates`] and
+    /// [`QueryScratch::add_candidates_mask`]); the finish stage reads the
+    /// buffered overlap itself as a popcount over the store's buffer words.
     #[inline]
     pub fn add_candidate(&mut self, slot: u32) {
         self.activate(slot);
@@ -212,9 +224,33 @@ impl QueryScratch {
     /// One-word [`QueryScratch::add_candidates_mask`]: registers every set
     /// bit `b` of `w` as candidate slot `base + b`, in ascending order.
     #[inline]
-    pub(crate) fn add_candidates_word(&mut self, base: u32, mut w: u64) {
+    fn add_candidates_word(&mut self, base: u32, mut w: u64) {
         while w != 0 {
             self.activate(base + w.trailing_zeros());
+            w &= w - 1;
+        }
+    }
+
+    /// Starts the popcount sweep's run of `touched`: the slots minted from
+    /// here on by [`QueryScratch::add_swept_word`] carry their buffered
+    /// overlaps.
+    #[inline]
+    pub(crate) fn begin_sweep(&mut self) {
+        self.swept_from = self.touched.len();
+        self.swept_counts.clear();
+    }
+
+    /// The popcount sweep's minting step: registers every set bit `b` of
+    /// `w` as candidate slot `base + b`, in ascending order, and records
+    /// `counts[b]`, the slot's buffered overlap, for each slot it newly
+    /// mints. Slots minted before keep their `K∩` and record nothing.
+    #[inline]
+    pub(crate) fn add_swept_word(&mut self, base: u32, mut w: u64, counts: &[u32; 64]) {
+        while w != 0 {
+            let j = w.trailing_zeros();
+            if self.activate(base + j) {
+                self.swept_counts.push(counts[j as usize]);
+            }
             w &= w - 1;
         }
     }
@@ -255,6 +291,7 @@ impl QueryScratch {
         self.stamp.capacity() * std::mem::size_of::<u32>()
             + self.k_int.capacity() * std::mem::size_of::<u32>()
             + self.touched.capacity() * std::mem::size_of::<u32>()
+            + self.swept_counts.capacity() * std::mem::size_of::<u32>()
             + self.hash_order.capacity() * std::mem::size_of::<(u32, u64)>()
             + self.block_decode.capacity() * std::mem::size_of::<u32>()
     }
@@ -263,6 +300,23 @@ impl QueryScratch {
     #[inline]
     pub fn candidates(&self) -> &[u32] {
         &self.touched
+    }
+
+    /// The candidates the popcount sweep minted, in mint order, and their
+    /// buffered overlaps, aligned (both empty when the query did not
+    /// sweep).
+    #[inline]
+    pub(crate) fn swept(&self) -> (&[u32], &[u32]) {
+        let end = self.swept_from + self.swept_counts.len();
+        (&self.touched[self.swept_from..end], &self.swept_counts)
+    }
+
+    /// The candidates the popcount sweep did not mint, in first-touch
+    /// order: those touched before the sweep, then any touched after it.
+    #[inline]
+    pub(crate) fn unswept(&self) -> [&[u32]; 2] {
+        let end = self.swept_from + self.swept_counts.len();
+        [&self.touched[..self.swept_from], &self.touched[end..]]
     }
 
     /// `K∩` accumulated for `slot` in the current query.
