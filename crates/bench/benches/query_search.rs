@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use gbkmv_core::dataset::Record;
 use gbkmv_core::index::{ContainmentIndex, GbKmvConfig, GbKmvIndex};
 use gbkmv_core::variants::{KmvConfig, KmvIndex};
 use gbkmv_datagen::profiles::DatasetProfile;
@@ -19,10 +20,7 @@ fn query_latency(c: &mut Criterion) {
     let t_star = 0.5;
 
     let gbkmv = GbKmvIndex::build(&dataset, GbKmvConfig::with_space_fraction(0.10));
-    let gbkmv_scan = GbKmvIndex::build(
-        &dataset,
-        GbKmvConfig::with_space_fraction(0.10).candidate_filter(false),
-    );
+    let scan_queries: Vec<Record> = queries.iter().cloned().map(Record::new).collect();
     let kmv = KmvIndex::build(&dataset, KmvConfig::with_space_fraction(0.10));
     let lshe = LshEnsembleIndex::build(
         &dataset,
@@ -38,7 +36,13 @@ fn query_latency(c: &mut Criterion) {
         }
     };
     group.bench_function("gbkmv_filtered", |b| b.iter(|| run(&gbkmv, &queries)));
-    group.bench_function("gbkmv_scan", |b| b.iter(|| run(&gbkmv_scan, &queries)));
+    group.bench_function("gbkmv_scan", |b| {
+        b.iter(|| {
+            for q in &scan_queries {
+                black_box(gbkmv.search_scan(q, t_star));
+            }
+        })
+    });
     group.bench_function("kmv", |b| b.iter(|| run(&kmv, &queries)));
     group.bench_function("lshe_128", |b| b.iter(|| run(&lshe, &queries)));
     group.bench_function("ppjoin_exact", |b| b.iter(|| run(&ppjoin, &queries)));

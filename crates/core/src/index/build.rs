@@ -43,8 +43,6 @@ impl GbKmvIndex {
             &sketches,
             config.shards,
             sketcher.layout().words(),
-            sketcher.layout().size(),
-            config.use_candidate_filter,
             config.posting_format,
             config.threads,
         );
@@ -80,15 +78,13 @@ impl GbKmvIndex {
     ///
     /// The record goes through the same sharded path as the bulk build: it
     /// is appended to the tail shard, spliced into the slot that keeps the
-    /// shard's store size-ordered, and its postings are inserted at their
-    /// sorted positions — so the pruned query pipeline sees a structure
-    /// indistinguishable from a from-scratch build (with matching sketcher
-    /// parameters, *identical* to one; the tests pin this).
+    /// shard's store size-ordered, and its signature postings are inserted
+    /// at their sorted positions — so the pruned query pipeline sees a
+    /// structure indistinguishable from a from-scratch build (with matching
+    /// sketcher parameters, *identical* to one; the tests pin this).
     pub fn insert(&mut self, record: &Record) -> RecordId {
         let sketch = self.sketcher.sketch_record(record);
-        let id = self
-            .sharded
-            .insert(&sketch, self.config.use_candidate_filter);
+        let id = self.sharded.insert(&sketch);
         self.summary.space_used_elements += self.sketcher.sketch_cost_elements(&sketch);
         self.total_elements += record.len();
         self.summary.space_used_fraction =

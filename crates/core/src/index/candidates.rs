@@ -3,8 +3,8 @@
 //!
 //! Given a query sketch and one [`Shard`], the stage walks the query's
 //! signature-hash postings (accumulating `K∩` per touched slot) and mints
-//! its buffered candidates — by walking buffer-bit postings or by a
-//! popcount sweep over the store's buffer words — into a [`QueryScratch`].
+//! its buffered candidates by a popcount sweep over the store's buffer
+//! words, into a [`QueryScratch`].
 //! Each posting list is truncated to the stage's slot range *before*
 //! traversal — the prune stage's live-prefix cutoff, and in the intra-query
 //! parallel path additionally the worker's slot sub-range — and the sweep
@@ -30,23 +30,21 @@
 //!
 //! 1. the `minting` rarest hashes insert new candidates and accumulate,
 //! 2. the buffer pass mints the buffered candidates, and none when
-//!    `b_min > B_q`: a record no minting hash reached qualifies only with
-//!    an exact buffered overlap of at least `b_min` (the joint bound of
-//!    [`crate::index::prune`]). It mints in one of two ways
-//!    (`buffer_mint`):
-//!    - at `b_min ≤ 1`, the **posting walk** mints every slot on any of the
-//!      query's `B_q` buffer-bit postings;
-//!    - at `2 ≤ b_min ≤ B_q`, the **popcount sweep** (`sweep_buffer`) reads
-//!      the range's fixed-stride buffer words in one pass and mints only
-//!      the slots whose overlap `popcount(record_words & query_words)`
-//!      reaches `b_min`, so no record the bound rules out reaches the
-//!      finish. Its kernel (`sweep_body`) builds a branch-free 64-slot hit
-//!      mask per chunk of records, then mints the mask's set bits in
-//!      ascending order and hands the scratch each newly minted slot's
-//!      overlap, which the finish stage then reuses. The kernel is
-//!      compiled for AVX-512 (with VPOPCNTDQ), for AVX2 and as portable
-//!      code, and each sweep runs the fastest one the host supports
-//!      (`SweepTier`, chosen at run time by feature detection),
+//!    `b_min > B_q` (`buffer_mint`): a record no minting hash reached
+//!    qualifies only with an exact buffered overlap of at least `b_min`
+//!    (the joint bound of [`crate::index::prune`]). The **popcount sweep**
+//!    (`sweep_buffer`) reads the range's fixed-stride buffer words in one
+//!    pass and mints only the slots whose overlap
+//!    `popcount(record_words & query_words)` reaches `b_min`, so no record
+//!    the bound rules out reaches the finish; at `b_min = 1` that is every
+//!    slot sharing a buffered element with the query. Its kernel
+//!    (`sweep_body`) builds a branch-free 64-slot hit mask per chunk of
+//!    records, then mints the mask's set bits in ascending order and hands
+//!    the scratch each newly minted slot's overlap, which the finish stage
+//!    then reuses. The kernel is compiled for AVX-512 (with VPOPCNTDQ), for
+//!    AVX2 and as portable code, and each sweep runs the fastest one the
+//!    host supports (`SweepTier`, chosen at run time by feature
+//!    detection),
 //! 3. the remaining frequent hashes accumulate **lookup-only**: they score
 //!    candidates already minted but never insert — which is where the
 //!    filter wins, because the frequent hashes own the longest posting
@@ -57,7 +55,8 @@
 //! candidates score bit-identically to the unfiltered walk; the bounds
 //! guarantee the skipped ones could never qualify. The unfiltered walk
 //! (every hash mints) cuts its buffer pass by the same `b_min`, with
-//! `S_max = 0`; top-k passes `b_min = 1` and walks every buffer posting.
+//! `S_max = 0`; top-k passes `b_min = 1` and sweeps for every slot sharing
+//! a buffered element.
 //!
 //! [`SketchStore`]: crate::store::SketchStore
 
@@ -95,14 +94,15 @@ impl<'a> QuerySketchView<'a> {
     }
 }
 
-/// Walks the query's signature and buffer postings over the slot range
-/// `lo..hi` of one shard, accumulating into `scratch` (begins a fresh epoch
-/// for the shard). `hi` is the prune stage's cutoff (pass `shard.len()` to
-/// disable pruning — the top-k path, which ranks every candidate); `lo` is
-/// non-zero only for the intra-query parallel workers, which partition the
-/// live range. `minting` holds the prune stage's bounds: how many
-/// df-ordered signature hashes may mint new candidates, and the buffer
-/// walk's `b_min`; pass [`Minting::all`] to disable both filters.
+/// Walks the query's signature postings and sweeps its buffer over the
+/// slot range `lo..hi` of one shard, accumulating into `scratch` (begins a
+/// fresh epoch for the shard). `hi` is the prune stage's cutoff (pass
+/// `shard.len()` to disable pruning — the top-k path, which ranks every
+/// candidate); `lo` is non-zero only for the intra-query parallel workers,
+/// which partition the live range. `minting` holds the prune stage's
+/// bounds: how many df-ordered signature hashes may mint new candidates,
+/// and the buffer sweep's `b_min`; pass [`Minting::all`] to disable both
+/// filters.
 pub(crate) fn accumulate(
     shard: &Shard,
     view: &QuerySketchView<'_>,
@@ -176,22 +176,6 @@ fn mint_signature(
     });
 }
 
-/// Minting walk of one buffer posting list: every slot in range becomes a
-/// candidate.
-#[inline]
-fn mint_buffer(
-    postings: &PostingList,
-    lo: usize,
-    hi: usize,
-    decode: &mut Vec<u32>,
-    scratch: &mut QueryScratch,
-) {
-    postings.for_each_chunk_in_range(lo, hi, decode, |chunk| match chunk {
-        PostingChunk::Slots(slots) => scratch.add_candidates(slots),
-        PostingChunk::Bitmap { base, words } => scratch.add_candidates_mask(base, words),
-    });
-}
-
 /// The unfiltered walk: every signature hash mints.
 fn walk_unfiltered(
     shard: &Shard,
@@ -207,8 +191,8 @@ fn walk_unfiltered(
             mint_signature(postings, lo, hi, &mut decode, scratch);
         }
     }
-    walk_buffer(shard, view, lo, hi, b_min, &mut decode, scratch);
     scratch.block_decode = decode;
+    buffer_pass(shard, view, lo, hi, b_min, scratch);
 }
 
 /// The prefix-filtered three-pass walk over a df-ordered hash list.
@@ -230,7 +214,7 @@ fn walk_prefixed(
     }
     // Buffer candidates must be minted BEFORE the lookup-only pass, or a
     // buffer-only candidate would miss its frequent-hash accumulations.
-    walk_buffer(shard, view, lo, hi, minting.b_min, &mut decode, scratch);
+    buffer_pass(shard, view, lo, hi, minting.b_min, scratch);
     // The lookup-only pass owns the longest posting lists, which is where
     // the branch-free batched accumulate pays off.
     for &(_, h) in lookup {
@@ -251,26 +235,29 @@ fn walk_prefixed(
 pub(crate) enum BufferMint {
     /// Nothing to mint: the query buffers nothing, or `b_min > B_q`.
     Skip,
-    /// Walk all `B_q` buffer postings (`b_min ≤ 1`).
-    Postings,
     /// Sweep the range's buffer words ([`sweep_buffer`]), minting the slots
-    /// whose buffered overlap reaches `b_min` (`2 ≤ b_min ≤ B_q`).
+    /// whose buffered overlap reaches `b_min` (`1 ≤ b_min ≤ B_q`; `0` sweeps
+    /// as `1`).
     Sweep,
 }
 
 /// Decides how the buffer pass mints for a query with minimum buffered
 /// overlap `b_min` (the joint bound of [`crate::index::prune`]).
 ///
-/// At `b_min ≤ 1` every record on any of the query's buffer postings is a
-/// candidate, and the posting walk mints exactly those. Above it the sweep
-/// mints only the records whose exact buffered overlap reaches `b_min`;
-/// the pigeonhole walk over the `B_q − b_min + 1` shortest postings would
-/// also mint every record sharing a single position, only for the finish
-/// stage to discard it. A query that buffers nothing never sweeps, and so
-/// neither does a zero-width buffer.
+/// The sweep mints only the records whose exact buffered overlap reaches
+/// `b_min`; a walk over inverted buffer-bit postings would also mint every
+/// record sharing a single position, only for the finish stage to discard
+/// it. A query that buffers nothing never sweeps, and so neither does a
+/// zero-width buffer.
 ///
-/// A per-query cost rule that walked the shortest postings when 16× their
-/// entries undercut the swept words was measured and not kept. On
+/// At `b_min = 1` (top-k and low thresholds) the sweep replaced a walk over
+/// per-position buffer postings, which the index no longer stores. On
+/// perfbench (seed 1, 12 s, 2-core shared x86-64 host) that walk ran in
+/// none of the timed shard passes of `zipf_threshold` and `ingest_mixed`,
+/// and dropping the postings cut `index_bytes` by about 9%.
+///
+/// A per-query cost rule that walked the shortest buffer postings when 16×
+/// their entries undercut the swept words was measured and not kept. On
 /// perfbench (seed 1, 12 s, 2-core shared x86-64 host, 10 alternating
 /// pairs) it was not better by more than its own interquartile range:
 /// `query_p99_us` medians 1,451 (rule) vs 1,489 µs (sweep) on
@@ -280,39 +267,27 @@ pub(crate) fn buffer_mint(view: &QuerySketchView<'_>, b_min: usize) -> BufferMin
     let positions = view.buffer.count_ones();
     if positions == 0 || b_min > positions {
         BufferMint::Skip
-    } else if b_min <= 1 {
-        BufferMint::Postings
     } else {
         BufferMint::Sweep
     }
 }
 
-/// The buffer pass, shared by both signature minting modes: mints buffered
-/// candidates by the posting walk or the popcount sweep, as
-/// [`buffer_mint`] decides. Either way it accumulates no `K∩`. The sweep
-/// records the buffered overlap of each slot it mints; the finish stage
-/// reads every other candidate's as a popcount over the store's
-/// fixed-stride words.
+/// The buffer pass, shared by both signature minting modes: sweeps for
+/// the buffered candidates unless [`buffer_mint`] says there is nothing to
+/// mint. It accumulates no `K∩`; it records the buffered overlap of each
+/// slot it mints, and the finish stage reads every other candidate's as a
+/// popcount over the store's fixed-stride words.
 #[inline]
-fn walk_buffer(
+fn buffer_pass(
     shard: &Shard,
     view: &QuerySketchView<'_>,
     lo: usize,
     hi: usize,
     b_min: usize,
-    decode: &mut Vec<u32>,
     scratch: &mut QueryScratch,
 ) {
-    match buffer_mint(view, b_min) {
-        BufferMint::Skip => {}
-        BufferMint::Postings => {
-            for pos in view.buffer.set_positions() {
-                mint_buffer(shard.buffer_postings(pos), lo, hi, decode, scratch);
-            }
-        }
-        BufferMint::Sweep => {
-            sweep_buffer(shard.store(), view.buffer_words(), lo, hi, b_min, scratch);
-        }
+    if buffer_mint(view, b_min) == BufferMint::Sweep {
+        sweep_buffer(shard.store(), view.buffer_words(), lo, hi, b_min, scratch);
     }
 }
 

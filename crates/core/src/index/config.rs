@@ -27,9 +27,6 @@ pub struct GbKmvConfig {
     pub buffer: BufferSizing,
     /// Seed of the sketch hash function.
     pub hash_seed: u64,
-    /// Whether the inverted-signature candidate filter is used by
-    /// [`crate::index::ContainmentIndex::search`] (disable for the ablation).
-    pub use_candidate_filter: bool,
     /// Whether the query pipeline's signature prefix filter is used by the
     /// index's search entry points: only the rarest (lowest document
     /// frequency) signature hashes of a query mint new candidates, the rest
@@ -71,7 +68,6 @@ impl Default for GbKmvConfig {
             budget_elements: None,
             buffer: BufferSizing::Auto,
             hash_seed: 0x6bb7_9e4b_1f2d_3c58,
-            use_candidate_filter: true,
             use_prefix_filter: true,
             threads: 0,
             shards: 1,
@@ -108,12 +104,6 @@ impl GbKmvConfig {
     /// Overrides the sketch hash seed.
     pub fn hash_seed(mut self, seed: u64) -> Self {
         self.hash_seed = seed;
-        self
-    }
-
-    /// Enables or disables the inverted-signature candidate filter.
-    pub fn candidate_filter(mut self, enabled: bool) -> Self {
-        self.use_candidate_filter = enabled;
         self
     }
 
@@ -198,7 +188,6 @@ mod tests {
         let c = GbKmvConfig::with_space_fraction(0.2)
             .buffer_size(8)
             .hash_seed(7)
-            .candidate_filter(false)
             .prefix_filter(false)
             .threads(2)
             .shards(4)
@@ -206,7 +195,6 @@ mod tests {
             .ingest_batch(16);
         assert_eq!(c.buffer, BufferSizing::Fixed(8));
         assert_eq!(c.hash_seed, 7);
-        assert!(!c.use_candidate_filter);
         assert!(!c.use_prefix_filter);
         assert!(GbKmvConfig::default().use_prefix_filter);
         assert_eq!(c.threads, 2);

@@ -16,8 +16,8 @@
 //!                 ┌────────────────────────────── per shard ──────────────────────────────┐
 //! query ─ sketch ─┤ prune ─────────► candidates ─────────► finish ──────────► rank        ├─► hits
 //!                 │ (live prefix +   (df-ordered minting   (O(1) Equation-27  (threshold  │
-//!                 │  sig. minting     prefix, buffer walk   estimate)          collect /  │
-//!                 │  prefix + b_min)  or popcount sweep,                       top-k)     │
+//!                 │  sig. minting     prefix, buffer        estimate)          collect /  │
+//!                 │  prefix + b_min)  popcount sweep,                          top-k)     │
 //!                 │                   lookup-only suffix)                                 │
 //!                 └────────────────────────────────────────────────────────────────────────┘
 //! ```
@@ -36,9 +36,10 @@
 //!   epoch-stamped [`QueryScratch`](crate::scratch::QueryScratch): minting
 //!   hashes are ordered by ascending **document frequency** (maintained in the
 //!   [`SketchStore`](crate::store::SketchStore) through build and insert)
-//!   and walked first, then the buffered candidates mint — from the
-//!   buffer-bit postings when `b_min ≤ 1`, else by a popcount sweep over the
-//!   store's buffer words — then the frequent hashes accumulate lookup-only.
+//!   and walked first, then the buffered candidates mint by a popcount
+//!   sweep over the store's buffer words (the buffer is stored once, as
+//!   those words; there are no buffer postings), then the frequent hashes
+//!   accumulate lookup-only.
 //! * [`finish`] — O(1) per-candidate estimate
 //!   ([`GKmvPairEstimate::from_parts`](crate::gkmv::GKmvPairEstimate::from_parts))
 //!   from the store's packed scalars plus a 1–2 word popcount.
@@ -337,10 +338,6 @@ impl GbKmvIndex {
 
     /// Containment similarity search (Algorithm 2) through the staged
     /// pipeline (prune → candidates → finish → rank).
-    ///
-    /// When the index was built with the candidate filter disabled (the
-    /// ablation configuration) no postings exist, so this answers via
-    /// [`GbKmvIndex::search_scan`] rather than from an empty candidate set.
     pub fn search_record(&self, query: &Record, t_star: f64) -> Vec<SearchHit> {
         self.search_sorted(query.elements(), t_star)
     }
@@ -356,15 +353,11 @@ impl GbKmvIndex {
     }
 
     fn search_sorted(&self, query: &[ElementId], t_star: f64) -> Vec<SearchHit> {
-        if self.config.use_candidate_filter {
-            QUERY_PIPELINE.with(|p| {
-                let mut p = p.borrow_mut();
-                p.set_stages(self.config.use_prefix_filter);
-                p.search_sorted(self, query, t_star)
-            })
-        } else {
-            reference::scan_sorted(self, query, t_star)
-        }
+        QUERY_PIPELINE.with(|p| {
+            let mut p = p.borrow_mut();
+            p.set_stages(self.config.use_prefix_filter);
+            p.search_sorted(self, query, t_star)
+        })
     }
 
     /// Reference implementation: estimates the intersection with every
@@ -385,8 +378,7 @@ impl GbKmvIndex {
     /// skipped, since ranking has no overlap threshold) and ranked through a
     /// bounded binary heap; ties are broken by ascending record id for
     /// determinism. Only records with a positive estimated overlap are
-    /// ranked, so a `k` above their count returns fewer than `k` hits — the
-    /// same hits with and without the candidate filter.
+    /// ranked, so a `k` above their count returns fewer than `k` hits.
     pub fn search_topk(&self, query: &Record, k: usize) -> Vec<SearchHit> {
         QUERY_PIPELINE.with(|p| p.borrow_mut().topk(self, query.elements(), k))
     }
@@ -414,9 +406,6 @@ impl GbKmvIndex {
         t_star: f64,
         threads: usize,
     ) -> Vec<SearchHit> {
-        if !self.config.use_candidate_filter {
-            return with_canonical_query(query, |q| reference::scan_sorted(self, q, t_star));
-        }
         QUERY_PIPELINE.with(|p| {
             let mut p = p.borrow_mut();
             p.set_stages(self.config.use_prefix_filter);

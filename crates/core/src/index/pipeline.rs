@@ -18,11 +18,10 @@
 //!    signature postings, each truncated at `live`: the rarest `minting`
 //!    hashes (df-ordered) mint candidates, the frequent hashes' remainder
 //!    accumulates lookup-only. Between the two, the buffer pass mints the
-//!    buffered candidates (none when `b_min > B_q`): every slot on any
-//!    buffer posting when `b_min ≤ 1`, else — by a sweep over the buffer
-//!    words — only the slots of `0..live` whose buffer-word popcount
-//!    against the query reaches `b_min`; the sweep records the overlap of
-//!    each slot it mints.
+//!    buffered candidates (none when `b_min > B_q`): a sweep over the
+//!    buffer words mints the slots of `0..live` whose buffer-word popcount
+//!    against the query reaches `b_min`, and records the overlap of each
+//!    slot it mints.
 //! 3. **finish** ([`crate::index::finish`]) — O(1) Equation-27 estimate per
 //!    surviving candidate. A swept slot takes its buffered overlap from the
 //!    sweep's record; when no signature hash reached it (`K∩ = 0`), that
@@ -254,9 +253,8 @@ fn finish_range(
 /// Thresholded search, composed from the four stages (sorted query slice).
 ///
 /// Falls back to the reference scan when the threshold is (effectively)
-/// zero — every record then qualifies, including ones sharing no posting
-/// with the query — or when the index was built without the candidate
-/// filter, in which case no postings exist at all.
+/// zero: every record then qualifies, including ones sharing no posting
+/// or buffered element with the query.
 pub(crate) fn filtered_sorted(
     index: &GbKmvIndex,
     query: &[ElementId],
@@ -266,7 +264,7 @@ pub(crate) fn filtered_sorted(
 ) -> Vec<SearchHit> {
     let q = query.len();
     let threshold = OverlapThreshold::new(q, t_star);
-    if threshold.raw <= 1e-9 || !index.config.use_candidate_filter {
+    if threshold.raw <= 1e-9 {
         return reference::scan_sorted(index, query, t_star);
     }
     let q_sketch = index.sketcher.sketch_elements(query);
@@ -307,7 +305,7 @@ pub(crate) fn parallel_sorted(
 ) -> Vec<SearchHit> {
     let q = query.len();
     let threshold = OverlapThreshold::new(q, t_star);
-    if threshold.raw <= 1e-9 || !index.config.use_candidate_filter {
+    if threshold.raw <= 1e-9 {
         return reference::scan_sorted(index, query, t_star);
     }
     let shards = index.sharded.shards();
@@ -407,13 +405,11 @@ pub(crate) fn parallel_sorted(
 }
 
 /// Top-k search: candidates (no pruning, prefix filtering or buffer bound
-/// — ranking has no overlap threshold, so every touched candidate competes
-/// and every hash and buffer posting mints) → finish → bounded-heap rank.
-///
-/// Without the candidate filter the index has no postings, so every slot is
-/// finished with the reference sorted merge instead. Either way only
-/// positive-score records are ranked (see `TopK::consider`), so the
-/// answer does not depend on the candidate filter.
+/// — ranking has no overlap threshold, so every touched candidate competes:
+/// every signature hash mints, and the sweep mints every slot sharing a
+/// buffered element) → finish → bounded-heap rank. Only positive-score
+/// records are ranked (see `TopK::consider`), and those are exactly the
+/// candidates, so the answer equals the ranked scan's.
 pub(crate) fn topk_sorted(
     index: &GbKmvIndex,
     query: &[ElementId],
@@ -430,18 +426,10 @@ pub(crate) fn topk_sorted(
     let mint_all = Minting::all(&view);
     let mut topk = TopK::new(k);
     for shard in index.sharded.shards() {
-        let store = shard.store();
-        if index.config.use_candidate_filter {
-            candidates::accumulate(shard, &view, 0, shard.len(), mint_all, scratch);
-            for &slot in scratch.candidates() {
-                let overlap = finish::accumulated_overlap(store, &view, scratch, slot);
-                topk.consider(shard.global_id(slot as usize), overlap, q);
-            }
-        } else {
-            for slot in 0..store.len() {
-                let overlap = finish::merge_overlap(store, &view, slot);
-                topk.consider(shard.global_id(slot), overlap, q);
-            }
+        candidates::accumulate(shard, &view, 0, shard.len(), mint_all, scratch);
+        for &slot in scratch.candidates() {
+            let overlap = finish::accumulated_overlap(shard.store(), &view, scratch, slot);
+            topk.consider(shard.global_id(slot as usize), overlap, q);
         }
     }
     topk.into_hits()

@@ -1,6 +1,6 @@
 //! **Prune** stage of the query pipeline: size-threshold pruning over the
 //! size-ordered slots, plus the minting bounds of the signature prefix
-//! filter and of the buffer-posting walk.
+//! filter and of the buffer sweep.
 //!
 //! # Size pruning
 //!
@@ -54,7 +54,7 @@
 //!
 //! Equation 27 adds the exact buffered overlap `b = |H_Q ∩ H_X|` to the
 //! signature estimate, so the signature bound alone does not cover a
-//! record that shares buffered elements with the query. The buffer walk
+//! record that shares buffered elements with the query. The buffer pass
 //! gets its own cut instead, derived from the same `est ≤ K∩ / u_Q`.
 //!
 //! Take a record that no minting hash reached. The only hashes it can share
@@ -76,17 +76,17 @@
 //!
 //! with the slop `ε` covering that tolerance plus floating-point rounding.
 //! (The `max(1, ·)` only records that a record sharing no buffered element
-//! appears in no buffer posting; such a record is covered by the signature
-//! bound above.)
+//! has nothing to mint from the buffer side; such a record is covered by
+//! the signature bound above.)
 //! So only records with `b ≥ b_min` need to mint from the buffer side, and
 //! none when `b_min > B_q`: the candidates stage sweeps the buffer words
-//! and mints exactly those records (at `b_min = 1`, where any shared
-//! buffered element qualifies, it walks every buffer posting instead). A
-//! record the cut skips has `b < b_min` and no minting hash, so it can
-//! never qualify; every record that does become a candidate accumulates
-//! the same `K∩` and the same popcount as before, so answers stay
-//! bit-identical. A NaN or infinite input, or `u_Q = 0`, falls back to
-//! `b_min = 1` — every buffer posting mints, which is always sound.
+//! and mints exactly those records (at `b_min = 1`, every record sharing a
+//! buffered element). A record the cut skips has `b < b_min` and no
+//! minting hash, so it can never qualify; every record that does become a
+//! candidate accumulates the same `K∩` and the same popcount as before, so
+//! answers stay bit-identical. A NaN or infinite input, or `u_Q = 0`,
+//! falls back to `b_min = 1` — every record sharing a buffered element
+//! mints, which is always sound.
 
 use crate::hash::unit_hash;
 use crate::index::candidates::QuerySketchView;
@@ -110,14 +110,15 @@ pub(crate) struct Minting {
     pub(crate) hashes: usize,
     /// `b_min` of the joint bound (module docs): the buffer pass mints the
     /// records whose buffered overlap with the query reaches `b_min`, and
-    /// nothing when `b_min > B_q`. `1` mints every record on any buffer
-    /// posting.
+    /// nothing when `b_min > B_q`. `1` mints every record sharing a
+    /// buffered element.
     pub(crate) b_min: usize,
 }
 
 impl Minting {
-    /// Everything mints: every signature hash and every buffer posting (the
-    /// top-k path, which has no threshold to bound against).
+    /// Everything mints: every signature hash, and the buffer sweep at
+    /// `b_min = 1` (every record sharing a buffered element) — the top-k
+    /// path, which has no threshold to bound against.
     pub(crate) fn all(view: &QuerySketchView<'_>) -> Self {
         Minting {
             hashes: view.hashes.len(),
@@ -131,7 +132,7 @@ impl Minting {
 /// whose signature has `unminted` lookup-only hashes and unit maximum
 /// `u_Q`. The slop `ε` is the finish stage's 1e-9 tolerance plus a
 /// rounding margin of 1e-6 per unit of `raw` (at least 1e-6);
-/// understating `b_min` only walks more postings — always sound. A NaN or
+/// understating `b_min` only mints more candidates — always sound. A NaN or
 /// infinite input, or `u_Q ≤ 0`, gives `1`.
 pub(crate) fn min_buffer_overlap(raw: f64, unminted: usize, u_q: f64) -> usize {
     if !raw.is_finite() || !u_q.is_finite() || u_q <= 0.0 {
@@ -173,7 +174,7 @@ impl PruneStage {
     }
 
     /// The query's minting decisions: the signature minting prefix of
-    /// [`PruneStage::minting_hashes`] and the buffer walk's `b_min`
+    /// [`PruneStage::minting_hashes`] and the buffer sweep's `b_min`
     /// ([`min_buffer_overlap`]) given that prefix. The buffer bound applies
     /// with the prefix filter disabled too: every hash then mints, so
     /// `S_max = 0` and `b_min = ⌈t*·|Q|⌉` (up to the slop).
@@ -218,7 +219,7 @@ impl PruneStage {
         }
         // A finite prefix: `n + 1 − θ_sig` hashes mint; a θ_sig beyond the
         // signature length means no hash can mint a qualifying candidate on
-        // its own (buffer postings still do).
+        // its own (the buffer sweep still does).
         (n + 1).saturating_sub(theta as usize).min(n)
     }
 }
@@ -316,7 +317,7 @@ mod tests {
         assert_eq!(SHORT_SIGNATURE_LEN, 8, "test constants track the knob");
     }
 
-    /// Every record the buffer bound lets the walk skip — buffered overlap
+    /// Every record the buffer bound lets the sweep skip — buffered overlap
     /// `1 ≤ b < b_min`, reached by no minting hash, so sharing at most the
     /// `|L_Q| − minting` lookup-only hashes — fails the finish stage's
     /// qualification test, for every record signature length and

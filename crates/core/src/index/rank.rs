@@ -12,9 +12,9 @@
 //! * `TopK` — a bounded binary min-heap keeping the best `k` hits
 //!   (O(n log k)); ties broken by ascending record id for determinism.
 //!   Records with a zero estimated overlap are never ranked: they share
-//!   nothing with the query, and dropping them here is what makes top-k
-//!   answers identical with and without the candidate filter (the filtered
-//!   walk never touches them, the scan fallback offers every slot).
+//!   nothing with the query, so the candidates stage never touches them,
+//!   and dropping them here keeps top-k equal to the ranked reference scan,
+//!   which offers every slot.
 
 use std::collections::BinaryHeap;
 

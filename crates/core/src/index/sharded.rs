@@ -1,8 +1,8 @@
 //! The sharded storage layer behind [`crate::index::GbKmvIndex`].
 //!
 //! A [`Shard`] bundles one size-ordered [`SketchStore`] with the inverted
-//! posting lists over its slots; a [`ShardedIndex`] is an ordered sequence of
-//! shards covering contiguous, ascending record-id ranges. Every
+//! signature posting lists over its slots; a [`ShardedIndex`] is an ordered
+//! sequence of shards covering contiguous, ascending record-id ranges. Every
 //! [`crate::index::GbKmvIndex`] owns a `ShardedIndex` — an unsharded index is
 //! simply the one-shard case — so the single-query, batch and dynamic-insert
 //! paths all go through the same storage code.
@@ -22,12 +22,17 @@
 //! build-time [`PostingFormat`] — block-compressed delta/bit-packed by
 //! default, raw `Vec<u32>` for the ablation — so the format decision is
 //! made once here and every query path inherits it transparently.
+//!
+//! **The buffer is stored once.** A record's buffer lives only in the
+//! store's fixed-stride buffer words: the candidates stage mints buffered
+//! candidates by a popcount sweep over those words at every `b_min ≥ 1`,
+//! so there are no inverted buffer-bit postings to build, splice on insert
+//! or checkpoint.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use crate::buffer::set_positions_in;
 use crate::gbkmv::GbKmvRecordSketch;
 use crate::hash::mix64;
 use crate::index::postings::{PostingFormat, PostingList};
@@ -58,8 +63,8 @@ pub(crate) fn next_stamp() -> u64 {
         .fetch_add(1, Ordering::Relaxed)
 }
 
-/// One storage shard: a size-ordered sketch store plus the inverted posting
-/// lists over its slots.
+/// One storage shard: a size-ordered sketch store plus the inverted
+/// signature posting lists over its slots.
 ///
 /// Posting lists hold ascending **slot** numbers. Because slots are ordered
 /// by descending record size (the [`SketchStore`] invariant), every posting
@@ -75,11 +80,8 @@ pub struct Shard {
     /// The storage format every posting list of this shard uses.
     format: PostingFormat,
     /// Inverted postings from G-KMV signature hash value to slots
-    /// (ascending within each list). Empty when the candidate filter is
-    /// disabled.
+    /// (ascending within each list).
     signature_postings: HashMap<u64, PostingList>,
-    /// Inverted postings from buffer bit position to slots (ascending).
-    buffer_postings: Vec<PostingList>,
 }
 
 impl Shard {
@@ -93,58 +95,35 @@ impl Shard {
         base: usize,
         sketches: &[GbKmvRecordSketch],
         words_per_record: usize,
-        buffer_len: usize,
-        build_postings: bool,
         format: PostingFormat,
         threads: usize,
     ) -> Self {
         let store = SketchStore::from_sketches(words_per_record, sketches);
-        let signature_postings: HashMap<u64, PostingList>;
-        let buffer_postings: Vec<PostingList>;
-        if build_postings {
-            let slots: Vec<u32> = (0..store.len() as u32).collect();
-            let chunked = parallel::map_chunks(&slots, threads, |_, chunk| {
-                let mut sig: HashMap<u64, Vec<u32>> = HashMap::new();
-                let mut buf: Vec<Vec<u32>> = vec![Vec::new(); buffer_len];
-                for &slot in chunk {
-                    let view = store.view(slot as usize);
-                    for &h in view.hashes {
-                        sig.entry(h).or_default().push(slot);
-                    }
-                    for pos in set_positions_in(view.buffer_words) {
-                        buf[pos as usize].push(slot);
-                    }
-                }
-                (sig, buf)
-            });
-            let mut merged_sig: HashMap<u64, Vec<u32>> = HashMap::new();
-            let mut merged_buf: Vec<Vec<u32>> = vec![Vec::new(); buffer_len];
-            for (sig, buf) in chunked {
-                for (h, slots) in sig {
-                    merged_sig.entry(h).or_default().extend(slots);
-                }
-                for (pos, slots) in buf.into_iter().enumerate() {
-                    merged_buf[pos].extend(slots);
+        let slots: Vec<u32> = (0..store.len() as u32).collect();
+        let chunked = parallel::map_chunks(&slots, threads, |_, chunk| {
+            let mut sig: HashMap<u64, Vec<u32>> = HashMap::new();
+            for &slot in chunk {
+                for &h in store.view(slot as usize).hashes {
+                    sig.entry(h).or_default().push(slot);
                 }
             }
-            signature_postings = merged_sig
-                .into_iter()
-                .map(|(h, list)| (h, PostingList::from_sorted(format, list)))
-                .collect();
-            buffer_postings = merged_buf
-                .into_iter()
-                .map(|list| PostingList::from_sorted(format, list))
-                .collect();
-        } else {
-            signature_postings = HashMap::new();
-            buffer_postings = vec![PostingList::new(format); buffer_len];
+            sig
+        });
+        let mut merged: HashMap<u64, Vec<u32>> = HashMap::new();
+        for sig in chunked {
+            for (h, slots) in sig {
+                merged.entry(h).or_default().extend(slots);
+            }
         }
+        let signature_postings = merged
+            .into_iter()
+            .map(|(h, list)| (h, PostingList::from_sorted(format, list)))
+            .collect();
         Shard {
             base,
             store,
             format,
             signature_postings,
-            buffer_postings,
         }
     }
 
@@ -164,31 +143,22 @@ impl Shard {
     /// splice is a tail append (an O(1) push on the raw format, a one-block
     /// rewrite on the packed one). Loading records in descending size order
     /// therefore inserts in O(record postings) instead of O(shard).
-    pub(crate) fn insert(&mut self, sketch: &GbKmvRecordSketch, build_postings: bool) -> usize {
+    pub(crate) fn insert(&mut self, sketch: &GbKmvRecordSketch) -> usize {
         let (local_id, slot) = self.store.insert(sketch);
-        if build_postings {
-            let slot = slot as u32;
-            // The tail slot (store.len() grew by one, so the old tail index
-            // is len − 1) has no slots above it to renumber.
-            if (slot as usize) < self.store.len() - 1 {
-                for list in self.signature_postings.values_mut() {
-                    list.renumber_from(slot);
-                }
-                for list in &mut self.buffer_postings {
-                    list.renumber_from(slot);
-                }
+        let slot = slot as u32;
+        // The tail slot (store.len() grew by one, so the old tail index is
+        // len − 1) has no slots above it to renumber.
+        if (slot as usize) < self.store.len() - 1 {
+            for list in self.signature_postings.values_mut() {
+                list.renumber_from(slot);
             }
-            let format = self.format;
-            let view = self.store.view(slot as usize);
-            for &h in view.hashes {
-                self.signature_postings
-                    .entry(h)
-                    .or_insert_with(|| PostingList::new(format))
-                    .insert_sorted(slot);
-            }
-            for pos in set_positions_in(view.buffer_words) {
-                self.buffer_postings[pos as usize].insert_sorted(slot);
-            }
+        }
+        let format = self.format;
+        for &h in self.store.view(slot as usize).hashes {
+            self.signature_postings
+                .entry(h)
+                .or_insert_with(|| PostingList::new(format))
+                .insert_sorted(slot);
         }
         self.base + local_id
     }
@@ -235,12 +205,6 @@ impl Shard {
         self.signature_postings.get(&hash)
     }
 
-    /// The buffer posting list (ascending slots) of a bit position.
-    #[inline]
-    pub(crate) fn buffer_postings(&self, position: u32) -> &PostingList {
-        &self.buffer_postings[position as usize]
-    }
-
     /// Heap bytes held by the shard's posting lists (payload arenas plus
     /// per-block metadata; excludes the `HashMap` table itself, which is
     /// format-independent). The memory-footprint number the
@@ -249,12 +213,7 @@ impl Shard {
         self.signature_postings
             .values()
             .map(PostingList::heap_bytes)
-            .sum::<usize>()
-            + self
-                .buffer_postings
-                .iter()
-                .map(PostingList::heap_bytes)
-                .sum::<usize>()
+            .sum()
     }
 
     /// Number of bitmap-encoded blocks across the shard's posting lists
@@ -264,12 +223,7 @@ impl Shard {
         self.signature_postings
             .values()
             .map(PostingList::bitmap_blocks)
-            .sum::<usize>()
-            + self
-                .buffer_postings
-                .iter()
-                .map(PostingList::bitmap_blocks)
-                .sum::<usize>()
+            .sum()
     }
 
     /// Reassembles a shard from its parts — the persistence layer's
@@ -280,26 +234,18 @@ impl Shard {
         store: SketchStore,
         format: PostingFormat,
         signature_postings: HashMap<u64, PostingList>,
-        buffer_postings: Vec<PostingList>,
     ) -> Self {
         Shard {
             base,
             store,
             format,
             signature_postings,
-            buffer_postings,
         }
     }
 
     /// The full signature posting map (persistence and accounting).
     pub(crate) fn signature_posting_map(&self) -> &HashMap<u64, PostingList> {
         &self.signature_postings
-    }
-
-    /// All buffer posting lists, indexed by bit position (persistence and
-    /// accounting).
-    pub(crate) fn buffer_posting_lists(&self) -> &[PostingList] {
-        &self.buffer_postings
     }
 
     /// Per-component content bytes of this shard — store arenas plus
@@ -309,9 +255,6 @@ impl Shard {
     pub fn mem_usage(&self) -> MemUsage {
         let mut usage = self.store.mem_usage();
         for list in self.signature_postings.values() {
-            list.mem_contrib(&mut usage);
-        }
-        for list in &self.buffer_postings {
             list.mem_contrib(&mut usage);
         }
         usage
@@ -371,36 +314,18 @@ impl ShardedIndex {
         sketches: &[GbKmvRecordSketch],
         num_shards: usize,
         words_per_record: usize,
-        buffer_len: usize,
-        build_postings: bool,
         format: PostingFormat,
         threads: usize,
     ) -> Self {
         let num_shards = num_shards.max(1);
         let shards = if num_shards == 1 || sketches.len() <= 1 {
-            vec![Shard::build(
-                0,
-                sketches,
-                words_per_record,
-                buffer_len,
-                build_postings,
-                format,
-                threads,
-            )]
+            vec![Shard::build(0, sketches, words_per_record, format, threads)]
         } else {
             let chunk = sketches.len().div_ceil(num_shards);
             let bounds: Vec<usize> = (0..sketches.len()).step_by(chunk).collect();
             parallel::par_map(&bounds, threads, |&lo| {
                 let hi = (lo + chunk).min(sketches.len());
-                Shard::build(
-                    lo,
-                    &sketches[lo..hi],
-                    words_per_record,
-                    buffer_len,
-                    build_postings,
-                    format,
-                    1,
-                )
+                Shard::build(lo, &sketches[lo..hi], words_per_record, format, 1)
             })
         };
         let epochs = shards.iter().map(|_| next_stamp()).collect();
@@ -524,7 +449,7 @@ impl ShardedIndex {
     /// shard's storage first — every other shard stays shared untouched, so
     /// growing a cloned index costs O(tail shard + record), not O(index).
     /// The tail shard's epoch is restamped; clean shards keep theirs.
-    pub(crate) fn insert(&mut self, sketch: &GbKmvRecordSketch, build_postings: bool) -> usize {
+    pub(crate) fn insert(&mut self, sketch: &GbKmvRecordSketch) -> usize {
         // Infallible: `ShardedIndex::build` always creates at least one
         // shard (the empty dataset builds one empty shard) and shards are
         // never removed.
@@ -533,7 +458,7 @@ impl ShardedIndex {
             .len()
             .checked_sub(1)
             .expect("a ShardedIndex always has at least one shard");
-        let id = Arc::make_mut(&mut self.shards[tail]).insert(sketch, build_postings);
+        let id = Arc::make_mut(&mut self.shards[tail]).insert(sketch);
         self.epochs[tail] = next_stamp();
         id
     }
@@ -574,8 +499,7 @@ mod tests {
     fn shard_ranges_are_contiguous_and_cover_all_records() {
         let sk = sketches(23);
         for num_shards in [1, 2, 3, 5, 40] {
-            let index =
-                ShardedIndex::build(&sk, num_shards, 1, 2, true, PostingFormat::default(), 1);
+            let index = ShardedIndex::build(&sk, num_shards, 1, PostingFormat::default(), 1);
             assert_eq!(index.len(), 23, "{num_shards} shards lost records");
             let mut next = 0usize;
             for shard in index.shards() {
@@ -597,13 +521,9 @@ mod tests {
     fn posting_lists_are_ascending_and_size_sorted() {
         let sk = sketches(30);
         for format in FORMATS {
-            let index = ShardedIndex::build(&sk, 3, 1, 2, true, format, 2);
+            let index = ShardedIndex::build(&sk, 3, 1, format, 2);
             for shard in index.shards() {
-                let lists = shard
-                    .signature_postings
-                    .values()
-                    .chain(shard.buffer_postings.iter());
-                for list in lists {
+                for list in shard.signature_postings.values() {
                     let slots = list.to_vec();
                     assert!(slots.windows(2).all(|w| w[0] < w[1]), "list not ascending");
                     assert!(
@@ -621,8 +541,8 @@ mod tests {
     #[test]
     fn posting_formats_hold_identical_slot_sequences() {
         let sk = sketches(40);
-        let packed = ShardedIndex::build(&sk, 2, 1, 2, true, PostingFormat::Packed, 1);
-        let raw = ShardedIndex::build(&sk, 2, 1, 2, true, PostingFormat::Raw, 1);
+        let packed = ShardedIndex::build(&sk, 2, 1, PostingFormat::Packed, 1);
+        let raw = ShardedIndex::build(&sk, 2, 1, PostingFormat::Raw, 1);
         for (ps, rs) in packed.shards().iter().zip(raw.shards()) {
             assert_eq!(
                 ps.signature_postings.len(),
@@ -636,9 +556,6 @@ mod tests {
                     "hash {h:#x} decodes differently across formats"
                 );
             }
-            for (pb, rb) in ps.buffer_postings.iter().zip(&rs.buffer_postings) {
-                assert_eq!(pb.to_vec(), rb.to_vec());
-            }
         }
     }
 
@@ -649,8 +566,8 @@ mod tests {
         // length, through bulk build and dynamic insert alike.
         let sk = sketches(30);
         for format in FORMATS {
-            let mut index = ShardedIndex::build(&sk, 3, 1, 2, true, format, 2);
-            index.insert(&sketches(31)[30], true);
+            let mut index = ShardedIndex::build(&sk, 3, 1, format, 2);
+            index.insert(&sketches(31)[30]);
             for shard in index.shards() {
                 for (&h, list) in &shard.signature_postings {
                     assert_eq!(
@@ -669,8 +586,8 @@ mod tests {
         let sk = sketches(37);
         for format in FORMATS {
             for num_shards in [1, 4] {
-                let a = ShardedIndex::build(&sk, num_shards, 1, 2, true, format, 1);
-                let b = ShardedIndex::build(&sk, num_shards, 1, 2, true, format, 4);
+                let a = ShardedIndex::build(&sk, num_shards, 1, format, 1);
+                let b = ShardedIndex::build(&sk, num_shards, 1, format, 4);
                 assert_eq!(a, b, "{num_shards}-shard build varies with threads");
             }
         }
@@ -680,11 +597,11 @@ mod tests {
     fn insert_appends_to_tail_shard_and_matches_rebuild() {
         let sk = sketches(12);
         for format in FORMATS {
-            let mut grown = ShardedIndex::build(&sk[..9], 1, 1, 2, true, format, 1);
+            let mut grown = ShardedIndex::build(&sk[..9], 1, 1, format, 1);
             for (i, s) in sk[9..].iter().enumerate() {
-                assert_eq!(grown.insert(s, true), 9 + i);
+                assert_eq!(grown.insert(s), 9 + i);
             }
-            let scratch_built = ShardedIndex::build(&sk, 1, 1, 2, true, format, 1);
+            let scratch_built = ShardedIndex::build(&sk, 1, 1, format, 1);
             assert_eq!(grown, scratch_built, "insert diverged from rebuild");
         }
     }
@@ -698,11 +615,11 @@ mod tests {
         let mut sk = sketches(20);
         sk.sort_by_key(|s| std::cmp::Reverse(s.record_size));
         for format in FORMATS {
-            let mut grown = ShardedIndex::build(&sk[..1], 1, 1, 2, true, format, 1);
+            let mut grown = ShardedIndex::build(&sk[..1], 1, 1, format, 1);
             for s in &sk[1..] {
-                grown.insert(s, true);
+                grown.insert(s);
             }
-            let bulk = ShardedIndex::build(&sk, 1, 1, 2, true, format, 1);
+            let bulk = ShardedIndex::build(&sk, 1, 1, format, 1);
             assert_eq!(grown, bulk, "fast-path inserts diverged from rebuild");
         }
     }
@@ -710,8 +627,8 @@ mod tests {
     #[test]
     fn packed_postings_use_no_more_bytes_than_raw() {
         let sk = sketches(200);
-        let packed = ShardedIndex::build(&sk, 1, 1, 2, true, PostingFormat::Packed, 1);
-        let raw = ShardedIndex::build(&sk, 1, 1, 2, true, PostingFormat::Raw, 1);
+        let packed = ShardedIndex::build(&sk, 1, 1, PostingFormat::Packed, 1);
+        let raw = ShardedIndex::build(&sk, 1, 1, PostingFormat::Raw, 1);
         assert!(
             packed.posting_bytes() <= raw.posting_bytes(),
             "packed {} bytes vs raw {}",
@@ -723,7 +640,7 @@ mod tests {
 
     #[test]
     fn empty_dataset_builds_one_empty_shard() {
-        let index = ShardedIndex::build(&[], 4, 0, 0, true, PostingFormat::default(), 0);
+        let index = ShardedIndex::build(&[], 4, 0, PostingFormat::default(), 0);
         assert_eq!(index.shards().len(), 1);
         assert!(index.is_empty());
         assert_eq!(index.len(), 0);

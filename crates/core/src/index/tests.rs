@@ -231,20 +231,6 @@ fn search_parallel_matches_sequential_for_any_thread_count() {
 }
 
 #[test]
-fn search_parallel_falls_back_to_scan_without_candidate_filter() {
-    let dataset = skewed_dataset(60);
-    let index = GbKmvIndex::build(
-        &dataset,
-        GbKmvConfig::with_space_fraction(0.25).candidate_filter(false),
-    );
-    let query = dataset.record(9);
-    assert_eq!(
-        index.search_parallel(query.elements(), 0.5),
-        index.search_scan(query, 0.5)
-    );
-}
-
-#[test]
 fn sharded_index_answers_are_bit_identical_to_unsharded() {
     let dataset = varied_dataset(130);
     let unsharded = GbKmvIndex::build(&dataset, GbKmvConfig::with_space_fraction(0.25));
@@ -296,30 +282,6 @@ fn batch_search_matches_single_queries_for_any_thread_count() {
         let boxed: &dyn ContainmentIndex = &index;
         assert_eq!(boxed.search_batch(&queries, 0.5), expected);
     }
-}
-
-#[test]
-fn entry_points_fall_back_to_scan_without_candidate_filter() {
-    // With the candidate filter disabled no postings are built; the
-    // public entry points must answer via the scan instead of an empty
-    // candidate set.
-    let dataset = skewed_dataset(60);
-    let index = GbKmvIndex::build(
-        &dataset,
-        GbKmvConfig::with_space_fraction(0.25).candidate_filter(false),
-    );
-    let query = dataset.record(9);
-    let scan = index.search_scan(query, 0.5);
-    assert!(!scan.is_empty());
-    assert_eq!(index.search_record(query, 0.5), scan);
-    assert_eq!(
-        QueryPipeline::new().search(&index, query.elements(), 0.5),
-        scan
-    );
-    assert_eq!(
-        index.search_batch(std::slice::from_ref(query), 0.5),
-        vec![scan]
-    );
 }
 
 #[test]
@@ -587,30 +549,19 @@ fn topk_returns_best_records_in_order() {
 fn topk_matches_between_filtered_and_scan_modes() {
     let dataset = skewed_dataset(80);
     let filtered = GbKmvIndex::build(&dataset, GbKmvConfig::with_space_fraction(0.4));
-    let scan = GbKmvIndex::build(
-        &dataset,
-        GbKmvConfig::with_space_fraction(0.4).candidate_filter(false),
-    );
     let query = dataset.record(7);
-    let a: Vec<usize> = filtered
-        .search_topk(query, 10)
-        .iter()
-        .map(|h| h.record_id)
-        .collect();
-    let b: Vec<usize> = scan
-        .search_topk(query, 10)
-        .iter()
-        .map(|h| h.record_id)
-        .collect();
-    assert_eq!(a, b);
+    assert_eq!(
+        filtered.search_topk(query, 10),
+        ranked_scan(&filtered, query, 10)
+    );
 }
 
 #[test]
 fn topk_never_ranks_zero_overlap_records() {
     // Two element-disjoint halves: a query drawn from one half shares
     // nothing with the other, whose records score exactly zero. With k above
-    // the positive-score count, both candidate-filter settings must return
-    // exactly the ranked positive-score scan.
+    // the positive-score count, top-k must return exactly the ranked
+    // positive-score scan.
     let recs: Vec<Vec<u32>> = (0..80u32)
         .map(|i| {
             let base = if i % 2 == 0 { 0 } else { 50_000 };
@@ -619,19 +570,14 @@ fn topk_never_ranks_zero_overlap_records() {
         .collect();
     let dataset = Dataset::from_records(recs);
     let query = dataset.record(0);
-    for filter in [true, false] {
-        let index = GbKmvIndex::build(
-            &dataset,
-            GbKmvConfig::with_space_fraction(0.3).candidate_filter(filter),
-        );
-        let expected = ranked_scan(&index, query, usize::MAX);
-        assert!(!expected.is_empty() && expected.len() < dataset.len());
-        assert_eq!(
-            index.search_topk(query, 1_000),
-            expected,
-            "candidate_filter({filter}): top-k ranked a zero-overlap record"
-        );
-    }
+    let index = GbKmvIndex::build(&dataset, GbKmvConfig::with_space_fraction(0.3));
+    let expected = ranked_scan(&index, query, usize::MAX);
+    assert!(!expected.is_empty() && expected.len() < dataset.len());
+    assert_eq!(
+        index.search_topk(query, 1_000),
+        expected,
+        "top-k ranked a zero-overlap record"
+    );
 }
 
 #[test]
@@ -740,7 +686,7 @@ fn insert_after_build_agrees_across_posting_formats() {
     }
 }
 
-/// Hot-element dataset for the buffer walk's bound: the eight elements
+/// Hot-element dataset for the buffer pass's bound: the eight elements
 /// `0..8` each sit in 80% of the records (so a buffer of eight holds
 /// exactly them), beside a 40-element tail drawn from a wide range. Large
 /// enough (4,500 records) that the intra-query parallel path really spawns
@@ -854,17 +800,16 @@ fn buffer_bound_branches_are_bit_identical_to_scan() {
 }
 
 #[test]
-fn buffer_sweep_and_posting_walk_are_bit_identical_to_scan() {
+fn buffer_sweep_is_bit_identical_to_scan() {
     use crate::index::candidates::{self, buffer_mint, BufferMint, QuerySketchView};
     use crate::index::prune::PruneStage;
     use crate::index::rank::RADIX_MIN_HITS;
     use crate::scratch::QueryScratch;
     use crate::sim::OverlapThreshold;
 
-    // A buffer of 16 holds the eight hot elements (postings of ~3,600
-    // slots) and eight tail elements (postings of ~10 slots): the hot
-    // queries reach b_min ≥ 2 (sweep), the short tail queries b_min = 1
-    // (posting walk).
+    // A buffer of 16 holds the eight hot elements (each in ~3,600 records)
+    // and eight tail elements (each in ~10 records): the hot queries reach
+    // b_min ≥ 2, the short tail queries b_min = 1, and both sweep.
     let dataset = hot_buffer_dataset();
     let config = GbKmvConfig::with_space_fraction(0.1).buffer_size(16);
     let index = GbKmvIndex::build(&dataset, config);
@@ -913,18 +858,19 @@ fn buffer_sweep_and_posting_walk_are_bit_identical_to_scan() {
         queries.push(Record::new(q));
     }
 
-    // Which buffer-pass modes the threshold grid reached, as the candidates
-    // stage decides them; top-k (b_min = 1) always walks the postings.
-    // Also whether a swept slot gained `K∩ > 0` (a lookup-only hash reached
-    // it, so its finish is not the buffered overlap alone) and whether an
-    // answer was long enough for the rank stage's radix emission.
-    let (mut sweep, mut walk) = (false, false);
+    // Which sweeps the threshold grid reached, as the candidates stage
+    // decides them: one at b_min = 1 (every slot sharing a buffered
+    // element, as top-k also sweeps) and one at b_min ≥ 2. Also whether a
+    // swept slot gained `K∩ > 0` (a lookup-only hash reached it, so its
+    // finish is not the buffered overlap alone) and whether an answer was
+    // long enough for the rank stage's radix emission.
+    let (mut sweep_any, mut sweep_min) = (false, false);
     let (mut swept_reached, mut radix) = (false, false);
     let mut scratch = QueryScratch::new();
     for (qi, query) in queries.iter().enumerate() {
         let sketch = index.sketch_query(query);
         let view = QuerySketchView::new(&sketch);
-        assert_eq!(buffer_mint(&view, 1), BufferMint::Postings);
+        assert_eq!(buffer_mint(&view, 1), BufferMint::Sweep);
         let label = format!("query {qi} top-k");
         let ranked = ranked_scan(&index, query, 25);
         for engine in [&index, &sharded, &reopened] {
@@ -940,10 +886,11 @@ fn buffer_sweep_and_posting_walk_are_bit_identical_to_scan() {
             let threshold = OverlapThreshold::new(query.len(), t_star);
             for prune in [PruneStage::new(true), PruneStage::new(false)] {
                 let minting = prune.minting(&view, threshold);
-                match buffer_mint(&view, minting.b_min) {
-                    BufferMint::Sweep => sweep = true,
-                    BufferMint::Postings => walk = true,
-                    BufferMint::Skip => {}
+                if buffer_mint(&view, minting.b_min) == BufferMint::Sweep {
+                    match minting.b_min {
+                        0 | 1 => sweep_any = true,
+                        _ => sweep_min = true,
+                    }
                 }
                 for shard in index.sharded.shards() {
                     let live = prune.live_slots(shard, threshold);
@@ -1001,11 +948,11 @@ fn buffer_sweep_and_posting_walk_are_bit_identical_to_scan() {
         }
     }
     assert!(
-        sweep && walk && swept_reached && radix,
-        "reached: sweep {sweep}, posting walk {walk}, swept K∩ > 0 {swept_reached}, \
-         radix emission {radix}"
+        sweep_any && sweep_min && swept_reached && radix,
+        "reached: sweep at b_min = 1 {sweep_any}, sweep at b_min ≥ 2 {sweep_min}, \
+         swept K∩ > 0 {swept_reached}, radix emission {radix}"
     );
-    // Neither mode grows scratch memory on a warm rerun.
+    // Neither sweep grows scratch memory on a warm rerun.
     let warm = prefixed.scratch_bytes();
     for query in &queries {
         for t_star in [0.05, 0.25] {

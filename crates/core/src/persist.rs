@@ -32,12 +32,32 @@
 //! ([`RecordMeta`], 24 bytes each), slot→record-id permutation (`u32`),
 //! record-id→slot permutation (`u32`), then the signature postings' packed
 //! payload words (`u64`), block metadata (`BlockMeta`, 12 bytes each) and
-//! raw slot arena (`u32`), and the same three for the buffer postings.
+//! raw slot arena (`u32`), and three reserved buffer-posting sections.
 //! Individual posting lists are carved out of the three shared arenas
 //! sequentially, in the order their descriptors appear in the shard's meta
-//! section (signature lists sorted by hash value, buffer lists by bit
-//! position), so the format needs no per-list offsets and a
-//! save→load→save round trip is byte-identical.
+//! section (sorted by hash value), so the format needs no per-list offsets
+//! and a save→load→save round trip is byte-identical.
+//!
+//! # Compatibility within version 2
+//!
+//! The index stores a record's buffer once, as its bitmap words; earlier
+//! writers of this version also stored inverted buffer-bit postings. The
+//! layout is kept, so both kinds of image open:
+//!
+//! * This build writes a buffer-posting count of 0 in every shard's meta
+//!   stream, and the three buffer-posting sections are empty. An image
+//!   that stores buffer postings (one list per buffered element) still
+//!   opens: its sections are checksum-validated and length-checked against
+//!   their descriptors like any other, then dropped. Each such shard gets
+//!   a fresh dirty epoch on load, so a delta checkpoint against the old
+//!   image rewrites it instead of copying its stale bytes, and the result
+//!   stays byte-identical to a full save.
+//! * The config byte that held the candidate-filter flag is always written
+//!   as 1. An image with 0 there was built without signature postings and
+//!   cannot be queried through the pipeline, so it is rejected with
+//!   [`Error::PersistCorrupt`].
+//! * The next config byte held the tag of a removed accumulate-kernel
+//!   knob: written as 0, read as 0 or 1.
 //!
 //! # Zero-copy loading
 //!
@@ -98,7 +118,7 @@ use crate::gbkmv::GbKmvSketcher;
 use crate::gkmv::GlobalThreshold;
 use crate::hash::{mix64, Hasher64};
 use crate::index::postings::{BlockMeta, PackedList, PostingList};
-use crate::index::sharded::Shard;
+use crate::index::sharded::{next_stamp, Shard};
 use crate::index::{
     BufferSizing, GbKmvConfig, GbKmvIndex, IndexSummary, PostingFormat, ShardedIndex,
 };
@@ -299,7 +319,9 @@ fn write_config(out: &mut Vec<u8>, c: &GbKmvConfig) {
         }
     }
     put_u64(out, c.hash_seed);
-    put_u8(out, u8::from(c.use_candidate_filter));
+    // The former candidate-filter flag: every index has signature
+    // postings, so it is always 1 (see the module docs).
+    put_u8(out, 1);
     put_u8(out, u8::from(c.use_prefix_filter));
     put_u64(out, c.threads as u64);
     put_u64(out, c.shards as u64);
@@ -374,12 +396,12 @@ impl SectionSrc<'_> {
     }
 }
 
-/// Lays the sections out after the header and table (each starting on an
-/// 8-byte boundary), fills in the header, and stamps the per-section and
-/// header checksums. Reused sections keep their stored checksum — that is
-/// what makes a delta O(dirty): clean payloads are copied, never
-/// re-summed.
-fn assemble_from(sections: Vec<SectionSrc>) -> Vec<u8> {
+/// Lays the sections out in `out` (emptied first, its capacity reused)
+/// after the header and table (each starting on an 8-byte boundary),
+/// fills in the header, and stamps the per-section and header checksums.
+/// Reused sections keep their stored checksum — that is what makes a
+/// delta O(dirty): clean payloads are copied, never re-summed.
+fn assemble_into(sections: Vec<SectionSrc>, out: &mut Vec<u8>) {
     let table_end = HEADER_LEN + sections.len() * TABLE_ENTRY_LEN;
     let mut offset = table_end;
     let mut table: Vec<(usize, usize)> = Vec::with_capacity(sections.len());
@@ -388,7 +410,8 @@ fn assemble_from(sections: Vec<SectionSrc>) -> Vec<u8> {
         offset += s.bytes().len().next_multiple_of(8);
     }
     let file_len = offset;
-    let mut out = vec![0u8; file_len];
+    make_room(out, file_len);
+    out.resize(file_len, 0);
     out[0..8].copy_from_slice(&ARENA_MAGIC.to_le_bytes());
     out[8..16].copy_from_slice(&ARENA_VERSION.to_le_bytes());
     out[16..24].copy_from_slice(&ENDIAN_PROBE.to_ne_bytes());
@@ -414,7 +437,50 @@ fn assemble_from(sections: Vec<SectionSrc>) -> Vec<u8> {
     }
     let sum = checksum_of(&out[CHECKSUM_COVER_FROM..table_end]);
     out[32..40].copy_from_slice(&sum.to_le_bytes());
-    out
+}
+
+/// Empties `buf` and makes room for `len` bytes. A buffer that already
+/// held an image and must grow gets an eighth more, so the image of a
+/// growing index is reallocated only every few checkpoints.
+fn make_room(buf: &mut Vec<u8>, len: usize) {
+    let headroom = if buf.capacity() == 0 { 0 } else { len / 8 };
+    buf.clear();
+    if buf.capacity() < len {
+        buf.reserve_exact(len + headroom);
+    }
+}
+
+/// Reads the file at `path` into `buf`, reusing its capacity.
+fn read_into(path: &Path, buf: &mut Vec<u8>) -> std::io::Result<()> {
+    use std::io::Read;
+    let mut file = std::fs::File::open(path)?;
+    let len = usize::try_from(file.metadata()?.len()).unwrap_or(0);
+    make_room(buf, len);
+    file.read_to_end(buf)?;
+    Ok(())
+}
+
+/// The two image-sized buffers of a delta save: the previous image as read
+/// from disk and the new image. A caller that checkpoints repeatedly keeps
+/// them, so each checkpoint after the first writes into memory the process
+/// already has mapped. Allocated afresh every time, these megabyte-sized
+/// buffers come straight from `mmap` and page-fault on first touch until
+/// the allocator's adaptive mmap threshold happens to grow past their
+/// size; that doubled a checkpoint's cost for a number of checkpoints that
+/// varied from run to run.
+#[derive(Default)]
+pub(crate) struct DeltaBuffers {
+    prev: Vec<u8>,
+    image: Vec<u8>,
+}
+
+impl std::fmt::Debug for DeltaBuffers {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DeltaBuffers")
+            .field("prev_capacity", &self.prev.capacity())
+            .field("image_capacity", &self.image.capacity())
+            .finish()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -513,7 +579,11 @@ fn read_config(cur: &mut MetaCursor) -> Result<GbKmvConfig> {
         _ => return Err(corrupt("invalid buffer-sizing tag")),
     };
     let hash_seed = cur.u64()?;
-    let use_candidate_filter = cur.bool()?;
+    if !cur.bool()? {
+        return Err(corrupt(
+            "the image was built without the candidate filter and holds no signature postings",
+        ));
+    }
     let use_prefix_filter = cur.bool()?;
     let threads = to_usize(cur.u64()?)?;
     let shards = to_usize(cur.u64()?)?;
@@ -534,7 +604,6 @@ fn read_config(cur: &mut MetaCursor) -> Result<GbKmvConfig> {
         budget_elements,
         buffer,
         hash_seed,
-        use_candidate_filter,
         use_prefix_filter,
         threads,
         shards,
@@ -609,6 +678,9 @@ struct ShardPre {
     n: usize,
     hash_df: Vec<(u64, u32)>,
     sig: Vec<(u64, PostingDesc)>,
+    /// Descriptors of the buffer postings earlier writers stored: none, or
+    /// one per buffered element. Their sections are length-checked, then
+    /// dropped.
     buf: Vec<PostingDesc>,
 }
 
@@ -681,7 +753,7 @@ impl PreParsed {
                     "shard buffer stride disagrees with the buffer layout",
                 ));
             }
-            if shard.buf.len() != layout_elements.len() {
+            if !shard.buf.is_empty() && shard.buf.len() != layout_elements.len() {
                 return Err(corrupt(
                     "buffer posting count disagrees with the buffer layout",
                 ));
@@ -1144,28 +1216,27 @@ fn assemble_index(buf: &'static [u64], pre: &PreParsed) -> Result<GbKmvIndex> {
             signature_postings.insert(*h, list);
         }
 
-        let mut buf_words = u64_view(section_bytes(s + 9));
-        let mut buf_blocks = block_meta_view(section_bytes(s + 10));
-        let mut buf_raw = u32_view(section_bytes(s + 11));
-        let mut buffer_postings = Vec::with_capacity(sp.buf.len());
-        for desc in &sp.buf {
-            buffer_postings.push(take_posting(
-                desc,
-                &mut buf_words,
-                &mut buf_blocks,
-                &mut buf_raw,
-                n,
-            )?);
-        }
-
         shards.push(Shard::from_parts(
             sp.base,
             store,
             sp.format,
             signature_postings,
-            buffer_postings,
         ));
     }
+    // A shard whose image still stores buffer postings is not what
+    // `shard_sections` writes, so a delta must not reuse its bytes.
+    let epochs = pre
+        .shards
+        .iter()
+        .zip(&pre.epochs)
+        .map(|(sp, &epoch)| {
+            if sp.buf.is_empty() {
+                epoch
+            } else {
+                next_stamp()
+            }
+        })
+        .collect();
 
     let layout = BufferLayout::new(pre.layout_elements.clone());
     let sketcher = GbKmvSketcher::new(
@@ -1177,7 +1248,7 @@ fn assemble_index(buf: &'static [u64], pre: &PreParsed) -> Result<GbKmvIndex> {
     );
     Ok(GbKmvIndex {
         sketcher: std::sync::Arc::new(sketcher),
-        sharded: ShardedIndex::from_parts(shards, pre.lineage, pre.epochs.clone()),
+        sharded: ShardedIndex::from_parts(shards, pre.lineage, epochs),
         summary: pre.summary,
         config: pre.config,
         total_elements: pre.total_elements,
@@ -1241,23 +1312,10 @@ fn shard_sections(shard: &Shard) -> Vec<Vec<u8>> {
     arenas.push(sig_blocks);
     arenas.push(sig_raw);
 
-    let buffer_lists = shard.buffer_posting_lists();
-    let mut buf_words = Vec::new();
-    let mut buf_blocks = Vec::new();
-    let mut buf_raw = Vec::new();
-    put_u64(&mut meta, buffer_lists.len() as u64);
-    for list in buffer_lists {
-        write_posting(
-            &mut meta,
-            list,
-            &mut buf_words,
-            &mut buf_blocks,
-            &mut buf_raw,
-        );
-    }
-    arenas.push(buf_words);
-    arenas.push(buf_blocks);
-    arenas.push(buf_raw);
+    // The reserved buffer-posting group: a count of 0 and three empty
+    // sections (see the module docs).
+    put_u64(&mut meta, 0);
+    arenas.extend([Vec::new(), Vec::new(), Vec::new()]);
 
     let mut sections = Vec::with_capacity(SECTIONS_PER_SHARD);
     sections.push(meta);
@@ -1300,6 +1358,13 @@ impl GbKmvIndex {
     /// index always produces the same bytes, and a loaded index re-saves
     /// byte-identically.
     pub fn to_arena_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.arena_into(&mut out);
+        out
+    }
+
+    /// [`GbKmvIndex::to_arena_bytes`] into `out`, reusing its capacity.
+    fn arena_into(&self, out: &mut Vec<u8>) {
         let shards = self.sharded.shards();
         let mut sections = Vec::with_capacity(FIXED_SECTIONS + shards.len() * SECTIONS_PER_SHARD);
         sections.push(SectionSrc::Fresh(self.head_section()));
@@ -1307,7 +1372,7 @@ impl GbKmvIndex {
         for shard in shards {
             sections.extend(shard_sections(shard).into_iter().map(SectionSrc::Fresh));
         }
-        assemble_from(sections)
+        assemble_into(sections, out);
     }
 
     /// Section 0: the global meta head — config, summary, sketcher
@@ -1338,20 +1403,29 @@ impl GbKmvIndex {
     /// lineage, different shard count — falls back to a full rewrite,
     /// reported via [`DeltaStats::fallback`].
     pub fn to_arena_bytes_delta(&self, prev: &[u8]) -> (Vec<u8>, DeltaStats) {
-        match self.try_delta(prev) {
-            Some(result) => result,
-            None => (
-                self.to_arena_bytes(),
-                DeltaStats {
-                    reused_shards: 0,
-                    rewritten_shards: self.sharded.shards().len(),
-                    fallback: true,
-                },
-            ),
+        let mut out = Vec::new();
+        let stats = self.delta_into(prev, &mut out);
+        (out, stats)
+    }
+
+    /// [`GbKmvIndex::to_arena_bytes_delta`] into `out`, reusing its
+    /// capacity.
+    fn delta_into(&self, prev: &[u8], out: &mut Vec<u8>) -> DeltaStats {
+        self.try_delta(prev, out)
+            .unwrap_or_else(|| self.full_into(out))
+    }
+
+    /// A full image into `out`, reported as a delta that fell back.
+    fn full_into(&self, out: &mut Vec<u8>) -> DeltaStats {
+        self.arena_into(out);
+        DeltaStats {
+            reused_shards: 0,
+            rewritten_shards: self.sharded.shards().len(),
+            fallback: true,
         }
     }
 
-    fn try_delta(&self, prev: &[u8]) -> Option<(Vec<u8>, DeltaStats)> {
+    fn try_delta(&self, prev: &[u8], out: &mut Vec<u8>) -> Option<DeltaStats> {
         let table = parse_table(prev).ok()?;
         let (lineage, prev_epochs) = {
             let &(off, len, _) = table.get(1)?;
@@ -1385,14 +1459,12 @@ impl GbKmvIndex {
                 sections.extend(shard_sections(shard).into_iter().map(SectionSrc::Fresh));
             }
         }
-        Some((
-            assemble_from(sections),
-            DeltaStats {
-                reused_shards,
-                rewritten_shards,
-                fallback: false,
-            },
-        ))
+        assemble_into(sections, out);
+        Some(DeltaStats {
+            reused_shards,
+            rewritten_shards,
+            fallback: false,
+        })
     }
 
     /// Loads an index from an arena image, borrowing the heavy sections
@@ -1444,29 +1516,32 @@ impl GbKmvIndex {
         path: impl AsRef<Path>,
         prev_path: impl AsRef<Path>,
     ) -> Result<DeltaStats> {
-        let path = path.as_ref();
-        let prev_path = prev_path.as_ref();
-        let (prev, bytes, stats) = match std::fs::read(prev_path) {
-            Ok(prev) => {
-                let (bytes, stats) = self.to_arena_bytes_delta(&prev);
-                (Some(prev), bytes, stats)
-            }
-            Err(_) => (
-                None,
-                self.to_arena_bytes(),
-                DeltaStats {
-                    reused_shards: 0,
-                    rewritten_shards: self.sharded.shards().len(),
-                    fallback: true,
-                },
-            ),
+        self.save_delta_with(
+            path.as_ref(),
+            prev_path.as_ref(),
+            &mut DeltaBuffers::default(),
+        )
+    }
+
+    /// [`GbKmvIndex::save_delta`] through buffers the caller keeps between
+    /// checkpoints (see [`DeltaBuffers`]).
+    pub(crate) fn save_delta_with(
+        &self,
+        path: &Path,
+        prev_path: &Path,
+        buffers: &mut DeltaBuffers,
+    ) -> Result<DeltaStats> {
+        let DeltaBuffers { prev, image } = buffers;
+        let have_prev = read_into(prev_path, prev).is_ok();
+        let stats = if have_prev {
+            self.delta_into(prev, image)
+        } else {
+            self.full_into(image)
         };
-        if let Some(prev) = prev.filter(|_| path == prev_path) {
-            if patch_in_place(path, &prev, &bytes).is_ok() {
-                return Ok(stats);
-            }
+        if have_prev && path == prev_path && patch_in_place(path, prev, image).is_ok() {
+            return Ok(stats);
         }
-        std::fs::write(path, bytes).map_err(|e| io_error(&e))?;
+        std::fs::write(path, &image[..]).map_err(|e| io_error(&e))?;
         Ok(stats)
     }
 
@@ -1542,7 +1617,6 @@ mod tests {
             GbKmvConfig::with_space_fraction(0.6),
             GbKmvConfig::with_space_fraction(0.6).shards(3),
             GbKmvConfig::with_space_fraction(0.6).posting_format(PostingFormat::Raw),
-            GbKmvConfig::with_space_fraction(0.6).candidate_filter(false),
             GbKmvConfig::with_space_fraction(0.6).buffer_size(0),
         ]
     }

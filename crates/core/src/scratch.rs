@@ -14,11 +14,11 @@
 /// per-query hash map. Slots touched by the current query are tracked in
 /// `touched` (insertion order; callers sort as their output contract
 /// requires). `K∩` is accumulated per slot; the buffer pass only mints
-/// candidates, by walking buffer postings ([`QueryScratch::add_candidate`])
-/// or by a popcount sweep over the [`crate::store::SketchStore`]'s buffer
-/// words (see [`crate::index::candidates`]). The sweep computes each
-/// slot's exact buffered overlap anyway, so it records the overlap of every
-/// slot it mints, aligned with its run of `touched`. The finish stage takes
+/// candidates, by a popcount sweep over the
+/// [`crate::store::SketchStore`]'s buffer words (see
+/// [`crate::index::candidates`]). The sweep computes each slot's exact
+/// buffered overlap anyway, so it records the overlap of every slot it
+/// mints, aligned with its run of `touched`. The finish stage takes
 /// the swept slots' overlaps from that record and reads the other
 /// candidates' as a popcount over the store's words.
 ///
@@ -99,10 +99,8 @@ impl QueryScratch {
     }
 
     /// Registers `slot` as a candidate without accumulating any overlap.
-    /// The posting walk of the buffer pass mints through its batched and
-    /// mask forms ([`QueryScratch::add_candidates`] and
-    /// [`QueryScratch::add_candidates_mask`]); the finish stage reads the
-    /// buffered overlap itself as a popcount over the store's buffer words.
+    /// The buffer pass mints through the sweep's word form instead, which
+    /// also records the slot's buffered overlap.
     #[inline]
     pub fn add_candidate(&mut self, slot: u32) {
         self.activate(slot);
@@ -113,7 +111,7 @@ impl QueryScratch {
     ///
     /// This is the non-minting walk of the prefix-filter stage: a query's
     /// frequent hashes may score candidates the rare (prefix) hashes or the
-    /// buffer postings already minted, but can never introduce new ones — a
+    /// buffer sweep already minted, but can never introduce new ones — a
     /// record reachable *only* through non-prefix hashes cannot reach the
     /// overlap threshold (see [`crate::index::prune`]), so skipping the
     /// insert changes no answer while avoiding the dominant cost of touching
@@ -144,22 +142,6 @@ impl QueryScratch {
         }
         for &slot in it.remainder() {
             self.add_signature_hit(slot);
-        }
-    }
-
-    /// Batched [`QueryScratch::add_candidate`]: registers every slot of one
-    /// decoded posting chunk as a candidate.
-    #[inline]
-    pub fn add_candidates(&mut self, slots: &[u32]) {
-        let mut it = slots.chunks_exact(4);
-        for quad in &mut it {
-            self.activate(quad[0]);
-            self.activate(quad[1]);
-            self.activate(quad[2]);
-            self.activate(quad[3]);
-        }
-        for &slot in it.remainder() {
-            self.activate(slot);
         }
     }
 
@@ -209,25 +191,6 @@ impl QueryScratch {
                 self.add_signature_hit(word_base + w.trailing_zeros());
                 w &= w - 1;
             }
-        }
-    }
-
-    /// Mask-form [`QueryScratch::add_candidates`]: registers every set bit
-    /// of `words` (as slot `base + b`, ascending) as a candidate.
-    #[inline]
-    pub fn add_candidates_mask(&mut self, base: u32, words: [u64; 2]) {
-        for (wi, w) in words.into_iter().enumerate() {
-            self.add_candidates_word(base + (wi as u32) * 64, w);
-        }
-    }
-
-    /// One-word [`QueryScratch::add_candidates_mask`]: registers every set
-    /// bit `b` of `w` as candidate slot `base + b`, in ascending order.
-    #[inline]
-    fn add_candidates_word(&mut self, base: u32, mut w: u64) {
-        while w != 0 {
-            self.activate(base + w.trailing_zeros());
-            w &= w - 1;
         }
     }
 
@@ -415,8 +378,8 @@ mod tests {
         }
         for &s in [6u32, 9, 1].iter() {
             scalar.add_candidate(s);
+            batched.add_candidate(s);
         }
-        batched.add_candidates(&[6, 9, 1]);
         for chunk in chunks {
             for &s in chunk {
                 scalar.add_signature_hit_if_candidate(s);
@@ -460,8 +423,8 @@ mod tests {
         masked.add_signature_hits_mask(base, words);
         for &s in &slots {
             scalar.add_candidate(s);
+            masked.add_candidate(s);
         }
-        masked.add_candidates_mask(base, words);
         // Slot 0 is a candidate the mask does not cover: the branch-free
         // sweep must add exactly zero to it.
         scalar.add_candidate(0);

@@ -45,7 +45,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use crate::dataset::{ElementId, Record};
 use crate::error::{Error, Result};
 use crate::index::{ContainmentIndex, GbKmvIndex, SearchHit};
-use crate::persist::DeltaStats;
+use crate::persist::{DeltaBuffers, DeltaStats};
 
 /// What a [`ContainmentService::checkpoint`] (or
 /// [`checkpoint_delta`](ContainmentService::checkpoint_delta)) wrote.
@@ -101,6 +101,10 @@ pub struct ContainmentService {
     /// Queue length at which [`ContainmentService::submit`] flushes
     /// automatically (from [`crate::index::GbKmvConfig::ingest_batch`]).
     ingest_batch: usize,
+    /// The image buffers every [`ContainmentService::checkpoint_delta`]
+    /// reuses, so a checkpoint's cost does not depend on how the allocator
+    /// hands out fresh megabyte-sized buffers (see [`DeltaBuffers`]).
+    checkpoint_buffers: Mutex<DeltaBuffers>,
 }
 
 impl ContainmentService {
@@ -116,6 +120,7 @@ impl ContainmentService {
             writer: Mutex::new(()),
             generation: AtomicU64::new(0),
             ingest_batch,
+            checkpoint_buffers: Mutex::new(DeltaBuffers::default()),
         }
     }
 
@@ -177,7 +182,11 @@ impl ContainmentService {
         let flushed = if flush_first { self.flush() } else { 0 };
         let snapshot = self.snapshot();
         let pending = self.pending();
-        let stats = snapshot.save_delta(path, prev_path)?;
+        let stats = snapshot.save_delta_with(
+            path.as_ref(),
+            prev_path.as_ref(),
+            &mut relock(&self.checkpoint_buffers),
+        )?;
         Ok(CheckpointReport {
             records: snapshot.num_records() as u64,
             flushed,
@@ -529,6 +538,53 @@ mod tests {
         let reopened = ContainmentService::open(&path).unwrap();
         assert_eq!(reopened.snapshot().num_records(), 15);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn delta_checkpoints_through_kept_buffers_equal_full_saves() {
+        let dir = std::env::temp_dir().join("gbkmv_service_delta_buffers");
+        std::fs::create_dir_all(&dir).unwrap();
+        let [live, copy, small, missing] =
+            ["live", "copy", "small", "missing"].map(|name| dir.join(format!("{name}.arena")));
+        for path in [&live, &copy, &small, &missing] {
+            std::fs::remove_file(path).ok();
+        }
+        // A smaller, foreign image: reading it after the live one leaves
+        // the kept buffers longer than the bytes they now hold.
+        GbKmvIndex::build(&dataset(4), config())
+            .save(&small)
+            .unwrap();
+
+        let service = ContainmentService::build(&dataset(12), config().shards(3).ingest_batch(100));
+        let records = dataset(40).records().to_vec();
+        let mut next = 12;
+        // (target, previous image, expected fallback)
+        let steps = [
+            (&live, &live, true),
+            (&live, &live, false),
+            (&copy, &live, false),
+            (&copy, &small, true),
+            (&live, &live, false),
+            (&copy, &missing, true),
+            (&live, &live, false),
+        ];
+        for (step, (path, prev, fallback)) in steps.into_iter().enumerate() {
+            for r in records[next..next + 3].iter().cloned() {
+                service.submit(r).unwrap();
+            }
+            next += 3;
+            let report = service.checkpoint_delta(path, prev, true).unwrap();
+            let stats = report.delta.expect("delta stats");
+            assert_eq!(stats.fallback, fallback, "step {step}: {stats:?}");
+            assert_eq!(
+                std::fs::read(path).unwrap(),
+                service.snapshot().to_arena_bytes(),
+                "step {step}: checkpoint file diverged from a full serialization"
+            );
+        }
+        for path in [&live, &copy, &small] {
+            std::fs::remove_file(path).ok();
+        }
     }
 
     #[test]

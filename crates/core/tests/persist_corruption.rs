@@ -191,6 +191,40 @@ fn checksum_valid_structural_corruption_is_still_rejected() {
     }
 }
 
+/// Offset of the config byte that held the candidate-filter flag: it
+/// follows the seed, 19 bytes before the reserved byte (the prefix-filter
+/// `u8`, threads and shards `u64`s and the posting-format `u8` lie between).
+fn candidate_filter_byte(bytes: &[u8]) -> usize {
+    reserved_config_byte(bytes) - 19
+}
+
+#[test]
+fn image_without_signature_postings_is_a_typed_error() {
+    // Writers emit the former candidate-filter byte as 1. An image with 0
+    // there was built without signature postings, which the pipeline
+    // cannot answer from: even with valid checksums, opening it must be a
+    // typed error, never a panic.
+    let bytes = arena(GbKmvConfig::with_space_fraction(0.4));
+    let at = candidate_filter_byte(&bytes);
+    assert_eq!(bytes[at], 1, "writers must emit the filter byte as 1");
+    let unprefixed = arena(GbKmvConfig::with_space_fraction(0.4).prefix_filter(false));
+    assert_eq!(
+        unprefixed[candidate_filter_byte(&unprefixed) + 1],
+        0,
+        "the byte after the filter byte must be the prefix-filter flag"
+    );
+    for value in [0u8, 2, 0xff] {
+        let mut image = bytes.clone();
+        image[at] = value;
+        rewrite_checksum(&mut image);
+        match GbKmvIndex::from_arena_bytes(&image) {
+            Err(Error::PersistCorrupt { .. }) => {}
+            Err(other) => panic!("filter byte {value}: expected PersistCorrupt, got {other}"),
+            Ok(_) => panic!("filter byte {value} loaded"),
+        }
+    }
+}
+
 #[test]
 fn misaligned_section_offsets_are_typed_errors() {
     let bytes = arena(GbKmvConfig::with_space_fraction(0.4));

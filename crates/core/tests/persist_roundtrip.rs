@@ -32,10 +32,6 @@ fn configs() -> Vec<(&'static str, GbKmvConfig)> {
                 .posting_format(PostingFormat::Raw),
         ),
         (
-            "no-candidate-filter",
-            GbKmvConfig::with_space_fraction(0.4).candidate_filter(false),
-        ),
-        (
             "no-buffer",
             GbKmvConfig::with_space_fraction(0.4).buffer_size(0),
         ),

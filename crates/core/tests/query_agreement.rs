@@ -249,11 +249,11 @@ proptest! {
         seed in 0u64..1_000_000,
         query_pick in 0usize..1_000,
     ) {
-        // Scan mode offers *every* record to the ranking, which keeps the
-        // positive-score ones, so the reference is unambiguous.
+        // The reference scan offers *every* record to the ranking, which
+        // keeps the positive-score ones, so it is unambiguous and shares no
+        // code with the candidates stage the heap ranks.
         let config = GbKmvConfig::with_space_fraction(budget_fraction)
-            .hash_seed(seed | 1)
-            .candidate_filter(false);
+            .hash_seed(seed | 1);
         let index = GbKmvIndex::build(&dataset, config);
         let qid = query_pick % dataset.len();
         let query = dataset.record(qid).clone();
