@@ -168,41 +168,10 @@ impl ElementBuffer {
             .sum()
     }
 
-    /// The positions of the set bits, in increasing order.
-    ///
-    /// Returns a non-allocating iterator (each word is drained with
-    /// `trailing_zeros`); callers that need a materialised list can
-    /// `collect()`.
-    pub fn set_positions(&self) -> impl Iterator<Item = u32> + '_ {
-        set_positions_in(&self.words)
-    }
-
     /// The underlying words (for size accounting and serialisation).
     pub fn words(&self) -> &[u64] {
         &self.words
     }
-}
-
-/// The positions of the set bits of a raw bitmap word slice, in increasing
-/// order — the free-function form of [`ElementBuffer::set_positions`], used
-/// by callers that hold borrowed words from the flattened
-/// [`crate::store::SketchStore`] arena instead of an [`ElementBuffer`].
-///
-/// Non-allocating: each word is drained with `trailing_zeros`.
-pub fn set_positions_in(words: &[u64]) -> impl Iterator<Item = u32> + '_ {
-    words.iter().enumerate().flat_map(|(wi, &word)| {
-        std::iter::from_fn({
-            let mut w = word;
-            move || {
-                if w == 0 {
-                    return None;
-                }
-                let bit = w.trailing_zeros();
-                w &= w - 1;
-                Some(wi as u32 * 64 + bit)
-            }
-        })
-    })
 }
 
 #[cfg(test)]
@@ -264,19 +233,6 @@ mod tests {
         b.set(100);
         assert_eq!(a.intersection_count(&b), 1);
         assert_eq!(b.intersection_count(&a), 1);
-    }
-
-    #[test]
-    fn set_positions_round_trips() {
-        let mut buf = ElementBuffer::zeroed(2);
-        for p in [0u32, 5, 63, 64, 100] {
-            buf.set(p);
-        }
-        assert_eq!(
-            buf.set_positions().collect::<Vec<u32>>(),
-            vec![0, 5, 63, 64, 100]
-        );
-        assert_eq!(buf.count_ones(), 5);
     }
 
     #[test]

@@ -173,8 +173,9 @@ pub const GKMV_STARVATION_FLOOR: f64 = 8.0;
 pub const BUFFER_DOMINANCE_CEILING: f64 = 0.05;
 
 /// The largest buffer worth putting on the grid at all: the bitmap
-/// (`m·r/32` elements) must leave a strictly positive G-KMV budget.
-fn bitmap_budget_cap(num_records: usize, budget_elements: usize) -> usize {
+/// (`m·r/32` elements) must leave a strictly positive G-KMV budget. A fixed
+/// buffer size is clamped to it too (see `GbKmvConfig::buffer_size`).
+pub(crate) fn bitmap_budget_cap(num_records: usize, budget_elements: usize) -> usize {
     if num_records == 0 {
         return 0;
     }

@@ -8,7 +8,7 @@
 //! contiguous shards of size-ordered stores with size-sorted posting lists.
 //! [`GbKmvIndex::insert`] appends through the same sharded path.
 
-use crate::cost::BufferCostModel;
+use crate::cost::{bitmap_budget_cap, BufferCostModel};
 use crate::dataset::{Dataset, Record, RecordId};
 use crate::gbkmv::GbKmvSketcher;
 use crate::hash::Hasher64;
@@ -30,7 +30,9 @@ impl GbKmvIndex {
         let total_elements = stats.total_elements;
         let budget = config.resolve_budget(total_elements);
         let buffer_size = match config.buffer {
-            BufferSizing::Fixed(r) => r.min(stats.num_distinct_elements),
+            BufferSizing::Fixed(r) => r
+                .min(stats.num_distinct_elements)
+                .min(bitmap_budget_cap(stats.num_records, budget)),
             BufferSizing::Auto => {
                 BufferCostModel::evaluate(stats, budget, config.cost_model).optimal_buffer_size
             }

@@ -11,7 +11,8 @@ pub enum BufferSizing {
     /// Choose `r` with the cost model of Section IV-C6 (the default).
     #[default]
     Auto,
-    /// Use a fixed buffer size (0 disables the buffer, i.e. G-KMV).
+    /// Use a fixed buffer size (0 disables the buffer, i.e. G-KMV), clamped
+    /// to the budget (see [`GbKmvConfig::buffer_size`]).
     Fixed(usize),
 }
 
@@ -96,6 +97,13 @@ impl GbKmvConfig {
     }
 
     /// Fixes the buffer size (0 turns GB-KMV into plain G-KMV).
+    ///
+    /// The build clamps `r` to the number of distinct elements and to the
+    /// budget: the bitmaps cost `r/32` elements per record, and they must
+    /// leave the G-KMV signatures a positive share of the resolved budget,
+    /// so `r ≤ ⌈32·b/m⌉ − 1` for a budget of `b` elements over `m` records
+    /// (the cap the cost model's grid stops at). The clamped size is
+    /// [`IndexSummary::buffer_size`].
     pub fn buffer_size(mut self, r: usize) -> Self {
         self.buffer = BufferSizing::Fixed(r);
         self

@@ -8,16 +8,15 @@
 //!
 //! * `accumulated_overlap` — O(1) finish from the candidate stage's `K∩`
 //!   counter, the store's per-slot scalars and a 1–2 word popcount over the
-//!   store's buffer words (the pipeline path for every candidate the
-//!   popcount sweep did not mint, and top-k),
-//! * `swept_overlap` — the swept finish: the same estimate for a candidate
-//!   the popcount sweep minted, from the buffered overlap the sweep
-//!   recorded in the scratch. A swept slot that no signature hash reached
-//!   (`K∩ = 0`) is finished with no store read: its estimate is its
-//!   buffered overlap,
+//!   store's buffer words (the pipeline path for every candidate,
+//!   threshold and top-k alike; a candidate with `K∩ = 0` skips the
+//!   scalars),
+//! * the finish in place of a slot the buffer sweep emits (not a
+//!   candidate; the unfiltered walk only): every query hash mints there,
+//!   so such a slot shares none (`K∩ = 0`) and its estimate is its
+//!   buffered overlap, counted by the sweep, with no store read,
 //! * `merge_overlap` — O(|L_Q| + |L_X|) sorted-merge finish straight off
-//!   the arenas (the scan reference path, single-record estimates, and
-//!   top-k on an index without postings).
+//!   the arenas (the scan reference path and single-record estimates).
 //!
 //! # The `K∩ = 0` finish is bit-identical
 //!
@@ -27,7 +26,7 @@
 //! `union = (k − 1) / u_k` is finite because `unit_hash(·) > 0`. Adding
 //! `+0.0` to a non-negative count changes no bit, so the estimate is the
 //! buffered overlap itself. On `zipf_threshold` this covers almost every
-//! candidate of a swept query: about 2,590 of its 2,690.
+//! hit of a swept query: about 2,580 of its 2,680 touched slots.
 
 use crate::gkmv::GKmvPairEstimate;
 use crate::index::candidates::QuerySketchView;
@@ -37,7 +36,8 @@ use crate::store::SketchStore;
 
 /// O(1) finish of an accumulated candidate: Equation 27 from the scratch
 /// counters, the store's scalar arrays and the popcount over its buffer
-/// words.
+/// words. A candidate with `K∩ = 0` (one a prefix-filtered sweep minted
+/// that no lookup-only hash reached) reads no scalar array.
 #[inline]
 pub(crate) fn accumulated_overlap(
     store: &SketchStore,
@@ -47,24 +47,10 @@ pub(crate) fn accumulated_overlap(
 ) -> f64 {
     let s = slot as usize;
     let buffered = store.buffer_intersection_count(view.buffer_words(), s);
-    overlap_from_parts(store, view, scratch.k_intersection(slot), s, buffered)
-}
-
-/// Finish of a candidate the popcount sweep minted, with the buffered
-/// overlap `buffered` the sweep recorded for it. Bit-identical to
-/// [`accumulated_overlap`]; with `K∩ = 0` the estimate is `buffered` itself
-/// (see the module docs), so no store array is read.
-#[inline]
-pub(crate) fn swept_overlap(
-    store: &SketchStore,
-    view: &QuerySketchView<'_>,
-    scratch: &QueryScratch,
-    slot: u32,
-    buffered: u32,
-) -> f64 {
     match scratch.k_intersection(slot) {
-        0 => f64::from(buffered),
-        k => overlap_from_parts(store, view, k, slot as usize, buffered as usize),
+        // The G-KMV term is exactly `+0.0` (module docs).
+        0 => buffered as f64,
+        k => overlap_from_parts(store, view, k, s, buffered),
     }
 }
 
@@ -94,6 +80,29 @@ pub(crate) fn merge_overlap(store: &SketchStore, view: &QuerySketchView<'_>, slo
     store.buffer_intersection_count(view.buffer_words(), slot) as f64 + gkmv.intersection_estimate
 }
 
+/// Whether an estimated overlap reaches the raw threshold `t*·|Q|`, up to
+/// the 1e-9 tolerance every path shares.
+#[inline]
+pub(crate) fn qualifies(overlap: f64, threshold_raw: f64) -> bool {
+    overlap + 1e-9 >= threshold_raw
+}
+
+/// The [`SearchHit`] of `record_id` (the *global* record id, shard base
+/// applied) with estimated overlap `overlap`, for a query of `query_size`
+/// elements.
+#[inline]
+pub(crate) fn hit(record_id: usize, overlap: f64, query_size: usize) -> SearchHit {
+    SearchHit {
+        record_id,
+        estimated_overlap: overlap,
+        estimated_containment: if query_size == 0 {
+            0.0
+        } else {
+            overlap / query_size as f64
+        },
+    }
+}
+
 /// Emits a [`SearchHit`] if the estimated overlap reaches the raw threshold
 /// `t*·|Q|`. `record_id` is the *global* record id (shard base applied).
 #[inline]
@@ -103,17 +112,5 @@ pub(crate) fn hit_if_qualifies(
     query_size: usize,
     threshold_raw: f64,
 ) -> Option<SearchHit> {
-    if overlap + 1e-9 >= threshold_raw {
-        Some(SearchHit {
-            record_id,
-            estimated_overlap: overlap,
-            estimated_containment: if query_size == 0 {
-                0.0
-            } else {
-                overlap / query_size as f64
-            },
-        })
-    } else {
-        None
-    }
+    qualifies(overlap, threshold_raw).then(|| hit(record_id, overlap, query_size))
 }

@@ -36,15 +36,18 @@
 //!   epoch-stamped [`QueryScratch`](crate::scratch::QueryScratch): minting
 //!   hashes are ordered by ascending **document frequency** (maintained in the
 //!   [`SketchStore`](crate::store::SketchStore) through build and insert)
-//!   and walked first, then the buffered candidates mint by a popcount
-//!   sweep over the store's buffer words (the buffer is stored once, as
-//!   those words; there are no buffer postings), then the frequent hashes
-//!   accumulate lookup-only.
+//!   and walked first, then the frequent hashes accumulate lookup-only,
+//!   then a popcount sweep over the store's buffer words (the buffer is
+//!   stored once, as those words; there are no buffer postings) finds the
+//!   buffered candidates. It reads only the 64-slot blocks whose OR
+//!   summary can reach the buffer bound, and emits every buffered
+//!   candidate the signature walk did not touch straight to the rank stage.
 //! * [`finish`] — O(1) per-candidate estimate
 //!   ([`GKmvPairEstimate::from_parts`](crate::gkmv::GKmvPairEstimate::from_parts))
-//!   from the store's packed scalars plus a 1–2 word popcount.
-//! * [`rank`] — one final sort by ascending record id, or a bounded binary
-//!   heap for top-k.
+//!   from the store's packed scalars plus a 1–2 word popcount; a swept slot
+//!   is finished in place by the sweep's sink.
+//! * [`rank`] — one final radix sort by ascending record id, or a bounded
+//!   binary heap for top-k.
 //!
 //! [`QueryPipeline`] owns the per-stage state and is the reusable executor;
 //! [`ShardedIndex`] is the storage layer of N independent shards covering

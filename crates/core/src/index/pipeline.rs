@@ -17,20 +17,21 @@
 //! 2. **candidates** ([`crate::index::candidates`]) — walk the query's
 //!    signature postings, each truncated at `live`: the rarest `minting`
 //!    hashes (df-ordered) mint candidates, the frequent hashes' remainder
-//!    accumulates lookup-only. Between the two, the buffer pass mints the
-//!    buffered candidates (none when `b_min > B_q`): a sweep over the
-//!    buffer words mints the slots of `0..live` whose buffer-word popcount
-//!    against the query reaches `b_min`, and records the overlap of each
-//!    slot it mints.
+//!    accumulates lookup-only. The buffer sweep (none when `b_min > B_q`)
+//!    reads the buffer words of the 64-slot blocks of `0..live` whose
+//!    summary can reach `b_min`, and finds the slots whose buffer-word
+//!    popcount against the query reaches `b_min`. When every hash mints it
+//!    runs last and emits each such slot outside the signature candidates
+//!    straight to the rank stage's sink; a prefix-filtered walk mints them
+//!    before its lookup-only pass.
 //! 3. **finish** ([`crate::index::finish`]) — O(1) Equation-27 estimate per
-//!    surviving candidate. A swept slot takes its buffered overlap from the
-//!    sweep's record; when no signature hash reached it (`K∩ = 0`), that
-//!    overlap is its whole estimate and the threshold test needs no store
-//!    read. Every other candidate recounts its overlap from the buffer
-//!    words.
-//! 4. **rank** ([`crate::index::rank`]) — collect qualifying hits and order
-//!    them by ascending global record id, by a radix sort linear in the
-//!    answer (or keep the best `k` in a bounded heap).
+//!    candidate, from its `K∩` and a popcount of its buffer words. A slot
+//!    the sweep emits is finished in place by the sink: every hash minted,
+//!    so its estimate is its buffered overlap.
+//! 4. **rank** ([`crate::index::rank`]) — collect qualifying hits (a swept
+//!    hit whose estimate is its count as one compact key) and order them by
+//!    ascending global record id, by a radix sort linear in the answer (or
+//!    keep the best `k` in a bounded heap).
 //!
 //! # Intra-query parallelism
 //!
@@ -49,7 +50,7 @@
 //! microsecond-scale queries of a small index.
 
 use crate::dataset::ElementId;
-use crate::index::candidates::{self, QuerySketchView};
+use crate::index::candidates::{self, QuerySketchView, SweptSink};
 use crate::index::finish;
 use crate::index::prune::{Minting, PruneStage};
 use crate::index::rank::{ThresholdCollector, TopK};
@@ -203,10 +204,31 @@ struct StageContext<'a> {
     query_len: usize,
 }
 
+/// The threshold query's sink for the slots the buffer sweep emits of one
+/// shard. Only the unfiltered walk emits, and there every query hash
+/// mints, so an emitted slot shares none (`K∩ = 0`) and its estimate is
+/// exactly its buffered count (finish module docs): the sink tests that
+/// count and collects it as a count key.
+struct ThresholdSink<'a> {
+    shard: &'a Shard,
+    ctx: &'a StageContext<'a>,
+    out: &'a mut ThresholdCollector,
+}
+
+impl SweptSink for ThresholdSink<'_> {
+    #[inline]
+    fn take(&mut self, slot: u32, buffered: u32) {
+        if finish::qualifies(f64::from(buffered), self.ctx.threshold.raw) {
+            let id = self.shard.global_id(slot as usize);
+            self.out.push_count(id, buffered, self.ctx.query_len);
+        }
+    }
+}
+
 /// Runs the candidates → finish stages for the slot range `lo..hi` of one
-/// shard, pushing qualifying hits into `out`: the candidates the sweep
-/// minted are finished from the overlaps it recorded, the rest from the
-/// store's buffer words. The shared inner loop of the
+/// shard, pushing qualifying hits into `out`: the buffer sweep finishes the
+/// slots it emits in place, and the signature candidates are finished from
+/// their `K∩` and the store's buffer words. The shared inner loop of the
 /// sequential and intra-query-parallel paths; `order` is the shard's
 /// precomputed df-ordering when the caller shares one across sub-range
 /// tasks (the parallel path), `None` to let the candidates stage derive it
@@ -220,33 +242,31 @@ fn finish_range(
     scratch: &mut QueryScratch,
     out: &mut ThresholdCollector,
 ) {
+    let mut sink = ThresholdSink { shard, ctx, out };
     match order {
-        Some(order) => {
-            candidates::accumulate_ordered(shard, &ctx.view, lo, hi, ctx.minting, order, scratch)
-        }
-        None => candidates::accumulate(shard, &ctx.view, lo, hi, ctx.minting, scratch),
+        Some(order) => candidates::accumulate_ordered(
+            shard,
+            &ctx.view,
+            lo,
+            hi,
+            ctx.minting,
+            order,
+            scratch,
+            &mut sink,
+        ),
+        None => candidates::accumulate(shard, &ctx.view, lo, hi, ctx.minting, scratch, &mut sink),
     }
     let store = shard.store();
-    let mut emit = |slot: u32, overlap: f64| {
+    for &slot in scratch.candidates() {
+        let overlap = finish::accumulated_overlap(store, &ctx.view, scratch, slot);
         if let Some(hit) = finish::hit_if_qualifies(
             shard.global_id(slot as usize),
             overlap,
             ctx.query_len,
             ctx.threshold.raw,
         ) {
-            out.push(hit);
+            sink.out.push(hit);
         }
-    };
-    for unswept in scratch.unswept() {
-        for &slot in unswept {
-            let overlap = finish::accumulated_overlap(store, &ctx.view, scratch, slot);
-            emit(slot, overlap);
-        }
-    }
-    let (swept, counts) = scratch.swept();
-    for (&slot, &buffered) in swept.iter().zip(counts) {
-        let overlap = finish::swept_overlap(store, &ctx.view, scratch, slot, buffered);
-        emit(slot, overlap);
     }
 }
 
@@ -276,7 +296,8 @@ pub(crate) fn filtered_sorted(
         query_len: q,
     };
 
-    let mut collector = ThresholdCollector::default();
+    let mut collector = std::mem::take(&mut scratch.collector);
+    collector.clear();
     for shard in index.sharded.shards() {
         let live = prune.live_slots(shard, threshold);
         if live == 0 {
@@ -286,7 +307,9 @@ pub(crate) fn filtered_sorted(
         }
         finish_range(shard, &ctx, None, 0, live, scratch, &mut collector);
     }
-    collector.into_sorted()
+    let hits = collector.sorted_hits(q);
+    scratch.collector = collector;
+    hits
 }
 
 /// [`filtered_sorted`] with the per-shard live ranges partitioned over
@@ -373,7 +396,7 @@ pub(crate) fn parallel_sorted(
         worker_scratches.resize_with(workers, QueryScratch::new);
     }
     let chunk_size = tasks.len().div_ceil(workers);
-    let per_worker: Vec<ThresholdCollector> = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = tasks
             .chunks(chunk_size)
             .zip(worker_scratches.iter_mut())
@@ -381,35 +404,58 @@ pub(crate) fn parallel_sorted(
                 let ctx = &ctx;
                 let orders = &orders;
                 scope.spawn(move || {
-                    let mut collector = ThresholdCollector::default();
+                    let mut collector = std::mem::take(&mut scratch.collector);
+                    collector.clear();
                     for &(si, lo, hi) in chunk {
                         let order = orders.as_ref().map(|o| o[si].as_slice());
                         finish_range(&shards[si], ctx, order, lo, hi, scratch, &mut collector);
                     }
-                    collector
+                    scratch.collector = collector;
                 })
             })
             .collect();
-        handles
-            .into_iter()
+        for handle in handles {
             // Deliberate panic propagation (see `parallel::map_chunks`):
             // `join` only errs when the worker panicked.
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
+            handle.join().expect("worker thread panicked");
+        }
     });
-    let mut merged = ThresholdCollector::default();
-    for collector in per_worker {
-        merged.extend(collector);
+    let used = tasks.chunks(chunk_size).len();
+    let merged = &mut scratch.collector;
+    merged.clear();
+    for worker in &worker_scratches[..used] {
+        merged.extend(&worker.collector);
     }
-    merged.into_sorted()
+    merged.sorted_hits(q)
+}
+
+/// The top-k query's sink for the slots the buffer sweep emits of one
+/// shard: every query hash mints, so each slot's estimate is its buffered
+/// overlap, offered to the heap.
+struct TopKSink<'a> {
+    shard: &'a Shard,
+    topk: &'a mut TopK,
+    query_len: usize,
+}
+
+impl SweptSink for TopKSink<'_> {
+    #[inline]
+    fn take(&mut self, slot: u32, buffered: u32) {
+        self.topk.consider(
+            self.shard.global_id(slot as usize),
+            f64::from(buffered),
+            self.query_len,
+        );
+    }
 }
 
 /// Top-k search: candidates (no pruning, prefix filtering or buffer bound
-/// — ranking has no overlap threshold, so every touched candidate competes:
-/// every signature hash mints, and the sweep mints every slot sharing a
-/// buffered element) → finish → bounded-heap rank. Only positive-score
+/// — ranking has no overlap threshold, so every touched slot competes:
+/// every signature hash mints, and the sweep emits every other slot sharing
+/// a buffered element) → finish → bounded-heap rank. Only positive-score
 /// records are ranked (see `TopK::consider`), and those are exactly the
-/// candidates, so the answer equals the ranked scan's.
+/// signature candidates and the swept slots, so the answer equals the
+/// ranked scan's.
 pub(crate) fn topk_sorted(
     index: &GbKmvIndex,
     query: &[ElementId],
@@ -426,7 +472,12 @@ pub(crate) fn topk_sorted(
     let mint_all = Minting::all(&view);
     let mut topk = TopK::new(k);
     for shard in index.sharded.shards() {
-        candidates::accumulate(shard, &view, 0, shard.len(), mint_all, scratch);
+        let mut sink = TopKSink {
+            shard,
+            topk: &mut topk,
+            query_len: q,
+        };
+        candidates::accumulate(shard, &view, 0, shard.len(), mint_all, scratch, &mut sink);
         for &slot in scratch.candidates() {
             let overlap = finish::accumulated_overlap(shard.store(), &view, scratch, slot);
             topk.consider(shard.global_id(slot as usize), overlap, q);

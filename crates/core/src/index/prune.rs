@@ -80,11 +80,11 @@
 //! the signature bound above.)
 //! So only records with `b ≥ b_min` need to mint from the buffer side, and
 //! none when `b_min > B_q`: the candidates stage sweeps the buffer words
-//! and mints exactly those records (at `b_min = 1`, every record sharing a
+//! and emits exactly those records (at `b_min = 1`, every record sharing a
 //! buffered element). A record the cut skips has `b < b_min` and no
-//! minting hash, so it can never qualify; every record that does become a
-//! candidate accumulates the same `K∩` and the same popcount as before, so
-//! answers stay bit-identical. A NaN or infinite input, or `u_Q = 0`,
+//! minting hash, so it can never qualify; every record that is emitted or
+//! minted is finished with the same `K∩` and the same popcount as the
+//! scan, so answers stay bit-identical. A NaN or infinite input, or `u_Q = 0`,
 //! falls back to `b_min = 1` — every record sharing a buffered element
 //! mints, which is always sound.
 

@@ -5,10 +5,15 @@
 //! * `ThresholdCollector` — gathers every qualifying hit and orders them
 //!   once by ascending global record id (the
 //!   [`crate::index::ContainmentIndex`] contract). The answer can be most
-//!   of the touched candidates: a swept `zipf_threshold` query qualifies
-//!   about 2,590 of its 2,690. So the collector emits by an LSD radix sort
-//!   of packed `(record id, hit index)` keys and one gather, linear in the
-//!   answer, instead of comparison-sorting the 24-byte hits.
+//!   of the touched slots: a swept `zipf_threshold` query qualifies about
+//!   2,600. Most of them are emitted by the buffer sweep with an estimate
+//!   that is exactly their buffered overlap, so such a hit is pushed as one
+//!   compact `record_id << 32 | count` key, with no `SearchHit` built; every
+//!   other hit is pushed in full and keyed by a tagged index. One LSD radix
+//!   sort of the keys, linear in the answer, orders both, and the output is
+//!   built in key order. Its buffers live in the
+//!   [`QueryScratch`](crate::scratch::QueryScratch) and are reused across
+//!   queries.
 //! * `TopK` — a bounded binary min-heap keeping the best `k` hits
 //!   (O(n log k)); ties broken by ascending record id for determinism.
 //!   Records with a zero estimated overlap are never ranked: they share
@@ -18,55 +23,131 @@
 
 use std::collections::BinaryHeap;
 
+use crate::index::finish;
 use crate::index::SearchHit;
 
+/// Low-half tag of a key that indexes a full hit rather than holding a
+/// buffered-overlap count.
+const HIT_TAG: u64 = 1 << 31;
+
 /// Collects threshold-search hits and establishes the output order.
-#[derive(Debug, Default)]
+///
+/// Each hit whose record id fits in 32 bits is one key, `record_id << 32 |
+/// low`: `low` is either a buffered-overlap count (a hit whose estimate is
+/// that count) or [`HIT_TAG`] plus an index into `hits`. Hits with wider
+/// ids go to `wide` and are comparison-sorted with the rest.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ThresholdCollector {
+    keys: Vec<u64>,
     hits: Vec<SearchHit>,
+    wide: Vec<SearchHit>,
+    /// The radix sort's second buffer.
+    sorted: Vec<u64>,
 }
 
 impl ThresholdCollector {
+    /// Empties the collector, keeping its buffers.
+    pub(crate) fn clear(&mut self) {
+        self.keys.clear();
+        self.hits.clear();
+        self.wide.clear();
+    }
+
+    /// Collects a full hit.
     #[inline]
     pub(crate) fn push(&mut self, hit: SearchHit) {
-        self.hits.push(hit);
+        match u32::try_from(hit.record_id) {
+            Ok(id) => {
+                debug_assert!((self.hits.len() as u64) < HIT_TAG);
+                self.keys
+                    .push((u64::from(id) << 32) | HIT_TAG | self.hits.len() as u64);
+                self.hits.push(hit);
+            }
+            Err(_) => self.wide.push(hit),
+        }
     }
 
-    /// Merges another collector's hits (the intra-query parallel path
-    /// concatenates its workers' collectors before the final sort).
+    /// Collects the hit of `record_id` whose estimated overlap is exactly
+    /// its buffered overlap `count` (`count < 2^31`); the `SearchHit` is
+    /// built at emission, for a query of `query_size` elements.
     #[inline]
-    pub(crate) fn extend(&mut self, other: ThresholdCollector) {
-        self.hits.extend(other.hits);
+    pub(crate) fn push_count(&mut self, record_id: usize, count: u32, query_size: usize) {
+        debug_assert!(u64::from(count) < HIT_TAG);
+        match u32::try_from(record_id) {
+            Ok(id) => self.keys.push((u64::from(id) << 32) | u64::from(count)),
+            Err(_) => self
+                .wide
+                .push(finish::hit(record_id, f64::from(count), query_size)),
+        }
     }
 
-    /// The hits sorted by ascending global record id.
+    /// Adds another collector's hits (the intra-query parallel path merges
+    /// its workers' collectors before the final sort).
+    pub(crate) fn extend(&mut self, other: &ThresholdCollector) {
+        for &key in &other.keys {
+            if key & HIT_TAG == 0 {
+                self.keys.push(key);
+            } else {
+                self.push(other.hits[(key & (HIT_TAG - 1)) as usize]);
+            }
+        }
+        self.wide.extend_from_slice(&other.wide);
+    }
+
+    /// Heap bytes held by the collector's buffers.
+    pub(crate) fn mem_bytes(&self) -> usize {
+        (self.keys.capacity() + self.sorted.capacity()) * std::mem::size_of::<u64>()
+            + (self.hits.capacity() + self.wide.capacity()) * std::mem::size_of::<SearchHit>()
+    }
+
+    /// The hit a key stands for, for a query of `query_size` elements.
+    #[inline]
+    fn hit_of(&self, key: u64, query_size: usize) -> SearchHit {
+        let low = key & 0xFFFF_FFFF;
+        if low & HIT_TAG == 0 {
+            finish::hit((key >> 32) as usize, low as f64, query_size)
+        } else {
+            self.hits[(low & (HIT_TAG - 1)) as usize]
+        }
+    }
+
+    /// The hits, for a query of `query_size` elements, sorted by ascending
+    /// global record id (unique per hit).
     ///
-    /// Each hit becomes one `record_id << 32 | index` key; an LSD radix
-    /// sort over the id half orders the keys, and the hits are gathered in
-    /// key order. Up to [`RADIX_MIN_HITS`] hits, or with an id that does
-    /// not fit in 32 bits, the hits are comparison-sorted instead.
-    pub(crate) fn into_sorted(mut self) -> Vec<SearchHit> {
-        let max_id = (self.hits.len() > RADIX_MIN_HITS)
-            .then(|| self.hits.iter().map(|h| h.record_id).max())
-            .flatten()
-            .and_then(|id| u32::try_from(id).ok());
-        let Some(max_id) = max_id else {
-            self.hits.sort_unstable_by_key(|h| h.record_id);
-            return self.hits;
-        };
-        let id_bits = u32::BITS - max_id.leading_zeros();
-        let mut keys: Vec<u64> = self
-            .hits
+    /// The keys are sorted by an LSD radix sort over their id half, or by a
+    /// comparison sort up to [`RADIX_MIN_HITS`] keys, and the hits are
+    /// built in key order. With a hit whose id does not fit in 32 bits,
+    /// every hit is built first and comparison-sorted instead.
+    pub(crate) fn sorted_hits(&mut self, query_size: usize) -> Vec<SearchHit> {
+        if !self.wide.is_empty() {
+            let mut out = self.wide.clone();
+            out.extend(self.keys.iter().map(|&k| self.hit_of(k, query_size)));
+            out.sort_unstable_by_key(|h| h.record_id);
+            return out;
+        }
+        if self.keys.len() > RADIX_MIN_HITS {
+            let max_id = self
+                .keys
+                .iter()
+                .map(|&k| (k >> 32) as u32)
+                .max()
+                .unwrap_or(0);
+            radix_sort_high_half(
+                &mut self.keys,
+                &mut self.sorted,
+                u32::BITS - max_id.leading_zeros(),
+            );
+        } else {
+            self.keys.sort_unstable();
+        }
+        self.keys
             .iter()
-            .zip(0u64..)
-            .map(|(h, i)| ((h.record_id as u64) << 32) | i)
-            .collect();
-        radix_sort_high_half(&mut keys, id_bits);
-        keys.iter().map(|&k| self.hits[k as u32 as usize]).collect()
+            .map(|&k| self.hit_of(k, query_size))
+            .collect()
     }
 }
 
-/// Hit counts up to which [`ThresholdCollector::into_sorted`]
+/// Hit counts up to which [`ThresholdCollector::sorted_hits`]
 /// comparison-sorts: there, the radix sort's per-pass histograms cost as
 /// much as the sort they replace. Measured on 200 sets of distinct random
 /// ids below 200,000 (2-core x86-64 host): at 64 hits both took 1.3 µs, at
@@ -78,16 +159,18 @@ pub(crate) const RADIX_MIN_HITS: usize = 64;
 const RADIX_DIGIT_BITS: u32 = 11;
 
 /// Stable LSD radix sort of `keys` by their high 32 bits, of which only
-/// the low `bits` may be set. The bits split into as few passes of at most
-/// [`RADIX_DIGIT_BITS`] as they need (ids below 2^11, 2^22 and 2^32 take 1,
-/// 2 and 3 passes), with equal digit widths.
-fn radix_sort_high_half(keys: &mut Vec<u64>, bits: u32) {
+/// the low `bits` may be set, using `sorted` as the second buffer. The bits
+/// split into as few passes of at most [`RADIX_DIGIT_BITS`] as they need
+/// (ids below 2^11, 2^22 and 2^32 take 1, 2 and 3 passes), with equal
+/// digit widths.
+fn radix_sort_high_half(keys: &mut Vec<u64>, sorted: &mut Vec<u64>, bits: u32) {
     let passes = bits.div_ceil(RADIX_DIGIT_BITS).max(1);
     let width = bits.div_ceil(passes);
     let digit_mask = (1u64 << width) - 1;
     let mut buckets = [0u32; 1 << RADIX_DIGIT_BITS];
     let buckets = &mut buckets[..1 << width];
-    let mut sorted = vec![0u64; keys.len()];
+    sorted.clear();
+    sorted.resize(keys.len(), 0);
     for pass in 0..passes {
         let shift = 32 + pass * width;
         let digit = |key: u64| ((key >> shift) & digit_mask) as usize;
@@ -106,7 +189,7 @@ fn radix_sort_high_half(keys: &mut Vec<u64>, bits: u32) {
             sorted[*bucket as usize] = key;
             *bucket += 1;
         }
-        std::mem::swap(keys, &mut sorted);
+        std::mem::swap(keys, sorted);
     }
 }
 
@@ -224,11 +307,36 @@ mod tests {
             .collect()
     }
 
+    /// Collects `hits`, every third one as a count key (its overlap is
+    /// then the count, and its expected hit is built as the finish builds
+    /// one), and returns the hits the collector must emit, unsorted.
+    fn collect_mixed(
+        collector: &mut ThresholdCollector,
+        hits: &[SearchHit],
+        query_size: usize,
+    ) -> Vec<SearchHit> {
+        hits.iter()
+            .zip(0u32..)
+            .map(|(&hit, i)| {
+                if i % 3 == 0 {
+                    collector.push_count(hit.record_id, i, query_size);
+                    finish::hit(hit.record_id, f64::from(i), query_size)
+                } else {
+                    collector.push(hit);
+                    hit
+                }
+            })
+            .collect()
+    }
+
     proptest! {
-        /// `into_sorted` equals a comparison sort by record id: at 0 and 1
-        /// hits, on both sides of `RADIX_MIN_HITS`, at a few hundred and at
-        /// 3,000 or more hits, with the largest id needing 1, 2 or 3 radix
-        /// passes of 11 bits or not fitting in 32 bits.
+        /// The collector's sorted emission equals a comparison sort by
+        /// record id of the hits it was given, full and count keys alike:
+        /// at 0 and 1 hits, on both sides of `RADIX_MIN_HITS`, at a few
+        /// hundred and at 3,000 or more hits, with the largest id needing
+        /// 1, 2 or 3 radix passes of 11 bits or not fitting in 32 bits.
+        /// Emptying the collector and reusing it, or merging it into
+        /// another, gives the same answer.
         #[test]
         fn into_sorted_matches_a_comparison_sort_by_record_id(
             len_class in 0..6usize,
@@ -242,12 +350,25 @@ mod tests {
             let len = len.min(1 << bits);
             let hits = hits_with_ids(len, bits, odd | 1);
             let mut collector = ThresholdCollector::default();
-            for &hit in &hits {
-                collector.push(hit);
-            }
-            let mut expected = hits;
+            collect_mixed(&mut collector, &hits_with_ids(9, 8, 3), 7);
+            collector.clear();
+            let mut expected = collect_mixed(&mut collector, &hits, 7);
             expected.sort_unstable_by_key(|h| h.record_id);
-            prop_assert_eq!(collector.into_sorted(), expected);
+            let mut merged = ThresholdCollector::default();
+            let (front, back) = hits.split_at(len / 2);
+            collect_mixed(&mut merged, front, 7);
+            let mut other = ThresholdCollector::default();
+            // Keep the count keys on the same hits as in `collector`.
+            for (&hit, i) in back.iter().zip((front.len() as u32)..) {
+                if i % 3 == 0 {
+                    other.push_count(hit.record_id, i, 7);
+                } else {
+                    other.push(hit);
+                }
+            }
+            merged.extend(&other);
+            prop_assert_eq!(collector.sorted_hits(7), expected.clone());
+            prop_assert_eq!(merged.sorted_hits(7), expected);
         }
     }
 
@@ -255,6 +376,7 @@ mod tests {
     fn radix_sort_orders_by_the_high_half_stably() {
         // Equal ids keep their low halves' input order; ids need 1, 2 and
         // 3 passes.
+        let mut sorted = Vec::new();
         for bits in [1u32, 11, 12, 22, 23, 32] {
             let top = (1u64 << bits) - 1;
             let mut keys: Vec<u64> = [top, 0, top, 1, top >> 1, 0]
@@ -264,7 +386,7 @@ mod tests {
                 .collect();
             let mut expected = keys.clone();
             expected.sort_by_key(|k| k >> 32);
-            radix_sort_high_half(&mut keys, bits);
+            radix_sort_high_half(&mut keys, &mut sorted, bits);
             assert_eq!(keys, expected, "{bits} bits");
         }
     }
@@ -308,7 +430,7 @@ mod tests {
             });
         }
         let ids: Vec<usize> = collector
-            .into_sorted()
+            .sorted_hits(2)
             .iter()
             .map(|h| h.record_id)
             .collect();

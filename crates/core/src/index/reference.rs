@@ -3,12 +3,12 @@
 //! `scan_sorted` estimates every record (subject to the size filter) with a
 //! per-record sorted merge; no postings, no accumulation. This is the
 //! ground truth of the agreement tests: every accelerated path must return
-//! **bit-identical** hits.
+//! **bit-identical** hits. It orders them by a plain comparison sort, not
+//! by the rank stage's collector.
 
 use crate::dataset::ElementId;
 use crate::index::candidates::QuerySketchView;
 use crate::index::finish;
-use crate::index::rank::ThresholdCollector;
 use crate::index::{GbKmvIndex, SearchHit};
 use crate::sim::OverlapThreshold;
 
@@ -18,7 +18,7 @@ pub(crate) fn scan_sorted(index: &GbKmvIndex, query: &[ElementId], t_star: f64) 
     let threshold = OverlapThreshold::new(q, t_star);
     let q_sketch = index.sketcher.sketch_elements(query);
     let view = QuerySketchView::new(&q_sketch);
-    let mut collector = ThresholdCollector::default();
+    let mut hits = Vec::new();
     for shard in index.sharded.shards() {
         let store = shard.store();
         for slot in 0..store.len() {
@@ -29,9 +29,10 @@ pub(crate) fn scan_sorted(index: &GbKmvIndex, query: &[ElementId], t_star: f64) 
             if let Some(hit) =
                 finish::hit_if_qualifies(shard.global_id(slot), overlap, q, threshold.raw)
             {
-                collector.push(hit);
+                hits.push(hit);
             }
         }
     }
-    collector.into_sorted()
+    hits.sort_unstable_by_key(|h: &SearchHit| h.record_id);
+    hits
 }

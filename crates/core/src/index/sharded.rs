@@ -137,12 +137,14 @@ impl Shard {
     /// keeping the pruned query path exact under dynamic inserts; bulk
     /// loads go through [`Shard::build`].
     ///
-    /// **Fast path:** when the new record is the smallest seen so far, its
-    /// slot lands at the tail of the size order, so no existing entry is at
-    /// or above it — the whole renumber pass is skipped and every posting
-    /// splice is a tail append (an O(1) push on the raw format, a one-block
-    /// rewrite on the packed one). Loading records in descending size order
-    /// therefore inserts in O(record postings) instead of O(shard).
+    /// **Fast path:** when the new record sorts last (smallest size, and
+    /// among the smallest the lowest hot-first buffer words; see
+    /// [`SketchStore`]), its slot lands at the tail of the slot order, so no
+    /// existing entry is at or above it — the whole renumber pass is
+    /// skipped and every posting splice is a tail append (an O(1) push on
+    /// the raw format, a one-block rewrite on the packed one). Loading
+    /// records in slot order therefore inserts in O(record postings)
+    /// instead of O(shard).
     pub(crate) fn insert(&mut self, sketch: &GbKmvRecordSketch) -> usize {
         let (local_id, slot) = self.store.insert(sketch);
         let slot = slot as u32;
@@ -608,16 +610,31 @@ mod tests {
 
     #[test]
     fn descending_size_inserts_take_the_append_fast_path_and_match_rebuild() {
-        // Records inserted in descending size order always land at the tail
-        // of the size order, so every insert takes the renumber-free fast
-        // path — and the result must still be bit-identical to a bulk
-        // build over the same sequence.
+        // Records inserted in slot-key order (descending size, then
+        // descending hot-first buffer words) always land at the tail of the
+        // slot order, so every insert takes the renumber-free fast path —
+        // and the result must still be bit-identical to a bulk build over
+        // the same sequence.
         let mut sk = sketches(20);
-        sk.sort_by_key(|s| std::cmp::Reverse(s.record_size));
+        let hot_first =
+            |s: &GbKmvRecordSketch| s.buffer.words().first().map_or(0, |w| w.reverse_bits());
+        sk.sort_by_key(|s| std::cmp::Reverse((s.record_size, hot_first(s))));
+        assert!(
+            sk.windows(2).any(
+                |w| w[0].record_size == w[1].record_size && hot_first(&w[0]) > hot_first(&w[1])
+            ),
+            "no size class orders by its buffer words"
+        );
         for format in FORMATS {
             let mut grown = ShardedIndex::build(&sk[..1], 1, 1, format, 1);
             for s in &sk[1..] {
+                let tail = grown.len();
                 grown.insert(s);
+                assert_eq!(
+                    grown.shards()[0].store().slot_of(tail),
+                    tail,
+                    "not a tail append"
+                );
             }
             let bulk = ShardedIndex::build(&sk, 1, 1, format, 1);
             assert_eq!(grown, bulk, "fast-path inserts diverged from rebuild");

@@ -90,6 +90,57 @@ fn summary_reports_space_within_budget() {
     assert!(summary.tau > 0.0 && summary.tau <= 1.0);
 }
 
+/// 2,000 records of 20 to 59 elements drawn from a Zipf(1) law over 5,000
+/// elements (a fixed LCG stream, inverse-CDF sampling, duplicates merged).
+fn zipf_dataset() -> Dataset {
+    let universe = 5_000usize;
+    let mut cdf: Vec<f64> = (1..=universe).map(|rank| 1.0 / rank as f64).collect();
+    for i in 1..universe {
+        cdf[i] += cdf[i - 1];
+    }
+    let total = cdf[universe - 1];
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut uniform = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    Dataset::from_records((0..2_000).map(|i| {
+        (0..20 + i % 40)
+            .map(|_| {
+                let u = uniform() * total;
+                cdf.partition_point(|&c| c < u).min(universe - 1) as u32
+            })
+            .collect::<Vec<u32>>()
+    }))
+}
+
+#[test]
+fn fixed_buffer_sizes_are_clamped_to_the_budget() {
+    let dataset = zipf_dataset();
+    let stats = crate::stats::DatasetStats::compute(&dataset);
+    let budget = (stats.total_elements as f64 * 0.1).round();
+    // ⌈32·b/m⌉ − 1: the largest buffer leaving the signatures a positive
+    // budget.
+    let cap = (32.0 * budget / stats.num_records as f64).ceil() as usize - 1;
+    assert!(cap < 128, "test shape drifted: cap {cap}");
+    for r in [0, 16, 128, 256, 512, 1024] {
+        let index = GbKmvIndex::build(
+            &dataset,
+            GbKmvConfig::with_space_fraction(0.1).buffer_size(r),
+        );
+        let summary = index.summary();
+        assert_eq!(summary.buffer_size, r.min(cap), "r = {r}");
+        assert_eq!(index.sketcher().layout().size(), r.min(cap), "r = {r}");
+        assert!(
+            summary.space_used_fraction <= 0.1 + 0.005,
+            "r = {r} used {} of N",
+            summary.space_used_fraction
+        );
+    }
+}
+
 #[test]
 fn every_entry_point_agrees_with_scan_bitwise() {
     // Ordinary thresholds plus adversarial ones (NaN, ±∞, out of [0, 1]):
@@ -801,7 +852,7 @@ fn buffer_bound_branches_are_bit_identical_to_scan() {
 
 #[test]
 fn buffer_sweep_is_bit_identical_to_scan() {
-    use crate::index::candidates::{self, buffer_mint, BufferMint, QuerySketchView};
+    use crate::index::candidates::{buffer_mint, BufferMint, QuerySketchView};
     use crate::index::prune::PruneStage;
     use crate::index::rank::RADIX_MIN_HITS;
     use crate::scratch::QueryScratch;
@@ -861,9 +912,10 @@ fn buffer_sweep_is_bit_identical_to_scan() {
     // Which sweeps the threshold grid reached, as the candidates stage
     // decides them: one at b_min = 1 (every slot sharing a buffered
     // element, as top-k also sweeps) and one at b_min ≥ 2. Also whether a
-    // swept slot gained `K∩ > 0` (a lookup-only hash reached it, so its
-    // finish is not the buffered overlap alone) and whether an answer was
-    // long enough for the rank stage's radix emission.
+    // prefix-filtered sweep minted a slot no minting hash reached that holds
+    // a lookup-only hash (so its `K∩ > 0` comes from the lookup-only pass),
+    // and whether an answer was long enough for the rank stage's radix
+    // emission.
     let (mut sweep_any, mut sweep_min) = (false, false);
     let (mut swept_reached, mut radix) = (false, false);
     let mut scratch = QueryScratch::new();
@@ -892,11 +944,18 @@ fn buffer_sweep_is_bit_identical_to_scan() {
                         _ => sweep_min = true,
                     }
                 }
-                for shard in index.sharded.shards() {
-                    let live = prune.live_slots(shard, threshold);
-                    candidates::accumulate(shard, &view, 0, live, minting, &mut scratch);
-                    let (swept, _) = scratch.swept();
-                    swept_reached |= swept.iter().any(|&s| scratch.k_intersection(s) > 0);
+                if minting.hashes < view.hashes.len() {
+                    for shard in index.sharded.shards() {
+                        let live = prune.live_slots(shard, threshold);
+                        swept_reached |= !swept_slots_with_lookup_hashes(
+                            shard,
+                            &view,
+                            live,
+                            minting,
+                            &mut scratch,
+                        )
+                        .is_empty();
+                    }
                 }
             }
             let scan = index.search_scan(query, t_star);
@@ -950,7 +1009,7 @@ fn buffer_sweep_is_bit_identical_to_scan() {
     assert!(
         sweep_any && sweep_min && swept_reached && radix,
         "reached: sweep at b_min = 1 {sweep_any}, sweep at b_min ≥ 2 {sweep_min}, \
-         swept K∩ > 0 {swept_reached}, radix emission {radix}"
+         swept-and-minted slot with K∩ > 0 {swept_reached}, radix emission {radix}"
     );
     // Neither sweep grows scratch memory on a warm rerun.
     let warm = prefixed.scratch_bytes();
@@ -964,60 +1023,238 @@ fn buffer_sweep_is_bit_identical_to_scan() {
     assert_eq!(prefixed.scratch_bytes(), warm);
 }
 
+/// Runs the candidates stage of the prefix-filtered `minting` over slots
+/// `0..live` of `shard` and returns the candidates the buffer sweep minted
+/// (no minting hash reached them) that the lookup-only pass then scored
+/// (`K∩ > 0`). Such a walk emits nothing to the sink.
+fn swept_slots_with_lookup_hashes(
+    shard: &Shard,
+    view: &candidates::QuerySketchView<'_>,
+    live: usize,
+    minting: prune::Minting,
+    scratch: &mut crate::scratch::QueryScratch,
+) -> Vec<u32> {
+    assert!(
+        minting.hashes < view.hashes.len(),
+        "not a prefix-filtered walk"
+    );
+    let mut emitted: Vec<(u32, u32)> = Vec::new();
+    candidates::accumulate(shard, view, 0, live, minting, scratch, &mut emitted);
+    assert!(
+        emitted.is_empty(),
+        "a prefix-filtered walk emitted {emitted:?}"
+    );
+    let mut order = Vec::new();
+    candidates::df_order(shard.store(), view, &mut order);
+    let mut minting_hashes: Vec<u64> = order[..minting.hashes].iter().map(|&(_, h)| h).collect();
+    minting_hashes.sort_unstable();
+    let store = shard.store();
+    scratch
+        .candidates()
+        .iter()
+        .copied()
+        .filter(|&s| {
+            crate::kmv::sorted_intersection_count(&minting_hashes, store.hashes(s as usize)) == 0
+                && scratch.k_intersection(s) > 0
+        })
+        .collect()
+}
+
 #[test]
-fn swept_finish_is_bit_identical_to_the_accumulated_finish() {
+fn swept_emission_is_bit_identical_to_the_merge_finish() {
     use crate::index::candidates::{self, buffer_mint, BufferMint, QuerySketchView};
     use crate::index::finish;
     use crate::index::prune::{Minting, PruneStage};
+    use crate::kmv::sorted_intersection_count;
+    use crate::scratch::QueryScratch;
+    use crate::sim::OverlapThreshold;
+
+    let dataset = hot_buffer_dataset();
+    let config = GbKmvConfig::with_space_fraction(0.1).buffer_size(16);
+    let index = GbKmvIndex::build(&dataset, config.shards(2));
+    let mut scratch = QueryScratch::new();
+    // Slots the unfiltered sweep emitted (K∩ = 0), and slots a
+    // prefix-filtered sweep minted that a lookup-only hash reached.
+    let (mut emitted, mut reached) = (0usize, 0usize);
+    for rid in [0usize, 7, 291, 1_234, 2_000] {
+        let query = dataset.record(rid);
+        let sketch = index.sketch_query(query);
+        let view = QuerySketchView::new(&sketch);
+        // The prune stage's minting at a few thresholds, both walks, and a
+        // sweep at b_min = 2 with every signature hash lookup-only, so that
+        // those hashes reach swept slots.
+        let mut mintings = vec![Minting {
+            hashes: 0,
+            b_min: 2,
+        }];
+        for t_star in [0.1, 0.25, 0.5] {
+            let threshold = OverlapThreshold::new(query.len(), t_star);
+            for prune in [PruneStage::new(true), PruneStage::new(false)] {
+                mintings.push(prune.minting(&view, threshold));
+            }
+        }
+        for minting in mintings {
+            if buffer_mint(&view, minting.b_min) != BufferMint::Sweep {
+                continue;
+            }
+            let prefixed = minting.hashes < view.hashes.len();
+            for shard in index.sharded.shards() {
+                let store = shard.store();
+                let mut swept: Vec<(u32, u32)> = Vec::new();
+                candidates::accumulate(
+                    shard,
+                    &view,
+                    0,
+                    shard.len(),
+                    minting,
+                    &mut scratch,
+                    &mut swept,
+                );
+                let label = format!("record {rid}, {minting:?}");
+                // Every slot whose buffered overlap reaches b_min is a
+                // candidate or emitted, never both: the sweep emits, in
+                // ascending order and with its overlap, exactly the ones
+                // outside the candidates (none in a prefix-filtered walk,
+                // which mints them).
+                let expected: Vec<(u32, u32)> = (0..store.len())
+                    .filter(|&s| !scratch.candidates().contains(&(s as u32)))
+                    .map(|s| {
+                        let count = store.buffer_intersection_count(view.buffer_words(), s);
+                        (s as u32, count as u32)
+                    })
+                    .filter(|&(_, count)| count as usize >= minting.b_min)
+                    .collect();
+                assert_eq!(swept, expected, "{label}");
+                assert!(!prefixed || swept.is_empty(), "{label}");
+                // An emitted slot shares no hash, so its estimate is its
+                // count; every candidate's finish matches the scan's.
+                for &(slot, buffered) in &swept {
+                    assert_eq!(
+                        sorted_intersection_count(view.hashes, store.hashes(slot as usize)),
+                        0,
+                        "{label}: slot {slot} holds a query hash"
+                    );
+                    assert_eq!(
+                        f64::from(buffered).to_bits(),
+                        finish::merge_overlap(store, &view, slot as usize).to_bits(),
+                        "{label}: slot {slot}"
+                    );
+                    emitted += 1;
+                }
+                for &slot in scratch.candidates() {
+                    assert_eq!(
+                        finish::accumulated_overlap(store, &view, &scratch, slot).to_bits(),
+                        finish::merge_overlap(store, &view, slot as usize).to_bits(),
+                        "{label}: candidate {slot}"
+                    );
+                }
+                if prefixed {
+                    reached += swept_slots_with_lookup_hashes(
+                        shard,
+                        &view,
+                        shard.len(),
+                        minting,
+                        &mut scratch,
+                    )
+                    .len();
+                }
+            }
+        }
+    }
+    assert!(
+        emitted > 0 && reached > 0,
+        "emitted slots {emitted}, swept-and-minted slots with K∩ > 0 {reached}"
+    );
+}
+
+/// The walk no benchmark query takes: a prefix-filtered walk (fewer
+/// minting hashes than the query has) that also sweeps, where a slot the
+/// sweep mints holds a lookup-only hash, so its `K∩ > 0` comes from the
+/// lookup-only pass. Every path must answer like the scan, and every
+/// store's block summary must survive a reopen.
+#[test]
+fn prefixed_sweep_is_bit_identical_to_scan() {
+    use crate::index::candidates::{buffer_mint, BufferMint, QuerySketchView};
+    use crate::index::prune::PruneStage;
     use crate::scratch::QueryScratch;
     use crate::sim::OverlapThreshold;
 
     let dataset = hot_buffer_dataset();
     let config = GbKmvConfig::with_space_fraction(0.1).buffer_size(16);
     let index = GbKmvIndex::build(&dataset, config);
+    let sharded = GbKmvIndex::build(&dataset, config.shards(4));
+    let dir = std::env::temp_dir().join(format!("gbkmv_prefixed_sweep_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("index.arena");
+    sharded.save(&path).expect("save");
+    let reopened = GbKmvIndex::open(&path).expect("open");
+    std::fs::remove_file(&path).ok();
+    for shard in reopened.sharded.shards() {
+        let store = shard.store();
+        assert_eq!(store.block_summary(), store.block_summary_recomputed());
+    }
+    assert_eq!(reopened.sharded, sharded.sharded);
+    let service = crate::service::ContainmentService::new(index.clone());
+    let snapshot = service.snapshot();
+    let mut pipeline = QueryPipeline::new();
+
     let mut scratch = QueryScratch::new();
-    // Swept slots finished with K∩ = 0 and with K∩ > 0.
-    let (mut unreached, mut reached) = (0usize, 0usize);
-    for rid in [0usize, 7, 291, 1_234, 2_000] {
+    let mut reached = 0usize;
+    for rid in [0usize, 7, 291, 1_234, 2_000, 3_333] {
         let query = dataset.record(rid);
         let sketch = index.sketch_query(query);
         let view = QuerySketchView::new(&sketch);
-        // The prune stage's minting at a few thresholds, and a sweep at
-        // b_min = 2 with every signature hash lookup-only, so that those
-        // hashes reach swept slots.
-        let mut mintings = vec![Minting {
-            hashes: 0,
-            b_min: 2,
-        }];
-        mintings.extend([0.1, 0.25, 0.5].map(|t_star| {
-            PruneStage::new(true).minting(&view, OverlapThreshold::new(query.len(), t_star))
-        }));
-        for minting in mintings {
-            if buffer_mint(&view, minting.b_min) != BufferMint::Sweep {
+        for t_star in [0.1, 0.2, 0.3, 0.5] {
+            let threshold = OverlapThreshold::new(query.len(), t_star);
+            let minting = PruneStage::new(true).minting(&view, threshold);
+            let prefixed_sweep = minting.hashes < view.hashes.len()
+                && buffer_mint(&view, minting.b_min) == BufferMint::Sweep;
+            if !prefixed_sweep {
                 continue;
             }
             for shard in index.sharded.shards() {
-                let store = shard.store();
-                candidates::accumulate(shard, &view, 0, shard.len(), minting, &mut scratch);
-                let (swept, counts) = scratch.swept();
-                for (&slot, &buffered) in swept.iter().zip(counts) {
-                    let label = format!("record {rid}, {minting:?}, slot {slot}");
-                    assert_eq!(
-                        finish::swept_overlap(store, &view, &scratch, slot, buffered).to_bits(),
-                        finish::accumulated_overlap(store, &view, &scratch, slot).to_bits(),
-                        "{label}"
-                    );
-                    match scratch.k_intersection(slot) {
-                        0 => unreached += 1,
-                        _ => reached += 1,
-                    }
-                }
+                let live = shard.store().live_prefix(threshold.exact);
+                reached +=
+                    swept_slots_with_lookup_hashes(shard, &view, live, minting, &mut scratch).len();
             }
+            let scan = index.search_scan(query, t_star);
+            let label = format!("record {rid} at t*={t_star}");
+            let q = query.elements();
+            assert_eq!(
+                pipeline.search(&index, q, t_star),
+                scan,
+                "{label}: sequential"
+            );
+            assert_eq!(
+                pipeline.search_parallel(&index, q, t_star, 3),
+                scan,
+                "{label}: intra-query parallel"
+            );
+            assert_eq!(
+                pipeline.search(&sharded, q, t_star),
+                scan,
+                "{label}: 4 shards"
+            );
+            assert_eq!(
+                pipeline.search(&reopened, q, t_star),
+                scan,
+                "{label}: reopened"
+            );
+            assert_eq!(
+                snapshot.search_record(query, t_star),
+                scan,
+                "{label}: service"
+            );
+            assert_eq!(
+                index.search_topk(query, 25),
+                ranked_scan(&index, query, 25),
+                "{label}: top-k"
+            );
         }
     }
     assert!(
-        unreached > 0 && reached > 0,
-        "swept slots finished: K∩ = 0 {unreached}, K∩ > 0 {reached}"
+        reached > 0,
+        "no prefix-filtered sweep minted a slot holding a lookup-only hash"
     );
 }
 

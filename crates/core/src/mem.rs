@@ -33,6 +33,10 @@ pub struct MemUsage {
     /// Estimated `hash_df` document-frequency map content (key + value
     /// bytes per entry; hashing overhead excluded), in bytes.
     pub hash_df_bytes: usize,
+    /// Per-block OR summaries of the buffer bitmaps (one word per word of
+    /// stride for every 64 records), in bytes. Rebuilt at load, like
+    /// `hash_df`, so never borrowed.
+    pub block_summary_bytes: usize,
     /// Raw (uncompressed `u32` slot list) posting content, in bytes.
     pub postings_raw_bytes: usize,
     /// Packed posting payload words (gap-packed + bitmap blocks), in bytes.
@@ -60,20 +64,22 @@ impl MemUsage {
             + self.meta_bytes
             + self.permutation_bytes
             + self.hash_df_bytes
+            + self.block_summary_bytes
             + self.postings_raw_bytes
             + self.postings_packed_bytes
             + self.posting_block_meta_bytes
     }
 
     /// Content bytes that live in (or, after a load, are borrowed from) the
-    /// persisted arena sections: everything except the `hash_df` map, which
-    /// is the one structure the loader rebuilds rather than borrows. On a
+    /// persisted arena sections: everything except the `hash_df` map and the
+    /// block summaries, the structures the loader rebuilds rather than
+    /// borrows. On a
     /// freshly loaded index this equals
     /// [`borrowed_bytes`](Self::borrowed_bytes) exactly — the zero-copy
     /// equality the persistence bench and tests assert.
     #[must_use]
     pub fn arena_content_bytes(&self) -> usize {
-        self.total_bytes() - self.hash_df_bytes
+        self.total_bytes() - self.hash_df_bytes - self.block_summary_bytes
     }
 
     /// Accumulates another breakdown into this one, field by field.
@@ -84,6 +90,7 @@ impl MemUsage {
         self.meta_bytes += other.meta_bytes;
         self.permutation_bytes += other.permutation_bytes;
         self.hash_df_bytes += other.hash_df_bytes;
+        self.block_summary_bytes += other.block_summary_bytes;
         self.postings_raw_bytes += other.postings_raw_bytes;
         self.postings_packed_bytes += other.postings_packed_bytes;
         self.posting_block_meta_bytes += other.posting_block_meta_bytes;
@@ -116,6 +123,7 @@ mod tests {
             meta_bytes: 8,
             permutation_bytes: 16,
             hash_df_bytes: 32,
+            block_summary_bytes: 512,
             postings_raw_bytes: 64,
             postings_packed_bytes: 128,
             posting_block_meta_bytes: 256,
@@ -123,9 +131,9 @@ mod tests {
             shared_bytes: 20_000,
         };
         // Neither informational field (borrowed, shared) joins the total.
-        assert_eq!(usage.total_bytes(), 511);
-        // Arena content excludes only the rebuilt hash_df map.
-        assert_eq!(usage.arena_content_bytes(), 511 - 32);
+        assert_eq!(usage.total_bytes(), 1023);
+        // Arena content excludes the rebuilt hash_df map and summaries.
+        assert_eq!(usage.arena_content_bytes(), 1023 - 32 - 512);
     }
 
     #[test]
@@ -151,6 +159,7 @@ mod tests {
             meta_bytes: 1,
             permutation_bytes: 1,
             hash_df_bytes: 1,
+            block_summary_bytes: 1,
             postings_raw_bytes: 1,
             postings_packed_bytes: 1,
             posting_block_meta_bytes: 1,
@@ -160,7 +169,7 @@ mod tests {
         let mut acc = MemUsage::default();
         acc.add(&unit);
         acc.add(&unit);
-        assert_eq!(acc.total_bytes(), 18);
+        assert_eq!(acc.total_bytes(), 20);
         assert_eq!(acc.borrowed_bytes, 2);
         assert_eq!(acc.shared_bytes, 2);
     }

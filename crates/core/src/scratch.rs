@@ -1,10 +1,14 @@
 //! Reusable per-query accumulator state for the staged query pipeline.
 //!
 //! [`QueryScratch`] holds the dense, epoch-stamped arrays the candidate stage
-//! accumulates into. It lived in [`crate::store`] when the accumulator engine
+//! accumulates into, and the buffers the rank stage collects a threshold
+//! query's hits in. It lived in [`crate::store`] when the accumulator engine
 //! was introduced and is re-exported from there for compatibility; it now has
 //! its own module because the pipeline treats it as the *per-stage state* of
 //! a [`crate::index::QueryPipeline`] rather than part of the storage layer.
+
+use crate::index::candidates::SweptSink;
+use crate::index::rank::ThresholdCollector;
 
 /// Reusable per-query accumulator state for the term-at-a-time query engine.
 ///
@@ -13,14 +17,13 @@
 /// epoch, so starting a new query is one epoch increment — no O(m) clear, no
 /// per-query hash map. Slots touched by the current query are tracked in
 /// `touched` (insertion order; callers sort as their output contract
-/// requires). `K∩` is accumulated per slot; the buffer pass only mints
-/// candidates, by a popcount sweep over the
-/// [`crate::store::SketchStore`]'s buffer words (see
-/// [`crate::index::candidates`]). The sweep computes each slot's exact
-/// buffered overlap anyway, so it records the overlap of every slot it
-/// mints, aligned with its run of `touched`. The finish stage takes
-/// the swept slots' overlaps from that record and reads the other
-/// candidates' as a popcount over the store's words.
+/// requires). `K∩` is accumulated per slot by the signature passes. The
+/// buffer sweep (see [`crate::index::candidates`]) reads a sorted copy of
+/// the candidates (`QueryScratch::take_sorted_candidates`). In the unfiltered
+/// walk it writes nothing here and finishes every other slot it emits in
+/// place, so only the signature candidates go through the stamp and `K∩`
+/// arrays; a prefix-filtered walk mints its swept slots here, before its
+/// lookup-only pass.
 ///
 /// When an index is sharded, the same scratch is reused across the shards of
 /// one query: each shard's candidate stage calls [`QueryScratch::begin`]
@@ -31,11 +34,9 @@ pub struct QueryScratch {
     pub(crate) stamp: Vec<u32>,
     pub(crate) k_int: Vec<u32>,
     touched: Vec<u32>,
-    /// Where the popcount sweep's run of `touched` starts.
-    swept_from: usize,
-    /// Buffered overlap of each slot the popcount sweep minted, in mint
-    /// order: entry `i` belongs to `touched[swept_from + i]`.
-    swept_counts: Vec<u32>,
+    /// `touched` sorted ascending, for the buffer sweep (moved out while
+    /// the sweep reads it; see [`QueryScratch::take_sorted_candidates`]).
+    pub(crate) sorted: Vec<u32>,
     /// Reusable `(document frequency, hash)` buffer the prefix-filter stage
     /// sorts the query's signature hashes into (rarest first); lives here so
     /// the per-query ordering allocates nothing after the first query.
@@ -47,6 +48,9 @@ pub struct QueryScratch {
     /// ([`crate::index::candidates`]) consumes it one whole chunk at a time
     /// through the batched accumulate methods below.
     pub(crate) block_decode: Vec<u32>,
+    /// The hit buffers of a threshold query (or of one worker's share of
+    /// it), reused across queries.
+    pub(crate) collector: ThresholdCollector,
 }
 
 impl QueryScratch {
@@ -72,8 +76,6 @@ impl QueryScratch {
             self.epoch = 1;
         }
         self.touched.clear();
-        self.swept_from = 0;
-        self.swept_counts.clear();
     }
 
     /// Registers `slot` as touched by the current query, zeroing its
@@ -96,14 +98,6 @@ impl QueryScratch {
     pub fn add_signature_hit(&mut self, slot: u32) {
         self.activate(slot);
         self.k_int[slot as usize] += 1;
-    }
-
-    /// Registers `slot` as a candidate without accumulating any overlap.
-    /// The buffer pass mints through the sweep's word form instead, which
-    /// also records the slot's buffered overlap.
-    #[inline]
-    pub fn add_candidate(&mut self, slot: u32) {
-        self.activate(slot);
     }
 
     /// Lookup-only accumulation: counts one shared signature hash for `slot`
@@ -194,30 +188,6 @@ impl QueryScratch {
         }
     }
 
-    /// Starts the popcount sweep's run of `touched`: the slots minted from
-    /// here on by [`QueryScratch::add_swept_word`] carry their buffered
-    /// overlaps.
-    #[inline]
-    pub(crate) fn begin_sweep(&mut self) {
-        self.swept_from = self.touched.len();
-        self.swept_counts.clear();
-    }
-
-    /// The popcount sweep's minting step: registers every set bit `b` of
-    /// `w` as candidate slot `base + b`, in ascending order, and records
-    /// `counts[b]`, the slot's buffered overlap, for each slot it newly
-    /// mints. Slots minted before keep their `K∩` and record nothing.
-    #[inline]
-    pub(crate) fn add_swept_word(&mut self, base: u32, mut w: u64, counts: &[u32; 64]) {
-        while w != 0 {
-            let j = w.trailing_zeros();
-            if self.activate(base + j) {
-                self.swept_counts.push(counts[j as usize]);
-            }
-            w &= w - 1;
-        }
-    }
-
     /// Mask-form [`QueryScratch::add_signature_hits_if_candidate`]: a
     /// branch-free linear sweep over each word's 64-slot window. Every
     /// swept slot gains `present & candidate` — absent slots and
@@ -254,9 +224,10 @@ impl QueryScratch {
         self.stamp.capacity() * std::mem::size_of::<u32>()
             + self.k_int.capacity() * std::mem::size_of::<u32>()
             + self.touched.capacity() * std::mem::size_of::<u32>()
-            + self.swept_counts.capacity() * std::mem::size_of::<u32>()
+            + self.sorted.capacity() * std::mem::size_of::<u32>()
             + self.hash_order.capacity() * std::mem::size_of::<(u32, u64)>()
             + self.block_decode.capacity() * std::mem::size_of::<u32>()
+            + self.collector.mem_bytes()
     }
 
     /// The slots touched by the current query, in first-touch order.
@@ -265,27 +236,39 @@ impl QueryScratch {
         &self.touched
     }
 
-    /// The candidates the popcount sweep minted, in mint order, and their
-    /// buffered overlaps, aligned (both empty when the query did not
-    /// sweep).
+    /// The slots touched by the current query, sorted ascending, in the
+    /// scratch's reusable buffer, moved out so that the sweep can read it
+    /// while it mints into the scratch; callers put it back in `sorted`.
     #[inline]
-    pub(crate) fn swept(&self) -> (&[u32], &[u32]) {
-        let end = self.swept_from + self.swept_counts.len();
-        (&self.touched[self.swept_from..end], &self.swept_counts)
-    }
-
-    /// The candidates the popcount sweep did not mint, in first-touch
-    /// order: those touched before the sweep, then any touched after it.
-    #[inline]
-    pub(crate) fn unswept(&self) -> [&[u32]; 2] {
-        let end = self.swept_from + self.swept_counts.len();
-        [&self.touched[..self.swept_from], &self.touched[end..]]
+    pub(crate) fn take_sorted_candidates(&mut self) -> Vec<u32> {
+        let mut sorted = std::mem::take(&mut self.sorted);
+        sorted.clear();
+        sorted.extend_from_slice(&self.touched);
+        sorted.sort_unstable();
+        sorted
     }
 
     /// `K∩` accumulated for `slot` in the current query.
     #[inline]
     pub fn k_intersection(&self, slot: u32) -> usize {
         self.k_int[slot as usize] as usize
+    }
+}
+
+/// A prefix-filtered walk's buffer sweep mints its slots here, without
+/// accumulating any overlap, for the lookup-only pass to score.
+impl SweptSink for QueryScratch {
+    #[inline]
+    fn take(&mut self, slot: u32, _buffered: u32) {
+        self.activate(slot);
+    }
+}
+
+#[cfg(test)]
+impl QueryScratch {
+    /// Registers `slot` as a candidate without accumulating any overlap.
+    fn mint(&mut self, slot: u32) {
+        self.activate(slot);
     }
 }
 
@@ -299,8 +282,8 @@ mod tests {
         scratch.begin(5);
         scratch.add_signature_hit(3);
         scratch.add_signature_hit(3);
-        scratch.add_candidate(3);
-        scratch.add_candidate(1);
+        scratch.mint(3);
+        scratch.mint(1);
         assert_eq!(scratch.candidates(), &[3, 1]);
         assert_eq!(scratch.k_intersection(3), 2);
         assert_eq!(scratch.k_intersection(1), 0);
@@ -320,7 +303,7 @@ mod tests {
     fn lookup_only_hit_never_mints_a_candidate() {
         let mut scratch = QueryScratch::new();
         scratch.begin(6);
-        scratch.add_candidate(2);
+        scratch.mint(2);
         // Slot 2 is a candidate: the lookup-only hit accumulates.
         scratch.add_signature_hit_if_candidate(2);
         scratch.add_signature_hit_if_candidate(2);
@@ -335,7 +318,7 @@ mod tests {
         scratch.begin(6);
         scratch.add_signature_hit_if_candidate(2);
         assert!(scratch.candidates().is_empty(), "stale-epoch lookup minted");
-        scratch.add_candidate(2);
+        scratch.mint(2);
         assert_eq!(scratch.k_intersection(2), 0, "stale-epoch lookup leaked");
     }
 
@@ -377,8 +360,8 @@ mod tests {
             batched.add_signature_hits(chunk);
         }
         for &s in [6u32, 9, 1].iter() {
-            scalar.add_candidate(s);
-            batched.add_candidate(s);
+            scalar.mint(s);
+            batched.mint(s);
         }
         for chunk in chunks {
             for &s in chunk {
@@ -422,13 +405,13 @@ mod tests {
         }
         masked.add_signature_hits_mask(base, words);
         for &s in &slots {
-            scalar.add_candidate(s);
-            masked.add_candidate(s);
+            scalar.mint(s);
+            masked.mint(s);
         }
         // Slot 0 is a candidate the mask does not cover: the branch-free
         // sweep must add exactly zero to it.
-        scalar.add_candidate(0);
-        masked.add_candidate(0);
+        scalar.mint(0);
+        masked.mint(0);
         for &s in &slots {
             scalar.add_signature_hit_if_candidate(s);
         }
@@ -447,7 +430,7 @@ mod tests {
     fn scratch_grows_with_index() {
         let mut scratch = QueryScratch::new();
         scratch.begin(2);
-        scratch.add_candidate(1);
+        scratch.mint(1);
         scratch.begin(10);
         scratch.add_signature_hit(9);
         assert_eq!(scratch.candidates(), &[9]);

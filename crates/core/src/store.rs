@@ -17,19 +17,42 @@
 //!
 //! # Slots vs. record ids
 //!
-//! Internally, records occupy **slots** ordered by *descending record size*
-//! (ties broken by ascending record id), not by record id. Because the
-//! inverted posting lists of the query engine store ascending slot numbers,
-//! every posting list is automatically size-sorted, and the prune stage of
-//! the query pipeline ([`crate::index`]) can cut a whole posting-list suffix
-//! with one binary search: a containment query at threshold `t*` can only be
-//! matched by records of size at least `⌈t*·|Q|⌉`, i.e. by a *prefix* of the
-//! slots ([`SketchStore::live_prefix`]).
+//! Internally, records occupy **slots** ordered by *descending record size*,
+//! not by record id. Because the inverted posting lists of the query engine
+//! store ascending slot numbers, every posting list is automatically
+//! size-sorted, and the prune stage of the query pipeline ([`crate::index`])
+//! can cut a whole posting-list suffix with one binary search: a containment
+//! query at threshold `t*` can only be matched by records of size at least
+//! `⌈t*·|Q|⌉`, i.e. by a *prefix* of the slots
+//! ([`SketchStore::live_prefix`]). Size order is the only invariant pruning
+//! and correctness rely on.
+//!
+//! Within a size class, slots are **clustered by buffer words**: records
+//! sort by their buffer words in *hot-first* order, descending (the
+//! bit-reversed words compared from word 0 upward, so the record holding
+//! the most frequent buffered element — bit 0 of the
+//! [`crate::buffer::BufferLayout`] — comes first), and then by ascending
+//! record id. Records sharing their hot elements thus sit in neighbouring
+//! slots. With a zero-width buffer every key is equal and the order is
+//! size, then id.
 //!
 //! The old↔new id permutation is kept right here in the store:
 //! [`SketchStore::record_id`] maps a slot back to the record id it holds and
 //! [`SketchStore::slot_of`] maps a record id to its slot. Record ids are
 //! *local* to the store — a sharded index adds its shard's base offset.
+//!
+//! # Block summaries
+//!
+//! For every aligned block of 64 slots (`SWEEP_BLOCK`) the store keeps the OR
+//! of the block's buffer words, one word per word of stride
+//! (`SketchStore::block_summary`). No record of a block shares more
+//! buffered elements with a query than the block's OR does, so the buffer
+//! sweep of [`crate::index::candidates`] skips every block whose summary
+//! cannot reach the query's minimum buffered overlap `b_min`. The
+//! clustered order is what makes such blocks common. The summary is
+//! derived data: rebuilt when a loaded store is reassembled (the arena
+//! format does not hold it) and kept current by [`SketchStore::insert`]
+//! from the spliced block onward.
 //!
 //! # Document frequencies
 //!
@@ -49,6 +72,7 @@
 //! [`GbKmvRecordSketch`] via [`SketchStore::record_sketch`] clones both
 //! arenas' slices and is only meant for diagnostics and serialisation.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
@@ -61,6 +85,10 @@ use crate::kmv::sorted_intersection_count;
 use crate::mem::MemUsage;
 
 pub use crate::scratch::QueryScratch;
+
+/// Slots per block of the per-block buffer summary (see the module docs):
+/// one block is one 64-bit hit mask of the buffer sweep.
+pub(crate) const SWEEP_BLOCK: usize = 64;
 
 /// Per-slot scalar summary: everything the accumulator's O(1) finish needs.
 ///
@@ -94,8 +122,8 @@ pub struct SketchView<'a> {
 }
 
 /// CSR-style flattened sketch storage, one slot per record, slots ordered by
-/// descending record size (see the module docs for the slot/record-id
-/// distinction).
+/// descending record size, then hot-first buffer words, then record id (see
+/// the module docs for the slot/record-id distinction).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SketchStore {
     /// Concatenated, per-slot-sorted G-KMV hash values.
@@ -119,6 +147,9 @@ pub struct SketchStore {
     /// Signature hash value → number of records containing it (document
     /// frequency). Equals the posting-list length when postings are built.
     hash_df: HashMap<u64, u32>,
+    /// OR of the buffer words of each aligned [`SWEEP_BLOCK`]-slot block,
+    /// `words_per_record` words per block (derived from `buffer_arena`).
+    block_summary: Vec<u64>,
 }
 
 impl Default for SketchStore {
@@ -142,13 +173,17 @@ impl SketchStore {
             record_ids: ArenaVec::default(),
             slots: ArenaVec::default(),
             hash_df: HashMap::new(),
+            block_summary: Vec::new(),
         }
     }
 
     /// Reassembles a store from its flat parts — the persistence layer's
     /// constructor. The arenas are typically `ArenaVec::Borrowed` views into
     /// a loaded arena file; callers guarantee the CSR invariants (validated
-    /// structurally by `crate::persist` before this is reached).
+    /// structurally by `crate::persist` before this is reached). The block
+    /// summary is rebuilt here, in one pass over the buffer words. Any
+    /// size-ordered slot order opens; images written before the buffer-word
+    /// clustering answer identically, they are just not clustered.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_arena_parts(
         hash_arena: ArenaVec<u64>,
@@ -160,7 +195,7 @@ impl SketchStore {
         slots: ArenaVec<u32>,
         hash_df: HashMap<u64, u32>,
     ) -> Self {
-        SketchStore {
+        let mut store = SketchStore {
             hash_arena,
             hash_offsets,
             buffer_arena,
@@ -169,7 +204,10 @@ impl SketchStore {
             record_ids,
             slots,
             hash_df,
-        }
+            block_summary: Vec::new(),
+        };
+        store.summarize_from(0);
+        store
     }
 
     /// The raw hash arena (persistence and accounting).
@@ -220,6 +258,7 @@ impl SketchStore {
                 + std::mem::size_of_val(self.slots.as_slice()),
             hash_df_bytes: self.hash_df.len()
                 * (std::mem::size_of::<u64>() + std::mem::size_of::<u32>()),
+            block_summary_bytes: std::mem::size_of_val(self.block_summary.as_slice()),
             borrowed_bytes: self.hash_arena.borrowed_bytes()
                 + self.hash_offsets.borrowed_bytes()
                 + self.buffer_arena.borrowed_bytes()
@@ -231,7 +270,8 @@ impl SketchStore {
     }
 
     /// Builds the store from materialised per-record sketches in record-id
-    /// order; slot `0` receives the largest record. The parallel build
+    /// order; slot `0` receives the largest record, and each size class is
+    /// clustered by hot-first buffer words (module docs). The parallel build
     /// produces sketches in chunks; appending here is a memcpy per arena, so
     /// it is not worth parallelising.
     pub fn from_sketches<'a, I>(words_per_record: usize, sketches: I) -> Self
@@ -239,24 +279,48 @@ impl SketchStore {
         I: IntoIterator<Item = &'a GbKmvRecordSketch>,
     {
         let sketches: Vec<&GbKmvRecordSketch> = sketches.into_iter().collect();
-        let mut order: Vec<u32> = (0..sketches.len() as u32).collect();
-        // Stable sort by descending size keeps ascending record id within a
-        // size class, so the slot order is deterministic.
-        order.sort_by_key(|&i| std::cmp::Reverse(sketches[i as usize].record_size));
-
         let mut store = SketchStore::new(words_per_record);
+        // One packed key per record, sorted ascending: descending size in
+        // the top 32 bits, the descending hot-first first buffer word in the
+        // middle 64, the ascending record id in the low 32. The keys are
+        // unique, so the unstable sort is deterministic. Keys are built up
+        // front: reading the words inside the comparator is far slower.
+        let mut order: Vec<u128> = sketches
+            .iter()
+            .zip(0u32..)
+            .map(|(sketch, rid)| {
+                let first = store.padded_words(sketch).first().copied().unwrap_or(0);
+                (u128::from(u32::MAX - sketch.record_size as u32) << 96)
+                    | (u128::from(!first.reverse_bits()) << 32)
+                    | u128::from(rid)
+            })
+            .collect();
+        order.sort_unstable();
+        if words_per_record > 1 {
+            // Records tied on size and first word order by their remaining
+            // words, then by id.
+            let rest = |rid: u32| &store.padded_words(sketches[rid as usize])[1..];
+            for run in order.chunk_by_mut(|a, b| a >> 32 == b >> 32) {
+                run.sort_unstable_by(|&a, &b| {
+                    hot_first_cmp(rest(b as u32), rest(a as u32)).then((a as u32).cmp(&(b as u32)))
+                });
+            }
+        }
+
         store.slots = vec![0; sketches.len()].into();
-        for &rid in &order {
+        for key in order {
+            let rid = key as u32;
             let slot = store.meta.len() as u32;
             store.append_slot(sketches[rid as usize], rid);
             store.slots[rid as usize] = slot;
         }
+        store.summarize_from(0);
         store
     }
 
     /// Appends one sketch as the next slot, recording the record id it
-    /// holds. Callers maintain the size-order invariant and the `slots`
-    /// reverse map.
+    /// holds. Callers maintain the slot order, the `slots` reverse map and
+    /// the block summary.
     fn append_slot(&mut self, sketch: &GbKmvRecordSketch, record_id: u32) {
         let hashes = sketch.gkmv.hashes();
         // Per-record hashes are deduplicated (the GKmvSketch invariant), so
@@ -310,19 +374,41 @@ impl SketchStore {
     }
 
     /// Inserts one record's sketch with the next record id, splicing it into
-    /// the slot that keeps the size-order invariant, and returns
-    /// `(record_id, slot)`.
+    /// the slot that keeps the slot order, and returns `(record_id, slot)`.
     ///
     /// This is the dynamic-maintenance path: the new record carries the
-    /// largest record id, so inserting *after* every slot of equal size
-    /// reproduces exactly the slot order a from-scratch
+    /// largest record id, so inserting *after* every slot of equal size and
+    /// equal buffer words reproduces exactly the slot order a from-scratch
     /// [`SketchStore::from_sketches`] build over the grown dataset would
-    /// choose. Arena splicing is O(store size); callers that bulk-load should
-    /// use `from_sketches`.
+    /// choose. Arena splicing is O(store size); the block summary is
+    /// recomputed from the spliced block onward, which reads no more words
+    /// than the splice moves. Callers that bulk-load should use
+    /// `from_sketches`.
     pub fn insert(&mut self, sketch: &GbKmvRecordSketch) -> (usize, usize) {
         let record_id = self.len() as u32;
         let size = sketch.record_size as u32;
-        let slot = self.meta.partition_point(|m| m.record_size >= size);
+        let pad = self.pad_len(sketch);
+        let words: Vec<u64> = self
+            .padded_words(sketch)
+            .iter()
+            .copied()
+            .chain(std::iter::repeat_n(0, pad))
+            .collect();
+        // The size class, then the first slot whose words sort after the
+        // new record's (binary search; the class is sorted by those words).
+        let (mut lo, mut hi) = (
+            self.meta.partition_point(|m| m.record_size > size),
+            self.meta.partition_point(|m| m.record_size >= size),
+        );
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if hot_first_cmp(self.buffer_words(mid), &words) == Ordering::Less {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        let slot = lo;
 
         let hashes = sketch.gkmv.hashes();
         for &h in hashes {
@@ -340,14 +426,8 @@ impl SketchStore {
         }
 
         let wpos = slot * self.words_per_record;
-        let pad = self.pad_len(sketch);
-        let words: Vec<u64> = self
-            .padded_words(sketch)
-            .iter()
-            .copied()
-            .chain(std::iter::repeat_n(0, pad))
-            .collect();
         self.buffer_arena.to_mut().splice(wpos..wpos, words);
+        self.summarize_from(slot / SWEEP_BLOCK);
 
         self.meta.to_mut().insert(slot, Self::meta_of(sketch));
         self.record_ids.to_mut().insert(slot, record_id);
@@ -358,6 +438,39 @@ impl SketchStore {
         }
         self.slots.to_mut().push(slot as u32);
         (record_id as usize, slot)
+    }
+
+    /// Recomputes the block summary from block `first_block` to the end of
+    /// the buffer arena.
+    fn summarize_from(&mut self, first_block: usize) {
+        let stride = self.words_per_record;
+        self.block_summary.truncate(first_block * stride);
+        if stride == 0 {
+            return;
+        }
+        let words = &self.buffer_arena[first_block * SWEEP_BLOCK * stride..];
+        // One-word strides (the cost model's usual `r ≤ 64`) fold each block
+        // in one vectorised pass; an insert into a 200k-record store redoes
+        // half the blocks on average, and the general loop below made
+        // `ingest_visible_p50_ms` measurably slower there.
+        if stride == 1 {
+            let ors = words
+                .chunks(SWEEP_BLOCK)
+                .map(|block| block.iter().fold(0, |or, &w| or | w));
+            self.block_summary.extend(ors);
+            return;
+        }
+        for block in words.chunks(SWEEP_BLOCK * stride) {
+            let (first, rest) = block.split_at(stride);
+            let start = self.block_summary.len();
+            self.block_summary.extend_from_slice(first);
+            let summary = &mut self.block_summary[start..];
+            for record in rest.chunks_exact(stride) {
+                for (or, &w) in summary.iter_mut().zip(record) {
+                    *or |= w;
+                }
+            }
+        }
     }
 
     /// Number of stored records.
@@ -423,6 +536,14 @@ impl SketchStore {
     #[inline]
     pub(crate) fn buffer_words_range(&self, lo: usize, hi: usize) -> &[u64] {
         &self.buffer_arena[lo * self.words_per_record..hi * self.words_per_record]
+    }
+
+    /// The per-block buffer summary: for block `b` (slots `64·b..64·b + 64`,
+    /// see [`SWEEP_BLOCK`]), words `b·stride..(b + 1)·stride` hold the OR of
+    /// the block's buffer words.
+    #[inline]
+    pub(crate) fn block_summary(&self) -> &[u64] {
+        &self.block_summary
     }
 
     /// The true record size `|X|` of the record in `slot`.
@@ -527,6 +648,37 @@ impl SketchStore {
     }
 }
 
+/// Orders two records' buffer words hot-first: by the bit-reversed words,
+/// compared from word 0 upward, so the record holding the lower (more
+/// frequent) buffered position is `Greater`. The slot order sorts each size
+/// class by this key, descending.
+#[inline]
+fn hot_first_cmp(a: &[u64], b: &[u64]) -> Ordering {
+    a.iter()
+        .map(|w| w.reverse_bits())
+        .cmp(b.iter().map(|w| w.reverse_bits()))
+}
+
+#[cfg(test)]
+impl SketchStore {
+    /// The block summary recomputed slot by slot, for comparison with the
+    /// maintained one.
+    pub(crate) fn block_summary_recomputed(&self) -> Vec<u64> {
+        let stride = self.words_per_record;
+        let mut summary = vec![0; self.len().div_ceil(SWEEP_BLOCK) * stride];
+        for slot in 0..self.len() {
+            let block = slot / SWEEP_BLOCK;
+            for (or, &w) in summary[block * stride..]
+                .iter_mut()
+                .zip(self.buffer_words(slot))
+            {
+                *or |= w;
+            }
+        }
+        summary
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -588,19 +740,63 @@ mod tests {
     }
 
     #[test]
-    fn slots_are_ordered_by_descending_size_with_id_tiebreak() {
-        let layout = BufferLayout::empty();
+    fn slots_are_ordered_by_size_then_hot_first_buffer_words_then_id() {
+        // Buffered elements 1 (bit 0, the hottest) to 3 (bit 2).
+        let layout = BufferLayout::new(vec![1, 2, 3]);
         let sketches = vec![
-            sketch(&[1, 2], &layout),           // record 0, size 2
-            sketch(&[10, 11, 12, 13], &layout), // record 1, size 4
-            sketch(&[20, 21], &layout),         // record 2, size 2 (ties record 0)
-            sketch(&[30, 31, 32], &layout),     // record 3, size 3
+            sketch(&[2, 50], &layout),          // record 0, size 2, bits {1}
+            sketch(&[10, 11, 12, 13], &layout), // record 1, size 4, no bits
+            sketch(&[1, 51], &layout),          // record 2, size 2, bits {0}
+            sketch(&[30, 31, 32], &layout),     // record 3, size 3, no bits
+            sketch(&[2, 3], &layout),           // record 4, size 2, bits {1, 2}
+            sketch(&[52, 53], &layout),         // record 5, size 2, no bits
+            sketch(&[2, 54], &layout),          // record 6, size 2, bits {1}
+            sketch(&[1, 2, 3], &layout),        // record 7, size 3, bits {0, 1, 2}
         ];
-        let store = SketchStore::from_sketches(0, &sketches);
+        let store = SketchStore::from_sketches(layout.words(), &sketches);
         let slot_order: Vec<usize> = (0..store.len()).map(|s| store.record_id(s)).collect();
-        assert_eq!(slot_order, vec![1, 3, 0, 2]);
+        // Size 4, then size 3 (hot bit 0 first), then size 2: bit 0, then
+        // bits {1, 2} before {1} (ids 0 and 6 tied), then no bits.
+        assert_eq!(slot_order, vec![1, 7, 3, 2, 4, 0, 6, 5]);
         let sizes: Vec<usize> = (0..store.len()).map(|s| store.record_size(s)).collect();
         assert!(sizes.windows(2).all(|w| w[0] >= w[1]));
+
+        // A zero-width buffer keys every record alike: size, then id.
+        let empty = BufferLayout::empty();
+        let plain: Vec<GbKmvRecordSketch> = [&[1u32, 2][..], &[10, 11, 12, 13], &[20, 21]]
+            .iter()
+            .map(|els| sketch(els, &empty))
+            .collect();
+        let store = SketchStore::from_sketches(0, &plain);
+        let slot_order: Vec<usize> = (0..store.len()).map(|s| store.record_id(s)).collect();
+        assert_eq!(slot_order, vec![1, 0, 2]);
+    }
+
+    /// Wide strides order by every word: records tied on size and word 0
+    /// fall back to word 1, then to the id, through build and insert alike.
+    #[test]
+    fn slot_order_compares_every_buffer_word() {
+        let layout = BufferLayout::new((0..130).collect());
+        let sketches: Vec<GbKmvRecordSketch> = [
+            &[0u32, 70, 500][..],
+            &[0, 65, 501],
+            &[0, 70, 502],
+            &[1, 128, 503],
+            &[0, 129, 504],
+            &[0, 65, 505],
+        ]
+        .iter()
+        .map(|els| sketch(els, &layout))
+        .collect();
+        let store = SketchStore::from_sketches(layout.words(), &sketches);
+        assert_eq!(store.words_per_record(), 3);
+        let slot_order: Vec<usize> = (0..store.len()).map(|s| store.record_id(s)).collect();
+        assert_eq!(slot_order, vec![1, 5, 0, 2, 4, 3]);
+        let mut grown = SketchStore::from_sketches(layout.words(), &sketches[..1]);
+        for s in &sketches[1..] {
+            grown.insert(s);
+        }
+        assert_eq!(grown, store);
     }
 
     #[test]
@@ -657,6 +853,8 @@ mod tests {
             &[40, 50, 60, 70, 80],
             &[2, 3],
             &[5, 6, 7],
+            &[1, 31],
+            &[3, 32],
         ]
         .iter()
         .map(|els| sketch(els, &layout))
@@ -673,6 +871,38 @@ mod tests {
             incremental, from_scratch,
             "incremental inserts diverged from the from-scratch build"
         );
+    }
+
+    /// The block summary equals a slot-by-slot recomputation after the
+    /// build and after every insert, wherever the insert splices: into the
+    /// first block, a middle one, or past the last full block.
+    #[test]
+    fn block_summary_tracks_build_and_every_insert() {
+        for (buffered, stride) in [(40u32, 1usize), (100, 2)] {
+            let layout = BufferLayout::new((0..buffered).collect());
+            let record = |i: u32| {
+                let mut elements: Vec<u32> = (0..buffered)
+                    .filter(|&e| (e * 7 + i * 13) % 23 < 3)
+                    .collect();
+                elements.extend((0..(1 + i % 9)).map(|j| 1_000 + i * 10 + j));
+                sketch(&elements, &layout)
+            };
+            let mut store = SketchStore::from_sketches(
+                layout.words(),
+                &(0..150).map(record).collect::<Vec<_>>(),
+            );
+            assert_eq!(store.words_per_record(), stride);
+            assert_eq!(store.block_summary(), store.block_summary_recomputed());
+            for i in 150..250 {
+                store.insert(&record(i));
+                assert_eq!(
+                    store.block_summary(),
+                    store.block_summary_recomputed(),
+                    "after inserting record {i}"
+                );
+            }
+        }
+        assert!(SketchStore::new(1).block_summary().is_empty());
     }
 
     #[test]
@@ -723,6 +953,10 @@ mod tests {
             store.len() * std::mem::size_of::<RecordMeta>()
         );
         assert_eq!(usage.permutation_bytes, store.len() * 2 * 4);
+        assert_eq!(
+            usage.block_summary_bytes,
+            store.len().div_ceil(SWEEP_BLOCK) * store.words_per_record() * 8
+        );
         assert_eq!(usage.borrowed_bytes, 0, "built stores own every arena");
         assert!(usage.total_bytes() > 0);
     }
