@@ -89,9 +89,8 @@ use serde_json::Value;
 /// Every path the throughput report must contain. Extending the bench with
 /// a new path means extending this list — that is the point: the gate, not
 /// just the bench, documents the measured surface.
-const REQUIRED_PATHS: [&str; 7] = [
+const REQUIRED_PATHS: [&str; 6] = [
     "scan",
-    "accumulator_pruned",
     "prefix_pruned",
     "packed_pruned",
     "sharded_pruned",
@@ -105,13 +104,7 @@ const DENSE_REQUIRED_PATHS: [&str; 3] = ["scan", "prefix_pruned", "packed_pruned
 
 /// Every engine variant the scale-sweep report must measure at every
 /// scale. Extending the sweep grid means extending this list.
-const REQUIRED_SWEEP_VARIANTS: [&str; 5] = [
-    "raw",
-    "raw_noprefix",
-    "packed",
-    "packed_noprefix",
-    "packed_sharded4",
-];
+const REQUIRED_SWEEP_VARIANTS: [&str; 3] = ["raw", "packed", "packed_sharded4"];
 
 /// Multiplicative slack on the "indexed ≥ scan" comparison: CI runners
 /// time-share, and the smoke workload is microseconds per query, so a hard
@@ -1399,9 +1392,7 @@ mod tests {
     fn sweep_scale(records: i64, unit: i64) -> String {
         let cells = [
             sweep_cell("raw", 42, 10_000 * unit, 100_000 * unit, 1_000.0),
-            sweep_cell("raw_noprefix", 42, 10_000 * unit, 100_000 * unit, 900.0),
             sweep_cell("packed", 42, 3_000 * unit, 60_000 * unit, 950.0),
-            sweep_cell("packed_noprefix", 42, 3_000 * unit, 60_000 * unit, 850.0),
             sweep_cell("packed_sharded4", 42, 3_200 * unit, 70_000 * unit, 800.0),
         ];
         format!(
@@ -1441,13 +1432,13 @@ mod tests {
     fn sweep_rejects_a_missing_cell() {
         // Renaming a cell out of the grid drops the required variant.
         let broken = sweep_json(&[sweep_scale(1_000, 1)]).replace(
-            "\"variant\": \"packed_noprefix\"",
-            "\"variant\": \"packed_noprefix_gone\"",
+            "\"variant\": \"packed_sharded4\"",
+            "\"variant\": \"packed_sharded4_gone\"",
         );
         let p = write_report(&broken);
         assert_eq!(
             check_sweep(&p).unwrap_err(),
-            "sweep scale 1000: required cell `packed_noprefix` is missing"
+            "sweep scale 1000: required cell `packed_sharded4` is missing"
         );
         std::fs::remove_file(p).unwrap();
     }
@@ -1484,10 +1475,10 @@ mod tests {
 
     #[test]
     fn sweep_rejects_a_dominated_or_empty_frontier() {
-        // A dominated cell (`packed_noprefix`) on the committed frontier.
+        // A dominated cell (`packed_sharded4`) on the committed frontier.
         let broken = sweep_json(&[sweep_scale(1_000, 1)]).replace(
             "\"frontier\": [{\"variant\": \"packed\"",
-            "\"frontier\": [{\"variant\": \"packed_noprefix\"",
+            "\"frontier\": [{\"variant\": \"packed_sharded4\"",
         );
         let p = write_report(&broken);
         let err = check_sweep(&p).unwrap_err();

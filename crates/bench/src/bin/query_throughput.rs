@@ -5,13 +5,11 @@
 //! space budget by default) and measures, for the same workload:
 //!
 //! * `scan` — the full-scan reference path (sorted merge per record),
-//! * `accumulator_pruned` — size-ordered posting pruning, then unfiltered
-//!   term-at-a-time accumulation (candidates below the overlap threshold
-//!   die before the finish; the prefix-filter ablation),
-//! * `prefix_pruned` — pruning plus the signature prefix filter (only the
-//!   rarest df-ordered hashes of a query mint candidates; the frequent
-//!   ones accumulate lookup-only), measured over **raw** posting lists so
-//!   the entry keeps its historical meaning,
+//! * `prefix_pruned` — size-ordered posting pruning plus the signature
+//!   prefix filter (a query past the filter's own per-query rule lets only
+//!   the rarest df-ordered hashes mint candidates; the frequent ones
+//!   accumulate lookup-only), measured over **raw** posting lists so the
+//!   entry keeps its historical meaning,
 //! * `packed_pruned` — the default engine: the same prune + prefix
 //!   pipeline over the **block-compressed** (delta/bit-packed) posting
 //!   subsystem; the report also records both formats' posting-arena bytes
@@ -300,10 +298,7 @@ struct ThroughputReport {
     /// accumulate at their target shape).
     dense_profile: DenseProfileSection,
     paths: Vec<PathSection>,
-    /// Speedup of the pruning stage (`accumulator_pruned`).
-    speedup_pruned_vs_scan: f64,
-    /// Speedups of the prefix-filtered engine (`prefix_pruned`).
-    speedup_prefix_vs_pruned: f64,
+    /// Speedup of the raw-format engine (`prefix_pruned`) over the scan.
     speedup_prefix_vs_scan: f64,
     /// Block-compressed postings vs the raw-format engine. Since the
     /// batched block decode landed
@@ -987,11 +982,6 @@ fn main() {
             assert_eq!(&f(q), expected, "{name} diverged from scan on query {qi}");
         }
     };
-    assert_agrees("accumulator_pruned", &|q| {
-        QueryPipeline::new()
-            .prefix_filter(false)
-            .search(&index, q.elements(), threshold)
-    });
     assert_agrees("prefix_pruned", &|q| index.search_record(q, threshold));
     assert_agrees("packed_pruned", &|q| {
         packed_index.search_record(q, threshold)
@@ -1009,10 +999,6 @@ fn main() {
     );
 
     let (scan_lat, scan_hits) = measure(queries, reps, |q| index.search_scan(q, threshold).len());
-    let mut pruned = QueryPipeline::new().prefix_filter(false);
-    let (pruned_lat, pruned_hits) = measure(queries, reps, |q| {
-        pruned.search_sorted(&index, q.elements(), threshold).len()
-    });
     let mut prefix = QueryPipeline::new();
     let (prefix_lat, prefix_hits) = measure(queries, reps, |q| {
         prefix.search_sorted(&index, q.elements(), threshold).len()
@@ -1109,7 +1095,6 @@ fn main() {
     // Belt-and-braces on top of the per-query agreement check above: the
     // measured loops must reproduce the same workload-wide hit count.
     for (name, hits) in [
-        ("accumulator_pruned", pruned_hits),
         ("prefix_pruned", prefix_hits),
         ("packed_pruned", packed_hits),
         ("sharded_pruned", sharded_hits),
@@ -1121,7 +1106,6 @@ fn main() {
 
     let paths = vec![
         path_section("scan", scan_lat, scan_hits),
-        path_section("accumulator_pruned", pruned_lat, pruned_hits),
         path_section("prefix_pruned", prefix_lat, prefix_hits),
         path_section("packed_pruned", packed_lat, packed_hits),
         path_section("sharded_pruned", sharded_lat, sharded_hits),
@@ -1156,8 +1140,6 @@ fn main() {
         concurrent,
         ingest: ingest_section,
         dense_profile,
-        speedup_pruned_vs_scan: qps(&paths, "accumulator_pruned") / qps(&paths, "scan"),
-        speedup_prefix_vs_pruned: qps(&paths, "prefix_pruned") / qps(&paths, "accumulator_pruned"),
         speedup_prefix_vs_scan: qps(&paths, "prefix_pruned") / qps(&paths, "scan"),
         speedup_packed_vs_prefix: qps(&paths, "packed_pruned") / qps(&paths, "prefix_pruned"),
         paths,
@@ -1196,14 +1178,9 @@ fn main() {
         }
     );
     println!(
-        "pruned: {:.2}x vs scan; \
-         prefix-filtered engine: {:.2}x vs pruned, {:.2}x vs scan; \
+        "raw-format engine: {:.2}x vs scan; \
          packed postings: {:.2}x vs prefix_pruned ({} shards for batch)",
-        report.speedup_pruned_vs_scan,
-        report.speedup_prefix_vs_pruned,
-        report.speedup_prefix_vs_scan,
-        report.speedup_packed_vs_prefix,
-        report.batch_shards
+        report.speedup_prefix_vs_scan, report.speedup_packed_vs_prefix, report.batch_shards
     );
     println!(
         "posting arena: raw {} bytes, packed {} bytes ({:.1}% of raw, {} bitmap blocks)",

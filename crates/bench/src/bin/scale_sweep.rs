@@ -9,13 +9,11 @@
 //! build in a small container), then builds and measures one index per
 //! engine variant:
 //!
-//! | variant | postings | prefix filter | shards |
-//! |---------------------|--------|-----|---|
-//! | `raw`               | raw    | on  | 1 |
-//! | `raw_noprefix`      | raw    | off | 1 |
-//! | `packed`            | packed | on  | 1 |
-//! | `packed_noprefix`   | packed | off | 1 |
-//! | `packed_sharded4`   | packed | on  | 4 |
+//! | variant | postings | shards |
+//! |---------------------|--------|---|
+//! | `raw`               | raw    | 1 |
+//! | `packed`            | packed | 1 |
+//! | `packed_sharded4`   | packed | 4 |
 //!
 //! Every variant pins the sketch-only operating point (`buffer_size(0)`)
 //! so the cells differ only along the engine axes, never in sketch shape.
@@ -54,26 +52,22 @@ use gbkmv_eval::report::{format_table, write_json_report};
 struct Variant {
     name: &'static str,
     format: PostingFormat,
-    prefix_filter: bool,
     shards: usize,
 }
 
-/// The fixed variant grid: both posting formats, the prefix filter off
-/// for each, and a 4-way sharded cell.
+/// The fixed variant grid: both posting formats, and a 4-way sharded
+/// packed cell.
 fn variants() -> Vec<Variant> {
     use PostingFormat::{Packed, Raw};
-    let v = |name, format, prefix_filter, shards| Variant {
+    let v = |name, format, shards| Variant {
         name,
         format,
-        prefix_filter,
         shards,
     };
     vec![
-        v("raw", Raw, true, 1),
-        v("raw_noprefix", Raw, false, 1),
-        v("packed", Packed, true, 1),
-        v("packed_noprefix", Packed, false, 1),
-        v("packed_sharded4", Packed, true, 4),
+        v("raw", Raw, 1),
+        v("packed", Packed, 1),
+        v("packed_sharded4", Packed, 4),
     ]
 }
 
@@ -84,8 +78,6 @@ struct Cell {
     variant: String,
     /// Posting storage format of this cell's index.
     posting_format: String,
-    /// Whether the signature prefix filter ran during measurement.
-    prefix_filter: bool,
     /// Shard count of this cell's index.
     shards: usize,
     /// Wall time of the single measured `GbKmvIndex::build`, seconds.
@@ -196,14 +188,11 @@ fn measure_scale(
                 .buffer_size(0)
                 .threads(threads)
                 .posting_format(spec.format)
-                .prefix_filter(spec.prefix_filter)
                 .shards(spec.shards),
         );
         let build_seconds = build_start.elapsed().as_secs_f64();
 
-        // Hit identity across the whole grid, per query, before timing:
-        // `search_record` honours the index's own prefix config, so this
-        // exercises exactly the path the cell measures.
+        // Hit identity across the whole grid, per query, before timing.
         let hits: Vec<Vec<SearchHit>> = queries
             .iter()
             .map(|q| index.search_record(q, threshold))
@@ -222,7 +211,7 @@ fn measure_scale(
             }
         }
 
-        let mut pipeline = QueryPipeline::new().prefix_filter(spec.prefix_filter);
+        let mut pipeline = QueryPipeline::new();
         let (latencies, total_hits) = measure(queries, reps, |q| {
             pipeline
                 .search_sorted(&index, q.elements(), threshold)
@@ -237,7 +226,6 @@ fn measure_scale(
                 PostingFormat::Raw => "raw".to_string(),
                 PostingFormat::Packed => "packed".to_string(),
             },
-            prefix_filter: spec.prefix_filter,
             shards: spec.shards,
             build_seconds,
             queries_per_sec: stats.queries_per_sec,

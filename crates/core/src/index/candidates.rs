@@ -40,7 +40,11 @@
 //!    unfiltered walk.
 //!
 //! The unfiltered walk (every hash mints) is pass 1, then the sweep, which
-//! emits instead of minting.
+//! emits instead of minting. Which walk a threshold query takes is the
+//! prune stage's decision for that query alone: a signature of at most
+//! `SHORT_SIGNATURE_LEN` hashes, or a bound of `θ_sig ≤ 1`, walks
+//! unfiltered, any other query prefixed. Top-k always walks unfiltered.
+//! There is no switch that forces either walk.
 //!
 //! # The buffer sweep
 //!

@@ -28,12 +28,6 @@ pub struct GbKmvConfig {
     pub buffer: BufferSizing,
     /// Seed of the sketch hash function.
     pub hash_seed: u64,
-    /// Whether the query pipeline's signature prefix filter is used by the
-    /// index's search entry points: only the rarest (lowest document
-    /// frequency) signature hashes of a query mint new candidates, the rest
-    /// accumulate lookup-only. Never changes any answer (see
-    /// [`crate::index::prune`] for the bound); disable for the ablation.
-    pub use_prefix_filter: bool,
     /// Number of threads used for sketching and posting construction at build
     /// time (`0` = all available cores). The built index is identical for
     /// every thread count.
@@ -69,7 +63,6 @@ impl Default for GbKmvConfig {
             budget_elements: None,
             buffer: BufferSizing::Auto,
             hash_seed: 0x6bb7_9e4b_1f2d_3c58,
-            use_prefix_filter: true,
             threads: 0,
             shards: 1,
             posting_format: PostingFormat::default(),
@@ -112,13 +105,6 @@ impl GbKmvConfig {
     /// Overrides the sketch hash seed.
     pub fn hash_seed(mut self, seed: u64) -> Self {
         self.hash_seed = seed;
-        self
-    }
-
-    /// Enables or disables the signature prefix filter of the query
-    /// pipeline (answers are identical either way).
-    pub fn prefix_filter(mut self, enabled: bool) -> Self {
-        self.use_prefix_filter = enabled;
         self
     }
 
@@ -196,15 +182,12 @@ mod tests {
         let c = GbKmvConfig::with_space_fraction(0.2)
             .buffer_size(8)
             .hash_seed(7)
-            .prefix_filter(false)
             .threads(2)
             .shards(4)
             .posting_format(PostingFormat::Raw)
             .ingest_batch(16);
         assert_eq!(c.buffer, BufferSizing::Fixed(8));
         assert_eq!(c.hash_seed, 7);
-        assert!(!c.use_prefix_filter);
-        assert!(GbKmvConfig::default().use_prefix_filter);
         assert_eq!(c.threads, 2);
         assert_eq!(c.shards, 4);
         assert_eq!(c.posting_format, PostingFormat::Raw);

@@ -60,7 +60,8 @@
 //! [`mod@reference`] is the one oracle: every path returns bit-identical
 //! hits to it, which the agreement tests and the `query_agreement` property
 //! suite enforce for all shard counts, thread counts, posting formats and
-//! the prefix-filter ablation.
+//! both walks of the signature prefix filter (prefixed and unfiltered, which
+//! the filter picks per query).
 //!
 //! # Entry points
 //!
@@ -356,11 +357,7 @@ impl GbKmvIndex {
     }
 
     fn search_sorted(&self, query: &[ElementId], t_star: f64) -> Vec<SearchHit> {
-        QUERY_PIPELINE.with(|p| {
-            let mut p = p.borrow_mut();
-            p.set_stages(self.config.use_prefix_filter);
-            p.search_sorted(self, query, t_star)
-        })
+        QUERY_PIPELINE.with(|p| p.borrow_mut().search_sorted(self, query, t_star))
     }
 
     /// Reference implementation: estimates the intersection with every
@@ -409,11 +406,7 @@ impl GbKmvIndex {
         t_star: f64,
         threads: usize,
     ) -> Vec<SearchHit> {
-        QUERY_PIPELINE.with(|p| {
-            let mut p = p.borrow_mut();
-            p.set_stages(self.config.use_prefix_filter);
-            p.search_parallel(self, query, t_star, threads)
-        })
+        QUERY_PIPELINE.with(|p| p.borrow_mut().search_parallel(self, query, t_star, threads))
     }
 
     /// Parallel batch search: answers every query of the slab, fanning
@@ -471,9 +464,7 @@ impl GbKmvIndex {
         threads: usize,
     ) -> Vec<Vec<SearchHit>> {
         parallel::map_chunks(queries, threads, |_, chunk| {
-            // Honour the index's prefix-filter knob like every other entry
-            // point, so the config-level ablation also ablates this path.
-            let mut pipeline = QueryPipeline::new().prefix_filter(self.config.use_prefix_filter);
+            let mut pipeline = QueryPipeline::new();
             chunk
                 .iter()
                 .map(|q| pipeline.search_sorted(self, q.elements(), t_star))

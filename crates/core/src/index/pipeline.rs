@@ -1,11 +1,11 @@
 //! The staged query pipeline: **candidates → prune → finish → rank**.
 //!
 //! [`QueryPipeline`] owns the per-stage state (the epoch-stamped
-//! [`QueryScratch`] of the candidate stage plus the prefix-filter toggle)
-//! and composes the stage modules into the search variants; the batch path
-//! runs one pipeline per worker thread over its query slab, and the
-//! intra-query parallel path ([`QueryPipeline::search_parallel`]) fans the
-//! posting work of a *single* query over scoped threads.
+//! [`QueryScratch`] of the candidate stage) and composes the stage modules
+//! into the search variants; the batch path runs one pipeline per worker
+//! thread over its query slab, and the intra-query parallel path
+//! ([`QueryPipeline::search_parallel`]) fans the posting work of a *single*
+//! query over scoped threads.
 //!
 //! Stage composition for a thresholded search, per shard:
 //!
@@ -52,7 +52,7 @@
 use crate::dataset::ElementId;
 use crate::index::candidates::{self, QuerySketchView, SweptSink};
 use crate::index::finish;
-use crate::index::prune::{Minting, PruneStage};
+use crate::index::prune::{self, Minting};
 use crate::index::rank::{ThresholdCollector, TopK};
 use crate::index::reference;
 use crate::index::sharded::Shard;
@@ -82,28 +82,13 @@ pub struct QueryPipeline {
     /// per query would cost O(shard len × workers) on exactly the
     /// large-shard path the parallel schedule exists for.
     worker_scratches: Vec<QueryScratch>,
-    prefix: bool,
 }
 
 impl QueryPipeline {
-    /// A pipeline with the signature prefix filter enabled (the default
-    /// engine).
+    /// A pipeline with empty scratch. The signature prefix filter decides
+    /// per query whether it engages (see [`crate::index::prune`]).
     pub fn new() -> Self {
-        QueryPipeline {
-            scratch: QueryScratch::new(),
-            worker_scratches: Vec::new(),
-            prefix: true,
-        }
-    }
-
-    /// Enables or disables the signature prefix filter of the candidates
-    /// stage. Disabling never changes any answer — every signature hash
-    /// then mints candidates, as the pre-prefix engine did — and exists for
-    /// the ablation benchmark. The buffer pass's bound stays on either way
-    /// (see [`crate::index::prune`]).
-    pub fn prefix_filter(mut self, enabled: bool) -> Self {
-        self.prefix = enabled;
-        self
+        QueryPipeline::default()
     }
 
     /// Bytes of reusable per-query scratch this pipeline has grown so far:
@@ -120,17 +105,6 @@ impl QueryPipeline {
                 .iter()
                 .map(QueryScratch::mem_bytes)
                 .sum::<usize>()
-    }
-
-    /// Sets the prefix-filter knob in place (used by the convenience entry
-    /// points of [`GbKmvIndex`], which honour the index's config on a
-    /// shared thread-local pipeline).
-    pub(crate) fn set_stages(&mut self, prefix: bool) {
-        self.prefix = prefix;
-    }
-
-    fn stages(&self) -> PruneStage {
-        PruneStage::new(self.prefix)
     }
 
     /// Thresholded containment search over a borrowed element slice
@@ -153,7 +127,7 @@ impl QueryPipeline {
         query: &[ElementId],
         t_star: f64,
     ) -> Vec<SearchHit> {
-        filtered_sorted(index, query, t_star, self.stages(), &mut self.scratch)
+        filtered_sorted(index, query, t_star, &mut self.scratch)
     }
 
     /// Thresholded search with the candidates + finish stages of one query
@@ -173,13 +147,11 @@ impl QueryPipeline {
         t_star: f64,
         threads: usize,
     ) -> Vec<SearchHit> {
-        let stages = self.stages();
         crate::index::with_canonical_query(query, |q| {
             parallel_sorted(
                 index,
                 q,
                 t_star,
-                stages,
                 threads,
                 &mut self.scratch,
                 &mut self.worker_scratches,
@@ -279,7 +251,6 @@ pub(crate) fn filtered_sorted(
     index: &GbKmvIndex,
     query: &[ElementId],
     t_star: f64,
-    prune: PruneStage,
     scratch: &mut QueryScratch,
 ) -> Vec<SearchHit> {
     let q = query.len();
@@ -290,7 +261,7 @@ pub(crate) fn filtered_sorted(
     let q_sketch = index.sketcher.sketch_elements(query);
     let view = QuerySketchView::new(&q_sketch);
     let ctx = StageContext {
-        minting: prune.minting(&view, threshold),
+        minting: prune::minting(&view, threshold),
         view,
         threshold,
         query_len: q,
@@ -299,7 +270,7 @@ pub(crate) fn filtered_sorted(
     let mut collector = std::mem::take(&mut scratch.collector);
     collector.clear();
     for shard in index.sharded.shards() {
-        let live = prune.live_slots(shard, threshold);
+        let live = prune::live_slots(shard, threshold);
         if live == 0 {
             // Every record in the shard is smaller than the required
             // overlap; nothing to traverse.
@@ -321,7 +292,6 @@ pub(crate) fn parallel_sorted(
     index: &GbKmvIndex,
     query: &[ElementId],
     t_star: f64,
-    prune: PruneStage,
     threads: usize,
     scratch: &mut QueryScratch,
     worker_scratches: &mut Vec<QueryScratch>,
@@ -334,18 +304,18 @@ pub(crate) fn parallel_sorted(
     let shards = index.sharded.shards();
     let live: Vec<usize> = shards
         .iter()
-        .map(|s| prune.live_slots(s, threshold))
+        .map(|s| prune::live_slots(s, threshold))
         .collect();
     let total_live: usize = live.iter().sum();
     let threads = parallel::resolve_threads(threads);
     if threads <= 1 || total_live < PARALLEL_MIN_LIVE_SLOTS {
-        return filtered_sorted(index, query, t_star, prune, scratch);
+        return filtered_sorted(index, query, t_star, scratch);
     }
 
     let q_sketch = index.sketcher.sketch_elements(query);
     let view = QuerySketchView::new(&q_sketch);
     let ctx = StageContext {
-        minting: prune.minting(&view, threshold),
+        minting: prune::minting(&view, threshold),
         view,
         threshold,
         query_len: q,

@@ -50,6 +50,11 @@
 //! qualify with fewer shared hashes than the naive bound assumes. The
 //! `u_Q`-corrected bound above is what the bit-identity proptests pin.
 //!
+//! The filter has no off switch; it decides per query. A signature of at
+//! most `SHORT_SIGNATURE_LEN` hashes, or a bound of `θ_sig ≤ 1`, lets
+//! every hash mint (the unfiltered walk, with no df-ordering sort); any
+//! other query takes the prefixed walk. Both walks give the scan's answers.
+//!
 //! # The joint bound on buffered candidates
 //!
 //! Equation 27 adds the exact buffered overlap `b = |H_Q ∩ H_X|` to the
@@ -152,76 +157,56 @@ pub(crate) fn min_buffer_overlap(raw: f64, unminted: usize, u_q: f64) -> usize {
     }
 }
 
-/// The per-query pruning decisions (size cutoff, prefix filter and buffer
-/// bound), applied per shard.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PruneStage {
-    /// Whether the signature prefix filter is enabled (disabled for the
-    /// ablation benchmark; every signature hash then mints candidates).
-    prefix: bool,
+/// The number of leading slots of `shard` that survive the overlap
+/// threshold — the candidate stage's posting-list cutoff.
+#[inline]
+pub(crate) fn live_slots(shard: &Shard, threshold: OverlapThreshold) -> usize {
+    shard.store().live_prefix(threshold.exact)
 }
 
-impl PruneStage {
-    pub(crate) fn new(prefix: bool) -> Self {
-        PruneStage { prefix }
+/// The query's minting decisions: the signature minting prefix of
+/// [`minting_hashes`] and the buffer sweep's `b_min`
+/// ([`min_buffer_overlap`]) given that prefix. When every hash mints,
+/// `S_max = 0` and `b_min = ⌈t*·|Q|⌉` (up to the slop).
+pub(crate) fn minting(view: &QuerySketchView<'_>, threshold: OverlapThreshold) -> Minting {
+    let hashes = minting_hashes(view, threshold);
+    Minting {
+        hashes,
+        b_min: min_buffer_overlap(
+            threshold.raw,
+            view.hashes.len() - hashes,
+            unit_hash(view.max_hash),
+        ),
     }
+}
 
-    /// The number of leading slots of `shard` that survive the overlap
-    /// threshold — the candidate stage's posting-list cutoff.
-    #[inline]
-    pub(crate) fn live_slots(&self, shard: &Shard, threshold: OverlapThreshold) -> usize {
-        shard.store().live_prefix(threshold.exact)
+/// Number of the query's (df-ordered) signature hashes allowed to mint
+/// new candidates: `|L_Q| − θ_sig + 1` for the `u_Q`-corrected pigeonhole
+/// bound `θ_sig` of the module docs, clamped to `[0, |L_Q|]`. Returns
+/// `|L_Q|` (all hashes mint — the unfiltered walk, and the candidates
+/// stage skips the df-ordering sort entirely) when the signature is at
+/// most [`SHORT_SIGNATURE_LEN`] hashes (the sort costs more than the
+/// filter saves there), or when the bound cannot cut anything
+/// (`θ_sig ≤ 1`).
+fn minting_hashes(view: &QuerySketchView<'_>, threshold: OverlapThreshold) -> usize {
+    let n = view.hashes.len();
+    if n <= SHORT_SIGNATURE_LEN {
+        return n;
     }
-
-    /// The query's minting decisions: the signature minting prefix of
-    /// [`PruneStage::minting_hashes`] and the buffer sweep's `b_min`
-    /// ([`min_buffer_overlap`]) given that prefix. The buffer bound applies
-    /// with the prefix filter disabled too: every hash then mints, so
-    /// `S_max = 0` and `b_min = ⌈t*·|Q|⌉` (up to the slop).
-    pub(crate) fn minting(
-        &self,
-        view: &QuerySketchView<'_>,
-        threshold: OverlapThreshold,
-    ) -> Minting {
-        let hashes = self.minting_hashes(view, threshold);
-        Minting {
-            hashes,
-            b_min: min_buffer_overlap(
-                threshold.raw,
-                view.hashes.len() - hashes,
-                unit_hash(view.max_hash),
-            ),
-        }
+    let u_q = unit_hash(view.max_hash);
+    // θ_sig = ⌈u_Q·(t*·|Q| − 1e-9)⌉ with an absolute 1e-6 slop against
+    // the estimator's own floating-point rounding (the 1e-9 matches the
+    // tolerance of the finish stage's qualification test). Understating
+    // θ_sig only lengthens the prefix — always sound.
+    let theta = (u_q * (threshold.raw - 1e-9) - 1e-6).ceil();
+    if theta <= 1.0 {
+        // Every hash may mint a qualifying candidate: no filter.
+        return n;
     }
-
-    /// Number of the query's (df-ordered) signature hashes allowed to mint
-    /// new candidates: `|L_Q| − θ_sig + 1` for the `u_Q`-corrected pigeonhole
-    /// bound `θ_sig` of the module docs, clamped to `[0, |L_Q|]`. Returns
-    /// `|L_Q|` (all hashes mint — plain accumulation, and the candidates
-    /// stage skips the df-ordering sort entirely) when the filter is
-    /// disabled, when the signature is at most [`SHORT_SIGNATURE_LEN`]
-    /// hashes (the sort costs more than the filter saves there), or when
-    /// the bound cannot cut anything (`θ_sig ≤ 1`).
-    fn minting_hashes(&self, view: &QuerySketchView<'_>, threshold: OverlapThreshold) -> usize {
-        let n = view.hashes.len();
-        if !self.prefix || n <= SHORT_SIGNATURE_LEN {
-            return n;
-        }
-        let u_q = unit_hash(view.max_hash);
-        // θ_sig = ⌈u_Q·(t*·|Q| − 1e-9)⌉ with an absolute 1e-6 slop against
-        // the estimator's own floating-point rounding (the 1e-9 matches the
-        // tolerance of the finish stage's qualification test). Understating
-        // θ_sig only lengthens the prefix — always sound.
-        let theta = (u_q * (threshold.raw - 1e-9) - 1e-6).ceil();
-        if theta <= 1.0 {
-            // Every hash may mint a qualifying candidate: no filter.
-            return n;
-        }
-        // A finite prefix: `n + 1 − θ_sig` hashes mint; a θ_sig beyond the
-        // signature length means no hash can mint a qualifying candidate on
-        // its own (the buffer sweep still does).
-        (n + 1).saturating_sub(theta as usize).min(n)
-    }
+    // A finite prefix: `n + 1 − θ_sig` hashes mint; a θ_sig beyond the
+    // signature length means no hash can mint a qualifying candidate on
+    // its own (the buffer sweep still does).
+    (n + 1).saturating_sub(theta as usize).min(n)
 }
 
 #[cfg(test)]
@@ -255,38 +240,17 @@ mod tests {
         // u_Q = 1.0 (max hash saturates the unit interval): θ_sig = ⌈t*·|Q|⌉.
         let hashes = twelve_hashes(u64::MAX);
         let view = view_with(&hashes, &buffer);
-        let stage = PruneStage::new(true);
         // θ = 0 ⇒ everything mints.
-        assert_eq!(
-            stage.minting_hashes(&view, OverlapThreshold::new(10, 0.0)),
-            12
-        );
+        assert_eq!(minting_hashes(&view, OverlapThreshold::new(10, 0.0)), 12);
         // θ_sig = 5 ⇒ prefix of 12 + 1 − 5 = 8.
-        assert_eq!(
-            stage.minting_hashes(&view, OverlapThreshold::new(10, 0.5)),
-            8
-        );
+        assert_eq!(minting_hashes(&view, OverlapThreshold::new(10, 0.5)), 8);
         // θ_sig = 2 ⇒ prefix of 11.
-        assert_eq!(
-            stage.minting_hashes(&view, OverlapThreshold::new(10, 0.2)),
-            11
-        );
+        assert_eq!(minting_hashes(&view, OverlapThreshold::new(10, 0.2)), 11);
         // θ_sig = 14 exceeds the 12-hash signature ⇒ nothing mints.
-        assert_eq!(
-            stage.minting_hashes(&view, OverlapThreshold::new(20, 0.7)),
-            0
-        );
-        // Filter disabled ⇒ everything mints regardless.
-        assert_eq!(
-            PruneStage::new(false).minting_hashes(&view, OverlapThreshold::new(10, 0.5)),
-            12
-        );
+        assert_eq!(minting_hashes(&view, OverlapThreshold::new(20, 0.7)), 0);
         // Empty signature ⇒ nothing to order.
         let empty = view_with(&[], &buffer);
-        assert_eq!(
-            stage.minting_hashes(&empty, OverlapThreshold::new(10, 0.5)),
-            0
-        );
+        assert_eq!(minting_hashes(&empty, OverlapThreshold::new(10, 0.5)), 0);
     }
 
     #[test]
@@ -298,11 +262,7 @@ mod tests {
         // returning `n` is what makes the candidates stage skip the sort.
         let hashes = [1u64, 2, 3, u64::MAX];
         let view = view_with(&hashes, &buffer);
-        let stage = PruneStage::new(true);
-        assert_eq!(
-            stage.minting_hashes(&view, OverlapThreshold::new(10, 0.5)),
-            4
-        );
+        assert_eq!(minting_hashes(&view, OverlapThreshold::new(10, 0.5)), 4);
         // One past the constant, the filter engages again.
         let mut nine = [0u64; 9];
         for (i, h) in nine.iter_mut().enumerate() {
@@ -311,7 +271,7 @@ mod tests {
         nine[8] = u64::MAX;
         let view = view_with(&nine, &buffer);
         assert!(
-            stage.minting_hashes(&view, OverlapThreshold::new(10, 0.5)) < 9,
+            minting_hashes(&view, OverlapThreshold::new(10, 0.5)) < 9,
             "a 9-hash signature must engage the prefix filter"
         );
         assert_eq!(SHORT_SIGNATURE_LEN, 8, "test constants track the knob");
@@ -353,20 +313,19 @@ mod tests {
     #[test]
     fn buffer_bound_edges() {
         let buffer = ElementBuffer::zeroed(0);
-        let stage = PruneStage::new(true);
         // Empty signature: K∩ = 0 for every record, so S_max = 0 and the
         // buffered overlap alone must reach ⌈t*·|Q|⌉.
         let empty = view_with(&[], &buffer);
         let threshold = OverlapThreshold::new(10, 0.5);
-        let minting = stage.minting(&empty, threshold);
+        let m = minting(&empty, threshold);
         assert_eq!(
-            minting,
+            m,
             Minting {
                 hashes: 0,
                 b_min: 5
             }
         );
-        assert_buffer_bound_sound(&empty, threshold.raw, minting);
+        assert_buffer_bound_sound(&empty, threshold.raw, m);
 
         // Saturated twelve-element query with u_Q = 1/4: θ_sig = ⌈1.5⌉ = 2,
         // so 11 hashes mint, S_max = 1 / (1/4) = 4 and b_min = ⌈6 − 4⌉ = 2.
@@ -376,18 +335,18 @@ mod tests {
             ..view_with(&hashes, &buffer)
         };
         let threshold = OverlapThreshold::new(12, 0.5);
-        let minting = stage.minting(&saturated, threshold);
+        let m = minting(&saturated, threshold);
         assert_eq!(
-            minting,
+            m,
             Minting {
                 hashes: 11,
                 b_min: 2
             }
         );
-        assert_buffer_bound_sound(&saturated, threshold.raw, minting);
-        // Every hash minting (filter off) leaves S_max = 0.
+        assert_buffer_bound_sound(&saturated, threshold.raw, m);
+        // Every hash minting leaves S_max = 0.
         assert_eq!(
-            PruneStage::new(false).minting(&saturated, threshold).b_min,
+            min_buffer_overlap(threshold.raw, 0, unit_hash(saturated.max_hash)),
             6
         );
 
@@ -405,29 +364,32 @@ mod tests {
         let view = view_with(&hashes, &buffer);
         for t_star in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5, 1.5, 40.0] {
             let threshold = OverlapThreshold::new(12, t_star);
-            let minting = stage.minting(&view, threshold);
+            let m = minting(&view, threshold);
             if !threshold.raw.is_finite() || threshold.raw <= 0.0 {
-                assert_eq!(minting.b_min, 1, "t*={t_star}");
+                assert_eq!(m.b_min, 1, "t*={t_star}");
             }
-            assert_buffer_bound_sound(&view, threshold.raw, minting);
+            assert_buffer_bound_sound(&view, threshold.raw, m);
         }
     }
 
     #[test]
     fn buffer_bound_is_sound_across_signatures_and_thresholds() {
         let buffer = ElementBuffer::zeroed(0);
-        for prefix in [true, false] {
-            let stage = PruneStage::new(prefix);
-            for top in [u64::MAX, u64::MAX / 3, u64::MAX / 10, u64::MAX / 1000] {
-                let hashes = twelve_hashes(top);
-                for len in [0, 1, 9, 12] {
-                    let view = view_with(&hashes[12 - len..], &buffer);
-                    for q in [12, 20, 60] {
-                        for t_star in [0.05, 0.2, 0.35, 0.5, 0.8, 1.0] {
-                            let threshold = OverlapThreshold::new(q, t_star);
-                            let minting = stage.minting(&view, threshold);
-                            assert_buffer_bound_sound(&view, threshold.raw, minting);
-                        }
+        for top in [u64::MAX, u64::MAX / 3, u64::MAX / 10, u64::MAX / 1000] {
+            let hashes = twelve_hashes(top);
+            for len in [0, 1, 9, 12] {
+                let view = view_with(&hashes[12 - len..], &buffer);
+                for q in [12, 20, 60] {
+                    for t_star in [0.05, 0.2, 0.35, 0.5, 0.8, 1.0] {
+                        let threshold = OverlapThreshold::new(q, t_star);
+                        assert_buffer_bound_sound(&view, threshold.raw, minting(&view, threshold));
+                        // The unfiltered walk's bound (every hash mints,
+                        // as when θ_sig ≤ 1) on the same signature.
+                        let every_hash = Minting {
+                            hashes: len,
+                            b_min: min_buffer_overlap(threshold.raw, 0, unit_hash(view.max_hash)),
+                        };
+                        assert_buffer_bound_sound(&view, threshold.raw, every_hash);
                     }
                 }
             }
@@ -443,10 +405,6 @@ mod tests {
         // though the naive ⌈t*·|L_Q|⌉ = 6 bound would have cut the prefix.
         let hashes = twelve_hashes(u64::MAX / 32);
         let view = view_with(&hashes, &buffer);
-        let stage = PruneStage::new(true);
-        assert_eq!(
-            stage.minting_hashes(&view, OverlapThreshold::new(8, 0.5)),
-            12
-        );
+        assert_eq!(minting_hashes(&view, OverlapThreshold::new(8, 0.5)), 12);
     }
 }

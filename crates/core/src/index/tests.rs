@@ -184,33 +184,86 @@ fn every_entry_point_agrees_with_scan_bitwise() {
     }
 }
 
+/// The signature prefix filter has no off switch: the engine decides per
+/// query between the prefixed walk (only the rarest hashes mint) and the
+/// unfiltered walk (every hash mints: a signature of at most
+/// `SHORT_SIGNATURE_LEN` hashes, or `θ_sig ≤ 1`). A default-config index
+/// must take both walks, each on the spawning intra-query parallel path
+/// too, and answer like the scan on every path.
 #[test]
-fn prefix_filter_ablation_is_bit_identical() {
-    let dataset = varied_dataset(140);
-    let index = GbKmvIndex::build(&dataset, GbKmvConfig::with_space_fraction(0.25).shards(2));
-    let mut with_prefix = QueryPipeline::new();
-    let mut without = QueryPipeline::new().prefix_filter(false);
-    for qid in (0..140).step_by(11) {
+fn default_engine_takes_both_walks_bit_identical_to_scan() {
+    use crate::index::candidates::QuerySketchView;
+    use crate::sim::OverlapThreshold;
+
+    let dataset = varied_dataset(6_000);
+    let config = GbKmvConfig::with_space_fraction(0.25).buffer_size(0);
+    let index = GbKmvIndex::build(&dataset, config);
+    let sharded = GbKmvIndex::build(&dataset, config.shards(3));
+    let service = crate::service::ContainmentService::new(index.clone());
+    let snapshot = service.snapshot();
+    let mut pipeline = QueryPipeline::new();
+    // Queries per walk, and those of them whose live range is large enough
+    // for the intra-query parallel path to spawn workers.
+    let (mut prefixed, mut unfiltered) = ((0usize, 0usize), (0usize, 0usize));
+    for qid in [4usize, 38, 85, 1_234, 2_771, 5_003] {
         let query = dataset.record(qid);
-        for t_star in [0.0, 0.3, 0.6, 0.9] {
+        let sketch = index.sketch_query(query);
+        let view = QuerySketchView::new(&sketch);
+        for t_star in [0.2, 0.3, 0.6, 0.9] {
+            let threshold = OverlapThreshold::new(query.len(), t_star);
+            let live: usize = index
+                .sharded
+                .shards()
+                .iter()
+                .map(|shard| prune::live_slots(shard, threshold))
+                .sum();
+            let walk = if prune::minting(&view, threshold).hashes < view.hashes.len() {
+                &mut prefixed
+            } else {
+                &mut unfiltered
+            };
+            walk.0 += 1;
+            walk.1 += usize::from(live >= pipeline::PARALLEL_MIN_LIVE_SLOTS);
+
+            let scan = index.search_scan(query, t_star);
+            let label = format!("query {qid} at t*={t_star}");
+            let q = query.elements();
             assert_eq!(
-                with_prefix.search(&index, query.elements(), t_star),
-                without.search(&index, query.elements(), t_star),
-                "query {qid} at t*={t_star}: prefix filter changed the answer"
+                pipeline.search(&index, q, t_star),
+                scan,
+                "{label}: sequential"
+            );
+            assert_eq!(
+                index.search_record(query, t_star),
+                scan,
+                "{label}: pipeline"
+            );
+            assert_eq!(
+                pipeline.search_parallel(&index, q, t_star, 3),
+                scan,
+                "{label}: intra-query parallel"
+            );
+            assert_eq!(
+                index.search_batch_threads(&[query.clone(), query.clone()], t_star, 2),
+                vec![scan.clone(), scan.clone()],
+                "{label}: batch"
+            );
+            assert_eq!(
+                sharded.search_record(query, t_star),
+                scan,
+                "{label}: 3 shards"
+            );
+            assert_eq!(
+                snapshot.search_record(query, t_star),
+                scan,
+                "{label}: service snapshot"
             );
         }
     }
-    // The config-level ablation routes the public entry points identically.
-    let unfiltered_index = GbKmvIndex::build(
-        &dataset,
-        GbKmvConfig::with_space_fraction(0.25)
-            .shards(2)
-            .prefix_filter(false),
-    );
-    let query = dataset.record(23);
-    assert_eq!(
-        index.search_record(query, 0.5),
-        unfiltered_index.search_record(query, 0.5)
+    assert!(
+        prefixed.1 > 0 && unfiltered.1 > 0,
+        "(queries, spawning parallel queries) per walk: prefixed {prefixed:?}, \
+         unfiltered {unfiltered:?}"
     );
 }
 
@@ -756,7 +809,7 @@ fn hot_buffer_dataset() -> Dataset {
 #[test]
 fn buffer_bound_branches_are_bit_identical_to_scan() {
     use crate::index::candidates::QuerySketchView;
-    use crate::index::prune::{min_buffer_overlap, PruneStage};
+    use crate::index::prune::min_buffer_overlap;
     use crate::sim::OverlapThreshold;
 
     let dataset = hot_buffer_dataset();
@@ -765,8 +818,7 @@ fn buffer_bound_branches_are_bit_identical_to_scan() {
     let sharded = GbKmvIndex::build(&dataset, config.shards(4));
     let service = crate::service::ContainmentService::new(index.clone());
     let snapshot = service.snapshot();
-    let mut prefixed = QueryPipeline::new();
-    let mut unprefixed = QueryPipeline::new().prefix_filter(false);
+    let mut pipeline = QueryPipeline::new();
 
     // Each query joins the first `hot` buffered elements to up to `tail`
     // tail elements of one record.
@@ -789,15 +841,13 @@ fn buffer_bound_branches_are_bit_identical_to_scan() {
         let b_q = view.buffer.count_ones();
         for t_star in [0.05, 0.15, 0.2, 0.25, 0.5, 0.9] {
             let threshold = OverlapThreshold::new(query.len(), t_star);
-            for prune in [PruneStage::new(true), PruneStage::new(false)] {
-                let m = prune.minting(&view, threshold);
-                let b_min = m.b_min;
-                skip |= b_min > b_q;
-                single |= b_min == b_q;
-                lowered |= m.hashes < view.hashes.len()
-                    && (2..b_q).contains(&b_min)
-                    && b_min < min_buffer_overlap(threshold.raw, 0, 1.0);
-            }
+            let m = prune::minting(&view, threshold);
+            let b_min = m.b_min;
+            skip |= b_min > b_q;
+            single |= b_min == b_q;
+            lowered |= m.hashes < view.hashes.len()
+                && (2..b_q).contains(&b_min)
+                && b_min < min_buffer_overlap(threshold.raw, 0, 1.0);
             let scan = index.search_scan(query, t_star);
             let label = format!("query {qi} at t*={t_star}");
             assert_eq!(
@@ -815,24 +865,22 @@ fn buffer_bound_branches_are_bit_identical_to_scan() {
                 scan,
                 "{label}: service snapshot"
             );
-            for pipeline in [&mut prefixed, &mut unprefixed] {
-                let q = query.elements();
-                assert_eq!(
-                    pipeline.search(&index, q, t_star),
-                    scan,
-                    "{label}: sequential"
-                );
-                assert_eq!(
-                    pipeline.search_parallel(&index, q, t_star, 3),
-                    scan,
-                    "{label}: intra-query parallel"
-                );
-                assert_eq!(
-                    pipeline.search(&sharded, q, t_star),
-                    scan,
-                    "{label}: 4 shards"
-                );
-            }
+            let q = query.elements();
+            assert_eq!(
+                pipeline.search(&index, q, t_star),
+                scan,
+                "{label}: sequential"
+            );
+            assert_eq!(
+                pipeline.search_parallel(&index, q, t_star, 3),
+                scan,
+                "{label}: intra-query parallel"
+            );
+            assert_eq!(
+                pipeline.search(&sharded, q, t_star),
+                scan,
+                "{label}: 4 shards"
+            );
         }
     }
     assert!(
@@ -841,19 +889,18 @@ fn buffer_bound_branches_are_bit_identical_to_scan() {
     );
     // The buffer ordering reuses scratch memory: a second pass over the
     // same queries grows nothing.
-    let warm = prefixed.scratch_bytes();
+    let warm = pipeline.scratch_bytes();
     for query in &queries {
         for t_star in [0.15, 0.25] {
-            prefixed.search(&index, query.elements(), t_star);
+            pipeline.search(&index, query.elements(), t_star);
         }
     }
-    assert_eq!(prefixed.scratch_bytes(), warm);
+    assert_eq!(pipeline.scratch_bytes(), warm);
 }
 
 #[test]
 fn buffer_sweep_is_bit_identical_to_scan() {
     use crate::index::candidates::{buffer_mint, BufferMint, QuerySketchView};
-    use crate::index::prune::PruneStage;
     use crate::index::rank::RADIX_MIN_HITS;
     use crate::scratch::QueryScratch;
     use crate::sim::OverlapThreshold;
@@ -873,8 +920,7 @@ fn buffer_sweep_is_bit_identical_to_scan() {
     std::fs::remove_file(&path).ok();
     let service = crate::service::ContainmentService::new(index.clone());
     let snapshot = service.snapshot();
-    let mut prefixed = QueryPipeline::new();
-    let mut unprefixed = QueryPipeline::new().prefix_filter(false);
+    let mut pipeline = QueryPipeline::new();
 
     let buffered_tail: Vec<u32> = index
         .sketcher()
@@ -929,33 +975,26 @@ fn buffer_sweep_is_bit_identical_to_scan() {
             assert_eq!(engine.search_topk(query, 25), ranked, "{label}");
         }
         assert_eq!(
-            prefixed.topk(&index, query.elements(), 25),
+            pipeline.topk(&index, query.elements(), 25),
             ranked,
             "{label}"
         );
 
         for t_star in [0.05, 0.15, 0.25, 0.5, 0.9] {
             let threshold = OverlapThreshold::new(query.len(), t_star);
-            for prune in [PruneStage::new(true), PruneStage::new(false)] {
-                let minting = prune.minting(&view, threshold);
-                if buffer_mint(&view, minting.b_min) == BufferMint::Sweep {
-                    match minting.b_min {
-                        0 | 1 => sweep_any = true,
-                        _ => sweep_min = true,
-                    }
+            let minting = prune::minting(&view, threshold);
+            if buffer_mint(&view, minting.b_min) == BufferMint::Sweep {
+                match minting.b_min {
+                    0 | 1 => sweep_any = true,
+                    _ => sweep_min = true,
                 }
-                if minting.hashes < view.hashes.len() {
-                    for shard in index.sharded.shards() {
-                        let live = prune.live_slots(shard, threshold);
-                        swept_reached |= !swept_slots_with_lookup_hashes(
-                            shard,
-                            &view,
-                            live,
-                            minting,
-                            &mut scratch,
-                        )
-                        .is_empty();
-                    }
+            }
+            if minting.hashes < view.hashes.len() {
+                for shard in index.sharded.shards() {
+                    let live = prune::live_slots(shard, threshold);
+                    swept_reached |=
+                        !swept_slots_with_lookup_hashes(shard, &view, live, minting, &mut scratch)
+                            .is_empty();
                 }
             }
             let scan = index.search_scan(query, t_star);
@@ -981,29 +1020,27 @@ fn buffer_sweep_is_bit_identical_to_scan() {
                 scan,
                 "{label}: reopened"
             );
-            for pipeline in [&mut prefixed, &mut unprefixed] {
-                let q = query.elements();
-                assert_eq!(
-                    pipeline.search(&index, q, t_star),
-                    scan,
-                    "{label}: sequential"
-                );
-                assert_eq!(
-                    pipeline.search_parallel(&index, q, t_star, 3),
-                    scan,
-                    "{label}: intra-query parallel"
-                );
-                assert_eq!(
-                    pipeline.search(&sharded, q, t_star),
-                    scan,
-                    "{label}: 4 shards"
-                );
-                assert_eq!(
-                    pipeline.search(&reopened, q, t_star),
-                    scan,
-                    "{label}: reopened"
-                );
-            }
+            let q = query.elements();
+            assert_eq!(
+                pipeline.search(&index, q, t_star),
+                scan,
+                "{label}: sequential"
+            );
+            assert_eq!(
+                pipeline.search_parallel(&index, q, t_star, 3),
+                scan,
+                "{label}: intra-query parallel"
+            );
+            assert_eq!(
+                pipeline.search(&sharded, q, t_star),
+                scan,
+                "{label}: 4 shards"
+            );
+            assert_eq!(
+                pipeline.search(&reopened, q, t_star),
+                scan,
+                "{label}: reopened"
+            );
         }
     }
     assert!(
@@ -1012,15 +1049,15 @@ fn buffer_sweep_is_bit_identical_to_scan() {
          swept-and-minted slot with K∩ > 0 {swept_reached}, radix emission {radix}"
     );
     // Neither sweep grows scratch memory on a warm rerun.
-    let warm = prefixed.scratch_bytes();
+    let warm = pipeline.scratch_bytes();
     for query in &queries {
         for t_star in [0.05, 0.25] {
-            prefixed.search(&index, query.elements(), t_star);
-            prefixed.search_parallel(&index, query.elements(), t_star, 3);
+            pipeline.search(&index, query.elements(), t_star);
+            pipeline.search_parallel(&index, query.elements(), t_star, 3);
         }
-        prefixed.topk(&index, query.elements(), 25);
+        pipeline.topk(&index, query.elements(), 25);
     }
-    assert_eq!(prefixed.scratch_bytes(), warm);
+    assert_eq!(pipeline.scratch_bytes(), warm);
 }
 
 /// Runs the candidates stage of the prefix-filtered `minting` over slots
@@ -1062,9 +1099,10 @@ fn swept_slots_with_lookup_hashes(
 
 #[test]
 fn swept_emission_is_bit_identical_to_the_merge_finish() {
+    use crate::hash::unit_hash;
     use crate::index::candidates::{self, buffer_mint, BufferMint, QuerySketchView};
     use crate::index::finish;
-    use crate::index::prune::{Minting, PruneStage};
+    use crate::index::prune::{min_buffer_overlap, Minting};
     use crate::kmv::sorted_intersection_count;
     use crate::scratch::QueryScratch;
     use crate::sim::OverlapThreshold;
@@ -1080,18 +1118,21 @@ fn swept_emission_is_bit_identical_to_the_merge_finish() {
         let query = dataset.record(rid);
         let sketch = index.sketch_query(query);
         let view = QuerySketchView::new(&sketch);
-        // The prune stage's minting at a few thresholds, both walks, and a
-        // sweep at b_min = 2 with every signature hash lookup-only, so that
-        // those hashes reach swept slots.
+        // The prune stage's minting at a few thresholds, the unfiltered
+        // walk's (every hash mints) at each, and a sweep at b_min = 2 with
+        // every signature hash lookup-only, so that those hashes reach
+        // swept slots.
         let mut mintings = vec![Minting {
             hashes: 0,
             b_min: 2,
         }];
         for t_star in [0.1, 0.25, 0.5] {
             let threshold = OverlapThreshold::new(query.len(), t_star);
-            for prune in [PruneStage::new(true), PruneStage::new(false)] {
-                mintings.push(prune.minting(&view, threshold));
-            }
+            mintings.push(prune::minting(&view, threshold));
+            mintings.push(Minting {
+                hashes: view.hashes.len(),
+                b_min: min_buffer_overlap(threshold.raw, 0, unit_hash(view.max_hash)),
+            });
         }
         for minting in mintings {
             if buffer_mint(&view, minting.b_min) != BufferMint::Sweep {
@@ -1175,7 +1216,6 @@ fn swept_emission_is_bit_identical_to_the_merge_finish() {
 #[test]
 fn prefixed_sweep_is_bit_identical_to_scan() {
     use crate::index::candidates::{buffer_mint, BufferMint, QuerySketchView};
-    use crate::index::prune::PruneStage;
     use crate::scratch::QueryScratch;
     use crate::sim::OverlapThreshold;
 
@@ -1206,7 +1246,7 @@ fn prefixed_sweep_is_bit_identical_to_scan() {
         let view = QuerySketchView::new(&sketch);
         for t_star in [0.1, 0.2, 0.3, 0.5] {
             let threshold = OverlapThreshold::new(query.len(), t_star);
-            let minting = PruneStage::new(true).minting(&view, threshold);
+            let minting = prune::minting(&view, threshold);
             let prefixed_sweep = minting.hashes < view.hashes.len()
                 && buffer_mint(&view, minting.b_min) == BufferMint::Sweep;
             if !prefixed_sweep {

@@ -56,8 +56,12 @@
 //!   as 1. An image with 0 there was built without signature postings and
 //!   cannot be queried through the pipeline, so it is rejected with
 //!   [`Error::PersistCorrupt`].
-//! * The next config byte held the tag of a removed accumulate-kernel
-//!   knob: written as 0, read as 0 or 1.
+//! * The next config byte held the removed prefix-filter off switch (the
+//!   filter now decides per query): written as 1, which every
+//!   default-config image already held, read as 0 or 1 and dropped. Any
+//!   other value is rejected with [`Error::PersistCorrupt`].
+//! * The byte after it held the tag of a removed accumulate-kernel knob:
+//!   written as 0, read as 0 or 1.
 //!
 //! # Zero-copy loading
 //!
@@ -322,7 +326,9 @@ fn write_config(out: &mut Vec<u8>, c: &GbKmvConfig) {
     // The former candidate-filter flag: every index has signature
     // postings, so it is always 1 (see the module docs).
     put_u8(out, 1);
-    put_u8(out, u8::from(c.use_prefix_filter));
+    // The former prefix-filter flag: the filter is always on (it decides
+    // per query), so it is always 1 (see the module docs).
+    put_u8(out, 1);
     put_u64(out, c.threads as u64);
     put_u64(out, c.shards as u64);
     put_u8(out, format_tag(c.posting_format));
@@ -584,7 +590,9 @@ fn read_config(cur: &mut MetaCursor) -> Result<GbKmvConfig> {
             "the image was built without the candidate filter and holds no signature postings",
         ));
     }
-    let use_prefix_filter = cur.bool()?;
+    // The former prefix-filter flag: 0 or 1 (the filter never changed an
+    // answer), dropped on load.
+    cur.bool()?;
     let threads = to_usize(cur.u64()?)?;
     let shards = to_usize(cur.u64()?)?;
     let posting_format = read_format(cur)?;
@@ -604,7 +612,6 @@ fn read_config(cur: &mut MetaCursor) -> Result<GbKmvConfig> {
         budget_elements,
         buffer,
         hash_seed,
-        use_prefix_filter,
         threads,
         shards,
         posting_format,

@@ -23,7 +23,8 @@ use crate::index::rank::ThresholdCollector;
 /// walk it writes nothing here and finishes every other slot it emits in
 /// place, so only the signature candidates go through the stamp and `K∩`
 /// arrays; a prefix-filtered walk mints its swept slots here, before its
-/// lookup-only pass.
+/// lookup-only pass. The prune stage picks the walk per query; the same
+/// scratch serves both.
 ///
 /// When an index is sharded, the same scratch is reused across the shards of
 /// one query: each shard's candidate stage calls [`QueryScratch::begin`]
@@ -37,9 +38,10 @@ pub struct QueryScratch {
     /// `touched` sorted ascending, for the buffer sweep (moved out while
     /// the sweep reads it; see [`QueryScratch::take_sorted_candidates`]).
     pub(crate) sorted: Vec<u32>,
-    /// Reusable `(document frequency, hash)` buffer the prefix-filter stage
-    /// sorts the query's signature hashes into (rarest first); lives here so
-    /// the per-query ordering allocates nothing after the first query.
+    /// Reusable `(document frequency, hash)` buffer the prefixed walk sorts
+    /// the query's signature hashes into (rarest first); lives here so the
+    /// per-query ordering allocates nothing after the first query. The
+    /// unfiltered walk never fills it.
     pub(crate) hash_order: Vec<(u32, u64)>,
     /// Reusable block-decode buffer of the posting walk: block-compressed
     /// posting lists ([`crate::index::postings::PostingList`]) decode each

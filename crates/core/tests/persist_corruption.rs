@@ -192,8 +192,9 @@ fn checksum_valid_structural_corruption_is_still_rejected() {
 }
 
 /// Offset of the config byte that held the candidate-filter flag: it
-/// follows the seed, 19 bytes before the reserved byte (the prefix-filter
-/// `u8`, threads and shards `u64`s and the posting-format `u8` lie between).
+/// follows the seed, 19 bytes before the reserved byte (the former
+/// prefix-filter `u8`, threads and shards `u64`s and the posting-format
+/// `u8` lie between).
 fn candidate_filter_byte(bytes: &[u8]) -> usize {
     reserved_config_byte(bytes) - 19
 }
@@ -207,12 +208,6 @@ fn image_without_signature_postings_is_a_typed_error() {
     let bytes = arena(GbKmvConfig::with_space_fraction(0.4));
     let at = candidate_filter_byte(&bytes);
     assert_eq!(bytes[at], 1, "writers must emit the filter byte as 1");
-    let unprefixed = arena(GbKmvConfig::with_space_fraction(0.4).prefix_filter(false));
-    assert_eq!(
-        unprefixed[candidate_filter_byte(&unprefixed) + 1],
-        0,
-        "the byte after the filter byte must be the prefix-filter flag"
-    );
     for value in [0u8, 2, 0xff] {
         let mut image = bytes.clone();
         image[at] = value;
@@ -221,6 +216,56 @@ fn image_without_signature_postings_is_a_typed_error() {
             Err(Error::PersistCorrupt { .. }) => {}
             Err(other) => panic!("filter byte {value}: expected PersistCorrupt, got {other}"),
             Ok(_) => panic!("filter byte {value} loaded"),
+        }
+    }
+}
+
+#[test]
+fn former_prefix_filter_byte_loads_as_zero_or_one() {
+    // The byte after the candidate-filter byte held the removed
+    // prefix-filter off switch. Writers emit it as 1, as every default
+    // config did. An image written with the switch off carries 0 there; it
+    // must open and answer exactly like the unmodified image (the filter
+    // never changed an answer), and re-save with the byte as 1. Any other
+    // value is a typed error.
+    let bytes = arena(GbKmvConfig::with_space_fraction(0.4).shards(2));
+    let at = candidate_filter_byte(&bytes) + 1;
+    assert_eq!(
+        bytes[at], 1,
+        "writers must emit the former prefix-filter byte as 1"
+    );
+    let original = GbKmvIndex::from_arena_bytes(&bytes).expect("pristine image loads");
+    let mut switched_off = bytes.clone();
+    switched_off[at] = 0;
+    rewrite_checksum(&mut switched_off);
+    let loaded = GbKmvIndex::from_arena_bytes(&switched_off)
+        .expect("an image written with the prefix filter off must still load");
+    assert_eq!(loaded.sharded(), original.sharded());
+    let dataset = Dataset::from_records(records(80));
+    for query in dataset.records().iter().step_by(7) {
+        for t_star in [0.1, 0.3, 0.6, 0.9] {
+            assert_eq!(
+                loaded.search_record(query, t_star),
+                original.search_record(query, t_star)
+            );
+        }
+        assert_eq!(loaded.search_topk(query, 5), original.search_topk(query, 5));
+    }
+    assert_eq!(
+        loaded.to_arena_bytes(),
+        bytes,
+        "re-saving writes the byte as 1"
+    );
+    for value in [2u8, 0xff] {
+        let mut corrupted = bytes.clone();
+        corrupted[at] = value;
+        rewrite_checksum(&mut corrupted);
+        match GbKmvIndex::from_arena_bytes(&corrupted) {
+            Err(Error::PersistCorrupt { .. }) => {}
+            Err(other) => {
+                panic!("prefix-filter byte {value}: expected PersistCorrupt, got {other}")
+            }
+            Ok(_) => panic!("prefix-filter byte {value} loaded"),
         }
     }
 }

@@ -35,10 +35,6 @@ fn configs() -> Vec<(&'static str, GbKmvConfig)> {
             "no-buffer",
             GbKmvConfig::with_space_fraction(0.4).buffer_size(0),
         ),
-        (
-            "no-prefix-filter",
-            GbKmvConfig::with_space_fraction(0.4).prefix_filter(false),
-        ),
         ("saturated", GbKmvConfig::with_space_fraction(2.0)),
     ]
 }

@@ -1,8 +1,8 @@
 //! Property tests pinning the staged query pipeline to the one reference
 //! path: across random datasets, space budgets, buffer sizes, shard counts,
 //! posting-list storage formats (block-compressed packed vs raw) and
-//! thresholds, the pipeline (`search_record`, with its signature prefix
-//! filter on by default), the prefix-disabled ablation, the sharded index,
+//! thresholds, the pipeline (`search_record`, whose signature prefix
+//! filter decides per query whether it engages), the sharded index,
 //! the parallel batch path, the intra-query parallel path
 //! (`search_parallel`) and the auto-scheduled path (`search_auto`) must all
 //! return **bit-identical** hits — same record ids, same `f64` estimates,
@@ -11,7 +11,7 @@
 //! positive-score records. Saturated sketches (budgets above 100%), empty
 //! queries, (near-)zero thresholds (where no prefix exists and every hash
 //! mints) and queries whose signature is entirely absent from the index
-//! are exercised explicitly. The posting format is crossed with prefix,
+//! are exercised explicitly. The posting format is crossed with
 //! sharding, insert-then-search, the parallel paths, top-k, persistence
 //! and the serving layer, so compression can never change an answer.
 
@@ -69,11 +69,6 @@ proptest! {
         // exactly, not approximately.
         prop_assert_eq!(&scan, &filtered,
             "pruned pipeline diverged from scan (t*={}, budget={})", t_star, budget_fraction);
-
-        // Prefix filtering is structural, never semantic.
-        let mut unprefixed = QueryPipeline::new().prefix_filter(false);
-        prop_assert_eq!(&scan, &unprefixed.search(&index, query.elements(), t_star),
-            "disabling the prefix filter changed the answer (t*={})", t_star);
 
         // Sharding never changes an answer either, on the single-query, the
         // parallel batch or the intra-query parallel path, for any thread
@@ -318,8 +313,7 @@ proptest! {
         k in 1usize..12,
         extra in vec(vec(0u32..3_000, 1..60), 1..3),
     ) {
-        // The engine-variant sweep: posting format × prefix filter × shard
-        // count, over the sequential, intra-query-parallel, batch and top-k
+        // The engine-variant sweep: posting format × shard count, over the sequential, intra-query-parallel, batch and top-k
         // paths, persistence and the serving layer (insert-then-search) —
         // every combination pinned bit-identical to the scan reference.
         let base = GbKmvConfig::with_space_fraction(budget_fraction)
@@ -347,44 +341,41 @@ proptest! {
         prop_assert_eq!(loaded.to_arena_bytes(), arena, "re-saved arena bytes diverged");
 
         for format in [PostingFormat::Packed, PostingFormat::Raw] {
-            for prefix in [true, false] {
-                let config = base.posting_format(format).prefix_filter(prefix);
-                let index = GbKmvIndex::build(&dataset, config);
-                let label = format!("{format:?}/prefix={prefix}");
-                prop_assert_eq!(&scan, &index.search_record(&query, t_star),
-                    "{}: sequential pipeline diverged (t*={})", &label, t_star);
-                prop_assert_eq!(
-                    &scan,
-                    &index.search_parallel_threads(query.elements(), t_star, 3),
-                    "{}: intra-query parallel diverged (t*={})", &label, t_star);
-                let batch = index.search_batch_threads(
-                    std::slice::from_ref(&query), t_star, 2);
-                prop_assert_eq!(&scan, &batch[0],
-                    "{}: batch diverged (t*={})", &label, t_star);
-                prop_assert_eq!(&topk_reference, &index.search_topk(&query, k),
-                    "{}: top-k diverged (k={})", &label, k);
+            let index = GbKmvIndex::build(&dataset, base.posting_format(format));
+            let label = format!("{format:?}");
+            prop_assert_eq!(&scan, &index.search_record(&query, t_star),
+                "{}: sequential pipeline diverged (t*={})", &label, t_star);
+            prop_assert_eq!(
+                &scan,
+                &index.search_parallel_threads(query.elements(), t_star, 3),
+                "{}: intra-query parallel diverged (t*={})", &label, t_star);
+            let batch = index.search_batch_threads(
+                std::slice::from_ref(&query), t_star, 2);
+            prop_assert_eq!(&scan, &batch[0],
+                "{}: batch diverged (t*={})", &label, t_star);
+            prop_assert_eq!(&topk_reference, &index.search_topk(&query, k),
+                "{}: top-k diverged (k={})", &label, k);
 
-                // The service dimension: a grown snapshot answers like the
-                // directly grown index and like its own scan.
-                let service = ContainmentService::new(index.clone());
-                let mut grown = index;
-                for record in &inserted {
-                    service.submit(record.clone()).unwrap();
-                    grown.insert(record);
-                }
-                service.flush();
-                let snapshot = service.snapshot();
-                prop_assert_eq!(
-                    &snapshot.search_record(&query, t_star),
-                    &grown.search_record(&query, t_star),
-                    "{}: service snapshot diverged from the grown index (t*={})",
-                    &label, t_star);
-                prop_assert_eq!(
-                    &snapshot.search_record(&query, t_star),
-                    &snapshot.search_scan(&query, t_star),
-                    "{}: grown service snapshot diverged from its own scan (t*={})",
-                    &label, t_star);
+            // The service dimension: a grown snapshot answers like the
+            // directly grown index and like its own scan.
+            let service = ContainmentService::new(index.clone());
+            let mut grown = index;
+            for record in &inserted {
+                service.submit(record.clone()).unwrap();
+                grown.insert(record);
             }
+            service.flush();
+            let snapshot = service.snapshot();
+            prop_assert_eq!(
+                &snapshot.search_record(&query, t_star),
+                &grown.search_record(&query, t_star),
+                "{}: service snapshot diverged from the grown index (t*={})",
+                &label, t_star);
+            prop_assert_eq!(
+                &snapshot.search_record(&query, t_star),
+                &snapshot.search_scan(&query, t_star),
+                "{}: grown service snapshot diverged from its own scan (t*={})",
+                &label, t_star);
         }
     }
 
