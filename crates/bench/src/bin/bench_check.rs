@@ -10,22 +10,16 @@
 //! * every required path entry is present (the grep in the workflow catches
 //!   a renamed key, this catches a *dropped* one),
 //! * all paths report the identical `total_hits` (agreement survived into
-//!   the serialised record — across posting formats too, since the packed
-//!   and raw engines are separate entries),
+//!   the serialised record),
 //! * every indexed path is at least as fast as the `scan` reference (with a
 //!   small tolerance for CI timer noise) — asserted only when the measured
 //!   dataset is large enough for indexing to plausibly win
 //!   ([`MIN_RECORDS_FOR_SPEED_GATE`]): on the few-hundred-record smoke
 //!   workload a warm full scan is near-free and routinely outruns every
 //!   filtered path on a fast host, which is physics, not a regression,
-//! * the posting-memory section is present and the block-compressed
-//!   posting arena is at most [`MAX_PACKED_RATIO`] of the raw one — the
-//!   compression-ratio floor of the posting subsystem,
-//! * the `dense_profile` companion section is present with its `scan`,
-//!   `prefix_pruned` and `packed_pruned` entries, identical hits across
-//!   them, and a positive bitmap-block count — the hybrid encoder actually
-//!   elected bitmap blocks on the dense data (and, at full scale, the
-//!   packed engine clears the same [`MIN_PACKED_VS_PREFIX`] floor there),
+//! * the posting-memory section is present with a positive byte count,
+//! * the `dense_profile` companion section is present with its `scan` and
+//!   `prefix_pruned` entries and identical hits across them,
 //! * the `persistence` section is present, the loaded index answered the
 //!   workload with exactly the built index's hits
 //!   (`total_hits_loaded == total_hits_built`), the written arena and the
@@ -33,9 +27,12 @@
 //!   ([`MIN_RECORDS_FOR_SPEED_GATE`] again) — reopening the arena is at
 //!   least [`MIN_LOAD_SPEEDUP`] times faster than rebuilding the index
 //!   from records: the point of the single-file format,
-//! * the parallel build speedup is sane — asserted only when more than one
-//!   core was available, because a single-core "speedup" is scheduler noise
-//!   (it reads 0.98x on the CI container and is *not* a regression),
+//! * the parallel build speedup is sane: the median of the alternating
+//!   sequential/parallel build pairs, recomputed here from the pairs and
+//!   required to equal the reported one, clears
+//!   [`MIN_PARALLEL_BUILD_SPEEDUP`] — asserted only when more than one core
+//!   was available, because a single-core "speedup" is scheduler noise (it
+//!   reads 0.98x on the CI container and is *not* a regression),
 //! * the `concurrent` serving-layer section is present, its readers raced
 //!   at least one published generation, and the quiesced service answered
 //!   the workload with exactly the hits of the directly grown index
@@ -57,11 +54,8 @@
 //! unless, at every swept scale:
 //!
 //! * every required variant cell is present ([`REQUIRED_SWEEP_VARIANTS`]),
-//! * all cells report the identical `total_hits` — the variants encode one
+//! * all cells report the identical `total_hits` — the variants lay out one
 //!   index, so a hit delta is a correctness regression at that scale,
-//! * the packed cell's posting arena is at most [`MAX_PACKED_RATIO`] of the
-//!   raw cell's — the compression floor must hold at *every* scale, not
-//!   just the committed full-scale throughput profile,
 //! * the committed Pareto frontier is non-empty and exactly matches the
 //!   frontier recomputed here (with the same shared [`pareto_frontier`]
 //!   function the sweep used) over the cells' `(mem_total_bytes,
@@ -83,28 +77,29 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use gbkmv_bench::harness::arg_value;
-use gbkmv_bench::report::{find_named, json_array, json_f64, json_i64, pareto_frontier};
+use gbkmv_bench::report::{
+    find_named, json_array, json_f64, json_i64, pareto_frontier, percentile,
+};
 use serde_json::Value;
 
 /// Every path the throughput report must contain. Extending the bench with
 /// a new path means extending this list — that is the point: the gate, not
 /// just the bench, documents the measured surface.
-const REQUIRED_PATHS: [&str; 6] = [
+const REQUIRED_PATHS: [&str; 5] = [
     "scan",
     "prefix_pruned",
-    "packed_pruned",
     "sharded_pruned",
     "single_query_parallel",
     "batch_parallel",
 ];
 
 /// Entries the `dense_profile` companion section must contain: the scan
-/// reference plus the raw- and packed-format default engines.
-const DENSE_REQUIRED_PATHS: [&str; 3] = ["scan", "prefix_pruned", "packed_pruned"];
+/// reference plus the engine.
+const DENSE_REQUIRED_PATHS: [&str; 2] = ["scan", "prefix_pruned"];
 
 /// Every engine variant the scale-sweep report must measure at every
 /// scale. Extending the sweep grid means extending this list.
-const REQUIRED_SWEEP_VARIANTS: [&str; 3] = ["raw", "packed", "packed_sharded4"];
+const REQUIRED_SWEEP_VARIANTS: [&str; 2] = ["raw", "sharded4"];
 
 /// Multiplicative slack on the "indexed ≥ scan" comparison: CI runners
 /// time-share, and the smoke workload is microseconds per query, so a hard
@@ -119,27 +114,10 @@ const NOISE_TOLERANCE: f64 = 0.90;
 /// without a dataset section is treated as full-scale (assert).
 const MIN_RECORDS_FOR_SPEED_GATE: i64 = 5_000;
 
-/// Minimum acceptable parallel build speedup when more than one core is
-/// available. Deliberately lenient — it catches "parallel build became
-/// serial", not scheduling jitter.
+/// Minimum acceptable parallel build speedup (the median over the build
+/// pairs) when more than one core is available. Deliberately lenient — it
+/// catches "parallel build became serial", not scheduling jitter.
 const MIN_PARALLEL_BUILD_SPEEDUP: f64 = 0.8;
-
-/// Maximum acceptable `packed / raw` posting-arena byte ratio: the
-/// block-compressed subsystem must at least halve posting memory on the
-/// bench profile, or the compression has regressed.
-const MAX_PACKED_RATIO: f64 = 0.5;
-
-/// Minimum acceptable `packed_pruned / prefix_pruned` throughput ratio.
-/// Since the vectorized finish kernel landed, the committed full-scale
-/// report holds ~0.95-0.99x on both profiles (packed pays a decode the
-/// raw slices never do; the batched kernel and undecoded bitmap masks
-/// close most, but not all, of that gap while keeping the arena at a
-/// third of raw). The floor guards that near-parity against regression
-/// with slack for timer noise. Like the indexed-vs-scan comparison it
-/// only applies at full scale ([`MIN_RECORDS_FOR_SPEED_GATE`]): on the
-/// smoke workload the ratio flickers across any meaningful floor run to
-/// run.
-const MIN_PACKED_VS_PREFIX: f64 = 0.9;
 
 /// Minimum acceptable `rebuild_ms / load_ms` ratio of the persistence
 /// section at full scale. Reopening the single-file arena is one
@@ -320,21 +298,6 @@ fn check(report_path: &Path) -> Result<Vec<String>, String> {
         summary.push(format!(
             "all indexed paths ≥ scan ({scan_qps:.0} q/s, tolerance {NOISE_TOLERANCE})"
         ));
-
-        // 3b. The block-compressed engine keeps up with the raw-format one
-        // (computed from the path entries, so it cannot drift from them).
-        // Same scale guard: at smoke scale the ratio of two
-        // microsecond-per-query paths flickers across any meaningful floor.
-        let packed_vs_prefix = qps("packed_pruned")? / qps("prefix_pruned")?;
-        if packed_vs_prefix < MIN_PACKED_VS_PREFIX {
-            return Err(format!(
-                "packed_pruned runs at {packed_vs_prefix:.2}x of prefix_pruned, below the \
-                 {MIN_PACKED_VS_PREFIX}x floor — block decode has regressed"
-            ));
-        }
-        summary.push(format!(
-            "packed_pruned at {packed_vs_prefix:.2}x of prefix_pruned (floor {MIN_PACKED_VS_PREFIX})"
-        ));
     } else {
         summary.push(format!(
             "throughput comparisons skipped ({num_records} records is below the \
@@ -342,45 +305,26 @@ fn check(report_path: &Path) -> Result<Vec<String>, String> {
         ));
     }
 
-    // 4. Posting-memory accounting: both formats' bytes present, positive,
-    // and the compression ratio under the floor.
+    // 4. Posting-memory accounting: present and positive.
     let memory = report
         .get("posting_memory")
         .ok_or("report has no `posting_memory` section")?;
-    let mem_bytes = |key: &str| json_i64(memory, "posting_memory", key);
-    let raw_bytes = mem_bytes("posting_bytes_raw")?;
-    let packed_bytes = mem_bytes("posting_bytes_packed")?;
-    if raw_bytes <= 0 || packed_bytes <= 0 {
+    let posting_bytes = json_i64(memory, "posting_memory", "posting_bytes")?;
+    if posting_bytes <= 0 {
         return Err(format!(
-            "posting byte counts must be positive (raw {raw_bytes}, packed {packed_bytes})"
+            "posting byte count must be positive ({posting_bytes})"
         ));
     }
-    let ratio = packed_bytes as f64 / raw_bytes as f64;
-    if ratio > MAX_PACKED_RATIO {
-        return Err(format!(
-            "packed posting arena is {packed_bytes} bytes = {:.1}% of the raw {raw_bytes} \
-             bytes, above the {:.0}% compression floor",
-            ratio * 100.0,
-            MAX_PACKED_RATIO * 100.0
-        ));
-    }
-    summary.push(format!(
-        "packed postings {packed_bytes} bytes = {:.1}% of raw {raw_bytes} (floor {:.0}%)",
-        ratio * 100.0,
-        MAX_PACKED_RATIO * 100.0
-    ));
+    summary.push(format!("posting lists {posting_bytes} bytes"));
 
-    // 5. The dense-postings companion profile: entries present, identical
-    // hits within the section, bitmap blocks actually elected, and — at
-    // full scale — the packed engine clearing the same throughput floor on
-    // the shape it targets.
+    // 5. The dense-postings companion profile: entries present and
+    // identical hits within the section.
     let dense = report
         .get("dense_profile")
         .ok_or("report has no `dense_profile` section")?;
     let dense_paths = json_array(dense, "dense_profile", "paths")?;
-    let dense_lookup = |name: &str| find_named(dense_paths, "name", name);
     for name in DENSE_REQUIRED_PATHS {
-        if dense_lookup(name).is_none() {
+        if find_named(dense_paths, "name", name).is_none() {
             return Err(format!("dense_profile path entry `{name}` is missing"));
         }
     }
@@ -401,47 +345,10 @@ fn check(report_path: &Path) -> Result<Vec<String>, String> {
             Some(_) => {}
         }
     }
-    let dense_bitmap = dense
-        .get("posting_memory")
-        .and_then(|m| m.get("posting_bitmap_blocks"))
-        .and_then(Value::as_i64)
-        .ok_or("dense_profile posting_memory has no integral `posting_bitmap_blocks`")?;
-    if dense_bitmap < 1 {
-        return Err(format!(
-            "dense_profile recorded {dense_bitmap} bitmap blocks — the hybrid encoder never \
-             elected the bitmap kind on the dense data"
-        ));
-    }
-    let dense_records = dense
-        .get("dataset")
-        .and_then(|d| d.get("num_records"))
-        .and_then(Value::as_i64)
-        .unwrap_or(i64::MAX);
-    let dense_qps = |name: &str| -> Result<f64, String> {
-        json_f64(
-            dense_lookup(name).ok_or_else(|| format!("no dense_profile path named `{name}`"))?,
-            &format!("dense_profile path `{name}`"),
-            "queries_per_sec",
-        )
-    };
-    if dense_records >= MIN_RECORDS_FOR_SPEED_GATE {
-        let dense_ratio = dense_qps("packed_pruned")? / dense_qps("prefix_pruned")?;
-        if dense_ratio < MIN_PACKED_VS_PREFIX {
-            return Err(format!(
-                "dense_profile packed_pruned runs at {dense_ratio:.2}x of prefix_pruned, \
-                 below the {MIN_PACKED_VS_PREFIX}x floor — the bitmap walk has regressed"
-            ));
-        }
-        summary.push(format!(
-            "dense profile: {dense_bitmap} bitmap blocks, packed_pruned at {dense_ratio:.2}x \
-             of prefix_pruned (floor {MIN_PACKED_VS_PREFIX})"
-        ));
-    } else {
-        summary.push(format!(
-            "dense profile: {dense_bitmap} bitmap blocks (speed comparison skipped at \
-             {dense_records} records)"
-        ));
-    }
+    summary.push(format!(
+        "dense profile: identical total_hits ({})",
+        dense_hits.unwrap_or(0)
+    ));
 
     // 6. Persistence: the loaded index answered identically, the arena file
     // and the zero-copy accounting are non-trivial, and at full scale the
@@ -609,6 +516,9 @@ fn check(report_path: &Path) -> Result<Vec<String>, String> {
     }
 
     // 9. Parallel build speedup — only meaningful with real parallelism.
+    // The gated figure is the median of the alternating build pairs,
+    // recomputed here so a report cannot gate on a figure its pairs do not
+    // support.
     let build = report.get("build").ok_or("report has no `build` section")?;
     let threads = build
         .get("parallel_threads")
@@ -618,15 +528,33 @@ fn check(report_path: &Path) -> Result<Vec<String>, String> {
         .get("parallel_speedup")
         .and_then(Value::as_f64)
         .ok_or("build section has no parallel_speedup")?;
+    let mut pairs = json_array(build, "build section", "pair_speedups")?
+        .iter()
+        .map(|v| v.as_f64().ok_or("build pair_speedups holds a non-number"))
+        .collect::<Result<Vec<f64>, _>>()?;
+    if pairs.is_empty() {
+        return Err("build section has no build pairs".to_string());
+    }
+    pairs.sort_by(f64::total_cmp);
+    let median = percentile(&pairs, 0.5);
+    if (median - speedup).abs() > 1e-9 * median.abs().max(1.0) {
+        return Err(format!(
+            "build parallel_speedup {speedup:.3}x is not the median {median:.3}x of its \
+             {} pairs",
+            pairs.len()
+        ));
+    }
     if threads > 1 {
         if speedup < MIN_PARALLEL_BUILD_SPEEDUP {
             return Err(format!(
-                "parallel build speedup {speedup:.2}x on {threads} threads is below \
-                 the {MIN_PARALLEL_BUILD_SPEEDUP}x floor"
+                "parallel build speedup {speedup:.2}x (median of {} pairs) on {threads} \
+                 threads is below the {MIN_PARALLEL_BUILD_SPEEDUP}x floor",
+                pairs.len()
             ));
         }
         summary.push(format!(
-            "parallel build speedup {speedup:.2}x on {threads} threads"
+            "parallel build speedup {speedup:.2}x (median of {} pairs) on {threads} threads",
+            pairs.len()
         ));
     } else {
         summary.push(format!(
@@ -639,7 +567,7 @@ fn check(report_path: &Path) -> Result<Vec<String>, String> {
 }
 
 /// Gates the scale-sweep report: required cells, identical hits per scale,
-/// the compression floor at every scale, a committed frontier that exactly
+/// a committed frontier that exactly
 /// matches the recomputed one, and memory monotone in scale per variant.
 fn check_sweep(sweep_path: &Path) -> Result<Vec<String>, String> {
     let text = std::fs::read_to_string(sweep_path)
@@ -696,32 +624,7 @@ fn check_sweep(sweep_path: &Path) -> Result<Vec<String>, String> {
         }
         let scale_hits = hits.map(|(h, _)| h).unwrap_or(0);
 
-        // 3. The compression floor, at this scale: the packed cell's
-        // posting arena vs the raw cell's.
-        let cell_i64 = |name: &str, key: &str| -> Result<i64, String> {
-            let cell = find_named(cells, "variant", name)
-                .unwrap_or_else(|| panic!("cell `{name}` presence checked above"));
-            json_i64(cell, &format!("{ctx} cell `{name}`"), key)
-        };
-        let raw_bytes = cell_i64("raw", "posting_bytes")?;
-        let packed_bytes = cell_i64("packed", "posting_bytes")?;
-        if raw_bytes <= 0 || packed_bytes <= 0 {
-            return Err(format!(
-                "{ctx}: posting byte counts must be positive (raw {raw_bytes}, \
-                 packed {packed_bytes})"
-            ));
-        }
-        let ratio = packed_bytes as f64 / raw_bytes as f64;
-        if ratio > MAX_PACKED_RATIO {
-            return Err(format!(
-                "{ctx}: packed posting arena is {packed_bytes} bytes = {:.1}% of the raw \
-                 {raw_bytes} bytes, above the {:.0}% compression floor",
-                ratio * 100.0,
-                MAX_PACKED_RATIO * 100.0
-            ));
-        }
-
-        // 4. The committed frontier must be non-empty and exactly the one
+        // 3. The committed frontier must be non-empty and exactly the one
         // this gate recomputes with the shared `pareto_frontier` over the
         // cells' (memory, throughput) points.
         let points: Vec<(f64, f64)> = cells
@@ -765,16 +668,13 @@ fn check_sweep(sweep_path: &Path) -> Result<Vec<String>, String> {
         }
 
         summary.push(format!(
-            "scale {records}: {} cells, identical total_hits ({scale_hits}), packed postings \
-             {:.1}% of raw (floor {:.0}%), frontier [{}]",
+            "scale {records}: {} cells, identical total_hits ({scale_hits}), frontier [{}]",
             cells.len(),
-            ratio * 100.0,
-            MAX_PACKED_RATIO * 100.0,
             stored.join(", ")
         ));
     }
 
-    // 5. Memory monotone in scale, per variant: more records must never
+    // 4. Memory monotone in scale, per variant: more records must never
     // cost less index memory — the first casualty of a broken accounting
     // or a sweep that silently reused a dataset across scales.
     if scales.len() > 1 {
@@ -846,13 +746,13 @@ mod tests {
     use super::*;
 
     /// A minimal well-formed report with the given per-path (name, qps,
-    /// hits) triples and posting byte counts.
+    /// hits) triples, build pair speedups (the reported speedup is their
+    /// median) and posting byte count.
     fn report_json_with_memory(
         paths: &[(&str, f64, i64)],
         threads: i64,
-        speedup: f64,
-        raw_bytes: i64,
-        packed_bytes: i64,
+        pairs: &[f64],
+        posting_bytes: i64,
     ) -> String {
         let entries: Vec<String> = paths
             .iter()
@@ -864,16 +764,20 @@ mod tests {
                 )
             })
             .collect();
+        let mut sorted = pairs.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let pair_list: Vec<String> = pairs.iter().map(f64::to_string).collect();
         format!(
             "{{\"bench\": \"query_throughput\", \"build\": {{\"parallel_threads\": {threads}, \
-             \"parallel_speedup\": {speedup}}}, \"posting_memory\": \
-             {{\"posting_bytes_raw\": {raw_bytes}, \"posting_bytes_packed\": {packed_bytes}, \
-             \"posting_compression_ratio\": 0.0}}, \"persistence\": {}, \"concurrent\": {}, \
+             \"pair_speedups\": [{}], \"parallel_speedup\": {}}}, \"posting_memory\": \
+             {{\"posting_bytes\": {posting_bytes}}}, \"persistence\": {}, \"concurrent\": {}, \
              \"ingest\": {}, \"dense_profile\": {}, \"paths\": [{}]}}",
+            pair_list.join(", "),
+            percentile(&sorted, 0.5),
             persistence_json(42, 42, 25.0, 5_000),
             concurrent_json(2, 4, 42, 42),
             ingest_json(12.0, 3.0, 3, false, 40_000, 42, 42),
-            dense_json(10_000, 12, 500.0, 600.0, 42),
+            dense_json(42),
             entries.join(", ")
         )
     }
@@ -903,24 +807,14 @@ mod tests {
         }
     }
 
-    /// A `dense_profile` section with the given record count, bitmap-block
-    /// count, per-engine throughputs and shared hit count.
-    fn dense_json(
-        records: i64,
-        bitmap: i64,
-        prefix_qps: f64,
-        packed_qps: f64,
-        hits: i64,
-    ) -> String {
+    /// A `dense_profile` section whose engine reports `hits` (the scan
+    /// reports 42).
+    fn dense_json(hits: i64) -> String {
         format!(
-            "{{\"dataset\": {{\"num_records\": {records}}}, \"posting_memory\": \
-             {{\"posting_bytes_raw\": 10000, \"posting_bytes_packed\": 2000, \
-             \"posting_compression_ratio\": 0.2, \"posting_bitmap_blocks\": {bitmap}}}, \
-             \"paths\": [{{\"name\": \"scan\", \"queries_per_sec\": 50.0, \
-             \"total_hits\": {hits}}}, {{\"name\": \"prefix_pruned\", \
-             \"queries_per_sec\": {prefix_qps}, \"total_hits\": {hits}}}, \
-             {{\"name\": \"packed_pruned\", \"queries_per_sec\": {packed_qps}, \
-             \"total_hits\": {hits}}}], \"speedup_packed_vs_prefix\": 1.0}}"
+            "{{\"dataset\": {{\"num_records\": 10000}}, \"posting_memory\": \
+             {{\"posting_bytes\": 10000}}, \"paths\": [{{\"name\": \"scan\", \
+             \"queries_per_sec\": 50.0, \"total_hits\": 42}}, {{\"name\": \
+             \"prefix_pruned\", \"queries_per_sec\": 500.0, \"total_hits\": {hits}}}]}}"
         )
     }
 
@@ -928,7 +822,7 @@ mod tests {
     /// `dense` is `None`).
     fn report_with_dense(dense: Option<String>) -> String {
         let healthy = report_json(&full_paths(100.0, 500.0, 42), 1, 1.0);
-        let default = dense_json(10_000, 12, 500.0, 600.0, 42);
+        let default = dense_json(42);
         match dense {
             Some(section) => healthy.replace(&default, &section),
             None => healthy.replace(&format!("\"dense_profile\": {default}, "), ""),
@@ -983,7 +877,7 @@ mod tests {
     }
 
     fn report_json(paths: &[(&str, f64, i64)], threads: i64, speedup: f64) -> String {
-        report_json_with_memory(paths, threads, speedup, 10_000, 3_000)
+        report_json_with_memory(paths, threads, &[speedup], 10_000)
     }
 
     /// A healthy report with the concurrent section replaced (or dropped,
@@ -1048,41 +942,12 @@ mod tests {
     }
 
     #[test]
-    fn rejects_a_regressed_packed_engine() {
-        // packed_pruned at half the raw-format engine's speed (but still
-        // far above scan): the dedicated floor must catch it.
-        let mut paths = full_paths(100.0, 500.0, 42);
-        for p in paths.iter_mut() {
-            if p.0 == "packed_pruned" {
-                p.1 = 250.0;
-            }
-        }
-        let p = write_report(&report_json(&paths, 1, 1.0));
-        assert!(check(&p)
-            .unwrap_err()
-            .contains("block decode has regressed"));
-        std::fs::remove_file(p).unwrap();
-    }
-
-    #[test]
     fn rejects_missing_or_regressed_posting_memory() {
-        // Ratio above the floor.
+        // Non-positive byte count.
         let p = write_report(&report_json_with_memory(
             &full_paths(100.0, 500.0, 42),
             1,
-            1.0,
-            10_000,
-            6_000,
-        ));
-        assert!(check(&p).unwrap_err().contains("compression floor"));
-        std::fs::remove_file(p).unwrap();
-
-        // Non-positive byte counts.
-        let p = write_report(&report_json_with_memory(
-            &full_paths(100.0, 500.0, 42),
-            1,
-            1.0,
-            0,
+            &[1.0],
             0,
         ));
         assert!(check(&p).unwrap_err().contains("positive"));
@@ -1098,22 +963,11 @@ mod tests {
             })
             .collect();
         let p = write_report(&format!(
-            "{{\"build\": {{\"parallel_threads\": 1, \"parallel_speedup\": 1.0}}, \
-             \"paths\": [{}]}}",
+            "{{\"build\": {{\"parallel_threads\": 1, \"parallel_speedup\": 1.0, \
+             \"pair_speedups\": [1.0]}}, \"paths\": [{}]}}",
             entries.join(", ")
         ));
         assert!(check(&p).unwrap_err().contains("posting_memory"));
-        std::fs::remove_file(p).unwrap();
-
-        // At exactly the floor: accepted.
-        let p = write_report(&report_json_with_memory(
-            &full_paths(100.0, 500.0, 42),
-            1,
-            1.0,
-            10_000,
-            5_000,
-        ));
-        assert!(check(&p).is_ok());
         std::fs::remove_file(p).unwrap();
     }
 
@@ -1152,45 +1006,20 @@ mod tests {
         assert!(check(&p).unwrap_err().contains("dense_profile"));
         std::fs::remove_file(p).unwrap();
 
-        // The hybrid encoder never elected a bitmap block on dense data.
-        let p = write_report(&report_with_dense(Some(dense_json(
-            10_000, 0, 500.0, 600.0, 42,
-        ))));
-        assert!(check(&p).unwrap_err().contains("bitmap"));
-        std::fs::remove_file(p).unwrap();
-
-        // The packed engine regressed on the shape it targets.
-        let p = write_report(&report_with_dense(Some(dense_json(
-            10_000, 12, 500.0, 300.0, 42,
-        ))));
-        assert!(check(&p).unwrap_err().contains("bitmap walk has regressed"));
+        // The engine entry missing.
+        let p = write_report(&report_with_dense(Some(
+            dense_json(42).replace("prefix_pruned", "prefix_pruned_gone"),
+        )));
+        assert!(check(&p)
+            .unwrap_err()
+            .contains("dense_profile path entry `prefix_pruned` is missing"));
         std::fs::remove_file(p).unwrap();
 
         // Hits disagree within the section.
-        // (`Display` for 600.0 prints `600` — match the serialised form.)
-        let diverged = dense_json(10_000, 12, 500.0, 600.0, 42).replace(
-            "\"queries_per_sec\": 600, \"total_hits\": 42",
-            "\"queries_per_sec\": 600, \"total_hits\": 41",
-        );
-        let p = write_report(&report_with_dense(Some(diverged)));
+        let p = write_report(&report_with_dense(Some(dense_json(41))));
         assert!(check(&p)
             .unwrap_err()
             .contains("dense_profile total_hits disagree"));
-        std::fs::remove_file(p).unwrap();
-
-        // Smoke scale: the speed floor is skipped, the bitmap floor is not.
-        let p = write_report(&report_with_dense(Some(dense_json(
-            800, 3, 500.0, 300.0, 42,
-        ))));
-        let summary = check(&p).unwrap();
-        assert!(summary
-            .iter()
-            .any(|l| l.contains("speed comparison skipped")));
-        std::fs::remove_file(p).unwrap();
-        let p = write_report(&report_with_dense(Some(dense_json(
-            800, 0, 500.0, 600.0, 42,
-        ))));
-        assert!(check(&p).unwrap_err().contains("bitmap"));
         std::fs::remove_file(p).unwrap();
     }
 
@@ -1364,6 +1193,44 @@ mod tests {
         std::fs::remove_file(p).unwrap();
     }
 
+    #[test]
+    fn parallel_build_gate_reads_the_median_of_the_pairs() {
+        let paths = full_paths(100.0, 500.0, 7);
+        // One noisy pair at 0.75x beside healthy ones: the median passes.
+        let p = write_report(&report_json_with_memory(
+            &paths,
+            2,
+            &[0.95, 0.75, 1.02, 0.9, 0.88],
+            10_000,
+        ));
+        assert!(check(&p).is_ok());
+        std::fs::remove_file(p).unwrap();
+
+        // Most pairs below the floor: the median fails.
+        let p = write_report(&report_json_with_memory(
+            &paths,
+            2,
+            &[0.75, 0.78, 0.9, 0.7, 0.95],
+            10_000,
+        ));
+        assert!(check(&p).unwrap_err().contains("below the 0.8x floor"));
+        std::fs::remove_file(p).unwrap();
+
+        // A reported speedup its pairs do not support.
+        let inflated = report_json_with_memory(&paths, 2, &[0.7, 0.75, 0.78], 10_000)
+            .replace("\"parallel_speedup\": 0.75", "\"parallel_speedup\": 1.5");
+        let p = write_report(&inflated);
+        assert!(check(&p).unwrap_err().contains("is not the median"));
+        std::fs::remove_file(p).unwrap();
+
+        // No pairs at all.
+        let empty = report_json_with_memory(&paths, 2, &[0.9], 10_000)
+            .replace("\"pair_speedups\": [0.9]", "\"pair_speedups\": []");
+        let p = write_report(&empty);
+        assert!(check(&p).unwrap_err().contains("no build pairs"));
+        std::fs::remove_file(p).unwrap();
+    }
+
     /// One sweep cell carrying exactly the fields the sweep gates read.
     fn sweep_cell(variant: &str, hits: i64, posting: i64, mem: i64, qps: f64) -> String {
         format!(
@@ -1373,27 +1240,25 @@ mod tests {
         )
     }
 
-    /// The frontier of the cells [`sweep_scale`] constructs: `packed`
-    /// (cheapest non-dominated) then `raw` (fastest).
+    /// The frontier of the cells [`sweep_scale`] constructs: `raw`
+    /// (cheapest) then `sharded4` (fastest).
     fn sweep_frontier(unit: i64) -> String {
         format!(
-            "[{{\"variant\": \"packed\", \"mem_total_bytes\": {}, \
-             \"queries_per_sec\": 950}}, {{\"variant\": \"raw\", \
-             \"mem_total_bytes\": {}, \"queries_per_sec\": 1000}}]",
-            60_000 * unit,
-            100_000 * unit
+            "[{{\"variant\": \"raw\", \"mem_total_bytes\": {}, \
+             \"queries_per_sec\": 1000}}, {{\"variant\": \"sharded4\", \
+             \"mem_total_bytes\": {}, \"queries_per_sec\": 1200}}]",
+            100_000 * unit,
+            110_000 * unit
         )
     }
 
     /// A healthy scale section at `records` with every required variant;
     /// all byte figures scale with `unit` so stacked sections grow
-    /// monotonically. `raw` is the fastest cell, `packed` the smallest
-    /// non-dominated one; everything else is dominated.
+    /// monotonically. Neither cell dominates the other.
     fn sweep_scale(records: i64, unit: i64) -> String {
         let cells = [
             sweep_cell("raw", 42, 10_000 * unit, 100_000 * unit, 1_000.0),
-            sweep_cell("packed", 42, 3_000 * unit, 60_000 * unit, 950.0),
-            sweep_cell("packed_sharded4", 42, 3_200 * unit, 70_000 * unit, 800.0),
+            sweep_cell("sharded4", 42, 10_400 * unit, 110_000 * unit, 1_200.0),
         ];
         format!(
             "{{\"num_records\": {records}, \"cells\": [{}], \"frontier\": {}}}",
@@ -1417,7 +1282,9 @@ mod tests {
         ]));
         let summary = check_sweep(&p).unwrap();
         assert!(summary.iter().any(|l| l.contains("strictly monotone")));
-        assert!(summary.iter().any(|l| l.contains("frontier [packed, raw]")));
+        assert!(summary
+            .iter()
+            .any(|l| l.contains("frontier [raw, sharded4]")));
         std::fs::remove_file(p).unwrap();
 
         // A single-scale report (the CI smoke) passes too, with the
@@ -1432,13 +1299,13 @@ mod tests {
     fn sweep_rejects_a_missing_cell() {
         // Renaming a cell out of the grid drops the required variant.
         let broken = sweep_json(&[sweep_scale(1_000, 1)]).replace(
-            "\"variant\": \"packed_sharded4\"",
-            "\"variant\": \"packed_sharded4_gone\"",
+            "\"variant\": \"sharded4\"",
+            "\"variant\": \"sharded4_gone\"",
         );
         let p = write_report(&broken);
         assert_eq!(
             check_sweep(&p).unwrap_err(),
-            "sweep scale 1000: required cell `packed_sharded4` is missing"
+            "sweep scale 1000: required cell `sharded4` is missing"
         );
         std::fs::remove_file(p).unwrap();
     }
@@ -1446,13 +1313,13 @@ mod tests {
     #[test]
     fn sweep_rejects_a_hit_mismatch() {
         let broken = sweep_json(&[sweep_scale(1_000, 1)]).replace(
-            &sweep_cell("packed_sharded4", 42, 3_200, 70_000, 800.0),
-            &sweep_cell("packed_sharded4", 41, 3_200, 70_000, 800.0),
+            &sweep_cell("sharded4", 42, 10_400, 110_000, 1_200.0),
+            &sweep_cell("sharded4", 41, 10_400, 110_000, 1_200.0),
         );
         let p = write_report(&broken);
         let err = check_sweep(&p).unwrap_err();
         assert!(
-            err.contains("total_hits disagree") && err.contains("`packed_sharded4` reports 41"),
+            err.contains("total_hits disagree") && err.contains("`sharded4` reports 41"),
             "unexpected error: {err}"
         );
         std::fs::remove_file(p).unwrap();
@@ -1475,10 +1342,11 @@ mod tests {
 
     #[test]
     fn sweep_rejects_a_dominated_or_empty_frontier() {
-        // A dominated cell (`packed_sharded4`) on the committed frontier.
+        // A dominated cell on the committed frontier: `sharded4` slower
+        // than `raw` at more memory.
         let broken = sweep_json(&[sweep_scale(1_000, 1)]).replace(
-            "\"frontier\": [{\"variant\": \"packed\"",
-            "\"frontier\": [{\"variant\": \"packed_sharded4\"",
+            &sweep_cell("sharded4", 42, 10_400, 110_000, 1_200.0),
+            &sweep_cell("sharded4", 42, 10_400, 110_000, 800.0),
         );
         let p = write_report(&broken);
         let err = check_sweep(&p).unwrap_err();
@@ -1495,19 +1363,6 @@ mod tests {
             check_sweep(&p).unwrap_err(),
             "sweep scale 1000: the committed Pareto frontier is empty"
         );
-        std::fs::remove_file(p).unwrap();
-    }
-
-    #[test]
-    fn sweep_rejects_a_regressed_compression_ratio() {
-        // The packed cell's posting arena at 60% of raw: above the floor.
-        let broken = sweep_json(&[sweep_scale(1_000, 1)]).replace(
-            &sweep_cell("packed", 42, 3_000, 60_000, 950.0),
-            &sweep_cell("packed", 42, 6_000, 60_000, 950.0),
-        );
-        let p = write_report(&broken);
-        let err = check_sweep(&p).unwrap_err();
-        assert!(err.contains("compression floor"), "unexpected error: {err}");
         std::fs::remove_file(p).unwrap();
     }
 }

@@ -5,17 +5,13 @@
 //! space budget by default) and measures, for the same workload:
 //!
 //! * `scan` — the full-scan reference path (sorted merge per record),
-//! * `prefix_pruned` — size-ordered posting pruning plus the signature
-//!   prefix filter (a query past the filter's own per-query rule lets only
-//!   the rarest df-ordered hashes mint candidates; the frequent ones
-//!   accumulate lookup-only), measured over **raw** posting lists so the
-//!   entry keeps its historical meaning,
-//! * `packed_pruned` — the default engine: the same prune + prefix
-//!   pipeline over the **block-compressed** (delta/bit-packed) posting
-//!   subsystem; the report also records both formats' posting-arena bytes
-//!   and their compression ratio,
-//! * `sharded_pruned` — the default (packed) engine over an `--shards`-way
-//!   sharded index (single queries),
+//! * `prefix_pruned` — the engine: size-ordered posting pruning plus the
+//!   signature prefix filter (a query past the filter's own per-query rule
+//!   lets only the rarest df-ordered hashes mint candidates; the frequent
+//!   ones accumulate lookup-only); the report also records its posting
+//!   lists' bytes,
+//! * `sharded_pruned` — the same engine over an `--shards`-way sharded
+//!   index (single queries),
 //! * `single_query_parallel` — `search_parallel` fanning each individual
 //!   query's live slot ranges across scoped threads over the sharded index
 //!   (on a single-core host this degrades to the sequential engine),
@@ -26,17 +22,17 @@
 //! All paths are asserted to return bit-identical hits while measuring, so
 //! the numbers can never drift from a correctness regression silently.
 //!
-//! A `dense_profile` section repeats the raw-vs-packed comparison on a
-//! second dataset: a near-uniform element distribution over a small
-//! universe, so the hottest signature postings cover most of the slot space
-//! and the hybrid encoder elects bitmap blocks. The section records both
-//! formats' posting bytes, the bitmap-block count (floored above zero by
-//! `bench_check`) and the name-keyed `packed_pruned / prefix_pruned`
-//! speedup on exactly the shape the batched accumulate and the bitmap walk
-//! target.
+//! A `dense_profile` section repeats `scan` and `prefix_pruned` on a second
+//! dataset: a near-uniform element distribution over a small universe, so
+//! the hottest signature postings cover most of the slot space and most
+//! queries take the prefix filter's prefixed walk. The section records the
+//! posting bytes of that index.
+//!
+//! The `build` section times sequential against parallel index builds in
+//! alternating pairs and reports the median of the per-pair speedups.
 //!
 //! A `persistence` section measures the single-file index arena: the
-//! packed default engine's index is saved (`--save PATH`, default
+//! engine's index is saved (`--save PATH`, default
 //! `<out>.arena`), reopened zero-copy (`--load PATH` to read an arena
 //! written by an earlier process instead — the synthetic seeds are pinned,
 //! so a cross-process load answers the same workload), and timed against a
@@ -76,9 +72,9 @@ use std::time::Instant;
 use serde::Serialize;
 
 use gbkmv_bench::harness::arg_value;
-use gbkmv_bench::report::{latency_stats, measure, parsed_arg};
+use gbkmv_bench::report::{latency_stats, measure, parsed_arg, percentile};
 use gbkmv_core::dataset::Record;
-use gbkmv_core::index::{GbKmvConfig, GbKmvIndex, PostingFormat, QueryPipeline, SearchHit};
+use gbkmv_core::index::{GbKmvConfig, GbKmvIndex, QueryPipeline, SearchHit};
 use gbkmv_core::mem::MemUsage;
 use gbkmv_core::parallel::resolve_threads;
 use gbkmv_core::persist::DeltaStats;
@@ -99,11 +95,17 @@ struct DatasetSection {
     containment_threshold: f64,
 }
 
+/// Sequential vs parallel index builds, timed in alternating pairs.
 #[derive(Debug, Serialize)]
 struct BuildSection {
+    /// Fastest sequential build, seconds.
     seconds_single_thread: f64,
+    /// Fastest parallel build, seconds.
     seconds_parallel: f64,
     parallel_threads: usize,
+    /// Sequential over parallel build time of each pair, in run order.
+    pair_speedups: Vec<f64>,
+    /// Median of `pair_speedups` — the figure `bench_check` floors.
     parallel_speedup: f64,
 }
 
@@ -200,44 +202,29 @@ struct IngestSection {
     total_hits_direct: usize,
 }
 
-/// Posting-arena memory accounting per storage format (bytes actually
-/// allocated for the inverted lists, summed over shards).
+/// Posting-list memory (heap bytes allocated for the inverted lists,
+/// summed over shards).
 #[derive(Debug, Serialize)]
 struct PostingMemorySection {
-    /// Bytes of the raw `Vec<u32>` posting lists.
-    posting_bytes_raw: usize,
-    /// Bytes of the block-compressed (delta/bit-packed) posting lists.
-    posting_bytes_packed: usize,
-    /// `packed / raw` — the compression ratio the CI gate floors.
-    posting_compression_ratio: f64,
-    /// Blocks of the packed arena stored as presence bitmaps rather than
-    /// gap-coded payloads. Zero on sparse profiles (every block stays
-    /// gap-coded); `bench_check` requires it to be positive on the dense
-    /// profile, where the bitmap encoding is the point.
-    posting_bitmap_blocks: usize,
+    posting_bytes: usize,
 }
 
 /// The dense-postings companion profile: a near-uniform element
 /// distribution (`alpha_element_freq` ≈ 1.01) over a small universe, so
 /// frequent signatures land in most records' sketches and their posting
-/// lists cover well over half of the slot space. This is the shape the
-/// hybrid encoder's bitmap blocks and the batched accumulate target;
-/// the sparse default profile above exercises the gap-coded side.
+/// lists cover well over half of the slot space. Most of its queries take
+/// the prefix filter's prefixed walk, which the sparse default profile
+/// above rarely does.
 #[derive(Debug, Serialize)]
 struct DenseProfileSection {
     dataset: DatasetSection,
-    /// Posting-arena bytes per format on the dense data, plus the
-    /// bitmap-block count the CI gate floors above zero.
+    /// Posting-list bytes on the dense data.
     posting_memory: PostingMemorySection,
-    /// `scan` reference plus the raw- and packed-format default engines.
+    /// `scan` reference plus the engine.
     paths: Vec<PathSection>,
-    /// `packed_pruned / prefix_pruned` on the dense profile (name-keyed,
-    /// like the main table's speedup fields).
-    speedup_packed_vs_prefix: f64,
 }
 
-/// The single-file index-arena measurement: save the packed default
-/// engine's index, reopen it zero-copy, and time both against rebuilding
+/// The single-file index-arena measurement: save the engine's index, reopen it zero-copy, and time both against rebuilding
 /// the same index from records. The hit-identity pair and the borrowed
 /// accounting are the load-bearing fields (gated by `bench_check`); the
 /// speedup is the point of the arena format — loading validates and copies
@@ -260,7 +247,7 @@ struct PersistenceSection {
     rebuild_ms: f64,
     /// `rebuild_ms / load_ms` — floored at full scale by `bench_check`.
     load_speedup_vs_rebuild: f64,
-    /// Workload hits via the built index (the `packed_pruned` engine).
+    /// Workload hits via the built index (the `prefix_pruned` engine).
     total_hits_built: usize,
     /// Workload hits via the loaded index; must equal `total_hits_built`.
     total_hits_loaded: usize,
@@ -283,7 +270,7 @@ struct ThroughputReport {
     build: BuildSection,
     /// Shard count of the `sharded_pruned` / `batch_parallel` paths.
     batch_shards: usize,
-    /// Posting-arena bytes per format (same unsharded index, same data).
+    /// Posting-list bytes of the unsharded index.
     posting_memory: PostingMemorySection,
     /// Single-file arena save/load/rebuild measurement plus the
     /// per-component memory accounting of the built and loaded indexes.
@@ -294,19 +281,11 @@ struct ThroughputReport {
     /// clone, batch flush throughput, snapshot sharing, and the
     /// delta-vs-full checkpoint comparison.
     ingest: IngestSection,
-    /// The dense-postings companion profile (bitmap blocks + batched
-    /// accumulate at their target shape).
+    /// The dense-postings companion profile.
     dense_profile: DenseProfileSection,
     paths: Vec<PathSection>,
-    /// Speedup of the raw-format engine (`prefix_pruned`) over the scan.
+    /// Speedup of the engine (`prefix_pruned`) over the scan.
     speedup_prefix_vs_scan: f64,
-    /// Block-compressed postings vs the raw-format engine. Since the
-    /// batched block decode landed
-    /// the committed full-scale runs hold ≥ 1.0x (the packed engine pays
-    /// for its several-fold memory cut with block-skip pruning and the
-    /// unrolled prefix-sum decode); `bench_check` floors this ratio at
-    /// 0.9x in CI — slack for timer noise, not a lower target.
-    speedup_packed_vs_prefix: f64,
 }
 
 /// Queries/s of a named path (the speedup fields reference paths by name so
@@ -767,10 +746,8 @@ fn measure_ingest(
 /// Builds and measures the dense-postings companion profile: near-uniform
 /// element frequencies (`α1 = 1.01`) over a 160-element universe with
 /// records covering most of it, so the globally smallest signature hashes
-/// survive sketching in well over half of all records and their posting
-/// lists force the hybrid encoder into bitmap blocks. Asserts the bitmap
-/// encoding actually engaged and that both engines stay bit-identical to
-/// the scan reference before timing anything.
+/// survive sketching in well over half of all records. Asserts the engine
+/// stays bit-identical to the scan reference before timing anything.
 fn measure_dense_profile(
     num_records: usize,
     num_queries: usize,
@@ -794,58 +771,29 @@ fn measure_dense_profile(
 
     // Same operating point as the main profile (sketch-only, pinned buffer)
     // so the two sections differ only in the data shape.
-    let engine_config = || GbKmvConfig::with_space_fraction(budget).buffer_size(0);
-    let raw_index = GbKmvIndex::build(
+    let index = GbKmvIndex::build(
         &dataset,
-        engine_config()
-            .threads(threads)
-            .posting_format(PostingFormat::Raw),
+        GbKmvConfig::with_space_fraction(budget)
+            .buffer_size(0)
+            .threads(threads),
     );
-    let packed_index = GbKmvIndex::build(&dataset, engine_config().threads(threads));
-    assert!(
-        packed_index.bitmap_blocks() > 0,
-        "dense profile produced no bitmap blocks — the hybrid chooser or the profile regressed"
-    );
-
-    let reference: Vec<Vec<SearchHit>> = queries
-        .iter()
-        .map(|q| raw_index.search_scan(q, threshold))
-        .collect();
-    for (qi, (q, expected)) in queries.iter().zip(&reference).enumerate() {
+    for (qi, q) in queries.iter().enumerate() {
         assert_eq!(
-            &raw_index.search_record(q, threshold),
-            expected,
+            index.search_record(q, threshold),
+            index.search_scan(q, threshold),
             "dense prefix_pruned diverged from scan on query {qi}"
-        );
-        assert_eq!(
-            &packed_index.search_record(q, threshold),
-            expected,
-            "dense packed_pruned diverged from scan on query {qi}"
         );
     }
 
-    let (scan_lat, scan_hits) =
-        measure(queries, reps, |q| raw_index.search_scan(q, threshold).len());
-    let mut prefix_pipeline = QueryPipeline::new();
+    let (scan_lat, scan_hits) = measure(queries, reps, |q| index.search_scan(q, threshold).len());
+    let mut pipeline = QueryPipeline::new();
     let (prefix_lat, prefix_hits) = measure(queries, reps, |q| {
-        prefix_pipeline
-            .search_sorted(&raw_index, q.elements(), threshold)
-            .len()
-    });
-    let mut packed_pipeline = QueryPipeline::new();
-    let (packed_lat, packed_hits) = measure(queries, reps, |q| {
-        packed_pipeline
-            .search_sorted(&packed_index, q.elements(), threshold)
+        pipeline
+            .search_sorted(&index, q.elements(), threshold)
             .len()
     });
     assert_eq!(scan_hits, prefix_hits, "dense prefix_pruned diverged");
-    assert_eq!(scan_hits, packed_hits, "dense packed_pruned diverged");
 
-    let paths = vec![
-        path_section("scan", scan_lat, scan_hits),
-        path_section("prefix_pruned", prefix_lat, prefix_hits),
-        path_section("packed_pruned", packed_lat, packed_hits),
-    ];
     DenseProfileSection {
         dataset: DatasetSection {
             num_records: dataset.len(),
@@ -858,14 +806,12 @@ fn measure_dense_profile(
             containment_threshold: threshold,
         },
         posting_memory: PostingMemorySection {
-            posting_bytes_raw: raw_index.posting_bytes(),
-            posting_bytes_packed: packed_index.posting_bytes(),
-            posting_compression_ratio: packed_index.posting_bytes() as f64
-                / raw_index.posting_bytes().max(1) as f64,
-            posting_bitmap_blocks: packed_index.bitmap_blocks(),
+            posting_bytes: index.posting_bytes(),
         },
-        speedup_packed_vs_prefix: qps(&paths, "packed_pruned") / qps(&paths, "prefix_pruned"),
-        paths,
+        paths: vec![
+            path_section("scan", scan_lat, scan_hits),
+            path_section("prefix_pruned", prefix_lat, prefix_hits),
+        ],
     }
 }
 
@@ -915,13 +861,11 @@ fn main() {
     // Build: single-thread vs. parallel (the two must agree bit-for-bit,
     // which the core test suite already asserts). An untimed warm-up build
     // runs first so allocator/page-cache warm-up is not recorded as parallel
-    // speedup; each timed variant then takes its best of `reps` runs.
-    //
-    // `index` is built with RAW posting lists so the raw-format entries
-    // (scan through prefix_pruned) keep measuring the layout they always
-    // measured; `packed_index` is the same index under the default
-    // block-compressed format (the `packed_pruned` entry and the memory
-    // comparison); the sharded index uses the default (packed) format.
+    // speedup. The timed builds then run in alternating pairs, the order
+    // flipping every pair, and the reported speedup is the median of the
+    // per-pair ratios: host noise that slows one build cannot move it the
+    // way it moved a ratio of two best-of runs (0.75x against a 0.8x floor
+    // on one 800-record smoke run, with the build code unchanged).
     //
     // Every index here pins the buffer to the sketch-only operating point
     // (`buffer_size(0)`) rather than letting the cost model pick: this
@@ -934,37 +878,39 @@ fn main() {
     // Auto picks well is the eval suite's question, not this bench's.)
     let engine_config = || GbKmvConfig::with_space_fraction(budget).buffer_size(0);
     let _warmup = GbKmvIndex::build(&dataset, engine_config());
-    let time_build = |t: usize| {
-        (0..reps.max(1))
-            .map(|_| {
-                let start = Instant::now();
-                let built = GbKmvIndex::build(
-                    &dataset,
-                    engine_config()
-                        .threads(t)
-                        .posting_format(PostingFormat::Raw),
-                );
-                (start.elapsed().as_secs_f64(), built)
-            })
-            .min_by(|a, b| a.0.total_cmp(&b.0))
-            .expect("at least one build rep")
+    let timed_build = |t: usize| {
+        let start = Instant::now();
+        let built = GbKmvIndex::build(&dataset, engine_config().threads(t));
+        (start.elapsed().as_secs_f64(), built)
     };
-    let (seconds_single, _single) = time_build(1);
-    let (seconds_parallel, index) = time_build(threads);
-    let packed_index = GbKmvIndex::build(&dataset, engine_config().threads(threads));
-    assert_eq!(
-        packed_index.config().posting_format,
-        PostingFormat::Packed,
-        "the default posting format must be the compressed one"
-    );
+    let mut pair_speedups = Vec::new();
+    let (mut seconds_single, mut seconds_parallel) = (f64::INFINITY, f64::INFINITY);
+    let mut index = None;
+    for pair in 0..2 * reps.max(1) + 1 {
+        let ((single, _), (parallel, built)) = if pair % 2 == 0 {
+            let single = timed_build(1);
+            (single, timed_build(threads))
+        } else {
+            let parallel = timed_build(threads);
+            (timed_build(1), parallel)
+        };
+        seconds_single = seconds_single.min(single);
+        seconds_parallel = seconds_parallel.min(parallel);
+        pair_speedups.push(if parallel > 0.0 {
+            single / parallel
+        } else {
+            0.0
+        });
+        index = Some(built);
+    }
+    let index = index.expect("at least one build pair");
+    let mut sorted_speedups = pair_speedups.clone();
+    sorted_speedups.sort_by(f64::total_cmp);
+    let parallel_speedup = percentile(&sorted_speedups, 0.5);
     let sharded_index =
         GbKmvIndex::build(&dataset, engine_config().threads(threads).shards(shards));
     let posting_memory = PostingMemorySection {
-        posting_bytes_raw: index.posting_bytes(),
-        posting_bytes_packed: packed_index.posting_bytes(),
-        posting_compression_ratio: packed_index.posting_bytes() as f64
-            / index.posting_bytes().max(1) as f64,
-        posting_bitmap_blocks: packed_index.bitmap_blocks(),
+        posting_bytes: index.posting_bytes(),
     };
 
     let queries = &workload.queries;
@@ -983,9 +929,6 @@ fn main() {
         }
     };
     assert_agrees("prefix_pruned", &|q| index.search_record(q, threshold));
-    assert_agrees("packed_pruned", &|q| {
-        packed_index.search_record(q, threshold)
-    });
     assert_agrees("sharded_pruned", &|q| {
         sharded_index.search_record(q, threshold)
     });
@@ -1002,12 +945,6 @@ fn main() {
     let mut prefix = QueryPipeline::new();
     let (prefix_lat, prefix_hits) = measure(queries, reps, |q| {
         prefix.search_sorted(&index, q.elements(), threshold).len()
-    });
-    let mut packed_pipeline = QueryPipeline::new();
-    let (packed_lat, packed_hits) = measure(queries, reps, |q| {
-        packed_pipeline
-            .search_sorted(&packed_index, q.elements(), threshold)
-            .len()
     });
     let mut sharded_pipeline = QueryPipeline::new();
     let (sharded_lat, sharded_hits) = measure(queries, reps, |q| {
@@ -1029,10 +966,10 @@ fn main() {
             .sum()
     });
 
-    // Persistence: save the packed default engine's index, reopen it
-    // zero-copy, and time both against rebuilding it from the records.
+    // Persistence: save the engine's index, reopen it zero-copy, and time
+    // both against rebuilding it from the records.
     let persistence = measure_persistence(
-        &packed_index,
+        &index,
         || GbKmvIndex::build(&dataset, engine_config().threads(threads)),
         queries,
         threshold,
@@ -1053,7 +990,7 @@ fn main() {
     .records()
     .to_vec();
     let concurrent = measure_concurrent(
-        &packed_index,
+        &index,
         queries,
         threshold,
         readers.max(1),
@@ -1087,8 +1024,7 @@ fn main() {
         },
     );
 
-    // The dense-postings companion profile (bitmap blocks + batched
-    // accumulate at their target shape).
+    // The dense-postings companion profile.
     let dense_profile =
         measure_dense_profile(num_records, num_queries, budget, threshold, threads, reps);
 
@@ -1096,7 +1032,6 @@ fn main() {
     // measured loops must reproduce the same workload-wide hit count.
     for (name, hits) in [
         ("prefix_pruned", prefix_hits),
-        ("packed_pruned", packed_hits),
         ("sharded_pruned", sharded_hits),
         ("single_query_parallel", par_hits),
         ("batch_parallel", batch_hits),
@@ -1107,7 +1042,6 @@ fn main() {
     let paths = vec![
         path_section("scan", scan_lat, scan_hits),
         path_section("prefix_pruned", prefix_lat, prefix_hits),
-        path_section("packed_pruned", packed_lat, packed_hits),
         path_section("sharded_pruned", sharded_lat, sharded_hits),
         path_section("single_query_parallel", par_lat, par_hits),
         batch_section("batch_parallel", batch_secs, queries.len(), batch_hits),
@@ -1128,11 +1062,8 @@ fn main() {
             seconds_single_thread: seconds_single,
             seconds_parallel,
             parallel_threads: resolve_threads(threads),
-            parallel_speedup: if seconds_parallel > 0.0 {
-                seconds_single / seconds_parallel
-            } else {
-                0.0
-            },
+            pair_speedups,
+            parallel_speedup,
         },
         batch_shards: sharded_index.sharded().shards().len(),
         posting_memory,
@@ -1141,7 +1072,6 @@ fn main() {
         ingest: ingest_section,
         dense_profile,
         speedup_prefix_vs_scan: qps(&paths, "prefix_pruned") / qps(&paths, "scan"),
-        speedup_packed_vs_prefix: qps(&paths, "packed_pruned") / qps(&paths, "prefix_pruned"),
         paths,
     };
 
@@ -1163,11 +1093,12 @@ fn main() {
         format_table(&["path", "queries/s", "p50 µs", "p99 µs", "hits"], &rows)
     );
     println!(
-        "build: {:.3}s single-thread, {:.3}s on {} threads ({:.2}x{})",
+        "build: {:.3}s single-thread, {:.3}s on {} threads (median {:.2}x over {} pairs{})",
         report.build.seconds_single_thread,
         report.build.seconds_parallel,
         report.build.parallel_threads,
         report.build.parallel_speedup,
+        report.build.pair_speedups.len(),
         // A "speedup" measured on one core is pure scheduler noise and reads
         // like a regression; flag it so nobody chases a 0.98x ghost (the
         // bench_check gate skips its speedup assertion in this case too).
@@ -1178,16 +1109,8 @@ fn main() {
         }
     );
     println!(
-        "raw-format engine: {:.2}x vs scan; \
-         packed postings: {:.2}x vs prefix_pruned ({} shards for batch)",
-        report.speedup_prefix_vs_scan, report.speedup_packed_vs_prefix, report.batch_shards
-    );
-    println!(
-        "posting arena: raw {} bytes, packed {} bytes ({:.1}% of raw, {} bitmap blocks)",
-        report.posting_memory.posting_bytes_raw,
-        report.posting_memory.posting_bytes_packed,
-        report.posting_memory.posting_compression_ratio * 100.0,
-        report.posting_memory.posting_bitmap_blocks
+        "engine: {:.2}x vs scan ({} shards for batch); posting lists {} bytes",
+        report.speedup_prefix_vs_scan, report.batch_shards, report.posting_memory.posting_bytes
     );
     let dense = &report.dense_profile;
     let dense_rows: Vec<Vec<String>> = dense
@@ -1215,13 +1138,8 @@ fn main() {
         )
     );
     println!(
-        "dense posting arena: raw {} bytes, packed {} bytes ({:.1}% of raw, \
-         {} bitmap blocks); packed postings {:.2}x vs prefix_pruned",
-        dense.posting_memory.posting_bytes_raw,
-        dense.posting_memory.posting_bytes_packed,
-        dense.posting_memory.posting_compression_ratio * 100.0,
-        dense.posting_memory.posting_bitmap_blocks,
-        dense.speedup_packed_vs_prefix
+        "dense posting lists: {} bytes",
+        dense.posting_memory.posting_bytes
     );
     let persist = &report.persistence;
     println!(

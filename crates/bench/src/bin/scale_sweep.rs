@@ -9,20 +9,22 @@
 //! build in a small container), then builds and measures one index per
 //! engine variant:
 //!
-//! | variant | postings | shards |
-//! |---------------------|--------|---|
-//! | `raw`               | raw    | 1 |
-//! | `packed`            | packed | 1 |
-//! | `packed_sharded4`   | packed | 4 |
+//! | variant    | shards |
+//! |------------|--------|
+//! | `raw`      | 1      |
+//! | `sharded4` | 4      |
+//!
+//! (`raw` keeps the name it had when the sweep also measured a
+//! block-compressed posting format.)
 //!
 //! Every variant pins the sketch-only operating point (`buffer_size(0)`)
-//! so the cells differ only along the engine axes, never in sketch shape.
+//! so the cells differ only in shard count, never in sketch shape.
 //! Each cell records build time, the per-component [`mem_usage`]
 //! breakdown, the serialized arena image size, q/s with p50/p99 latency,
 //! and the workload hit count — and every variant's hits are asserted
 //! bit-identical per query against the scale's first variant before any
-//! timing starts (the variants are different *encodings* of one index, so
-//! a hit delta is a bug, not a trade-off).
+//! timing starts (the variants are different *layouts* of one index, so a
+//! hit delta is a bug, not a trade-off).
 //!
 //! Per scale the sweep then computes the space-vs-throughput Pareto
 //! frontier over `(mem_total_bytes, queries_per_sec)` with the same
@@ -42,42 +44,21 @@ use serde::Serialize;
 use gbkmv_bench::harness::arg_value;
 use gbkmv_bench::report::{latency_stats, measure, pareto_frontier, parsed_arg};
 use gbkmv_core::dataset::Dataset;
-use gbkmv_core::index::{GbKmvConfig, GbKmvIndex, PostingFormat, QueryPipeline, SearchHit};
+use gbkmv_core::index::{GbKmvConfig, GbKmvIndex, QueryPipeline, SearchHit};
 use gbkmv_core::mem::MemUsage;
 use gbkmv_datagen::queries::QueryWorkload;
 use gbkmv_datagen::synthetic::{SyntheticConfig, SyntheticStream};
 use gbkmv_eval::report::{format_table, write_json_report};
 
-/// One engine configuration measured at every scale.
-struct Variant {
-    name: &'static str,
-    format: PostingFormat,
-    shards: usize,
-}
-
-/// The fixed variant grid: both posting formats, and a 4-way sharded
-/// packed cell.
-fn variants() -> Vec<Variant> {
-    use PostingFormat::{Packed, Raw};
-    let v = |name, format, shards| Variant {
-        name,
-        format,
-        shards,
-    };
-    vec![
-        v("raw", Raw, 1),
-        v("packed", Packed, 1),
-        v("packed_sharded4", Packed, 4),
-    ]
-}
+/// The fixed variant grid: (name, shard count) of each engine
+/// configuration measured at every scale.
+const VARIANTS: [(&str, usize); 2] = [("raw", 1), ("sharded4", 4)];
 
 /// One (scale × variant) measurement cell.
 #[derive(Debug, Serialize)]
 struct Cell {
     /// Variant name (the row key `bench_check` gates on).
     variant: String,
-    /// Posting storage format of this cell's index.
-    posting_format: String,
     /// Shard count of this cell's index.
     shards: usize,
     /// Wall time of the single measured `GbKmvIndex::build`, seconds.
@@ -90,10 +71,8 @@ struct Cell {
     p99_latency_us: f64,
     /// Workload hit count — identical across every variant at a scale.
     total_hits: usize,
-    /// Posting-arena content bytes (this cell's format, summed over shards).
+    /// Posting-list heap bytes, summed over shards.
     posting_bytes: usize,
-    /// Packed posting blocks stored as presence bitmaps (0 for raw cells).
-    bitmap_blocks: usize,
     /// Per-component memory breakdown of the built index.
     mem: MemUsage,
     /// `mem.total_bytes()` — the frontier's memory axis.
@@ -146,7 +125,7 @@ struct SweepReport {
 /// variant's per-query hits become the reference; every later variant must
 /// reproduce them bit-for-bit before its timed passes run. Indexes are
 /// dropped as soon as their cell is measured so the peak footprint stays
-/// one index, not five.
+/// one index, not two.
 fn measure_scale(
     num_records: usize,
     num_queries: usize,
@@ -180,15 +159,14 @@ fn measure_scale(
 
     let mut reference: Option<Vec<Vec<SearchHit>>> = None;
     let mut cells = Vec::new();
-    for spec in variants() {
+    for (name, shards) in VARIANTS {
         let build_start = Instant::now();
         let index = GbKmvIndex::build(
             &dataset,
             GbKmvConfig::with_space_fraction(budget)
                 .buffer_size(0)
                 .threads(threads)
-                .posting_format(spec.format)
-                .shards(spec.shards),
+                .shards(shards),
         );
         let build_seconds = build_start.elapsed().as_secs_f64();
 
@@ -203,9 +181,8 @@ fn measure_scale(
                 for (qi, (got, want)) in hits.iter().zip(expected).enumerate() {
                     assert_eq!(
                         got, want,
-                        "variant {} diverged from the reference variant on query {qi} \
-                         at scale {num_records}",
-                        spec.name
+                        "variant {name} diverged from the reference variant on query {qi} \
+                         at scale {num_records}"
                     );
                 }
             }
@@ -221,19 +198,14 @@ fn measure_scale(
 
         let mem = index.mem_usage();
         cells.push(Cell {
-            variant: spec.name.to_string(),
-            posting_format: match spec.format {
-                PostingFormat::Raw => "raw".to_string(),
-                PostingFormat::Packed => "packed".to_string(),
-            },
-            shards: spec.shards,
+            variant: name.to_string(),
+            shards,
             build_seconds,
             queries_per_sec: stats.queries_per_sec,
             p50_latency_us: stats.p50_latency_us,
             p99_latency_us: stats.p99_latency_us,
             total_hits,
             posting_bytes: index.posting_bytes(),
-            bitmap_blocks: index.bitmap_blocks(),
             mem,
             mem_total_bytes: mem.total_bytes(),
             arena_bytes: index.to_arena_bytes().len(),

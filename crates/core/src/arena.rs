@@ -1,12 +1,11 @@
 //! Owner-backed storage for index arenas.
 //!
-//! Every flat buffer inside the index (`SketchStore` arenas, packed posting
-//! words and block metadata, raw posting slot lists) is stored as an
-//! [`ArenaVec<T>`]: either an owned `Vec<T>` built in memory, or a borrowed
-//! `&'static [T]` pointing straight into a loaded arena file (see the
-//! [`persist`](crate::persist) module). The borrowed form is what makes
-//! loading zero-copy — no per-record decode, no re-encoding of posting
-//! blocks — while the owned form is what every build path produces.
+//! Every flat buffer inside the index (`SketchStore` arenas, posting slot
+//! lists) is stored as an [`ArenaVec<T>`]: either an owned `Vec<T>` built
+//! in memory, or a borrowed `&'static [T]` pointing straight into a loaded
+//! arena file (see the [`persist`](crate::persist) module). The borrowed
+//! form is what makes loading zero-copy — no per-record decode, no posting
+//! rebuild — while the owned form is what every build path produces.
 //!
 //! The enum behaves like a slice for reads (`Deref<Target = [T]>`) and
 //! promotes itself to an owned `Vec` on first mutation ([`ArenaVec::to_mut`]

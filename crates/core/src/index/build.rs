@@ -45,7 +45,6 @@ impl GbKmvIndex {
             &sketches,
             config.shards,
             sketcher.layout().words(),
-            config.posting_format,
             config.threads,
         );
 

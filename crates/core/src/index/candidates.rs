@@ -13,15 +13,11 @@
 //! parallel path additionally the worker's slot sub-range — and the sweep
 //! reads exactly that range, so a candidate outside the range is never
 //! touched, let alone finished.
-//! Truncation goes through the posting layer's batched walk,
-//! [`PostingList::for_each_chunk_in_range`](crate::index::postings::PostingList::for_each_chunk_in_range):
-//! each surviving block arrives as one ascending [`PostingChunk`] — a
-//! decoded slot run (4-lane unrolled gap prefix sum, or a copy-free slice
-//! cut on the raw format) consumed by the scratch's batched slice methods,
-//! or an undecoded bitmap mask consumed by the mask-form methods — notably
-//! the branch-free lookup-only passes
-//! ([`QueryScratch::add_signature_hits_if_candidate`] and its mask form's
-//! linear window sweep).
+//! Truncation is one cut of the raw slot list,
+//! [`PostingList::range`](crate::index::postings::PostingList::range), whose
+//! sub-slice the scratch's batched methods consume in place — notably the
+//! branch-free lookup-only pass
+//! ([`QueryScratch::add_signature_hits_if_candidate`]).
 //!
 //! # Prefix-filtered minting
 //!
@@ -88,7 +84,6 @@
 
 use crate::buffer::ElementBuffer;
 use crate::gbkmv::GbKmvRecordSketch;
-use crate::index::postings::{PostingChunk, PostingList};
 use crate::index::prune::Minting;
 use crate::index::sharded::Shard;
 use crate::scratch::QueryScratch;
@@ -200,22 +195,6 @@ pub(crate) fn df_order(
     order.sort_unstable();
 }
 
-/// Minting walk of one signature posting list: every slot in range
-/// accumulates and becomes a candidate.
-#[inline]
-fn mint_signature(
-    postings: &PostingList,
-    lo: usize,
-    hi: usize,
-    decode: &mut Vec<u32>,
-    scratch: &mut QueryScratch,
-) {
-    postings.for_each_chunk_in_range(lo, hi, decode, |chunk| match chunk {
-        PostingChunk::Slots(slots) => scratch.add_signature_hits(slots),
-        PostingChunk::Bitmap { base, words } => scratch.add_signature_hits_mask(base, words),
-    });
-}
-
 /// The unfiltered signature walk: every signature hash mints.
 fn walk_unfiltered(
     shard: &Shard,
@@ -224,13 +203,11 @@ fn walk_unfiltered(
     hi: usize,
     scratch: &mut QueryScratch,
 ) {
-    let mut decode = std::mem::take(&mut scratch.block_decode);
     for &h in view.hashes {
         if let Some(postings) = shard.signature_postings(h) {
-            mint_signature(postings, lo, hi, &mut decode, scratch);
+            scratch.add_signature_hits(postings.range(lo, hi));
         }
     }
-    scratch.block_decode = decode;
 }
 
 /// The prefix-filtered walk over a df-ordered hash list: the minting
@@ -244,11 +221,10 @@ fn walk_prefixed(
     order: &[(u32, u64)],
     scratch: &mut QueryScratch,
 ) {
-    let mut decode = std::mem::take(&mut scratch.block_decode);
     let (mint, lookup) = order.split_at(minting.hashes);
     for &(_, h) in mint {
         if let Some(postings) = shard.signature_postings(h) {
-            mint_signature(postings, lo, hi, &mut decode, scratch);
+            scratch.add_signature_hits(postings.range(lo, hi));
         }
     }
     // The swept slots must be minted BEFORE the lookup-only pass, which
@@ -266,15 +242,9 @@ fn walk_prefixed(
     // the branch-free batched accumulate pays off.
     for &(_, h) in lookup {
         if let Some(postings) = shard.signature_postings(h) {
-            postings.for_each_chunk_in_range(lo, hi, &mut decode, |chunk| match chunk {
-                PostingChunk::Slots(slots) => scratch.add_signature_hits_if_candidate(slots),
-                PostingChunk::Bitmap { base, words } => {
-                    scratch.add_signature_hits_if_candidate_mask(base, words)
-                }
-            });
+            scratch.add_signature_hits_if_candidate(postings.range(lo, hi));
         }
     }
-    scratch.block_decode = decode;
 }
 
 /// How the buffer pass of one query mints its candidates.

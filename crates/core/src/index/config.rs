@@ -3,7 +3,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::cost::CostModelConfig;
-use crate::index::postings::PostingFormat;
 
 /// How the buffer size is chosen at build time.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
@@ -38,12 +37,6 @@ pub struct GbKmvConfig {
     /// count; sharding bounds per-shard arena sizes and gives the batch path
     /// independent units of work.
     pub shards: usize,
-    /// Storage format of the inverted posting lists (see
-    /// [`crate::index::postings`]): block-compressed delta/bit-packed by
-    /// default, raw `Vec<u32>` as the ablation and correctness oracle. The
-    /// format never changes any answer — every query path walks the
-    /// identical slot sequence — only the memory footprint.
-    pub posting_format: PostingFormat,
     /// Cost model configuration used when `buffer` is [`BufferSizing::Auto`].
     pub cost_model: CostModelConfig,
     /// Queue length at which a [`crate::service::ContainmentService`]
@@ -65,7 +58,6 @@ impl Default for GbKmvConfig {
             hash_seed: 0x6bb7_9e4b_1f2d_3c58,
             threads: 0,
             shards: 1,
-            posting_format: PostingFormat::default(),
             cost_model: CostModelConfig::default(),
             ingest_batch: 64,
         }
@@ -117,13 +109,6 @@ impl GbKmvConfig {
     /// Sets the number of storage shards (`0`/`1` = unsharded).
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Sets the posting-list storage format (answers are identical for
-    /// every format; only the memory footprint changes).
-    pub fn posting_format(mut self, format: PostingFormat) -> Self {
-        self.posting_format = format;
         self
     }
 
@@ -184,17 +169,12 @@ mod tests {
             .hash_seed(7)
             .threads(2)
             .shards(4)
-            .posting_format(PostingFormat::Raw)
             .ingest_batch(16);
         assert_eq!(c.buffer, BufferSizing::Fixed(8));
         assert_eq!(c.hash_seed, 7);
         assert_eq!(c.threads, 2);
         assert_eq!(c.shards, 4);
-        assert_eq!(c.posting_format, PostingFormat::Raw);
         assert_eq!(c.ingest_batch, 16);
         assert_eq!(GbKmvConfig::default().ingest_batch, 64);
-        // Packed is the default: the compressed subsystem is the engine,
-        // raw is the ablation.
-        assert_eq!(GbKmvConfig::default().posting_format, PostingFormat::Packed);
     }
 }

@@ -59,9 +59,9 @@
 //! record-id sort). The unaccelerated [`GbKmvIndex::search_scan`] in
 //! [`mod@reference`] is the one oracle: every path returns bit-identical
 //! hits to it, which the agreement tests and the `query_agreement` property
-//! suite enforce for all shard counts, thread counts, posting formats and
-//! both walks of the signature prefix filter (prefixed and unfiltered, which
-//! the filter picks per query).
+//! suite enforce for all shard counts, thread counts and both walks of the
+//! signature prefix filter (prefixed and unfiltered, which the filter picks
+//! per query).
 //!
 //! # Entry points
 //!
@@ -96,7 +96,7 @@ use serde::{Deserialize, Serialize};
 
 pub use config::{BufferSizing, GbKmvConfig, IndexSummary};
 pub use pipeline::QueryPipeline;
-pub use postings::{PostingChunk, PostingFormat, PostingList};
+pub use postings::PostingList;
 pub use sharded::{Shard, ShardedIndex};
 
 use crate::dataset::{ElementId, Record, RecordId};
@@ -293,20 +293,17 @@ impl GbKmvIndex {
         usage
     }
 
-    /// Heap bytes held by the index's inverted posting lists (payload
-    /// arenas plus block metadata, summed over shards) — the
-    /// memory-footprint number the `query_throughput` bench reports per
-    /// [`PostingFormat`].
+    /// Heap bytes held by the index's inverted posting lists, summed over
+    /// shards — the posting-memory number the `query_throughput` bench
+    /// reports.
     pub fn posting_bytes(&self) -> usize {
         self.sharded.posting_bytes()
     }
 
-    /// Total bitmap-encoded posting blocks across all shards: 0 on the raw
-    /// format (and on sparse data, where gap blocks always win); positive
-    /// exactly when the hybrid packed encoding found dense-but-gappy runs
-    /// worth a 128-bit mask. The dense-profile bench gates on this.
+    /// Always 0: posting lists have one format, with no bitmap blocks. The
+    /// method stays because the frozen `perfbench` harness reports it.
     pub fn bitmap_blocks(&self) -> usize {
-        self.sharded.bitmap_blocks()
+        0
     }
 
     /// Borrowed view of one record's stored sketch — the non-allocating

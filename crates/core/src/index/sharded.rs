@@ -18,10 +18,8 @@
 //! zero accuracy cost.
 //!
 //! **Posting storage.** Every posting list is a
-//! [`crate::index::postings::PostingList`] in the shard's
-//! build-time [`PostingFormat`] — block-compressed delta/bit-packed by
-//! default, raw `Vec<u32>` for the ablation — so the format decision is
-//! made once here and every query path inherits it transparently.
+//! [`crate::index::postings::PostingList`]: the ascending slot numbers of
+//! the records holding one signature hash, as a plain `u32` list.
 //!
 //! **The buffer is stored once.** A record's buffer lives only in the
 //! store's fixed-stride buffer words: the candidates stage mints buffered
@@ -35,7 +33,7 @@ use std::sync::{Arc, OnceLock};
 
 use crate::gbkmv::GbKmvRecordSketch;
 use crate::hash::mix64;
-use crate::index::postings::{PostingFormat, PostingList};
+use crate::index::postings::PostingList;
 use crate::mem::MemUsage;
 use crate::parallel;
 use crate::store::{SketchStore, SketchView};
@@ -69,16 +67,13 @@ pub(crate) fn next_stamp() -> u64 {
 /// Posting lists hold ascending **slot** numbers. Because slots are ordered
 /// by descending record size (the [`SketchStore`] invariant), every posting
 /// list is simultaneously size-sorted: the prune stage truncates each list
-/// at the query's live-prefix cutoff — one binary search on the raw format,
-/// whole-block skips plus one in-block search on the packed format.
+/// at the query's live-prefix cutoff with one binary search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Shard {
     /// First global record id owned by this shard.
     base: usize,
     /// The shard's flattened sketch storage.
     store: SketchStore,
-    /// The storage format every posting list of this shard uses.
-    format: PostingFormat,
     /// Inverted postings from G-KMV signature hash value to slots
     /// (ascending within each list).
     signature_postings: HashMap<u64, PostingList>,
@@ -89,13 +84,11 @@ impl Shard {
     /// sketches.len()`), fanning posting construction over `threads` scoped
     /// threads. The shard is identical for every thread count: slots are
     /// chunked contiguously and the per-chunk posting fragments are merged
-    /// in chunk order, so every list stays ascending; the merged lists are
-    /// then sealed into their [`PostingFormat`] in one encoding pass.
+    /// in chunk order, so every list stays ascending.
     pub(crate) fn build(
         base: usize,
         sketches: &[GbKmvRecordSketch],
         words_per_record: usize,
-        format: PostingFormat,
         threads: usize,
     ) -> Self {
         let store = SketchStore::from_sketches(words_per_record, sketches);
@@ -117,12 +110,11 @@ impl Shard {
         }
         let signature_postings = merged
             .into_iter()
-            .map(|(h, list)| (h, PostingList::from_sorted(format, list)))
+            .map(|(h, list)| (h, PostingList::from_sorted(list)))
             .collect();
         Shard {
             base,
             store,
-            format,
             signature_postings,
         }
     }
@@ -141,8 +133,7 @@ impl Shard {
     /// among the smallest the lowest hot-first buffer words; see
     /// [`SketchStore`]), its slot lands at the tail of the slot order, so no
     /// existing entry is at or above it — the whole renumber pass is
-    /// skipped and every posting splice is a tail append (an O(1) push on
-    /// the raw format, a one-block rewrite on the packed one). Loading
+    /// skipped and every posting splice is an O(1) tail push. Loading
     /// records in slot order therefore inserts in O(record postings)
     /// instead of O(shard).
     pub(crate) fn insert(&mut self, sketch: &GbKmvRecordSketch) -> usize {
@@ -155,11 +146,10 @@ impl Shard {
                 list.renumber_from(slot);
             }
         }
-        let format = self.format;
         for &h in self.store.view(slot as usize).hashes {
             self.signature_postings
                 .entry(h)
-                .or_insert_with(|| PostingList::new(format))
+                .or_default()
                 .insert_sorted(slot);
         }
         self.base + local_id
@@ -189,12 +179,6 @@ impl Shard {
         &self.store
     }
 
-    /// The posting-list storage format this shard was built with.
-    #[inline]
-    pub fn posting_format(&self) -> PostingFormat {
-        self.format
-    }
-
     /// The global record id held in `slot`.
     #[inline]
     pub fn global_id(&self, slot: usize) -> usize {
@@ -207,24 +191,13 @@ impl Shard {
         self.signature_postings.get(&hash)
     }
 
-    /// Heap bytes held by the shard's posting lists (payload arenas plus
-    /// per-block metadata; excludes the `HashMap` table itself, which is
-    /// format-independent). The memory-footprint number the
-    /// `query_throughput` bench reports per format.
+    /// Heap bytes held by the shard's posting lists (excludes the
+    /// `HashMap` table itself). The posting-memory number the
+    /// `query_throughput` bench reports.
     pub fn posting_bytes(&self) -> usize {
         self.signature_postings
             .values()
             .map(PostingList::heap_bytes)
-            .sum()
-    }
-
-    /// Number of bitmap-encoded blocks across the shard's posting lists
-    /// (always 0 on the raw format) — the diagnostic the dense-profile
-    /// bench gates on to prove the hybrid encoding actually engages.
-    pub fn bitmap_blocks(&self) -> usize {
-        self.signature_postings
-            .values()
-            .map(PostingList::bitmap_blocks)
             .sum()
     }
 
@@ -234,13 +207,11 @@ impl Shard {
     pub(crate) fn from_parts(
         base: usize,
         store: SketchStore,
-        format: PostingFormat,
         signature_postings: HashMap<u64, PostingList>,
     ) -> Self {
         Shard {
             base,
             store,
-            format,
             signature_postings,
         }
     }
@@ -316,18 +287,17 @@ impl ShardedIndex {
         sketches: &[GbKmvRecordSketch],
         num_shards: usize,
         words_per_record: usize,
-        format: PostingFormat,
         threads: usize,
     ) -> Self {
         let num_shards = num_shards.max(1);
         let shards = if num_shards == 1 || sketches.len() <= 1 {
-            vec![Shard::build(0, sketches, words_per_record, format, threads)]
+            vec![Shard::build(0, sketches, words_per_record, threads)]
         } else {
             let chunk = sketches.len().div_ceil(num_shards);
             let bounds: Vec<usize> = (0..sketches.len()).step_by(chunk).collect();
             parallel::par_map(&bounds, threads, |&lo| {
                 let hi = (lo + chunk).min(sketches.len());
-                Shard::build(lo, &sketches[lo..hi], words_per_record, format, 1)
+                Shard::build(lo, &sketches[lo..hi], words_per_record, 1)
             })
         };
         let epochs = shards.iter().map(|_| next_stamp()).collect();
@@ -373,16 +343,10 @@ impl ShardedIndex {
         self.shards.iter().map(|s| s.store.total_hashes()).sum()
     }
 
-    /// Total heap bytes held by all shards' posting lists (the per-format
+    /// Total heap bytes held by all shards' posting lists (the posting
     /// memory number of the bench report).
     pub fn posting_bytes(&self) -> usize {
         self.shards.iter().map(|s| s.posting_bytes()).sum()
-    }
-
-    /// Total bitmap-encoded posting blocks across all shards (the
-    /// dense-profile bench's evidence that hybrid blocks engage).
-    pub fn bitmap_blocks(&self) -> usize {
-        self.shards.iter().map(|s| s.bitmap_blocks()).sum()
     }
 
     /// Reassembles an index from already-reconstructed shards plus the
@@ -474,8 +438,6 @@ mod tests {
     use crate::gkmv::{GKmvSketch, GlobalThreshold};
     use crate::hash::Hasher64;
 
-    const FORMATS: [PostingFormat; 2] = [PostingFormat::Packed, PostingFormat::Raw];
-
     fn sketches(n: usize) -> Vec<GbKmvRecordSketch> {
         let layout = BufferLayout::new(vec![0, 1]);
         let hasher = Hasher64::new(3);
@@ -501,7 +463,7 @@ mod tests {
     fn shard_ranges_are_contiguous_and_cover_all_records() {
         let sk = sketches(23);
         for num_shards in [1, 2, 3, 5, 40] {
-            let index = ShardedIndex::build(&sk, num_shards, 1, PostingFormat::default(), 1);
+            let index = ShardedIndex::build(&sk, num_shards, 1, 1);
             assert_eq!(index.len(), 23, "{num_shards} shards lost records");
             let mut next = 0usize;
             for shard in index.shards() {
@@ -522,40 +484,17 @@ mod tests {
     #[test]
     fn posting_lists_are_ascending_and_size_sorted() {
         let sk = sketches(30);
-        for format in FORMATS {
-            let index = ShardedIndex::build(&sk, 3, 1, format, 2);
-            for shard in index.shards() {
-                for list in shard.signature_postings.values() {
-                    let slots = list.to_vec();
-                    assert!(slots.windows(2).all(|w| w[0] < w[1]), "list not ascending");
-                    assert!(
-                        slots.windows(2).all(|w| {
-                            shard.store.record_size(w[0] as usize)
-                                >= shard.store.record_size(w[1] as usize)
-                        }),
-                        "list not size-sorted"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn posting_formats_hold_identical_slot_sequences() {
-        let sk = sketches(40);
-        let packed = ShardedIndex::build(&sk, 2, 1, PostingFormat::Packed, 1);
-        let raw = ShardedIndex::build(&sk, 2, 1, PostingFormat::Raw, 1);
-        for (ps, rs) in packed.shards().iter().zip(raw.shards()) {
-            assert_eq!(
-                ps.signature_postings.len(),
-                rs.signature_postings.len(),
-                "formats disagree on the posting vocabulary"
-            );
-            for (h, list) in &ps.signature_postings {
-                assert_eq!(
-                    list.to_vec(),
-                    rs.signature_postings[h].to_vec(),
-                    "hash {h:#x} decodes differently across formats"
+        let index = ShardedIndex::build(&sk, 3, 1, 2);
+        for shard in index.shards() {
+            for list in shard.signature_postings.values() {
+                let slots = list.as_slice();
+                assert!(slots.windows(2).all(|w| w[0] < w[1]), "list not ascending");
+                assert!(
+                    slots.windows(2).all(|w| {
+                        shard.store.record_size(w[0] as usize)
+                            >= shard.store.record_size(w[1] as usize)
+                    }),
+                    "list not size-sorted"
                 );
             }
         }
@@ -567,45 +506,39 @@ mod tests {
         // store-maintained document frequency is exactly the posting-list
         // length, through bulk build and dynamic insert alike.
         let sk = sketches(30);
-        for format in FORMATS {
-            let mut index = ShardedIndex::build(&sk, 3, 1, format, 2);
-            index.insert(&sketches(31)[30]);
-            for shard in index.shards() {
-                for (&h, list) in &shard.signature_postings {
-                    assert_eq!(
-                        shard.store().hash_df(h),
-                        list.len(),
-                        "store df diverged from posting length for hash {h:#x}"
-                    );
-                }
-                assert_eq!(shard.store().hash_df(0xABAD_1DEA), 0);
+        let mut index = ShardedIndex::build(&sk, 3, 1, 2);
+        index.insert(&sketches(31)[30]);
+        for shard in index.shards() {
+            for (&h, list) in &shard.signature_postings {
+                assert_eq!(
+                    shard.store().hash_df(h),
+                    list.len(),
+                    "store df diverged from posting length for hash {h:#x}"
+                );
             }
+            assert_eq!(shard.store().hash_df(0xABAD_1DEA), 0);
         }
     }
 
     #[test]
     fn build_is_thread_count_invariant() {
         let sk = sketches(37);
-        for format in FORMATS {
-            for num_shards in [1, 4] {
-                let a = ShardedIndex::build(&sk, num_shards, 1, format, 1);
-                let b = ShardedIndex::build(&sk, num_shards, 1, format, 4);
-                assert_eq!(a, b, "{num_shards}-shard build varies with threads");
-            }
+        for num_shards in [1, 4] {
+            let a = ShardedIndex::build(&sk, num_shards, 1, 1);
+            let b = ShardedIndex::build(&sk, num_shards, 1, 4);
+            assert_eq!(a, b, "{num_shards}-shard build varies with threads");
         }
     }
 
     #[test]
     fn insert_appends_to_tail_shard_and_matches_rebuild() {
         let sk = sketches(12);
-        for format in FORMATS {
-            let mut grown = ShardedIndex::build(&sk[..9], 1, 1, format, 1);
-            for (i, s) in sk[9..].iter().enumerate() {
-                assert_eq!(grown.insert(s), 9 + i);
-            }
-            let scratch_built = ShardedIndex::build(&sk, 1, 1, format, 1);
-            assert_eq!(grown, scratch_built, "insert diverged from rebuild");
+        let mut grown = ShardedIndex::build(&sk[..9], 1, 1, 1);
+        for (i, s) in sk[9..].iter().enumerate() {
+            assert_eq!(grown.insert(s), 9 + i);
         }
+        let scratch_built = ShardedIndex::build(&sk, 1, 1, 1);
+        assert_eq!(grown, scratch_built, "insert diverged from rebuild");
     }
 
     #[test]
@@ -625,39 +558,23 @@ mod tests {
             ),
             "no size class orders by its buffer words"
         );
-        for format in FORMATS {
-            let mut grown = ShardedIndex::build(&sk[..1], 1, 1, format, 1);
-            for s in &sk[1..] {
-                let tail = grown.len();
-                grown.insert(s);
-                assert_eq!(
-                    grown.shards()[0].store().slot_of(tail),
-                    tail,
-                    "not a tail append"
-                );
-            }
-            let bulk = ShardedIndex::build(&sk, 1, 1, format, 1);
-            assert_eq!(grown, bulk, "fast-path inserts diverged from rebuild");
+        let mut grown = ShardedIndex::build(&sk[..1], 1, 1, 1);
+        for s in &sk[1..] {
+            let tail = grown.len();
+            grown.insert(s);
+            assert_eq!(
+                grown.shards()[0].store().slot_of(tail),
+                tail,
+                "not a tail append"
+            );
         }
-    }
-
-    #[test]
-    fn packed_postings_use_no_more_bytes_than_raw() {
-        let sk = sketches(200);
-        let packed = ShardedIndex::build(&sk, 1, 1, PostingFormat::Packed, 1);
-        let raw = ShardedIndex::build(&sk, 1, 1, PostingFormat::Raw, 1);
-        assert!(
-            packed.posting_bytes() <= raw.posting_bytes(),
-            "packed {} bytes vs raw {}",
-            packed.posting_bytes(),
-            raw.posting_bytes()
-        );
-        assert!(raw.posting_bytes() > 0);
+        let bulk = ShardedIndex::build(&sk, 1, 1, 1);
+        assert_eq!(grown, bulk, "fast-path inserts diverged from rebuild");
     }
 
     #[test]
     fn empty_dataset_builds_one_empty_shard() {
-        let index = ShardedIndex::build(&[], 4, 0, PostingFormat::default(), 0);
+        let index = ShardedIndex::build(&[], 4, 0, 0);
         assert_eq!(index.shards().len(), 1);
         assert!(index.is_empty());
         assert_eq!(index.len(), 0);

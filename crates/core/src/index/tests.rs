@@ -695,44 +695,6 @@ fn trait_object_usage() {
 }
 
 #[test]
-fn posting_formats_return_identical_hits_and_packed_shrinks_memory() {
-    // The format knob is pure storage: packed and raw indexes answer every
-    // query bit-identically, while the packed posting arena is a fraction
-    // of the raw one on a dataset with real posting lists.
-    let dataset = varied_dataset(400);
-    let packed = GbKmvIndex::build(&dataset, GbKmvConfig::with_space_fraction(0.25));
-    let raw = GbKmvIndex::build(
-        &dataset,
-        GbKmvConfig::with_space_fraction(0.25).posting_format(PostingFormat::Raw),
-    );
-    assert_eq!(packed.config().posting_format, PostingFormat::Packed);
-    for shard in packed.sharded().shards() {
-        assert_eq!(shard.posting_format(), PostingFormat::Packed);
-    }
-    for qid in [0usize, 13, 111, 399] {
-        let query = dataset.record(qid);
-        for t_star in [0.0, 0.3, 0.7] {
-            assert_eq!(
-                packed.search_record(query, t_star),
-                raw.search_record(query, t_star),
-                "posting formats diverged on query {qid} at t*={t_star}"
-            );
-        }
-        assert_eq!(
-            packed.search_topk(query, 12),
-            raw.search_topk(query, 12),
-            "posting formats diverged on top-k for query {qid}"
-        );
-    }
-    let (pb, rb) = (packed.posting_bytes(), raw.posting_bytes());
-    assert!(rb > 0, "raw index built no postings");
-    assert!(
-        pb * 2 <= rb,
-        "packed postings ({pb} bytes) are not under half the raw ones ({rb} bytes)"
-    );
-}
-
-#[test]
 fn search_auto_matches_search_for_every_workload_shape() {
     let dataset = varied_dataset(150);
     let index = GbKmvIndex::build(&dataset, GbKmvConfig::with_space_fraction(0.3).shards(3));
@@ -753,40 +715,6 @@ fn search_auto_matches_search_for_every_workload_shape() {
         // And through the trait, including its default implementation.
         let boxed: &dyn ContainmentIndex = &index;
         assert_eq!(boxed.search_auto(&queries, t_star), expected);
-    }
-}
-
-#[test]
-fn insert_after_build_agrees_across_posting_formats() {
-    // Dynamic maintenance crossed with the format knob: grow both indexes
-    // by the same records and they must keep answering identically (the
-    // packed splice/renumber path against the raw oracle).
-    let dataset = varied_dataset(60);
-    let mut packed = GbKmvIndex::build(&dataset, GbKmvConfig::with_space_fraction(0.3));
-    let mut raw = GbKmvIndex::build(
-        &dataset,
-        GbKmvConfig::with_space_fraction(0.3).posting_format(PostingFormat::Raw),
-    );
-    let extra: Vec<Record> = (0..8)
-        .map(|i| Record::new((0..(5 + i * 7)).map(|j| (j * 3 + i) % 3000).collect()))
-        .collect();
-    for record in &extra {
-        packed.insert(record);
-        raw.insert(record);
-    }
-    for query in extra.iter().chain([dataset.record(3)]) {
-        for t_star in [0.2, 0.6] {
-            assert_eq!(
-                packed.search_record(query, t_star),
-                raw.search_record(query, t_star),
-                "grown indexes diverged at t*={t_star}"
-            );
-            assert_eq!(
-                packed.search_record(query, t_star),
-                packed.search_scan(query, t_star),
-                "grown packed index diverged from its own scan at t*={t_star}"
-            );
-        }
     }
 }
 

@@ -97,8 +97,7 @@ pub use gbkmv::{GbKmvRecordSketch, GbKmvSketcher};
 pub use gkmv::{GKmvSketch, GlobalThreshold};
 pub use hash::{unit_hash, HashFamily, Hasher64};
 pub use index::{
-    ContainmentIndex, GbKmvConfig, GbKmvIndex, PostingFormat, QueryPipeline, SearchHit,
-    ShardedIndex,
+    ContainmentIndex, GbKmvConfig, GbKmvIndex, QueryPipeline, SearchHit, ShardedIndex,
 };
 pub use kmv::KmvSketch;
 pub use mem::MemUsage;

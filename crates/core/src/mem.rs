@@ -37,11 +37,13 @@ pub struct MemUsage {
     /// stride for every 64 records), in bytes. Rebuilt at load, like
     /// `hash_df`, so never borrowed.
     pub block_summary_bytes: usize,
-    /// Raw (uncompressed `u32` slot list) posting content, in bytes.
+    /// Posting-list content (`u32` slot lists), in bytes.
     pub postings_raw_bytes: usize,
-    /// Packed posting payload words (gap-packed + bitmap blocks), in bytes.
+    /// Always 0: posting lists have one format, with no packed payload.
+    /// The field stays because the frozen `perfbench` harness reports it.
     pub postings_packed_bytes: usize,
-    /// Packed posting block descriptors, in bytes.
+    /// Always 0: posting lists have no block descriptors. The field stays
+    /// because the frozen `perfbench` harness reports it.
     pub posting_block_meta_bytes: usize,
     /// Subset of all the above served zero-copy from a loaded arena file.
     pub borrowed_bytes: usize,

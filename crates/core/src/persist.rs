@@ -1,7 +1,7 @@
 //! Single-file zero-copy index arena: save a built [`GbKmvIndex`] to one
 //! file and load it back by **borrowing** the heavy sections instead of
-//! rebuilding — no re-hashing, no per-record decode, no re-encoding of
-//! posting blocks.
+//! rebuilding — no re-hashing, no per-record decode, no posting-list
+//! rebuild.
 //!
 //! # File layout (format version 2)
 //!
@@ -30,9 +30,10 @@
 //! Per shard, the arena sections are, in order: hash arena (`u64`), CSR
 //! hash offsets (`u64`), buffer bitmap arena (`u64`), record metadata
 //! ([`RecordMeta`], 24 bytes each), slot→record-id permutation (`u32`),
-//! record-id→slot permutation (`u32`), then the signature postings' packed
-//! payload words (`u64`), block metadata (`BlockMeta`, 12 bytes each) and
-//! raw slot arena (`u32`), and three reserved buffer-posting sections.
+//! record-id→slot permutation (`u32`), then the signature postings' three
+//! sections — block-compressed payload words (`u64`) and block descriptors
+//! (12 bytes each), both empty in the images this build writes, and the
+//! slot arena (`u32`) — and three reserved buffer-posting sections.
 //! Individual posting lists are carved out of the three shared arenas
 //! sequentially, in the order their descriptors appear in the shard's meta
 //! section (sorted by hash value), so the format needs no per-list offsets
@@ -62,6 +63,17 @@
 //!   other value is rejected with [`Error::PersistCorrupt`].
 //! * The byte after it held the tag of a removed accumulate-kernel knob:
 //!   written as 0, read as 0 or 1.
+//! * Posting lists have one format, a plain ascending slot list. Earlier
+//!   builds could store them block-compressed, tagged 0 in the config byte
+//!   before the kernel byte and in each shard's meta stream. This build
+//!   writes tag 1 in both places and leaves the two block-compressed
+//!   sections empty. The config tag is read as 0 or 1 and dropped. A shard
+//!   tagged 0 still opens: its lists are decoded into owned slot lists at
+//!   load, and a block with a gap width above 32, a payload shorter than
+//!   its descriptor claims, a bitmap whose base bit is clear, or slots that
+//!   are not strictly ascending or reach past the shard is rejected with
+//!   [`Error::PersistCorrupt`]. Such a shard gets a fresh dirty epoch on
+//!   load, like a shard with buffer postings.
 //!
 //! # Zero-copy loading
 //!
@@ -76,9 +88,9 @@
 //! element type in place: every store arena and posting payload becomes an
 //! [`ArenaVec::Borrowed`](crate::arena::ArenaVec) pointing into the buffer.
 //! A handful of cheap structural checks (CSR offsets monotonic,
-//! permutations in range, `PackedList::validate_loaded` per packed list)
-//! run on the typed views; if any fails the buffer is reclaimed, so corrupt
-//! loads leak nothing. Truncated files, wrong magic or version, flipped
+//! permutations in range, every posting list strictly ascending and inside
+//! its shard) run on the typed views; if any fails the buffer is
+//! reclaimed, so corrupt loads leak nothing. Truncated files, wrong magic or version, flipped
 //! bits and misaligned section offsets all surface as typed
 //! [`Error`] variants — never a panic.
 //!
@@ -121,11 +133,9 @@ use crate::error::{Error, Result};
 use crate::gbkmv::GbKmvSketcher;
 use crate::gkmv::GlobalThreshold;
 use crate::hash::{mix64, Hasher64};
-use crate::index::postings::{BlockMeta, PackedList, PostingList};
+use crate::index::postings::PostingList;
 use crate::index::sharded::{next_stamp, Shard};
-use crate::index::{
-    BufferSizing, GbKmvConfig, GbKmvIndex, IndexSummary, PostingFormat, ShardedIndex,
-};
+use crate::index::{BufferSizing, GbKmvConfig, GbKmvIndex, IndexSummary, ShardedIndex};
 use crate::store::{RecordMeta, SketchStore};
 
 /// First eight bytes of every index arena file (`"GBKMVAR1"` as a
@@ -164,13 +174,28 @@ const SECTIONS_PER_SHARD: usize = 13;
 // corrupting loads.
 const _: () = assert!(std::mem::size_of::<RecordMeta>() == 24);
 const _: () = assert!(std::mem::align_of::<RecordMeta>() == 8);
-const _: () = assert!(std::mem::size_of::<BlockMeta>() == 12);
-const _: () = assert!(std::mem::align_of::<BlockMeta>() == 4);
 
 /// Offset of `RecordMeta::saturated` inside its 24-byte layout — the one
 /// byte per entry that must be pre-validated (a `bool` backed by anything
 /// but 0 or 1 is undefined behaviour).
 const META_BOOL_OFFSET: usize = 16;
+
+/// The posting-format tag of plain slot lists, written in the config and
+/// in every shard's meta stream. Tag 0 marks the block-compressed lists of
+/// earlier builds (see the module docs).
+const RAW_POSTINGS: u8 = 1;
+
+/// Most slots in one block of a block-compressed list, and the slot span of
+/// a bitmap block's two-word mask.
+const LEGACY_BLOCK_LEN: usize = 128;
+
+/// Bytes per block descriptor of a block-compressed list: `first` (`u32`),
+/// payload word offset (`u32`), `len` (`u8`), `width` (`u8`), 2 padding
+/// bytes.
+const LEGACY_BLOCK_META_LEN: usize = 12;
+
+/// The descriptor `width` that marks a bitmap block.
+const LEGACY_BITMAP_WIDTH: u8 = u8::MAX;
 
 /// Checksum of a body that is a whole number of little-endian `u64` words:
 /// a [`mix64`] fold, one word at a time.
@@ -282,24 +307,6 @@ fn meta_section(metas: &[RecordMeta]) -> Vec<u8> {
     out
 }
 
-/// [`BlockMeta`] entries, field by field with explicit zero padding.
-fn append_block_metas(out: &mut Vec<u8>, blocks: &[BlockMeta]) {
-    for b in blocks {
-        put_u32(out, b.first);
-        put_u32(out, b.word_offset);
-        put_u8(out, b.len);
-        put_u8(out, b.width);
-        out.extend_from_slice(&[0u8; 2]);
-    }
-}
-
-fn format_tag(format: PostingFormat) -> u8 {
-    match format {
-        PostingFormat::Packed => 0,
-        PostingFormat::Raw => 1,
-    }
-}
-
 fn write_config(out: &mut Vec<u8>, c: &GbKmvConfig) {
     put_f64(out, c.space_fraction);
     match c.budget_elements {
@@ -331,7 +338,7 @@ fn write_config(out: &mut Vec<u8>, c: &GbKmvConfig) {
     put_u8(out, 1);
     put_u64(out, c.threads as u64);
     put_u64(out, c.shards as u64);
-    put_u8(out, format_tag(c.posting_format));
+    put_u8(out, RAW_POSTINGS);
     // Reserved byte: it held the tag of a since-removed accumulate-kernel
     // knob. Always written as 0 so the layout (and version) stay put.
     put_u8(out, 0);
@@ -350,38 +357,13 @@ fn write_summary(out: &mut Vec<u8>, s: &IndexSummary) {
     put_u64(out, s.num_records as u64);
 }
 
-/// Writes one posting list: a descriptor into the meta stream and its
-/// payload appended to the shard's shared arena sections.
-fn write_posting(
-    meta: &mut Vec<u8>,
-    list: &PostingList,
-    words: &mut Vec<u8>,
-    blocks: &mut Vec<u8>,
-    raw: &mut Vec<u8>,
-) {
-    match list.raw_slots() {
-        Some(slots) => {
-            put_u8(meta, 0);
-            put_u32(meta, slots.len() as u32);
-            for &s in slots {
-                put_u32(raw, s);
-            }
-        }
-        None => {
-            let packed = list.packed().expect("a posting list is raw or packed");
-            let (block_metas, payload, len, first, last, width) = packed.persist_parts();
-            put_u8(meta, 1);
-            put_u32(meta, len);
-            put_u32(meta, first);
-            put_u32(meta, last);
-            put_u8(meta, width);
-            put_u32(meta, block_metas.len() as u32);
-            put_u32(meta, payload.len() as u32);
-            append_block_metas(blocks, block_metas);
-            for &w in payload {
-                put_u64(words, w);
-            }
-        }
+/// Writes one posting list: a descriptor (tag 0, slot count) into the meta
+/// stream and its slots appended to the shard's slot arena.
+fn write_posting(meta: &mut Vec<u8>, list: &PostingList, raw: &mut Vec<u8>) {
+    put_u8(meta, 0);
+    put_u32(meta, list.len() as u32);
+    for &s in list.as_slice() {
+        put_u32(raw, s);
     }
 }
 
@@ -595,7 +577,11 @@ fn read_config(cur: &mut MetaCursor) -> Result<GbKmvConfig> {
     cur.bool()?;
     let threads = to_usize(cur.u64()?)?;
     let shards = to_usize(cur.u64()?)?;
-    let posting_format = read_format(cur)?;
+    // The posting-format tag: 0 (block-compressed) or 1, dropped; each
+    // shard's own tag decides how its lists load.
+    if cur.u8()? > RAW_POSTINGS {
+        return Err(corrupt("invalid posting-format tag"));
+    }
     // The reserved former kernel byte: images written before the knob was
     // removed carry 0 or 1 (kernels never changed an answer), so both load.
     if cur.u8()? > 1 {
@@ -614,16 +600,17 @@ fn read_config(cur: &mut MetaCursor) -> Result<GbKmvConfig> {
         hash_seed,
         threads,
         shards,
-        posting_format,
         cost_model,
         ingest_batch,
     })
 }
 
-fn read_format(cur: &mut MetaCursor) -> Result<PostingFormat> {
+/// Reads a shard's posting-format tag: whether its lists are stored
+/// block-compressed.
+fn read_packed_tag(cur: &mut MetaCursor) -> Result<bool> {
     match cur.u8()? {
-        0 => Ok(PostingFormat::Packed),
-        1 => Ok(PostingFormat::Raw),
+        0 => Ok(true),
+        RAW_POSTINGS => Ok(false),
         _ => Err(corrupt("invalid posting-format tag")),
     }
 }
@@ -640,7 +627,8 @@ fn read_summary(cur: &mut MetaCursor) -> Result<IndexSummary> {
 }
 
 /// Parsed descriptor of one posting list: how many entries to carve out of
-/// the shard's shared posting arenas.
+/// the shard's shared posting arenas. `Packed` describes a block-compressed
+/// list of an earlier build.
 enum PostingDesc {
     Raw {
         count: usize,
@@ -656,13 +644,13 @@ enum PostingDesc {
 }
 
 impl PostingDesc {
-    fn read(cur: &mut MetaCursor, format: PostingFormat) -> Result<Self> {
+    fn read(cur: &mut MetaCursor, packed: bool) -> Result<Self> {
         let tag = cur.u8()?;
-        match (tag, format) {
-            (0, PostingFormat::Raw) => Ok(PostingDesc::Raw {
+        match (tag, packed) {
+            (0, false) => Ok(PostingDesc::Raw {
                 count: cur.u32()? as usize,
             }),
-            (1, PostingFormat::Packed) => Ok(PostingDesc::Packed {
+            (1, true) => Ok(PostingDesc::Packed {
                 len: cur.u32()?,
                 first: cur.u32()?,
                 last: cur.u32()?,
@@ -681,7 +669,9 @@ impl PostingDesc {
 struct ShardPre {
     base: usize,
     words_per_record: usize,
-    format: PostingFormat,
+    /// Whether the shard's lists are stored block-compressed (decoded at
+    /// load).
+    packed: bool,
     n: usize,
     hash_df: Vec<(u64, u32)>,
     sig: Vec<(u64, PostingDesc)>,
@@ -792,7 +782,7 @@ impl PreParsed {
     fn parse_shard(cur: &mut MetaCursor) -> Result<ShardPre> {
         let base = cur.count()?;
         let words_per_record = cur.count()?;
-        let format = read_format(cur)?;
+        let packed = read_packed_tag(cur)?;
         let n = cur.count()?;
         let ndf = cur.count()?;
         let mut hash_df = Vec::new();
@@ -814,17 +804,17 @@ impl PreParsed {
                 return Err(corrupt("signature postings are not sorted by hash"));
             }
             prev_sig = Some(h);
-            sig.push((h, PostingDesc::read(cur, format)?));
+            sig.push((h, PostingDesc::read(cur, packed)?));
         }
         let nbuf = cur.count()?;
         let mut buf = Vec::new();
         for _ in 0..nbuf {
-            buf.push(PostingDesc::read(cur, format)?);
+            buf.push(PostingDesc::read(cur, packed)?);
         }
         Ok(ShardPre {
             base,
             words_per_record,
-            format,
+            packed,
             n,
             hash_df,
             sig,
@@ -1045,7 +1035,7 @@ fn check_shard_sections(bytes: &[u8], sections: &[(usize, usize)], shard: &Shard
         )?;
         expect(
             group + 1,
-            blocks.checked_mul(std::mem::size_of::<BlockMeta>()),
+            blocks.checked_mul(LEGACY_BLOCK_META_LEN),
             "posting block-metadata section disagrees with its descriptors",
         )?;
         expect(
@@ -1090,15 +1080,6 @@ fn record_meta_view(bytes: &'static [u8]) -> &'static [RecordMeta] {
     unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<RecordMeta>(), bytes.len() / size) }
 }
 
-fn block_meta_view(bytes: &'static [u8]) -> &'static [BlockMeta] {
-    let size = std::mem::size_of::<BlockMeta>();
-    debug_assert_eq!(bytes.len() % size, 0);
-    // SAFETY: `BlockMeta` is `#[repr(C)]`, all-integer (any bit pattern is
-    // a valid value; structural sanity is checked separately), and
-    // 8-aligned sections satisfy its 4-byte alignment.
-    unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<BlockMeta>(), bytes.len() / size) }
-}
-
 /// Splits `n` leading elements off a borrowed arena.
 fn take<T>(slice: &mut &'static [T], n: usize) -> Result<&'static [T]> {
     if n > slice.len() {
@@ -1110,11 +1091,12 @@ fn take<T>(slice: &mut &'static [T], n: usize) -> Result<&'static [T]> {
 }
 
 /// Carves one posting list out of the shard's shared posting arenas and
-/// structurally validates it.
+/// structurally validates it: a plain list is borrowed, a block-compressed
+/// one is decoded into an owned list.
 fn take_posting(
     desc: &PostingDesc,
     words: &mut &'static [u64],
-    blocks: &mut &'static [BlockMeta],
+    blocks: &mut &'static [u8],
     raw: &mut &'static [u32],
     slot_bound: usize,
 ) -> Result<PostingList> {
@@ -1127,7 +1109,7 @@ fn take_posting(
             if slots.last().is_some_and(|&s| (s as usize) >= slot_bound) {
                 return Err(corrupt("a raw posting slot is out of range"));
             }
-            Ok(PostingList::from_raw_arena(ArenaVec::Borrowed(slots)))
+            Ok(PostingList::from_arena(ArenaVec::Borrowed(slots)))
         }
         PostingDesc::Packed {
             len,
@@ -1137,24 +1119,148 @@ fn take_posting(
             nblocks,
             nwords,
         } => {
-            let block_metas = take(blocks, nblocks)?;
+            let block_bytes = nblocks
+                .checked_mul(LEGACY_BLOCK_META_LEN)
+                .ok_or_else(|| corrupt("posting block counts overflow"))?;
+            let descriptors = take(blocks, block_bytes)?;
             let payload = take(words, nwords)?;
-            let packed = PackedList::from_persist_parts(
-                ArenaVec::Borrowed(block_metas),
-                ArenaVec::Borrowed(payload),
-                len,
+            let inline = LegacyBlock {
                 first,
-                last,
+                word_offset: 0,
+                len: usize::try_from(len).unwrap_or(usize::MAX),
                 width,
-            );
-            if !packed.validate_loaded(slot_bound) {
+            };
+            let slots = decode_legacy_list(inline, descriptors, payload, slot_bound)?;
+            if slots.len() != inline.len
+                || slots.first().is_some_and(|&s| s != first)
+                || slots.last().is_some_and(|&s| s != last)
+            {
                 return Err(corrupt(
-                    "a packed posting list failed structural validation",
+                    "a block-compressed posting list disagrees with its descriptor",
                 ));
             }
-            Ok(PostingList::Packed(packed))
+            Ok(PostingList::from_sorted(slots))
         }
     }
+}
+
+/// One block of a block-compressed posting list (see [`decode_legacy_list`]).
+#[derive(Clone, Copy)]
+struct LegacyBlock {
+    first: u32,
+    word_offset: usize,
+    len: usize,
+    width: u8,
+}
+
+/// Decodes a block-compressed posting list of an earlier build into its
+/// slots, checking every bound on the way, so a hostile image yields
+/// [`Error::PersistCorrupt`] and never a panic.
+///
+/// A list of one block stores no block descriptor: `inline` (from the
+/// list's own descriptor, payload at word 0) describes it. A longer list
+/// stores one 12-byte descriptor per block in `descriptors`. A **gap block**
+/// of `len` slots stores its first slot in the descriptor and the `len − 1`
+/// values `gap − 1` of `width` bits each (at most 32), ⌊64 / width⌋ to a
+/// payload word from the low bits up; width 0 is a run of consecutive
+/// slots with no payload. A **bitmap block** (`width` 255) stores a 128-bit
+/// mask in two payload words: bit `i` marks slot `first + i`, and bit 0 is
+/// `first` itself. Slots must ascend strictly across all blocks and stay
+/// below `slot_bound`.
+fn decode_legacy_list(
+    inline: LegacyBlock,
+    descriptors: &[u8],
+    payload: &[u64],
+    slot_bound: usize,
+) -> Result<Vec<u32>> {
+    let blocks: Vec<LegacyBlock> = if descriptors.is_empty() {
+        if inline.len == 0 {
+            return if payload.is_empty() {
+                Ok(Vec::new())
+            } else {
+                Err(corrupt("an empty posting list owns payload words"))
+            };
+        }
+        vec![inline]
+    } else {
+        let word = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4-byte descriptor field"));
+        descriptors
+            .chunks_exact(LEGACY_BLOCK_META_LEN)
+            .map(|d| LegacyBlock {
+                first: word(&d[0..4]),
+                word_offset: word(&d[4..8]) as usize,
+                len: usize::from(d[8]),
+                width: d[9],
+            })
+            .collect()
+    };
+    let bound = slot_bound.min(u32::MAX as usize + 1) as u64;
+    let capacity = blocks.iter().map(|b| b.len.min(LEGACY_BLOCK_LEN)).sum();
+    let mut slots: Vec<u32> = Vec::with_capacity(capacity);
+    let mut push = |slot: u64| -> Result<()> {
+        if slot >= bound {
+            return Err(corrupt("a block-compressed posting slot is out of range"));
+        }
+        if slots.last().is_some_and(|&prev| u64::from(prev) >= slot) {
+            return Err(corrupt(
+                "a block-compressed posting list is not strictly ascending",
+            ));
+        }
+        slots.push(slot as u32);
+        Ok(())
+    };
+    for b in blocks {
+        if b.len == 0 || b.len > LEGACY_BLOCK_LEN {
+            return Err(corrupt("a posting block holds no slots or more than 128"));
+        }
+        let span = match b.width {
+            0 => 0,
+            LEGACY_BITMAP_WIDTH => 2,
+            1..=32 => (b.len - 1).div_ceil(64 / usize::from(b.width)),
+            _ => return Err(corrupt("a posting block's gap width is above 32")),
+        };
+        let words = payload
+            .get(b.word_offset..)
+            .and_then(|w| w.get(..span))
+            .ok_or_else(|| corrupt("a posting block's payload is shorter than it claims"))?;
+        let first = u64::from(b.first);
+        match b.width {
+            0 => {
+                for i in 0..b.len as u64 {
+                    push(first + i)?;
+                }
+            }
+            LEGACY_BITMAP_WIDTH => {
+                if words[0] & 1 == 0 {
+                    return Err(corrupt("a bitmap posting block's base bit is clear"));
+                }
+                let set: u32 = words.iter().map(|w| w.count_ones()).sum();
+                if set as usize != b.len {
+                    return Err(corrupt("a bitmap posting block disagrees with its length"));
+                }
+                for (wi, &word) in words.iter().enumerate() {
+                    let mut w = word;
+                    while w != 0 {
+                        push(first + 64 * wi as u64 + u64::from(w.trailing_zeros()))?;
+                        w &= w - 1;
+                    }
+                }
+            }
+            width => {
+                let width = usize::from(width);
+                let per_word = 64 / width;
+                let mask = (1u64 << width) - 1;
+                let mut slot = first;
+                push(slot)?;
+                for i in 0..b.len - 1 {
+                    let gap = (words[i / per_word] >> ((i % per_word) * width)) & mask;
+                    slot += gap + 1;
+                    push(slot)?;
+                }
+            }
+        }
+    }
+    Ok(slots)
 }
 
 /// Reconstructs the index over the leaked aligned buffer. Every check in
@@ -1215,7 +1321,7 @@ fn assemble_index(buf: &'static [u64], pre: &PreParsed) -> Result<GbKmvIndex> {
         );
 
         let mut sig_words = u64_view(section_bytes(s + 6));
-        let mut sig_blocks = block_meta_view(section_bytes(s + 7));
+        let mut sig_blocks = section_bytes(s + 7);
         let mut sig_raw = u32_view(section_bytes(s + 8));
         let mut signature_postings = HashMap::with_capacity(sp.sig.len());
         for (h, desc) in &sp.sig {
@@ -1223,21 +1329,17 @@ fn assemble_index(buf: &'static [u64], pre: &PreParsed) -> Result<GbKmvIndex> {
             signature_postings.insert(*h, list);
         }
 
-        shards.push(Shard::from_parts(
-            sp.base,
-            store,
-            sp.format,
-            signature_postings,
-        ));
+        shards.push(Shard::from_parts(sp.base, store, signature_postings));
     }
-    // A shard whose image still stores buffer postings is not what
-    // `shard_sections` writes, so a delta must not reuse its bytes.
+    // A shard whose image still stores buffer postings or block-compressed
+    // lists is not what `shard_sections` writes, so a delta must not reuse
+    // its bytes.
     let epochs = pre
         .shards
         .iter()
         .zip(&pre.epochs)
         .map(|(sp, &epoch)| {
-            if sp.buf.is_empty() {
+            if sp.buf.is_empty() && !sp.packed {
                 epoch
             } else {
                 next_stamp()
@@ -1278,7 +1380,7 @@ fn shard_sections(shard: &Shard) -> Vec<Vec<u8>> {
     let mut meta = Vec::new();
     put_u64(&mut meta, shard.base() as u64);
     put_u64(&mut meta, store.words_per_record() as u64);
-    put_u8(&mut meta, format_tag(shard.posting_format()));
+    put_u8(&mut meta, RAW_POSTINGS);
     put_u64(&mut meta, store.len() as u64);
 
     // HashMap iteration order is nondeterministic: sort so the bytes —
@@ -1301,23 +1403,14 @@ fn shard_sections(shard: &Shard) -> Vec<Vec<u8>> {
 
     let mut sig: Vec<(&u64, &PostingList)> = shard.signature_posting_map().iter().collect();
     sig.sort_unstable_by_key(|&(h, _)| *h);
-    let mut sig_words = Vec::new();
-    let mut sig_blocks = Vec::new();
     let mut sig_raw = Vec::new();
     put_u64(&mut meta, sig.len() as u64);
     for (&h, list) in sig {
         put_u64(&mut meta, h);
-        write_posting(
-            &mut meta,
-            list,
-            &mut sig_words,
-            &mut sig_blocks,
-            &mut sig_raw,
-        );
+        write_posting(&mut meta, list, &mut sig_raw);
     }
-    arenas.push(sig_words);
-    arenas.push(sig_blocks);
-    arenas.push(sig_raw);
+    // The two block-compressed sections stay empty (see the module docs).
+    arenas.extend([Vec::new(), Vec::new(), sig_raw]);
 
     // The reserved buffer-posting group: a count of 0 and three empty
     // sections (see the module docs).
@@ -1623,7 +1716,6 @@ mod tests {
         vec![
             GbKmvConfig::with_space_fraction(0.6),
             GbKmvConfig::with_space_fraction(0.6).shards(3),
-            GbKmvConfig::with_space_fraction(0.6).posting_format(PostingFormat::Raw),
             GbKmvConfig::with_space_fraction(0.6).buffer_size(0),
         ]
     }

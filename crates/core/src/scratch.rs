@@ -43,13 +43,6 @@ pub struct QueryScratch {
     /// per-query ordering allocates nothing after the first query. The
     /// unfiltered walk never fills it.
     pub(crate) hash_order: Vec<(u32, u64)>,
-    /// Reusable block-decode buffer of the posting walk: block-compressed
-    /// posting lists ([`crate::index::postings::PostingList`]) decode each
-    /// surviving block into this buffer, so traversal allocates nothing
-    /// after the first query. The candidates stage
-    /// ([`crate::index::candidates`]) consumes it one whole chunk at a time
-    /// through the batched accumulate methods below.
-    pub(crate) block_decode: Vec<u32>,
     /// The hit buffers of a threshold query (or of one worker's share of
     /// it), reused across queries.
     pub(crate) collector: ThresholdCollector,
@@ -121,7 +114,7 @@ impl QueryScratch {
     }
 
     /// Batched [`QueryScratch::add_signature_hit`]: accumulates one shared
-    /// signature hash for every slot of one decoded posting chunk.
+    /// signature hash for every slot of one posting-list range.
     ///
     /// Four slots are processed per iteration so the independent per-slot
     /// loads can issue in parallel instead of serialising behind one
@@ -173,51 +166,6 @@ impl QueryScratch {
         }
     }
 
-    /// Mask-form [`QueryScratch::add_signature_hits`]: accumulates one
-    /// shared signature hash for every set bit `b` of `words` as slot
-    /// `base + b` (ascending bit order, so first-touch order matches the
-    /// decoded walk). This is the undecoded form of one dense bitmap
-    /// posting block — the set bits feed the accumulator straight from the
-    /// 16-byte mask instead of round-tripping through a decode buffer.
-    #[inline]
-    pub fn add_signature_hits_mask(&mut self, base: u32, words: [u64; 2]) {
-        for (wi, mut w) in words.into_iter().enumerate() {
-            let word_base = base + (wi as u32) * 64;
-            while w != 0 {
-                self.add_signature_hit(word_base + w.trailing_zeros());
-                w &= w - 1;
-            }
-        }
-    }
-
-    /// Mask-form [`QueryScratch::add_signature_hits_if_candidate`]: a
-    /// branch-free linear sweep over each word's 64-slot window. Every
-    /// swept slot gains `present & candidate` — absent slots and
-    /// non-candidates add zero — so the inner loop carries no
-    /// data-dependent branches and no serial `trailing_zeros` chain, and
-    /// its loads are purely sequential. Bitmap blocks are at least half
-    /// full by construction, so sweeping the absent minority is cheaper
-    /// than chasing set bits; it is sound precisely because this pass
-    /// never mints: adding zero to a slot the posting does not contain
-    /// changes nothing, and no ordering is observable. Bits past the slot
-    /// table are guaranteed absent and are simply not swept.
-    #[inline]
-    pub fn add_signature_hits_if_candidate_mask(&mut self, base: u32, words: [u64; 2]) {
-        let epoch = self.epoch;
-        for (wi, w) in words.into_iter().enumerate() {
-            if w == 0 {
-                continue;
-            }
-            let word_base = base as usize + wi * 64;
-            let span = 64.min(self.k_int.len().saturating_sub(word_base));
-            for j in 0..span {
-                let present = ((w >> j) & 1) as u32;
-                let i = word_base + j;
-                self.k_int[i] += present & u32::from(self.stamp[i] == epoch);
-            }
-        }
-    }
-
     /// Heap bytes currently held by the scratch's accumulator arrays — the
     /// per-pipeline retained-memory number the `query_throughput` bench
     /// reports alongside the index's
@@ -228,7 +176,6 @@ impl QueryScratch {
             + self.touched.capacity() * std::mem::size_of::<u32>()
             + self.sorted.capacity() * std::mem::size_of::<u32>()
             + self.hash_order.capacity() * std::mem::size_of::<(u32, u64)>()
-            + self.block_decode.capacity() * std::mem::size_of::<u32>()
             + self.collector.mem_bytes()
     }
 
@@ -382,50 +329,6 @@ mod tests {
             );
         }
         assert!(!batched.candidates().contains(&3));
-    }
-
-    #[test]
-    fn mask_accumulates_match_per_slot_calls() {
-        // The mask-form methods must leave the scratch in exactly the
-        // state the scalar per-slot calls over the expanded bits produce —
-        // including first-touch order and a second word whose 64-slot
-        // window overhangs the slot table (only absent bits may overhang).
-        let base = 10u32;
-        let words = [0b1011_0110_1101u64, (1u64 << 25) | 0b1001];
-        let slots: Vec<u32> = (0..2)
-            .flat_map(|wi| (0..64).map(move |b| (wi, b)))
-            .filter(|&(wi, b)| words[wi as usize] >> b & 1 == 1)
-            .map(|(wi, b)| base + wi * 64 + b)
-            .collect();
-        assert_eq!(*slots.last().unwrap(), 99, "test shape drifted");
-        let mut scalar = QueryScratch::new();
-        let mut masked = QueryScratch::new();
-        scalar.begin(100);
-        masked.begin(100);
-        for &s in &slots {
-            scalar.add_signature_hit(s);
-        }
-        masked.add_signature_hits_mask(base, words);
-        for &s in &slots {
-            scalar.mint(s);
-            masked.mint(s);
-        }
-        // Slot 0 is a candidate the mask does not cover: the branch-free
-        // sweep must add exactly zero to it.
-        scalar.mint(0);
-        masked.mint(0);
-        for &s in &slots {
-            scalar.add_signature_hit_if_candidate(s);
-        }
-        masked.add_signature_hits_if_candidate_mask(base, words);
-        assert_eq!(scalar.candidates(), masked.candidates());
-        for s in 0..100 {
-            assert_eq!(
-                scalar.k_intersection(s),
-                masked.k_intersection(s),
-                "slot {s} diverged"
-            );
-        }
     }
 
     #[test]

@@ -1,12 +1,15 @@
-//! Arena images written while the index still stored buffer postings.
+//! Arena images written while the index still stored buffer postings and
+//! block-compressed posting lists.
 //!
 //! `fixtures/arena_v2_d4b4a26.bin` was written by commit `d4b4a26`, the
 //! last writer of arena version 2 that kept an inverted posting list per
 //! buffered element beside the buffer words, from [`fixture_dataset`] and
 //! [`fixture_config`] below (300 records, a buffer of 12 elements, 3
-//! shards, 52 KB). The index now stores the buffer once, as its words, and
-//! still opens such an image: the buffer-posting sections are
-//! checksum-validated and dropped, and what remains must hold, record for
+//! shards, 52 KB). Its posting lists are block-compressed, the default of
+//! that build. The index now stores the buffer once, as its words, and its
+//! postings as plain slot lists, and still opens such an image: the
+//! buffer-posting sections are checksum-validated and dropped, the
+//! signature lists are decoded, and what remains must hold, record for
 //! record, what a fresh build of the same data holds, and answer exactly
 //! like the reference scan. That writer ordered each size class by record
 //! id; a fresh build clusters it by buffer words, so the slot order of the
@@ -44,12 +47,23 @@ fn fixture_config() -> GbKmvConfig {
         .threads(1)
 }
 
-/// Bytes in the three buffer-posting sections of shard `shard`, read from
-/// the section table (entries of offset, length, checksum after the 48-byte
-/// header).
+/// Bytes in the three buffer-posting sections of shard `shard`.
 fn buffer_posting_bytes(image: &[u8], shard: usize) -> u64 {
-    let first = FIXED_SECTIONS + shard * SECTIONS_PER_SHARD + 10;
-    (first..first + 3)
+    section_bytes(image, shard, 10..13)
+}
+
+/// Bytes in the block-compressed signature-posting sections (payload words
+/// and block descriptors) of shard `shard`.
+fn packed_posting_bytes(image: &[u8], shard: usize) -> u64 {
+    section_bytes(image, shard, 7..9)
+}
+
+/// Bytes in the sections `range` of shard `shard`, read from the section
+/// table (entries of offset, length, checksum after the 48-byte header).
+fn section_bytes(image: &[u8], shard: usize, range: std::ops::Range<usize>) -> u64 {
+    let first = FIXED_SECTIONS + shard * SECTIONS_PER_SHARD;
+    range
+        .map(|k| first + k)
         .map(|section| {
             let at = 48 + section * 24 + 8;
             u64::from_le_bytes(image[at..at + 8].try_into().expect("8-byte table word"))
@@ -94,7 +108,6 @@ fn assert_same_records(image: &ShardedIndex, fresh: &ShardedIndex) {
     assert_eq!(image.shards().len(), fresh.shards().len());
     for (a, b) in image.shards().iter().zip(fresh.shards()) {
         assert_eq!((a.base(), a.len()), (b.base(), b.len()), "shard ranges");
-        assert_eq!(a.posting_format(), b.posting_format());
         let (sa, sb) = (a.store(), b.store());
         for rid in 0..sa.len() {
             assert_eq!(sa.record_sketch(rid), sb.record_sketch(rid), "record {rid}");
@@ -138,6 +151,10 @@ fn parent_image_opens_and_equals_a_fresh_build() {
             buffer_posting_bytes(FIXTURE, shard) > 0,
             "the fixture must store buffer postings in shard {shard}"
         );
+        assert!(
+            packed_posting_bytes(FIXTURE, shard) > 0,
+            "the fixture must store block-compressed lists in shard {shard}"
+        );
     }
     let loaded = GbKmvIndex::from_arena_bytes(FIXTURE).expect("a parent-written image opens");
     let fresh = GbKmvIndex::build(&fixture_dataset(), fixture_config());
@@ -148,12 +165,14 @@ fn parent_image_opens_and_equals_a_fresh_build() {
     assert_eq!(loaded.summary(), fresh.summary());
     assert_eq!(loaded.config(), fresh.config());
 
-    // Re-saving drops the buffer postings, and the smaller image
-    // round-trips byte for byte like any image this build writes.
+    // Re-saving drops the buffer postings, writes plain slot lists, and
+    // the smaller image round-trips byte for byte like any image this build
+    // writes.
     let resaved = loaded.to_arena_bytes();
     assert!(resaved.len() < FIXTURE.len());
     for shard in 0..3 {
         assert_eq!(buffer_posting_bytes(&resaved, shard), 0);
+        assert_eq!(packed_posting_bytes(&resaved, shard), 0);
     }
     let reopened = GbKmvIndex::from_arena_bytes(&resaved).expect("re-saved image opens");
     assert_eq!(reopened.sharded(), loaded.sharded());

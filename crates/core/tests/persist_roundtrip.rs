@@ -6,7 +6,7 @@
 //! bit-identical to the same inserts applied to the built index.
 
 use gbkmv_core::dataset::{Dataset, Record};
-use gbkmv_core::index::{GbKmvConfig, GbKmvIndex, PostingFormat};
+use gbkmv_core::index::{GbKmvConfig, GbKmvIndex};
 use gbkmv_core::service::ContainmentService;
 
 fn dataset(n: usize) -> Dataset {
@@ -21,16 +21,7 @@ fn configs() -> Vec<(&'static str, GbKmvConfig)> {
     vec![
         ("default", GbKmvConfig::with_space_fraction(0.4)),
         ("sharded", GbKmvConfig::with_space_fraction(0.4).shards(4)),
-        (
-            "raw-format",
-            GbKmvConfig::with_space_fraction(0.4).posting_format(PostingFormat::Raw),
-        ),
-        (
-            "raw-sharded",
-            GbKmvConfig::with_space_fraction(0.4)
-                .shards(3)
-                .posting_format(PostingFormat::Raw),
-        ),
+        ("3-sharded", GbKmvConfig::with_space_fraction(0.4).shards(3)),
         (
             "no-buffer",
             GbKmvConfig::with_space_fraction(0.4).buffer_size(0),
@@ -90,13 +81,8 @@ fn loaded_index_matches_built_index_in_storage_and_answers() {
 fn loaded_index_reports_every_arena_as_borrowed() {
     let data = dataset(200);
     for (label, config) in [
-        ("packed", GbKmvConfig::with_space_fraction(0.4).shards(2)),
-        (
-            "raw",
-            GbKmvConfig::with_space_fraction(0.4)
-                .shards(2)
-                .posting_format(PostingFormat::Raw),
-        ),
+        ("unsharded", GbKmvConfig::with_space_fraction(0.4)),
+        ("sharded", GbKmvConfig::with_space_fraction(0.4).shards(2)),
     ] {
         let built = GbKmvIndex::build(&data, config);
         let loaded = GbKmvIndex::from_arena_bytes(&built.to_arena_bytes()).expect("load");
@@ -125,11 +111,8 @@ fn insert_after_load_matches_insert_after_build() {
         .map(|i| Record::new((0..20).map(|j| (i * 37 + j * 13) % 1_500).collect()))
         .collect();
     for (label, config) in [
-        ("packed", GbKmvConfig::with_space_fraction(0.4).shards(2)),
-        (
-            "raw",
-            GbKmvConfig::with_space_fraction(0.4).posting_format(PostingFormat::Raw),
-        ),
+        ("sharded", GbKmvConfig::with_space_fraction(0.4).shards(2)),
+        ("unsharded", GbKmvConfig::with_space_fraction(0.4)),
     ] {
         let mut built = GbKmvIndex::build(&data, config);
         let mut loaded = GbKmvIndex::from_arena_bytes(&built.to_arena_bytes()).expect("load");

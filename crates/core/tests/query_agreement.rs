@@ -1,7 +1,6 @@
 //! Property tests pinning the staged query pipeline to the one reference
-//! path: across random datasets, space budgets, buffer sizes, shard counts,
-//! posting-list storage formats (block-compressed packed vs raw) and
-//! thresholds, the pipeline (`search_record`, whose signature prefix
+//! path: across random datasets, space budgets, buffer sizes, shard counts
+//! and thresholds, the pipeline (`search_record`, whose signature prefix
 //! filter decides per query whether it engages), the sharded index,
 //! the parallel batch path, the intra-query parallel path
 //! (`search_parallel`) and the auto-scheduled path (`search_auto`) must all
@@ -11,17 +10,14 @@
 //! positive-score records. Saturated sketches (budgets above 100%), empty
 //! queries, (near-)zero thresholds (where no prefix exists and every hash
 //! mints) and queries whose signature is entirely absent from the index
-//! are exercised explicitly. The posting format is crossed with
-//! sharding, insert-then-search, the parallel paths, top-k, persistence
-//! and the serving layer, so compression can never change an answer.
+//! are exercised explicitly. Sharding is crossed with insert-then-search,
+//! the parallel paths, top-k, persistence and the serving layer.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 use gbkmv_core::dataset::{Dataset, Record};
-use gbkmv_core::index::{
-    BufferSizing, GbKmvConfig, GbKmvIndex, PostingFormat, QueryPipeline, SearchHit,
-};
+use gbkmv_core::index::{BufferSizing, GbKmvConfig, GbKmvIndex, QueryPipeline, SearchHit};
 use gbkmv_core::service::ContainmentService;
 
 fn dataset_strategy() -> impl Strategy<Value = Dataset> {
@@ -89,17 +85,6 @@ proptest! {
                 "intra-query parallel on {} shards / {} threads diverged (t*={})",
                 shards, threads, t_star);
         }
-
-        // Posting format is pure storage: the raw-format ablation of both
-        // the unsharded and the sharded index returns bit-identical hits
-        // (the default indexes above run the packed format).
-        let raw_format = GbKmvIndex::build(&dataset, config.posting_format(PostingFormat::Raw));
-        prop_assert_eq!(&scan, &raw_format.search_record(&query, t_star),
-            "raw posting format diverged from scan (t*={})", t_star);
-        let raw_sharded = GbKmvIndex::build(
-            &dataset, config.shards(shards).posting_format(PostingFormat::Raw));
-        prop_assert_eq!(&scan, &raw_sharded.search_record(&query, t_star),
-            "raw-format {}-shard pipeline diverged (t*={})", shards, t_star);
 
         // The auto-scheduled path picks its own engine but never its own
         // answers — single-query and multi-query workloads alike.
@@ -281,24 +266,20 @@ proptest! {
         // Dynamic inserts go through the same sharded, size-ordered path as
         // the bulk build; the pruned pipeline must stay exact on the grown
         // index (the scan recomputes from the stored sketches, so this
-        // cross-checks the posting renumbering — crossed with both posting
-        // formats, since the packed renumber/splice rewrites whole blocks).
+        // cross-checks the posting renumbering and splices).
         let inserted: Vec<Record> = extra.into_iter().map(Record::new).collect();
-        for format in [PostingFormat::Packed, PostingFormat::Raw] {
-            let config = GbKmvConfig::with_space_fraction(budget_fraction)
-                .hash_seed(seed | 1)
-                .shards(shards)
-                .posting_format(format);
-            let mut index = GbKmvIndex::build(&dataset, config);
-            for record in &inserted {
-                index.insert(record);
-            }
-            for query in inserted.iter().chain(std::iter::once(dataset.record(0))) {
-                let scan = index.search_scan(query, t_star);
-                prop_assert_eq!(&scan, &index.search_record(query, t_star),
-                    "grown {}-shard {:?}-format index: pipeline diverged from scan (t*={})",
-                    shards, format, t_star);
-            }
+        let config = GbKmvConfig::with_space_fraction(budget_fraction)
+            .hash_seed(seed | 1)
+            .shards(shards);
+        let mut index = GbKmvIndex::build(&dataset, config);
+        for record in &inserted {
+            index.insert(record);
+        }
+        for query in inserted.iter().chain(std::iter::once(dataset.record(0))) {
+            let scan = index.search_scan(query, t_star);
+            prop_assert_eq!(&scan, &index.search_record(query, t_star),
+                "grown {}-shard index: pipeline diverged from scan (t*={})",
+                shards, t_star);
         }
     }
 
@@ -313,9 +294,10 @@ proptest! {
         k in 1usize..12,
         extra in vec(vec(0u32..3_000, 1..60), 1..3),
     ) {
-        // The engine-variant sweep: posting format × shard count, over the sequential, intra-query-parallel, batch and top-k
-        // paths, persistence and the serving layer (insert-then-search) —
-        // every combination pinned bit-identical to the scan reference.
+        // The engine-variant sweep: each shard count over the sequential,
+        // intra-query-parallel, batch and top-k paths, persistence and the
+        // serving layer (insert-then-search) — every combination pinned
+        // bit-identical to the scan reference.
         let base = GbKmvConfig::with_space_fraction(budget_fraction)
             .hash_seed(seed | 1)
             .shards(shards);
@@ -340,43 +322,33 @@ proptest! {
             "loaded index top-k diverged (k={})", k);
         prop_assert_eq!(loaded.to_arena_bytes(), arena, "re-saved arena bytes diverged");
 
-        for format in [PostingFormat::Packed, PostingFormat::Raw] {
-            let index = GbKmvIndex::build(&dataset, base.posting_format(format));
-            let label = format!("{format:?}");
-            prop_assert_eq!(&scan, &index.search_record(&query, t_star),
-                "{}: sequential pipeline diverged (t*={})", &label, t_star);
-            prop_assert_eq!(
-                &scan,
-                &index.search_parallel_threads(query.elements(), t_star, 3),
-                "{}: intra-query parallel diverged (t*={})", &label, t_star);
-            let batch = index.search_batch_threads(
-                std::slice::from_ref(&query), t_star, 2);
-            prop_assert_eq!(&scan, &batch[0],
-                "{}: batch diverged (t*={})", &label, t_star);
-            prop_assert_eq!(&topk_reference, &index.search_topk(&query, k),
-                "{}: top-k diverged (k={})", &label, k);
+        prop_assert_eq!(&scan, &reference.search_record(&query, t_star),
+            "sequential pipeline diverged (t*={})", t_star);
+        prop_assert_eq!(
+            &scan,
+            &reference.search_parallel_threads(query.elements(), t_star, 3),
+            "intra-query parallel diverged (t*={})", t_star);
+        let batch = reference.search_batch_threads(std::slice::from_ref(&query), t_star, 2);
+        prop_assert_eq!(&scan, &batch[0], "batch diverged (t*={})", t_star);
 
-            // The service dimension: a grown snapshot answers like the
-            // directly grown index and like its own scan.
-            let service = ContainmentService::new(index.clone());
-            let mut grown = index;
-            for record in &inserted {
-                service.submit(record.clone()).unwrap();
-                grown.insert(record);
-            }
-            service.flush();
-            let snapshot = service.snapshot();
-            prop_assert_eq!(
-                &snapshot.search_record(&query, t_star),
-                &grown.search_record(&query, t_star),
-                "{}: service snapshot diverged from the grown index (t*={})",
-                &label, t_star);
-            prop_assert_eq!(
-                &snapshot.search_record(&query, t_star),
-                &snapshot.search_scan(&query, t_star),
-                "{}: grown service snapshot diverged from its own scan (t*={})",
-                &label, t_star);
+        // The service dimension: a grown snapshot answers like the directly
+        // grown index and like its own scan.
+        let service = ContainmentService::new(reference.clone());
+        let mut grown = reference;
+        for record in &inserted {
+            service.submit(record.clone()).unwrap();
+            grown.insert(record);
         }
+        service.flush();
+        let snapshot = service.snapshot();
+        prop_assert_eq!(
+            &snapshot.search_record(&query, t_star),
+            &grown.search_record(&query, t_star),
+            "service snapshot diverged from the grown index (t*={})", t_star);
+        prop_assert_eq!(
+            &snapshot.search_record(&query, t_star),
+            &snapshot.search_scan(&query, t_star),
+            "grown service snapshot diverged from its own scan (t*={})", t_star);
     }
 
     #[test]
@@ -431,21 +403,17 @@ proptest! {
         t_star in 0.0f64..1.0,
         shards in 2usize..5,
         seed in 0u64..1_000_000,
-        format_knob in 0usize..2,
     ) {
-        // The copy-on-write dimension of the agreement suite, crossed with
-        // posting format: generations share untouched
-        // shards behind `Arc`s, so this pins (a) that a *held* snapshot
+        // The copy-on-write dimension of the agreement suite: generations
+        // share untouched shards behind `Arc`s, so this pins (a) that a *held* snapshot
         // stays bit-identical to its sequentially grown reference prefix
         // while later flushes mutate the index underneath it, and (b) that
         // the sharing is real — non-tail shards of consecutive generations
         // are pointer-equal, the lineage stamp is stable, and only the
         // tail shard's dirty epoch moves.
-        let format = [PostingFormat::Packed, PostingFormat::Raw][format_knob];
         let config = GbKmvConfig::with_space_fraction(budget_fraction)
             .hash_seed(seed | 1)
             .shards(shards)
-            .posting_format(format)
             .ingest_batch(1_000_000); // flushes are explicit below
         let service = ContainmentService::new(GbKmvIndex::build(&dataset, config));
         let mut reference = GbKmvIndex::build(&dataset, config);
@@ -487,8 +455,7 @@ proptest! {
         // (a) every held snapshot still equals its reference prefix.
         for (generation, (snapshot, prefix)) in held.iter().enumerate() {
             prop_assert_eq!(snapshot.sharded(), prefix.sharded(),
-                "held snapshot of generation {} diverged ({:?})",
-                generation, format);
+                "held snapshot of generation {} diverged", generation);
             prop_assert_eq!(
                 &snapshot.search_record(&query, t_star),
                 &prefix.search_record(&query, t_star),

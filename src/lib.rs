@@ -37,8 +37,7 @@ pub use gbkmv_lsh as lsh;
 pub mod prelude {
     pub use gbkmv_core::dataset::{Dataset, DatasetBuilder, Record};
     pub use gbkmv_core::index::{
-        ContainmentIndex, GbKmvConfig, GbKmvIndex, PostingFormat, QueryPipeline, SearchHit,
-        ShardedIndex,
+        ContainmentIndex, GbKmvConfig, GbKmvIndex, QueryPipeline, SearchHit, ShardedIndex,
     };
     pub use gbkmv_core::sim::{containment, jaccard};
     pub use gbkmv_core::stats::DatasetStats;
