@@ -12,9 +12,6 @@
 //!   lists' bytes,
 //! * `sharded_pruned` — the same engine over an `--shards`-way sharded
 //!   index (single queries),
-//! * `single_query_parallel` — `search_parallel` fanning each individual
-//!   query's live slot ranges across scoped threads over the sharded index
-//!   (on a single-core host this degrades to the sequential engine),
 //! * `batch_parallel` — `search_batch` fanning the whole workload across
 //!   scoped threads over the sharded index; latency columns report the
 //!   amortised per-query time.
@@ -932,9 +929,6 @@ fn main() {
     assert_agrees("sharded_pruned", &|q| {
         sharded_index.search_record(q, threshold)
     });
-    assert_agrees("single_query_parallel", &|q| {
-        sharded_index.search_parallel(q.elements(), threshold)
-    });
     assert_eq!(
         sharded_index.search_batch(queries, threshold),
         reference,
@@ -950,12 +944,6 @@ fn main() {
     let (sharded_lat, sharded_hits) = measure(queries, reps, |q| {
         sharded_pipeline
             .search_sorted(&sharded_index, q.elements(), threshold)
-            .len()
-    });
-    let mut parallel_pipeline = QueryPipeline::new();
-    let (par_lat, par_hits) = measure(queries, reps, |q| {
-        parallel_pipeline
-            .search_parallel(&sharded_index, q.elements(), threshold, threads)
             .len()
     });
     let (batch_secs, batch_hits) = measure_batch(queries, reps, |qs| {
@@ -1033,7 +1021,6 @@ fn main() {
     for (name, hits) in [
         ("prefix_pruned", prefix_hits),
         ("sharded_pruned", sharded_hits),
-        ("single_query_parallel", par_hits),
         ("batch_parallel", batch_hits),
     ] {
         assert_eq!(scan_hits, hits, "{name} diverged from scan");
@@ -1043,7 +1030,6 @@ fn main() {
         path_section("scan", scan_lat, scan_hits),
         path_section("prefix_pruned", prefix_lat, prefix_hits),
         path_section("sharded_pruned", sharded_lat, sharded_hits),
-        path_section("single_query_parallel", par_lat, par_hits),
         batch_section("batch_parallel", batch_secs, queries.len(), batch_hits),
     ];
     let report = ThroughputReport {

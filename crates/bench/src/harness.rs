@@ -15,8 +15,7 @@ use gbkmv_core::variants::{KmvConfig, KmvIndex};
 use gbkmv_datagen::profiles::DatasetProfile;
 use gbkmv_datagen::queries::QueryWorkload;
 use gbkmv_eval::experiment::{
-    evaluate_index, evaluate_index_auto, evaluate_index_batch, evaluate_index_parallel,
-    ExperimentConfig, MethodReport,
+    evaluate_index, evaluate_index_batch, ExperimentConfig, MethodReport,
 };
 use gbkmv_eval::ground_truth::GroundTruth;
 use gbkmv_lsh::ensemble::{LshEnsembleConfig, LshEnsembleIndex};
@@ -108,15 +107,6 @@ pub struct ExperimentEnv {
     /// Whether [`ExperimentEnv::evaluate`] submits the workload as one
     /// batch (`ContainmentIndex::search_batch`) instead of query-at-a-time.
     pub batch: bool,
-    /// Whether [`ExperimentEnv::evaluate`] answers each query through the
-    /// intra-query parallel path (`ContainmentIndex::search_parallel`).
-    /// Ignored when `batch` is set — the batch path already owns all cores.
-    pub parallel_query: bool,
-    /// Whether [`ExperimentEnv::evaluate`] lets the index choose its own
-    /// schedule (`ContainmentIndex::search_auto`: sequential, batch, or
-    /// intra-query parallel from the workload shape and core count).
-    /// Takes precedence over `batch` and `parallel_query`.
-    pub auto: bool,
     /// Whether [`evaluate_on_profile`] routes the GB-KMV method through a
     /// [`ContainmentService`] (the serving layer's snapshot read path)
     /// instead of the bare index. Answers are identical; the timing
@@ -159,8 +149,6 @@ impl ExperimentEnv {
             ground_truth,
             threshold: config.threshold,
             batch: config.batch,
-            parallel_query: config.parallel_query,
-            auto: config.auto,
             service: config.service,
         }
     }
@@ -183,15 +171,10 @@ impl ExperimentEnv {
 
     /// Evaluates an already-built index against the cached workload,
     /// submitting it as one batch when the environment's `batch` knob is
-    /// on, or query-at-a-time through the intra-query parallel engine when
-    /// `parallel_query` is.
+    /// on, query-at-a-time otherwise.
     pub fn evaluate(&self, index: &dyn ContainmentIndex) -> MethodReport {
-        let run = if self.auto {
-            evaluate_index_auto
-        } else if self.batch {
+        let run = if self.batch {
             evaluate_index_batch
-        } else if self.parallel_query {
-            evaluate_index_parallel
         } else {
             evaluate_index
         };
@@ -314,29 +297,6 @@ mod tests {
         // submission path must report the same accuracy.
         let a = evaluate_on_profile(&single, MethodUnderTest::GbKmv, 0.2, 32);
         let b = evaluate_on_profile(&batch, MethodUnderTest::GbKmv, 0.2, 32);
-        assert_eq!(a.accuracy, b.accuracy);
-    }
-
-    #[test]
-    fn parallel_environment_reports_identical_accuracy() {
-        let config = ExperimentConfig::default().num_queries(8);
-        let single = ExperimentEnv::with_config(DatasetProfile::Netflix, 16, config);
-        let parallel =
-            ExperimentEnv::with_config(DatasetProfile::Netflix, 16, config.parallel_query(true));
-        assert!(parallel.parallel_query && !single.parallel_query);
-        let a = evaluate_on_profile(&single, MethodUnderTest::GbKmv, 0.2, 32);
-        let b = evaluate_on_profile(&parallel, MethodUnderTest::GbKmv, 0.2, 32);
-        assert_eq!(a.accuracy, b.accuracy);
-    }
-
-    #[test]
-    fn auto_environment_reports_identical_accuracy() {
-        let config = ExperimentConfig::default().num_queries(8);
-        let single = ExperimentEnv::with_config(DatasetProfile::Netflix, 16, config);
-        let auto = ExperimentEnv::with_config(DatasetProfile::Netflix, 16, config.auto(true));
-        assert!(auto.auto && !single.auto);
-        let a = evaluate_on_profile(&single, MethodUnderTest::GbKmv, 0.2, 32);
-        let b = evaluate_on_profile(&auto, MethodUnderTest::GbKmv, 0.2, 32);
         assert_eq!(a.accuracy, b.accuracy);
     }
 

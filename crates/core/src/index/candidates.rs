@@ -8,15 +8,13 @@
 //! candidates. In the unfiltered walk the sweep comes last and hands each
 //! buffered candidate the signature walk did not touch to a `SweptSink` of
 //! the caller, which finishes it in place.
-//! Each posting list is truncated to the stage's slot range *before*
-//! traversal — the prune stage's live-prefix cutoff, and in the intra-query
-//! parallel path additionally the worker's slot sub-range — and the sweep
-//! reads exactly that range, so a candidate outside the range is never
-//! touched, let alone finished.
+//! Each posting list is truncated at the prune stage's live-prefix cutoff
+//! *before* traversal, and the sweep reads exactly that prefix, so a
+//! candidate past the cutoff is never touched, let alone finished.
 //! Truncation is one cut of the raw slot list,
-//! [`PostingList::range`](crate::index::postings::PostingList::range), whose
-//! sub-slice the scratch's batched methods consume in place — notably the
-//! branch-free lookup-only pass
+//! [`PostingList::prefix`](crate::index::postings::PostingList::prefix),
+//! whose sub-slice the scratch's batched methods consume in place — notably
+//! the branch-free lookup-only pass
 //! ([`QueryScratch::add_signature_hits_if_candidate`]).
 //!
 //! # Prefix-filtered minting
@@ -49,9 +47,9 @@
 //! overlap of at least `b_min` (the joint bound of [`crate::index::prune`];
 //! the unfiltered walk has `S_max = 0`, and top-k passes `b_min = 1`, so
 //! every slot sharing a buffered element). The **popcount sweep**
-//! (`sweep_buffer`) reads the range's fixed-stride buffer words and finds
-//! the slots whose overlap `popcount(record_words & query_words)` reaches
-//! `b_min`, so no record the bound rules out reaches the finish:
+//! (`sweep_buffer`) reads the live prefix's fixed-stride buffer words and
+//! finds the slots whose overlap `popcount(record_words & query_words)`
+//! reaches `b_min`, so no record the bound rules out reaches the finish:
 //!
 //! * **block skip** — it reads only the aligned 64-slot blocks whose OR
 //!   summary (`SketchStore::block_summary`) reaches `b_min` against the
@@ -124,60 +122,35 @@ pub(crate) trait SweptSink {
 }
 
 /// Walks the query's signature postings and sweeps its buffer over the
-/// slot range `lo..hi` of one shard, accumulating into `scratch` (begins a
-/// fresh epoch for the shard). In the unfiltered walk every swept slot
-/// that is not a signature candidate goes to `sink`; a prefix-filtered
-/// walk mints its swept slots instead and `sink` receives nothing (see the
-/// module docs). `hi` is the prune stage's cutoff (pass `shard.len()` to
-/// disable pruning — the top-k path, which ranks every candidate); `lo` is
-/// non-zero only for the intra-query parallel workers, which partition the
-/// live range. `minting` holds the prune stage's bounds: how many
-/// df-ordered signature hashes may mint new candidates, and the buffer
-/// sweep's `b_min`; pass [`Minting::all`] to disable both filters.
+/// slots `0..hi` of one shard, accumulating into `scratch` (begins a fresh
+/// epoch for the shard). In the unfiltered walk every swept slot that is
+/// not a signature candidate goes to `sink`; a prefix-filtered walk mints
+/// its swept slots instead and `sink` receives nothing (see the module
+/// docs). `hi` is the prune stage's cutoff (pass `shard.len()` to disable
+/// pruning — the top-k path, which ranks every candidate). `minting` holds
+/// the prune stage's bounds: how many df-ordered signature hashes may mint
+/// new candidates, and the buffer sweep's `b_min`; pass [`Minting::all`] to
+/// disable both filters.
 pub(crate) fn accumulate(
     shard: &Shard,
     view: &QuerySketchView<'_>,
-    lo: usize,
     hi: usize,
     minting: Minting,
     scratch: &mut QueryScratch,
     sink: &mut impl SweptSink,
 ) {
+    scratch.begin(shard.len());
     if minting.hashes >= view.hashes.len() {
-        accumulate_ordered(shard, view, lo, hi, minting, &[], scratch, sink);
+        walk_unfiltered(shard, view, hi, scratch);
+        buffer_pass(shard, view, hi, minting.b_min, scratch, Some(sink));
         return;
     }
     // The ordering buffer lives in the scratch and is only moved out while
     // borrowed alongside it.
     let mut order = std::mem::take(&mut scratch.hash_order);
     df_order(shard.store(), view, &mut order);
-    accumulate_ordered(shard, view, lo, hi, minting, &order, scratch, sink);
+    walk_prefixed(shard, view, hi, minting, &order, scratch);
     scratch.hash_order = order;
-}
-
-/// [`accumulate`] with a caller-provided df-ordering for the shard (unused
-/// when every hash mints). The ordering depends only on (query, shard), so
-/// the intra-query parallel path computes it once per shard
-/// ([`df_order`]) and shares it across the shard's slot-sub-range tasks
-/// instead of re-sorting per task.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn accumulate_ordered(
-    shard: &Shard,
-    view: &QuerySketchView<'_>,
-    lo: usize,
-    hi: usize,
-    minting: Minting,
-    order: &[(u32, u64)],
-    scratch: &mut QueryScratch,
-    sink: &mut impl SweptSink,
-) {
-    scratch.begin(shard.len());
-    if minting.hashes >= view.hashes.len() {
-        walk_unfiltered(shard, view, lo, hi, scratch);
-        buffer_pass(shard, view, lo, hi, minting.b_min, scratch, Some(sink));
-    } else {
-        walk_prefixed(shard, view, lo, hi, minting, order, scratch);
-    }
 }
 
 /// Fills `order` with the query's signature hashes keyed by ascending
@@ -199,13 +172,12 @@ pub(crate) fn df_order(
 fn walk_unfiltered(
     shard: &Shard,
     view: &QuerySketchView<'_>,
-    lo: usize,
     hi: usize,
     scratch: &mut QueryScratch,
 ) {
     for &h in view.hashes {
         if let Some(postings) = shard.signature_postings(h) {
-            scratch.add_signature_hits(postings.range(lo, hi));
+            scratch.add_signature_hits(postings.prefix(hi));
         }
     }
 }
@@ -215,7 +187,6 @@ fn walk_unfiltered(
 fn walk_prefixed(
     shard: &Shard,
     view: &QuerySketchView<'_>,
-    lo: usize,
     hi: usize,
     minting: Minting,
     order: &[(u32, u64)],
@@ -224,7 +195,7 @@ fn walk_prefixed(
     let (mint, lookup) = order.split_at(minting.hashes);
     for &(_, h) in mint {
         if let Some(postings) = shard.signature_postings(h) {
-            scratch.add_signature_hits(postings.range(lo, hi));
+            scratch.add_signature_hits(postings.prefix(hi));
         }
     }
     // The swept slots must be minted BEFORE the lookup-only pass, which
@@ -232,7 +203,6 @@ fn walk_prefixed(
     buffer_pass(
         shard,
         view,
-        lo,
         hi,
         minting.b_min,
         scratch,
@@ -242,7 +212,7 @@ fn walk_prefixed(
     // the branch-free batched accumulate pays off.
     for &(_, h) in lookup {
         if let Some(postings) = shard.signature_postings(h) {
-            scratch.add_signature_hits_if_candidate(postings.range(lo, hi));
+            scratch.add_signature_hits_if_candidate(postings.prefix(hi));
         }
     }
 }
@@ -252,9 +222,9 @@ fn walk_prefixed(
 pub(crate) enum BufferMint {
     /// Nothing to mint: the query buffers nothing, or `b_min > B_q`.
     Skip,
-    /// Sweep the range's buffer words ([`sweep_buffer`]), emitting the slots
-    /// whose buffered overlap reaches `b_min` (`1 ≤ b_min ≤ B_q`; `0` sweeps
-    /// as `1`).
+    /// Sweep the live prefix's buffer words ([`sweep_buffer`]), emitting the
+    /// slots whose buffered overlap reaches `b_min` (`1 ≤ b_min ≤ B_q`; `0`
+    /// sweeps as `1`).
     Sweep,
 }
 
@@ -298,7 +268,6 @@ pub(crate) fn buffer_mint(view: &QuerySketchView<'_>, b_min: usize) -> BufferMin
 fn buffer_pass<S: SweptSink>(
     shard: &Shard,
     view: &QuerySketchView<'_>,
-    lo: usize,
     hi: usize,
     b_min: usize,
     scratch: &mut QueryScratch,
@@ -310,13 +279,13 @@ fn buffer_pass<S: SweptSink>(
     let candidates = scratch.take_sorted_candidates();
     let (store, query_words) = (shard.store(), view.buffer_words());
     match sink {
-        Some(sink) => sweep_buffer(store, query_words, lo, hi, b_min, &candidates, sink),
-        None => sweep_buffer(store, query_words, lo, hi, b_min, &candidates, scratch),
+        Some(sink) => sweep_buffer(store, query_words, hi, b_min, &candidates, sink),
+        None => sweep_buffer(store, query_words, hi, b_min, &candidates, scratch),
     }
     scratch.sorted = candidates;
 }
 
-/// The popcount sweep: hands `sink` every slot of `lo..hi` that is not in
+/// The popcount sweep: hands `sink` every slot of `0..hi` that is not in
 /// `candidates` (ascending) and whose buffered overlap with `query_words`,
 /// `popcount(record_words & query_words)`, reaches `b_min` (at least 1),
 /// with that overlap, in ascending slot order. It reads the store's buffer
@@ -337,13 +306,12 @@ fn buffer_pass<S: SweptSink>(
 pub(crate) fn sweep_buffer(
     store: &SketchStore,
     query_words: &[u64],
-    lo: usize,
     hi: usize,
     b_min: usize,
     candidates: &[u32],
     sink: &mut impl SweptSink,
 ) {
-    let Some(sweep) = Sweep::new(store, query_words, lo, hi, b_min, candidates) else {
+    let Some(sweep) = Sweep::new(store, query_words, hi, b_min, candidates) else {
         return;
     };
     sweep.run(SweepTier::detect(), sink);
@@ -389,7 +357,7 @@ impl SweepTier {
     }
 }
 
-/// One sweep's inputs: the buffer words of the slot range `lo..hi` and the
+/// One sweep's inputs: the buffer words of the slots `0..hi` and the
 /// store's block summary, `stride` words per record (per block), the
 /// query's words, the sorted signature candidates, and the minimum overlap
 /// `min` a slot must reach to be emitted.
@@ -398,29 +366,26 @@ struct Sweep<'a> {
     summary: &'a [u64],
     query_words: &'a [u64],
     stride: usize,
-    lo: usize,
     hi: usize,
     min: u32,
     candidates: &'a [u32],
 }
 
 impl<'a> Sweep<'a> {
-    /// The sweep of `lo..hi` over `store`; `None` for a zero-width buffer.
+    /// The sweep of `0..hi` over `store`; `None` for a zero-width buffer.
     fn new(
         store: &'a SketchStore,
         query_words: &'a [u64],
-        lo: usize,
         hi: usize,
         b_min: usize,
         candidates: &'a [u32],
     ) -> Option<Self> {
         let stride = store.words_per_record();
         (stride > 0).then(|| Sweep {
-            words: store.buffer_words_range(lo, hi),
+            words: store.buffer_words_prefix(hi),
             summary: store.block_summary(),
             query_words,
             stride,
-            lo,
             hi,
             min: u32::try_from(b_min.max(1)).unwrap_or(u32::MAX),
             candidates,
@@ -511,13 +476,13 @@ fn hit_mask(
     mask
 }
 
-/// The sweep body, over the aligned 64-slot blocks that `lo..hi` touches:
+/// The sweep body, over the aligned 64-slot blocks that `0..hi` touches:
 ///
 /// 1. per run of 64 blocks, the hit mask of their summaries marks the
 ///    blocks whose summary overlap with the query reaches `min`; every
 ///    other block is skipped unread, since no record in it can reach
-///    `min`. A range that starts or ends inside a block still uses the
-///    block's summary, which bounds every record of the block;
+///    `min`. A prefix that ends inside a block still uses the block's
+///    summary, which bounds every record of the block;
 /// 2. per marked block, the hit mask of its records in range, keeping
 ///    each record's overlap;
 /// 3. the bits of the signature candidates in the block are cleared (a
@@ -531,14 +496,13 @@ fn sweep_body(sweep: &Sweep<'_>, sink: &mut impl SweptSink) {
         summary,
         query_words,
         stride,
-        lo,
         hi,
         min,
         candidates,
     } = sweep;
     let mut counts = [0u32; 64];
     let mut next_candidate = 0;
-    let blocks = lo / SWEEP_BLOCK..hi.div_ceil(SWEEP_BLOCK);
+    let blocks = 0..hi.div_ceil(SWEEP_BLOCK);
     for group in blocks.clone().step_by(64) {
         let group_end = (group + 64).min(blocks.end);
         let summaries = &summary[group * stride..group_end * stride];
@@ -546,9 +510,9 @@ fn sweep_body(sweep: &Sweep<'_>, sink: &mut impl SweptSink) {
         while reach != 0 {
             let block = group + reach.trailing_zeros() as usize;
             reach &= reach - 1;
-            let start = lo.max(block * SWEEP_BLOCK);
-            let end = hi.min((block + 1) * SWEEP_BLOCK);
-            let records = &words[(start - lo) * stride..(end - lo) * stride];
+            let start = block * SWEEP_BLOCK;
+            let end = hi.min(start + SWEEP_BLOCK);
+            let records = &words[start * stride..end * stride];
             let mut mask = hit_mask(records, query_words, stride, min, &mut counts);
             if mask == 0 {
                 continue;
@@ -624,14 +588,15 @@ mod tests {
         }
     }
 
-    /// Runs `sweep` over strides 1, 2 and 3, slot ranges that start and end
-    /// inside 64-slot blocks, span them, or are empty, and every `b_min`
-    /// from 1 to `B_q + 1` plus some past 64, with slots 6 and 130 as the
-    /// signature candidates. The emitted slots must be, in ascending order,
-    /// the range's slots outside the candidates whose buffered overlap
-    /// reaches `b_min`, each with that overlap. A sweep over a summary of
-    /// all ones, which never skips a block, must emit the same; the grid
-    /// must reach blocks the real summary skips.
+    /// Runs `sweep` over strides 1, 2 and 3, slot prefixes that end inside
+    /// a 64-slot block or on its boundary, span several, are empty or
+    /// cover the store, and every `b_min` from 1 to `B_q + 1` plus some past
+    /// 64, with slots 6 and 130 as the signature candidates. The emitted
+    /// slots must be, in ascending order, the prefix's slots outside the
+    /// candidates whose buffered overlap reaches `b_min`, each with that
+    /// overlap. A sweep over a summary of all ones, which never skips a
+    /// block, must emit the same; the grid must reach blocks the real
+    /// summary skips.
     fn check_sweep(tier: &str, sweep: impl Fn(&Sweep<'_>, &mut Vec<(u32, u32)>)) {
         let (mut emitted_past_64, mut skippable) = (false, false);
         for (buffered, stride) in [(40u32, 1usize), (64, 1), (100, 2), (190, 3)] {
@@ -640,34 +605,21 @@ mod tests {
             let b_q: usize = query.iter().map(|w| w.count_ones() as usize).sum();
             let n = store.len();
             let no_skip = vec![u64::MAX; store.block_summary().len()];
-            let ranges = [
-                (0, n),
-                (5, n),
-                (7, 23),
-                (1, 64),
-                (63, 65),
-                (64, 128),
-                (70, 200),
-                (0, 256),
-                (250, n),
-                (100, 100),
-                (n, n),
-            ];
-            for (lo, hi) in ranges {
+            for hi in [n, 0, 1, 23, 63, 64, 65, 128, 130, 131, 200, 256] {
                 for b_min in (1..=b_q + 1).chain([65, 96, usize::MAX]) {
-                    let label = format!("{tier}: stride {stride}, slots {lo}..{hi}, b_min {b_min}");
-                    let expected: Vec<(u32, u32)> = (lo..hi)
+                    let label = format!("{tier}: stride {stride}, slots 0..{hi}, b_min {b_min}");
+                    let expected: Vec<(u32, u32)> = (0..hi)
                         .filter(|&s| s != 6 && s != 130)
                         .map(|s| (s as u32, store.buffer_intersection_count(&query, s) as u32))
                         .filter(|&(_, count)| count as usize >= b_min)
                         .collect();
                     emitted_past_64 |= b_min > 64 && !expected.is_empty();
-                    skippable |= (lo / 64..hi.div_ceil(64)).any(|block| {
+                    skippable |= (0..hi.div_ceil(64)).any(|block| {
                         let summary = &store.block_summary()[block * stride..(block + 1) * stride];
                         (overlap(summary, &query) as usize) < b_min
                     });
                     let mut sweep_in =
-                        Sweep::new(&store, &query, lo, hi, b_min, &[6, 130]).expect("stride > 0");
+                        Sweep::new(&store, &query, hi, b_min, &[6, 130]).expect("stride > 0");
                     let mut emitted = Vec::new();
                     sweep(&sweep_in, &mut emitted);
                     assert_eq!(emitted, expected, "{label}");
@@ -709,7 +661,7 @@ mod tests {
         let (store, query) = store_and_query(0);
         assert_eq!((store.words_per_record(), query.len()), (0, 0));
         let mut emitted: Vec<(u32, u32)> = Vec::new();
-        sweep_buffer(&store, &query, 0, store.len(), 1, &[], &mut emitted);
+        sweep_buffer(&store, &query, store.len(), 1, &[], &mut emitted);
         assert!(emitted.is_empty());
     }
 }

@@ -28,7 +28,8 @@ pub struct GbKmvConfig {
     /// Seed of the sketch hash function.
     pub hash_seed: u64,
     /// Number of threads used for sketching and posting construction at build
-    /// time (`0` = all available cores). The built index is identical for
+    /// time (`0` = all available cores); a dataset under 10,000 records
+    /// builds on one thread regardless. The built index is identical for
     /// every thread count.
     pub threads: usize,
     /// Number of storage shards (`0` and `1` both mean a single shard). The

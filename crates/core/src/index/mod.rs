@@ -51,26 +51,22 @@
 //!
 //! [`QueryPipeline`] owns the per-stage state and is the reusable executor;
 //! [`ShardedIndex`] is the storage layer of N independent shards covering
-//! contiguous record-id ranges. Two parallel schedules run over it:
+//! contiguous record-id ranges. Each query runs as one sequential pass;
 //! [`GbKmvIndex::search_batch`] fans a query *slab* over scoped threads
-//! (throughput — one pipeline per worker), and
-//! [`GbKmvIndex::search_parallel`] fans a *single* query's live slot ranges
-//! over scoped threads (latency — per-worker scratches, merged by one
-//! record-id sort). The unaccelerated [`GbKmvIndex::search_scan`] in
-//! [`mod@reference`] is the one oracle: every path returns bit-identical
-//! hits to it, which the agreement tests and the `query_agreement` property
-//! suite enforce for all shard counts, thread counts and both walks of the
-//! signature prefix filter (prefixed and unfiltered, which the filter picks
-//! per query).
+//! (throughput — one pipeline per worker). The unaccelerated
+//! [`GbKmvIndex::search_scan`] in [`mod@reference`] is the one oracle:
+//! every path returns bit-identical hits to it, which the agreement tests
+//! and the `query_agreement` property suite enforce for all shard counts,
+//! thread counts and both walks of the signature prefix filter (prefixed
+//! and unfiltered, which the filter picks per query).
 //!
 //! # Entry points
 //!
 //! * [`GbKmvIndex::search_record`] / [`GbKmvIndex::search_elements`] — one
 //!   thresholded query through a thread-local [`QueryPipeline`];
 //! * [`GbKmvIndex::search_topk`] — the `k` best-scoring records;
-//! * [`GbKmvIndex::search_batch`], [`GbKmvIndex::search_parallel`] and
-//!   [`GbKmvIndex::search_auto`] — the parallel schedules (plus the
-//!   `*_threads` variants with an explicit thread count);
+//! * [`GbKmvIndex::search_batch`] — many queries across threads (plus
+//!   [`GbKmvIndex::search_batch_threads`] with an explicit thread count);
 //! * [`GbKmvIndex::search_scan`] — the reference.
 //!
 //! Query loops that manage their own per-thread state use
@@ -137,32 +133,6 @@ pub trait ContainmentIndex {
             .iter()
             .map(|q| self.search(q.elements(), t_star))
             .collect()
-    }
-
-    /// Answers one query with the work of that *single* query fanned over
-    /// all available cores, returning exactly what
-    /// [`ContainmentIndex::search`] would return.
-    ///
-    /// The default implementation is the sequential search; indexes with an
-    /// intra-query parallel engine (e.g. [`GbKmvIndex::search_parallel`])
-    /// override it. Use this for latency-bound workloads (one expensive
-    /// query at a time); use [`ContainmentIndex::search_batch`] for
-    /// throughput-bound ones (many queries, one per core).
-    fn search_parallel(&self, query: &[ElementId], t_star: f64) -> Vec<SearchHit> {
-        self.search(query, t_star)
-    }
-
-    /// Answers a workload with the execution schedule — sequential,
-    /// parallel batch, or intra-query parallel — chosen by the index from
-    /// the workload shape and the machine, returning exactly what
-    /// [`ContainmentIndex::search`] would return per query.
-    ///
-    /// The default implementation delegates to
-    /// [`ContainmentIndex::search_batch`] (whose own default is the
-    /// sequential loop); indexes with several engines (e.g.
-    /// [`GbKmvIndex::search_auto`]) override it with a cost-based choice.
-    fn search_auto(&self, queries: &[Record], t_star: f64) -> Vec<Vec<SearchHit>> {
-        self.search_batch(queries, t_star)
     }
 
     /// Space consumed by the index, measured in elements (32-bit words), the
@@ -380,32 +350,6 @@ impl GbKmvIndex {
         QUERY_PIPELINE.with(|p| p.borrow_mut().topk(self, query.elements(), k))
     }
 
-    /// Intra-query parallel search: answers one query with its posting and
-    /// finish work partitioned into contiguous live-slot sub-ranges fanned
-    /// over all available cores (each worker owns a private scratch), then
-    /// merged with one record-id sort. Bit-identical to
-    /// [`GbKmvIndex::search_elements`] for every thread count; queries too
-    /// small to amortise the thread spawns (live range under
-    /// [`pipeline::PARALLEL_MIN_LIVE_SLOTS`]) run sequentially.
-    ///
-    /// This is the latency lever for very large shards; for many small
-    /// queries prefer [`GbKmvIndex::search_batch`], which parallelises
-    /// *across* queries instead.
-    pub fn search_parallel(&self, query: &[ElementId], t_star: f64) -> Vec<SearchHit> {
-        self.search_parallel_threads(query, t_star, 0)
-    }
-
-    /// [`GbKmvIndex::search_parallel`] with an explicit thread count
-    /// (`0` = all available cores).
-    pub fn search_parallel_threads(
-        &self,
-        query: &[ElementId],
-        t_star: f64,
-        threads: usize,
-    ) -> Vec<SearchHit> {
-        QUERY_PIPELINE.with(|p| p.borrow_mut().search_parallel(self, query, t_star, threads))
-    }
-
     /// Parallel batch search: answers every query of the slab, fanning
     /// contiguous query chunks out over all available cores (one
     /// [`QueryPipeline`] per worker) across the index's shards, and returns
@@ -413,43 +357,6 @@ impl GbKmvIndex {
     /// to `search_record(&queries[i], t_star)` for every thread count.
     pub fn search_batch(&self, queries: &[Record], t_star: f64) -> Vec<Vec<SearchHit>> {
         self.search_batch_threads(queries, t_star, 0)
-    }
-
-    /// Cost-based automatic schedule selection: answers the workload
-    /// through whichever engine the workload shape and the (cached) core
-    /// count favour, bit-identical to a per-query
-    /// [`GbKmvIndex::search_record`] loop.
-    ///
-    /// * several queries on a multi-core machine — the parallel **batch**
-    ///   path (one pipeline per core; parallelising *across* queries beats
-    ///   splitting any single one),
-    /// * a single query on a multi-core machine — the **intra-query
-    ///   parallel** path, which itself degrades to the sequential engine
-    ///   when the query's live-slot count is below
-    ///   [`pipeline::PARALLEL_MIN_LIVE_SLOTS`] (the same live-slot cost
-    ///   model, applied after the per-shard prune cutoffs are known),
-    /// * a single core — the plain **sequential** loop; no schedule can
-    ///   win without parallel hardware, so none pays spawn overhead.
-    ///
-    /// The core count comes from the process-wide cache of
-    /// [`parallel::resolve_threads`], so the choice itself costs
-    /// nanoseconds. `ExperimentConfig::auto(true)` routes the evaluation
-    /// harness through this entry point.
-    pub fn search_auto(&self, queries: &[Record], t_star: f64) -> Vec<Vec<SearchHit>> {
-        let cores = parallel::resolve_threads(0);
-        if cores > 1 && queries.len() > 1 {
-            return self.search_batch(queries, t_star);
-        }
-        if cores > 1 {
-            return queries
-                .iter()
-                .map(|q| self.search_parallel(q.elements(), t_star))
-                .collect();
-        }
-        queries
-            .iter()
-            .map(|q| self.search_record(q, t_star))
-            .collect()
     }
 
     /// [`GbKmvIndex::search_batch`] with an explicit thread count
@@ -480,14 +387,6 @@ impl ContainmentIndex for GbKmvIndex {
 
     fn search_batch(&self, queries: &[Record], t_star: f64) -> Vec<Vec<SearchHit>> {
         GbKmvIndex::search_batch(self, queries, t_star)
-    }
-
-    fn search_parallel(&self, query: &[ElementId], t_star: f64) -> Vec<SearchHit> {
-        GbKmvIndex::search_parallel(self, query, t_star)
-    }
-
-    fn search_auto(&self, queries: &[Record], t_star: f64) -> Vec<Vec<SearchHit>> {
-        GbKmvIndex::search_auto(self, queries, t_star)
     }
 
     fn space_elements(&self) -> f64 {

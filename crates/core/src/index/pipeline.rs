@@ -2,10 +2,10 @@
 //!
 //! [`QueryPipeline`] owns the per-stage state (the epoch-stamped
 //! [`QueryScratch`] of the candidate stage) and composes the stage modules
-//! into the search variants; the batch path runs one pipeline per worker
-//! thread over its query slab, and the intra-query parallel path
-//! ([`QueryPipeline::search_parallel`]) fans the posting work of a *single*
-//! query over scoped threads.
+//! into the search variants. A query runs as one sequential pass, the
+//! paper's Algorithm 2; the batch path
+//! ([`GbKmvIndex::search_batch`]) spreads whole queries over threads, one
+//! pipeline per worker.
 //!
 //! Stage composition for a thresholded search, per shard:
 //!
@@ -32,22 +32,6 @@
 //!    hit whose estimate is its count as one compact key) and order them by
 //!    ascending global record id, by a radix sort linear in the answer (or
 //!    keep the best `k` in a bounded heap).
-//!
-//! # Intra-query parallelism
-//!
-//! [`search_parallel`](QueryPipeline::search_parallel) partitions the live
-//! slot ranges of all shards into contiguous sub-ranges and runs the
-//! candidates + finish stages of each sub-range on its own scoped thread
-//! with a private [`QueryScratch`] (posting lists are sliced to the
-//! sub-range by binary search, so no slot is ever touched by two workers).
-//! Because each slot's accumulation and finish are independent of every
-//! other slot, and the rank stage's final sort is over globally unique
-//! record ids, the merged result is **bit-identical** to the sequential
-//! pipeline for every thread count and every work split. Queries whose
-//! live range is below [`PARALLEL_MIN_LIVE_SLOTS`] (or a resolved thread
-//! count of one) run sequentially on the pipeline's own scratch — thread
-//! spawns cost tens of microseconds, which would dominate the
-//! microsecond-scale queries of a small index.
 
 use crate::dataset::ElementId;
 use crate::index::candidates::{self, QuerySketchView, SweptSink};
@@ -57,16 +41,8 @@ use crate::index::rank::{ThresholdCollector, TopK};
 use crate::index::reference;
 use crate::index::sharded::Shard;
 use crate::index::{GbKmvIndex, SearchHit};
-use crate::parallel;
 use crate::scratch::QueryScratch;
 use crate::sim::OverlapThreshold;
-
-/// Minimum total live slots before [`QueryPipeline::search_parallel`]
-/// actually spawns workers: below this, per-query thread-spawn overhead
-/// (tens of microseconds per worker) exceeds the traversal work itself and
-/// the query runs sequentially instead. The answers are identical either
-/// way; only the schedule changes.
-pub const PARALLEL_MIN_LIVE_SLOTS: usize = 4096;
 
 /// A reusable query executor: the staged pipeline plus its per-stage state.
 ///
@@ -76,12 +52,6 @@ pub const PARALLEL_MIN_LIVE_SLOTS: usize = 4096;
 #[derive(Debug, Default)]
 pub struct QueryPipeline {
     scratch: QueryScratch,
-    /// Per-worker scratches of [`QueryPipeline::search_parallel`], kept
-    /// across queries for the same reason `scratch` is: a worker scratch is
-    /// sized to the largest shard, and reallocating (and zero-filling) it
-    /// per query would cost O(shard len × workers) on exactly the
-    /// large-shard path the parallel schedule exists for.
-    worker_scratches: Vec<QueryScratch>,
 }
 
 impl QueryPipeline {
@@ -91,20 +61,14 @@ impl QueryPipeline {
         QueryPipeline::default()
     }
 
-    /// Bytes of reusable per-query scratch this pipeline has grown so far:
-    /// the sequential scratch plus every parallel worker scratch. A scratch
-    /// is sized to the largest shard it has queried and then reused, so
-    /// after one warm pass this is the pipeline's steady-state footprint —
-    /// the throughput bench reports it alongside the index's
+    /// Bytes of reusable per-query scratch this pipeline has grown so far.
+    /// The scratch is sized to the largest shard it has queried and then
+    /// reused, so after one warm pass this is the pipeline's steady-state
+    /// footprint — the throughput bench reports it alongside the index's
     /// [`mem_usage`](GbKmvIndex::mem_usage) breakdown.
     #[must_use]
     pub fn scratch_bytes(&self) -> usize {
         self.scratch.mem_bytes()
-            + self
-                .worker_scratches
-                .iter()
-                .map(QueryScratch::mem_bytes)
-                .sum::<usize>()
     }
 
     /// Thresholded containment search over a borrowed element slice
@@ -130,43 +94,14 @@ impl QueryPipeline {
         filtered_sorted(index, query, t_star, &mut self.scratch)
     }
 
-    /// Thresholded search with the candidates + finish stages of one query
-    /// fanned over `threads` scoped threads (`0` = all available cores),
-    /// bit-identical to [`QueryPipeline::search`] for every thread count.
-    ///
-    /// Worthwhile for large shards: each worker owns a contiguous slice of
-    /// the live (size-ordered) slot range and a private scratch, and the
-    /// hits are merged with one final sort. Small queries (live range under
-    /// [`PARALLEL_MIN_LIVE_SLOTS`]) run sequentially on the pipeline's own
-    /// scratch instead — spawning threads per query would cost more than
-    /// the query itself.
-    pub fn search_parallel(
-        &mut self,
-        index: &GbKmvIndex,
-        query: &[ElementId],
-        t_star: f64,
-        threads: usize,
-    ) -> Vec<SearchHit> {
-        crate::index::with_canonical_query(query, |q| {
-            parallel_sorted(
-                index,
-                q,
-                t_star,
-                threads,
-                &mut self.scratch,
-                &mut self.worker_scratches,
-            )
-        })
-    }
-
     /// Top-k containment search, equivalent to [`GbKmvIndex::search_topk`].
     pub fn topk(&mut self, index: &GbKmvIndex, query: &[ElementId], k: usize) -> Vec<SearchHit> {
         crate::index::with_canonical_query(query, |q| topk_sorted(index, q, k, &mut self.scratch))
     }
 }
 
-/// Query-level context shared by every (shard, slot-range) unit of work:
-/// the sketch view plus the per-query stage decisions.
+/// Query-level context shared by every shard's pass: the sketch view plus
+/// the per-query stage decisions.
 struct StageContext<'a> {
     view: QuerySketchView<'a>,
     threshold: OverlapThreshold,
@@ -197,37 +132,19 @@ impl SweptSink for ThresholdSink<'_> {
     }
 }
 
-/// Runs the candidates → finish stages for the slot range `lo..hi` of one
-/// shard, pushing qualifying hits into `out`: the buffer sweep finishes the
-/// slots it emits in place, and the signature candidates are finished from
-/// their `K∩` and the store's buffer words. The shared inner loop of the
-/// sequential and intra-query-parallel paths; `order` is the shard's
-/// precomputed df-ordering when the caller shares one across sub-range
-/// tasks (the parallel path), `None` to let the candidates stage derive it
-/// in the scratch (the sequential path, one call per shard anyway).
-fn finish_range(
+/// Runs the candidates → finish stages for the live prefix `0..live` of
+/// one shard, pushing qualifying hits into `out`: the buffer sweep finishes
+/// the slots it emits in place, and the signature candidates are finished
+/// from their `K∩` and the store's buffer words.
+fn finish_shard(
     shard: &Shard,
     ctx: &StageContext<'_>,
-    order: Option<&[(u32, u64)]>,
-    lo: usize,
-    hi: usize,
+    live: usize,
     scratch: &mut QueryScratch,
     out: &mut ThresholdCollector,
 ) {
     let mut sink = ThresholdSink { shard, ctx, out };
-    match order {
-        Some(order) => candidates::accumulate_ordered(
-            shard,
-            &ctx.view,
-            lo,
-            hi,
-            ctx.minting,
-            order,
-            scratch,
-            &mut sink,
-        ),
-        None => candidates::accumulate(shard, &ctx.view, lo, hi, ctx.minting, scratch, &mut sink),
-    }
+    candidates::accumulate(shard, &ctx.view, live, ctx.minting, scratch, &mut sink);
     let store = shard.store();
     for &slot in scratch.candidates() {
         let overlap = finish::accumulated_overlap(store, &ctx.view, scratch, slot);
@@ -276,127 +193,11 @@ pub(crate) fn filtered_sorted(
             // overlap; nothing to traverse.
             continue;
         }
-        finish_range(shard, &ctx, None, 0, live, scratch, &mut collector);
+        finish_shard(shard, &ctx, live, scratch, &mut collector);
     }
     let hits = collector.sorted_hits(q);
     scratch.collector = collector;
     hits
-}
-
-/// [`filtered_sorted`] with the per-shard live ranges partitioned over
-/// scoped worker threads (each with a private scratch), merged by one final
-/// record-id sort. Degrades to the sequential path — on `scratch`, so the
-/// caller's pipeline keeps its zero-allocation property — when only one
-/// thread resolves or the live range is too small to amortise the spawns.
-pub(crate) fn parallel_sorted(
-    index: &GbKmvIndex,
-    query: &[ElementId],
-    t_star: f64,
-    threads: usize,
-    scratch: &mut QueryScratch,
-    worker_scratches: &mut Vec<QueryScratch>,
-) -> Vec<SearchHit> {
-    let q = query.len();
-    let threshold = OverlapThreshold::new(q, t_star);
-    if threshold.raw <= 1e-9 {
-        return reference::scan_sorted(index, query, t_star);
-    }
-    let shards = index.sharded.shards();
-    let live: Vec<usize> = shards
-        .iter()
-        .map(|s| prune::live_slots(s, threshold))
-        .collect();
-    let total_live: usize = live.iter().sum();
-    let threads = parallel::resolve_threads(threads);
-    if threads <= 1 || total_live < PARALLEL_MIN_LIVE_SLOTS {
-        return filtered_sorted(index, query, t_star, scratch);
-    }
-
-    let q_sketch = index.sketcher.sketch_elements(query);
-    let view = QuerySketchView::new(&q_sketch);
-    let ctx = StageContext {
-        minting: prune::minting(&view, threshold),
-        view,
-        threshold,
-        query_len: q,
-    };
-
-    // One task per contiguous slot sub-range, ~`threads` tasks in total,
-    // each covering an equal share of the live slots. The split never
-    // affects the answer — only the schedule — because slots are finished
-    // independently and merged by unique record id.
-    let per_task = total_live.div_ceil(threads).max(1);
-    let mut tasks: Vec<(usize, usize, usize)> = Vec::new();
-    for (si, &shard_live) in live.iter().enumerate() {
-        let mut lo = 0;
-        while lo < shard_live {
-            let hi = (lo + per_task).min(shard_live);
-            tasks.push((si, lo, hi));
-            lo = hi;
-        }
-    }
-
-    // The df-ordering depends only on (query, shard): compute it once per
-    // shard here and share it (read-only) across all of a shard's sub-range
-    // tasks, instead of re-sorting inside every task. Fully size-pruned
-    // shards appear in no task, so their slot stays an empty Vec.
-    let prefixed = ctx.minting.hashes < ctx.view.hashes.len();
-    let orders: Option<Vec<Vec<(u32, u64)>>> = prefixed.then(|| {
-        shards
-            .iter()
-            .zip(&live)
-            .map(|(shard, &shard_live)| {
-                let mut order = Vec::new();
-                if shard_live > 0 {
-                    candidates::df_order(shard.store(), &ctx.view, &mut order);
-                }
-                order
-            })
-            .collect()
-    });
-
-    // One scratch per worker, drawn from the pipeline's pool so repeated
-    // queries pay zero allocation (the pool grows to the worker count once;
-    // each scratch grows to the largest shard once — the same epoch-reuse
-    // contract as the sequential scratch). `map_chunks` cannot hand workers
-    // distinct mutable state, so the fan-out is a scope over
-    // (task-chunk, scratch) pairs.
-    let workers = threads.min(tasks.len()).max(1);
-    if worker_scratches.len() < workers {
-        worker_scratches.resize_with(workers, QueryScratch::new);
-    }
-    let chunk_size = tasks.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = tasks
-            .chunks(chunk_size)
-            .zip(worker_scratches.iter_mut())
-            .map(|(chunk, scratch)| {
-                let ctx = &ctx;
-                let orders = &orders;
-                scope.spawn(move || {
-                    let mut collector = std::mem::take(&mut scratch.collector);
-                    collector.clear();
-                    for &(si, lo, hi) in chunk {
-                        let order = orders.as_ref().map(|o| o[si].as_slice());
-                        finish_range(&shards[si], ctx, order, lo, hi, scratch, &mut collector);
-                    }
-                    scratch.collector = collector;
-                })
-            })
-            .collect();
-        for handle in handles {
-            // Deliberate panic propagation (see `parallel::map_chunks`):
-            // `join` only errs when the worker panicked.
-            handle.join().expect("worker thread panicked");
-        }
-    });
-    let used = tasks.chunks(chunk_size).len();
-    let merged = &mut scratch.collector;
-    merged.clear();
-    for worker in &worker_scratches[..used] {
-        merged.extend(&worker.collector);
-    }
-    merged.sorted_hits(q)
 }
 
 /// The top-k query's sink for the slots the buffer sweep emits of one
@@ -447,7 +248,7 @@ pub(crate) fn topk_sorted(
             topk: &mut topk,
             query_len: q,
         };
-        candidates::accumulate(shard, &view, 0, shard.len(), mint_all, scratch, &mut sink);
+        candidates::accumulate(shard, &view, shard.len(), mint_all, scratch, &mut sink);
         for &slot in scratch.candidates() {
             let overlap = finish::accumulated_overlap(shard.store(), &view, scratch, slot);
             topk.consider(shard.global_id(slot as usize), overlap, q);

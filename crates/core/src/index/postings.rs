@@ -4,10 +4,9 @@
 //! of **slot** numbers (see [`crate::store::SketchStore`] for the slot
 //! order), stored as one plain `u32` arena: owned when built, borrowed
 //! zero-copy when loaded from an arena file. The candidates stage cuts a
-//! list to the slot range `lo..hi` it walks with [`PostingList::range`] —
-//! two binary searches at most, with fast paths for `lo == 0` and for a
-//! list whose last slot is already below `hi` — and consumes the sub-slice
-//! in place.
+//! list to the live prefix `0..hi` it walks with [`PostingList::prefix`] —
+//! one binary search at most, none for a list whose last slot is already
+//! below `hi` — and consumes the sub-slice in place.
 //!
 //! There is one format. Earlier builds also offered block-compressed
 //! gap/bitmap lists behind a configuration knob; on the shipped engine
@@ -70,29 +69,20 @@ impl PostingList {
         &self.slots
     }
 
-    /// The stored slots in `lo..hi`, ascending: the sub-slice the
-    /// candidates stage walks. `lo` is non-zero only for the intra-query
-    /// parallel workers; `hi` is the prune stage's cutoff. A degenerate
-    /// range (`lo ≥ hi`) is empty.
+    /// The stored slots below `hi`, ascending: the prefix the candidates
+    /// stage walks, `hi` being the prune stage's cutoff.
     #[inline]
-    pub fn range(&self, lo: usize, hi: usize) -> &[u32] {
+    pub fn prefix(&self, hi: usize) -> &[u32] {
         let slots = self.slots.as_slice();
-        let start = if lo == 0 {
-            // Common case (sequential path): skip the binary search.
-            0
-        } else {
-            slots.partition_point(|&slot| (slot as usize) < lo)
-        };
-        let end = match slots.last() {
+        match slots.last() {
             // Only search for the cutoff when the list actually extends
             // past it; otherwise (a low threshold, or top-k) the whole list
             // survives search-free.
             Some(&last) if (last as usize) >= hi => {
-                slots.partition_point(|&slot| (slot as usize) < hi)
+                &slots[..slots.partition_point(|&slot| (slot as usize) < hi)]
             }
-            _ => slots.len(),
-        };
-        &slots[start..end.max(start)]
+            _ => slots,
+        }
     }
 
     /// Adds one to every stored slot ≥ `slot` (the posting half of a store
@@ -159,18 +149,13 @@ mod tests {
     #[test]
     fn in_range_truncates_by_slot_number() {
         let list = list(&[0, 2, 5, 9]);
-        assert_eq!(list.range(0, 6), &[0, 2, 5]);
-        assert_eq!(list.range(0, 10), &[0, 2, 5, 9]);
-        assert_eq!(list.range(0, 0), &[] as &[u32]);
-        assert_eq!(list.range(0, usize::MAX), &[0, 2, 5, 9]);
-        // Sub-ranges of the parallel path.
-        assert_eq!(list.range(2, 6), &[2, 5]);
-        assert_eq!(list.range(3, 9), &[5]);
-        assert_eq!(list.range(9, 10), &[9]);
-        assert_eq!(list.range(10, 12), &[] as &[u32]);
-        // Degenerate range (lo ≥ hi) must stay empty, not panic.
-        assert_eq!(list.range(6, 2), &[] as &[u32]);
-        assert_eq!(PostingList::default().range(0, 3), &[] as &[u32]);
+        assert_eq!(list.prefix(6), &[0, 2, 5]);
+        assert_eq!(list.prefix(10), &[0, 2, 5, 9]);
+        assert_eq!(list.prefix(0), &[] as &[u32]);
+        assert_eq!(list.prefix(usize::MAX), &[0, 2, 5, 9]);
+        assert_eq!(list.prefix(9), &[0, 2, 5]);
+        assert_eq!(list.prefix(1), &[0]);
+        assert_eq!(PostingList::default().prefix(3), &[] as &[u32]);
     }
 
     #[test]

@@ -107,8 +107,7 @@ use crate::sim::OverlapThreshold;
 /// identical either way (the filter is structural, not semantic).
 pub(crate) const SHORT_SIGNATURE_LEN: usize = 8;
 
-/// The prune stage's minting decisions for one query, shared by every shard
-/// and every slot sub-range of it.
+/// The prune stage's minting decisions for one query, shared by every shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Minting {
     /// Number of df-ordered signature hashes allowed to mint candidates.

@@ -81,19 +81,6 @@ impl ThresholdCollector {
         }
     }
 
-    /// Adds another collector's hits (the intra-query parallel path merges
-    /// its workers' collectors before the final sort).
-    pub(crate) fn extend(&mut self, other: &ThresholdCollector) {
-        for &key in &other.keys {
-            if key & HIT_TAG == 0 {
-                self.keys.push(key);
-            } else {
-                self.push(other.hits[(key & (HIT_TAG - 1)) as usize]);
-            }
-        }
-        self.wide.extend_from_slice(&other.wide);
-    }
-
     /// Heap bytes held by the collector's buffers.
     pub(crate) fn mem_bytes(&self) -> usize {
         (self.keys.capacity() + self.sorted.capacity()) * std::mem::size_of::<u64>()
@@ -335,8 +322,7 @@ mod tests {
         /// at 0 and 1 hits, on both sides of `RADIX_MIN_HITS`, at a few
         /// hundred and at 3,000 or more hits, with the largest id needing
         /// 1, 2 or 3 radix passes of 11 bits or not fitting in 32 bits.
-        /// Emptying the collector and reusing it, or merging it into
-        /// another, gives the same answer.
+        /// Emptying the collector and reusing it gives the same answer.
         #[test]
         fn into_sorted_matches_a_comparison_sort_by_record_id(
             len_class in 0..6usize,
@@ -354,21 +340,7 @@ mod tests {
             collector.clear();
             let mut expected = collect_mixed(&mut collector, &hits, 7);
             expected.sort_unstable_by_key(|h| h.record_id);
-            let mut merged = ThresholdCollector::default();
-            let (front, back) = hits.split_at(len / 2);
-            collect_mixed(&mut merged, front, 7);
-            let mut other = ThresholdCollector::default();
-            // Keep the count keys on the same hits as in `collector`.
-            for (&hit, i) in back.iter().zip((front.len() as u32)..) {
-                if i % 3 == 0 {
-                    other.push_count(hit.record_id, i, 7);
-                } else {
-                    other.push(hit);
-                }
-            }
-            merged.extend(&other);
-            prop_assert_eq!(collector.sorted_hits(7), expected.clone());
-            prop_assert_eq!(merged.sorted_hits(7), expected);
+            prop_assert_eq!(collector.sorted_hits(7), expected);
         }
     }
 

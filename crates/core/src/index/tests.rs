@@ -144,8 +144,8 @@ fn fixed_buffer_sizes_are_clamped_to_the_budget() {
 #[test]
 fn every_entry_point_agrees_with_scan_bitwise() {
     // Ordinary thresholds plus adversarial ones (NaN, ±∞, out of [0, 1]):
-    // no path may panic, and every path — single query, batch, intra-query
-    // parallel, a service snapshot — returns the scan's exact answer.
+    // no path may panic, and every path — single query, batch, a service
+    // snapshot — returns the scan's exact answer.
     let dataset = varied_dataset(120);
     let index = GbKmvIndex::build(&dataset, GbKmvConfig::with_space_fraction(0.25).shards(2));
     let service = crate::service::ContainmentService::new(index.clone());
@@ -167,11 +167,6 @@ fn every_entry_point_agrees_with_scan_bitwise() {
                 "{label}: batch"
             );
             assert_eq!(
-                index.search_parallel_threads(query.elements(), t_star, 3),
-                scan,
-                "{label}: intra-query parallel"
-            );
-            assert_eq!(
                 snapshot.search_record(&query, t_star),
                 scan,
                 "{label}: service snapshot"
@@ -188,8 +183,7 @@ fn every_entry_point_agrees_with_scan_bitwise() {
 /// query between the prefixed walk (only the rarest hashes mint) and the
 /// unfiltered walk (every hash mints: a signature of at most
 /// `SHORT_SIGNATURE_LEN` hashes, or `θ_sig ≤ 1`). A default-config index
-/// must take both walks, each on the spawning intra-query parallel path
-/// too, and answer like the scan on every path.
+/// must take both walks and answer like the scan on every path.
 #[test]
 fn default_engine_takes_both_walks_bit_identical_to_scan() {
     use crate::index::candidates::QuerySketchView;
@@ -202,28 +196,19 @@ fn default_engine_takes_both_walks_bit_identical_to_scan() {
     let service = crate::service::ContainmentService::new(index.clone());
     let snapshot = service.snapshot();
     let mut pipeline = QueryPipeline::new();
-    // Queries per walk, and those of them whose live range is large enough
-    // for the intra-query parallel path to spawn workers.
-    let (mut prefixed, mut unfiltered) = ((0usize, 0usize), (0usize, 0usize));
+    // Queries per walk.
+    let (mut prefixed, mut unfiltered) = (0usize, 0usize);
     for qid in [4usize, 38, 85, 1_234, 2_771, 5_003] {
         let query = dataset.record(qid);
         let sketch = index.sketch_query(query);
         let view = QuerySketchView::new(&sketch);
         for t_star in [0.2, 0.3, 0.6, 0.9] {
             let threshold = OverlapThreshold::new(query.len(), t_star);
-            let live: usize = index
-                .sharded
-                .shards()
-                .iter()
-                .map(|shard| prune::live_slots(shard, threshold))
-                .sum();
-            let walk = if prune::minting(&view, threshold).hashes < view.hashes.len() {
-                &mut prefixed
+            if prune::minting(&view, threshold).hashes < view.hashes.len() {
+                prefixed += 1;
             } else {
-                &mut unfiltered
-            };
-            walk.0 += 1;
-            walk.1 += usize::from(live >= pipeline::PARALLEL_MIN_LIVE_SLOTS);
+                unfiltered += 1;
+            }
 
             let scan = index.search_scan(query, t_star);
             let label = format!("query {qid} at t*={t_star}");
@@ -237,11 +222,6 @@ fn default_engine_takes_both_walks_bit_identical_to_scan() {
                 index.search_record(query, t_star),
                 scan,
                 "{label}: pipeline"
-            );
-            assert_eq!(
-                pipeline.search_parallel(&index, q, t_star, 3),
-                scan,
-                "{label}: intra-query parallel"
             );
             assert_eq!(
                 index.search_batch_threads(&[query.clone(), query.clone()], t_star, 2),
@@ -261,9 +241,8 @@ fn default_engine_takes_both_walks_bit_identical_to_scan() {
         }
     }
     assert!(
-        prefixed.1 > 0 && unfiltered.1 > 0,
-        "(queries, spawning parallel queries) per walk: prefixed {prefixed:?}, \
-         unfiltered {unfiltered:?}"
+        prefixed > 0 && unfiltered > 0,
+        "queries per walk: prefixed {prefixed}, unfiltered {unfiltered}"
     );
 }
 
@@ -283,54 +262,12 @@ fn prefix_filter_agrees_when_query_signature_is_absent_from_index() {
             scan,
             "absent query at t*={t_star}: prefix pipeline diverged from scan"
         );
-        assert_eq!(
-            index.search_parallel(absent.elements(), t_star),
-            scan,
-            "absent query at t*={t_star}: parallel path diverged from scan"
-        );
         if t_star > 0.0 {
             assert!(
                 scan.is_empty(),
                 "absent query matched records at t*={t_star}"
             );
         }
-    }
-}
-
-#[test]
-fn search_parallel_matches_sequential_for_any_thread_count() {
-    // Large enough that the live range exceeds PARALLEL_MIN_LIVE_SLOTS and
-    // the worker-spawning path genuinely runs (also exercised at small
-    // scale below, where the sequential degrade kicks in).
-    let big = varied_dataset(6000);
-    let small = varied_dataset(80);
-    for (dataset, shards) in [(&big, 1usize), (&big, 3), (&small, 2)] {
-        let index = GbKmvIndex::build(
-            dataset,
-            GbKmvConfig::with_space_fraction(0.2).shards(shards),
-        );
-        for qid in (0..dataset.len()).step_by(dataset.len() / 4 + 1) {
-            let query = dataset.record(qid);
-            for t_star in [0.0, 0.1, 0.5, 0.9] {
-                let expected = index.search_record(query, t_star);
-                for threads in [1usize, 2, 5] {
-                    assert_eq!(
-                        index.search_parallel_threads(query.elements(), t_star, threads),
-                        expected,
-                        "parallel search with {threads} threads / {shards} shards diverged \
-                         (query {qid}, t*={t_star}, {} records)",
-                        dataset.len()
-                    );
-                }
-            }
-        }
-        // The trait route (default-overriding impl) answers identically.
-        let boxed: &dyn ContainmentIndex = &index;
-        let query = dataset.record(1);
-        assert_eq!(
-            boxed.search_parallel(query.elements(), 0.5),
-            index.search_record(query, 0.5)
-        );
     }
 }
 
@@ -364,27 +301,44 @@ fn sharded_index_answers_are_bit_identical_to_unsharded() {
 
 #[test]
 fn batch_search_matches_single_queries_for_any_thread_count() {
-    let dataset = varied_dataset(90);
-    for shards in [1usize, 3] {
-        let index = GbKmvIndex::build(
-            &dataset,
-            GbKmvConfig::with_space_fraction(0.25).shards(shards),
-        );
-        let queries: Vec<Record> = (0..40).map(|i| dataset.record(i * 2).clone()).collect();
-        let expected: Vec<Vec<SearchHit>> = queries
-            .iter()
-            .map(|q| index.search_record(q, 0.5))
-            .collect();
-        for threads in [1usize, 2, 5] {
-            assert_eq!(
-                index.search_batch_threads(&queries, 0.5, threads),
-                expected,
-                "batch with {threads} threads / {shards} shards diverged"
+    // The small dataset splits 40 queries over the workers; the large one
+    // has live ranges of thousands of slots, and `t* = 0` takes the scan
+    // fallback.
+    let small = varied_dataset(90);
+    let big = varied_dataset(6_000);
+    let cases = [
+        (&small, 0.25, 40usize, 2usize, vec![0.5]),
+        (&big, 0.2, 4, big.len() / 4 + 1, vec![0.0, 0.1, 0.5, 0.9]),
+    ];
+    for (dataset, space, count, step, thresholds) in cases {
+        for shards in [1usize, 3] {
+            let index = GbKmvIndex::build(
+                dataset,
+                GbKmvConfig::with_space_fraction(space).shards(shards),
             );
+            let queries: Vec<Record> = (0..count)
+                .map(|i| dataset.record(i * step).clone())
+                .collect();
+            for &t_star in &thresholds {
+                let expected: Vec<Vec<SearchHit>> = queries
+                    .iter()
+                    .map(|q| index.search_record(q, t_star))
+                    .collect();
+                for threads in [1usize, 2, 5] {
+                    assert_eq!(
+                        index.search_batch_threads(&queries, t_star, threads),
+                        expected,
+                        "batch with {threads} threads / {shards} shards diverged \
+                         (t*={t_star}, {} records)",
+                        dataset.len()
+                    );
+                }
+                // The trait route (default-overriding impl) answers
+                // identically.
+                let boxed: &dyn ContainmentIndex = &index;
+                assert_eq!(boxed.search_batch(&queries, t_star), expected);
+            }
         }
-        // The trait route (default-overriding impl) answers identically.
-        let boxed: &dyn ContainmentIndex = &index;
-        assert_eq!(boxed.search_batch(&queries, 0.5), expected);
     }
 }
 
@@ -408,15 +362,22 @@ fn results_are_sorted_by_record_id() {
 
 #[test]
 fn parallel_build_is_identical_to_sequential() {
-    let dataset = varied_dataset(90);
-    for shards in [1usize, 4] {
-        let config = GbKmvConfig::with_space_fraction(0.2).shards(shards);
-        let seq = GbKmvIndex::build(&dataset, config.threads(1));
-        let par = GbKmvIndex::build(&dataset, config.threads(4));
-        assert_eq!(seq.sharded, par.sharded, "{shards}-shard build varies");
-        assert_eq!(seq.summary, par.summary);
-        let query = dataset.record(11);
-        assert_eq!(seq.search_record(query, 0.4), par.search_record(query, 0.4));
+    // The small dataset builds on one thread whatever the config says; the
+    // large one fans out.
+    for records in [90, build::PARALLEL_BUILD_MIN_RECORDS] {
+        let dataset = varied_dataset(records);
+        for shards in [1usize, 4] {
+            let config = GbKmvConfig::with_space_fraction(0.2).shards(shards);
+            let seq = GbKmvIndex::build(&dataset, config.threads(1));
+            let par = GbKmvIndex::build(&dataset, config.threads(4));
+            assert_eq!(
+                seq.sharded, par.sharded,
+                "{shards}-shard build of {records} records varies"
+            );
+            assert_eq!(seq.summary, par.summary);
+            let query = dataset.record(11);
+            assert_eq!(seq.search_record(query, 0.4), par.search_record(query, 0.4));
+        }
     }
 }
 
@@ -694,35 +655,10 @@ fn trait_object_usage() {
     assert!(!boxed.search(&[1, 2, 3, 5, 7, 9], 0.5).is_empty());
 }
 
-#[test]
-fn search_auto_matches_search_for_every_workload_shape() {
-    let dataset = varied_dataset(150);
-    let index = GbKmvIndex::build(&dataset, GbKmvConfig::with_space_fraction(0.3).shards(3));
-    let queries: Vec<Record> = (0..5).map(|i| dataset.record(i * 29).clone()).collect();
-    for t_star in [0.0, 0.4, 0.8] {
-        let expected: Vec<Vec<SearchHit>> = queries
-            .iter()
-            .map(|q| index.search_record(q, t_star))
-            .collect();
-        // Multi-query, single-query and empty workloads all agree with the
-        // per-query reference, whatever schedule the cost model picks.
-        assert_eq!(index.search_auto(&queries, t_star), expected);
-        assert_eq!(
-            index.search_auto(std::slice::from_ref(&queries[0]), t_star),
-            expected[..1]
-        );
-        assert!(index.search_auto(&[], t_star).is_empty());
-        // And through the trait, including its default implementation.
-        let boxed: &dyn ContainmentIndex = &index;
-        assert_eq!(boxed.search_auto(&queries, t_star), expected);
-    }
-}
-
 /// Hot-element dataset for the buffer pass's bound: the eight elements
 /// `0..8` each sit in 80% of the records (so a buffer of eight holds
-/// exactly them), beside a 40-element tail drawn from a wide range. Large
-/// enough (4,500 records) that the intra-query parallel path really spawns
-/// workers at low thresholds.
+/// exactly them), beside a 40-element tail drawn from a wide range
+/// (4,500 records).
 fn hot_buffer_dataset() -> Dataset {
     let recs: Vec<Vec<u32>> = (0..4_500u32)
         .map(|i| {
@@ -798,11 +734,6 @@ fn buffer_bound_branches_are_bit_identical_to_scan() {
                 pipeline.search(&index, q, t_star),
                 scan,
                 "{label}: sequential"
-            );
-            assert_eq!(
-                pipeline.search_parallel(&index, q, t_star, 3),
-                scan,
-                "{label}: intra-query parallel"
             );
             assert_eq!(
                 pipeline.search(&sharded, q, t_star),
@@ -955,11 +886,6 @@ fn buffer_sweep_is_bit_identical_to_scan() {
                 "{label}: sequential"
             );
             assert_eq!(
-                pipeline.search_parallel(&index, q, t_star, 3),
-                scan,
-                "{label}: intra-query parallel"
-            );
-            assert_eq!(
                 pipeline.search(&sharded, q, t_star),
                 scan,
                 "{label}: 4 shards"
@@ -981,7 +907,6 @@ fn buffer_sweep_is_bit_identical_to_scan() {
     for query in &queries {
         for t_star in [0.05, 0.25] {
             pipeline.search(&index, query.elements(), t_star);
-            pipeline.search_parallel(&index, query.elements(), t_star, 3);
         }
         pipeline.topk(&index, query.elements(), 25);
     }
@@ -1004,7 +929,7 @@ fn swept_slots_with_lookup_hashes(
         "not a prefix-filtered walk"
     );
     let mut emitted: Vec<(u32, u32)> = Vec::new();
-    candidates::accumulate(shard, view, 0, live, minting, scratch, &mut emitted);
+    candidates::accumulate(shard, view, live, minting, scratch, &mut emitted);
     assert!(
         emitted.is_empty(),
         "a prefix-filtered walk emitted {emitted:?}"
@@ -1073,7 +998,6 @@ fn swept_emission_is_bit_identical_to_the_merge_finish() {
                 candidates::accumulate(
                     shard,
                     &view,
-                    0,
                     shard.len(),
                     minting,
                     &mut scratch,
@@ -1192,11 +1116,6 @@ fn prefixed_sweep_is_bit_identical_to_scan() {
                 pipeline.search(&index, q, t_star),
                 scan,
                 "{label}: sequential"
-            );
-            assert_eq!(
-                pipeline.search_parallel(&index, q, t_star, 3),
-                scan,
-                "{label}: intra-query parallel"
             );
             assert_eq!(
                 pipeline.search(&sharded, q, t_star),

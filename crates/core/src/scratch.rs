@@ -43,8 +43,7 @@ pub struct QueryScratch {
     /// per-query ordering allocates nothing after the first query. The
     /// unfiltered walk never fills it.
     pub(crate) hash_order: Vec<(u32, u64)>,
-    /// The hit buffers of a threshold query (or of one worker's share of
-    /// it), reused across queries.
+    /// The hit buffers of a threshold query, reused across queries.
     pub(crate) collector: ThresholdCollector,
 }
 

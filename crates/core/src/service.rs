@@ -322,14 +322,6 @@ impl ContainmentIndex for ContainmentService {
         ContainmentService::search_batch(self, queries, t_star)
     }
 
-    fn search_parallel(&self, query: &[ElementId], t_star: f64) -> Vec<SearchHit> {
-        self.snapshot().search_parallel(query, t_star)
-    }
-
-    fn search_auto(&self, queries: &[Record], t_star: f64) -> Vec<Vec<SearchHit>> {
-        self.snapshot().search_auto(queries, t_star)
-    }
-
     fn space_elements(&self) -> f64 {
         self.snapshot().space_elements()
     }

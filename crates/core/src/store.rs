@@ -530,12 +530,12 @@ impl SketchStore {
         &self.buffer_arena[start..start + self.words_per_record]
     }
 
-    /// The buffer bitmap words of slots `lo..hi`, contiguous in slot order
+    /// The buffer bitmap words of slots `0..hi`, contiguous in slot order
     /// (`words_per_record` per slot): the concatenation of
-    /// [`SketchStore::buffer_words`] over the range, as one slice.
+    /// [`SketchStore::buffer_words`] over the prefix, as one slice.
     #[inline]
-    pub(crate) fn buffer_words_range(&self, lo: usize, hi: usize) -> &[u64] {
-        &self.buffer_arena[lo * self.words_per_record..hi * self.words_per_record]
+    pub(crate) fn buffer_words_prefix(&self, hi: usize) -> &[u64] {
+        &self.buffer_arena[..hi * self.words_per_record]
     }
 
     /// The per-block buffer summary: for block `b` (slots `64·b..64·b + 64`,
@@ -970,20 +970,14 @@ mod tests {
         assert_eq!(store.buffer_intersection_count(&[], 0), 0);
     }
 
-    /// `buffer_words_range(lo, hi)` is the per-slot words of `lo..hi`,
-    /// concatenated, for every range of the store.
+    /// `buffer_words_prefix(hi)` is the per-slot words of `0..hi`,
+    /// concatenated, for every prefix of the store.
     fn assert_buffer_words_range_concatenates(store: &SketchStore) {
-        for lo in 0..=store.len() {
-            for hi in lo..=store.len() {
-                let expected: Vec<u64> = (lo..hi)
-                    .flat_map(|slot| store.buffer_words(slot).iter().copied())
-                    .collect();
-                assert_eq!(
-                    store.buffer_words_range(lo, hi),
-                    expected,
-                    "slots {lo}..{hi}"
-                );
-            }
+        for hi in 0..=store.len() {
+            let expected: Vec<u64> = (0..hi)
+                .flat_map(|slot| store.buffer_words(slot).iter().copied())
+                .collect();
+            assert_eq!(store.buffer_words_prefix(hi), expected, "slots 0..{hi}");
         }
     }
 

@@ -129,9 +129,9 @@ fn assert_answers_like_the_scan(index: &GbKmvIndex, label: &str) {
                 "{label}: query {qi} at t*={t_star}"
             );
             assert_eq!(
-                index.search_parallel_threads(query.elements(), t_star, 2),
+                index.search_batch_threads(std::slice::from_ref(query), t_star, 2)[0],
                 scan,
-                "{label}: query {qi} at t*={t_star}, parallel"
+                "{label}: query {qi} at t*={t_star}, batch"
             );
         }
         for k in [1, 10, 400] {

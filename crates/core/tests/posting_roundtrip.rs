@@ -3,11 +3,10 @@
 //! dense consecutive runs, single-element lists, gaps up to the top of the
 //! `u32` range, and everything in between.
 //!
-//! * **range cuts** — `PostingList::range(lo, hi)` is exactly the model's
-//!   slots inside `lo..hi`, in order, for every range, including the
-//!   `lo == 0` fast path and the ranges whose `hi` lies past, at or just
-//!   above the last slot (the search-free cut); this is the contract the
-//!   candidates stage and the prune-stage truncation rely on;
+//! * **prefix cuts** — `PostingList::prefix(hi)` is exactly the model's
+//!   slots below `hi`, in order, for every cutoff, including those past, at
+//!   or just above the last slot (the search-free cut); this is the
+//!   contract the candidates stage and the prune-stage truncation rely on;
 //! * **mutations** — `renumber_from` then `insert_sorted` (the dynamic
 //!   insert path) leave the list equal to the same edit of the model.
 
@@ -41,12 +40,12 @@ fn slots_strategy() -> impl Strategy<Value = Vec<u32>> {
     })
 }
 
-/// The model's range cut: the sorted input slots inside `lo..hi`.
-fn expected_range(slots: &[u32], lo: usize, hi: usize) -> Vec<u32> {
+/// The model's prefix cut: the sorted input slots below `hi`.
+fn expected_prefix(slots: &[u32], hi: usize) -> Vec<u32> {
     slots
         .iter()
         .copied()
-        .filter(|&s| (s as usize) >= lo && (s as usize) < hi)
+        .filter(|&s| (s as usize) < hi)
         .collect()
 }
 
@@ -56,22 +55,20 @@ proptest! {
     #[test]
     fn range_walks_agree_with_the_raw_oracle(
         slots in slots_strategy(),
-        lo_pick in 0usize..1_000,
-        span_pick in 0usize..1_000,
+        hi_pick in 0usize..1_000,
     ) {
         let list = PostingList::from_sorted(slots.clone());
         prop_assert_eq!(list.as_slice(), &slots[..]);
         prop_assert_eq!(list.len(), slots.len());
         let max = slots.last().copied().unwrap_or(0) as usize;
-        // Ranges anchored around the actual slot values, plus degenerate
-        // and unbounded ones.
-        let lo = lo_pick * (max + 2) / 1_000;
-        let hi = lo + span_pick * (max + 2 - lo.min(max + 1)) / 1_000;
-        for (lo, hi) in [(lo, hi), (0, max + 1), (0, usize::MAX), (max, max), (lo, lo), (hi, lo)] {
+        // Cutoffs anchored around the actual slot values, plus empty and
+        // unbounded ones.
+        let hi = hi_pick * (max + 2) / 1_000;
+        for hi in [hi, 0, max, max + 1, usize::MAX] {
             prop_assert_eq!(
-                list.range(lo, hi),
-                &expected_range(&slots, lo, hi)[..],
-                "range cut broke on {}..{}", lo, hi
+                list.prefix(hi),
+                &expected_prefix(&slots, hi)[..],
+                "prefix cut broke below {}", hi
             );
         }
     }
@@ -81,24 +78,21 @@ proptest! {
         slots in slots_strategy(),
         pick in 0usize..1_000,
     ) {
-        // `lo == 0` skips the lower search; a `hi` past the last slot skips
-        // the upper one. Cut at, just above and just below every boundary
-        // of both fast paths, from a slot of the list and from zero.
+        // A cutoff past the last slot skips the search. Cut at, just above
+        // and just below that boundary, and at a slot of the list.
         let list = PostingList::from_sorted(slots.clone());
         let Some(&last) = slots.last() else {
-            prop_assert_eq!(list.range(0, usize::MAX), &[] as &[u32]);
+            prop_assert_eq!(list.prefix(usize::MAX), &[] as &[u32]);
             return Ok(());
         };
         let last = last as usize;
         let at = slots[pick % slots.len()] as usize;
-        for lo in [0, at, at + 1, last, last + 1] {
-            for hi in [last.saturating_sub(1), last, last + 1, last + 2, usize::MAX, at, at + 1] {
-                prop_assert_eq!(
-                    list.range(lo, hi),
-                    &expected_range(&slots, lo, hi)[..],
-                    "range cut broke on {}..{}", lo, hi
-                );
-            }
+        for hi in [last.saturating_sub(1), last, last + 1, last + 2, usize::MAX, at, at + 1] {
+            prop_assert_eq!(
+                list.prefix(hi),
+                &expected_prefix(&slots, hi)[..],
+                "prefix cut broke below {}", hi
+            );
         }
     }
 

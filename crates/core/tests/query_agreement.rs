@@ -1,17 +1,16 @@
 //! Property tests pinning the staged query pipeline to the one reference
 //! path: across random datasets, space budgets, buffer sizes, shard counts
 //! and thresholds, the pipeline (`search_record`, whose signature prefix
-//! filter decides per query whether it engages), the sharded index,
-//! the parallel batch path, the intra-query parallel path
-//! (`search_parallel`) and the auto-scheduled path (`search_auto`) must all
-//! return **bit-identical** hits — same record ids, same `f64` estimates,
+//! filter decides per query whether it engages), the sharded index and the
+//! parallel batch path (`search_batch_threads`, single- and multi-query
+//! slabs at every thread count) must all return **bit-identical** hits — same record ids, same `f64` estimates,
 //! same order — as the full-scan reference `search_scan`; and the
 //! bounded-heap top-k must match a sort-everything reference of the
 //! positive-score records. Saturated sketches (budgets above 100%), empty
 //! queries, (near-)zero thresholds (where no prefix exists and every hash
 //! mints) and queries whose signature is entirely absent from the index
 //! are exercised explicitly. Sharding is crossed with insert-then-search,
-//! the parallel paths, top-k, persistence and the serving layer.
+//! the batch path, top-k, persistence and the serving layer.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -66,9 +65,8 @@ proptest! {
         prop_assert_eq!(&scan, &filtered,
             "pruned pipeline diverged from scan (t*={}, budget={})", t_star, budget_fraction);
 
-        // Sharding never changes an answer either, on the single-query, the
-        // parallel batch or the intra-query parallel path, for any thread
-        // count.
+        // Sharding never changes an answer either, on the single-query or
+        // the parallel batch path, for any thread count and slab size.
         prop_assert_eq!(&scan, &sharded.search_record(&query, t_star),
             "{}-shard pipeline diverged from scan (t*={})", shards, t_star);
         let batch_queries = [query.clone(), query.clone()];
@@ -81,19 +79,19 @@ proptest! {
             }
             prop_assert_eq!(
                 &scan,
-                &sharded.search_parallel_threads(query.elements(), t_star, threads),
-                "intra-query parallel on {} shards / {} threads diverged (t*={})",
+                &sharded.search_batch_threads(std::slice::from_ref(&query), t_star, threads)[0],
+                "single-query batch on {} shards / {} threads diverged (t*={})",
                 shards, threads, t_star);
         }
 
-        // The auto-scheduled path picks its own engine but never its own
-        // answers — single-query and multi-query workloads alike.
-        let auto = sharded.search_auto(std::slice::from_ref(&query), t_star);
-        prop_assert_eq!(auto.len(), 1);
-        prop_assert_eq!(&scan, &auto[0], "single-query search_auto diverged (t*={})", t_star);
-        let auto2 = sharded.search_auto(&[query.clone(), query.clone()], t_star);
-        for hits in auto2 {
-            prop_assert_eq!(&scan, &hits, "multi-query search_auto diverged (t*={})", t_star);
+        // All available cores (thread count 0), single-query and
+        // multi-query slabs alike.
+        let single = sharded.search_batch_threads(std::slice::from_ref(&query), t_star, 0);
+        prop_assert_eq!(single.len(), 1);
+        prop_assert_eq!(&scan, &single[0], "single-query batch on all cores diverged (t*={})", t_star);
+        let multi = sharded.search_batch_threads(&[query.clone(), query.clone()], t_star, 0);
+        for hits in multi {
+            prop_assert_eq!(&scan, &hits, "multi-query batch on all cores diverged (t*={})", t_star);
         }
 
         // The ContainmentIndex ordering contract: ascending record id.
@@ -152,7 +150,7 @@ proptest! {
         absent_base in 5_000u32..50_000,
     ) {
         // The two degenerate regimes of the prefix filter, crossed with
-        // sharding, batching and the thread counts of both parallel paths:
+        // sharding, batching and the batch path's thread counts:
         //
         // * t* = 0 (and tiny t* where θ_sig ≤ 1): no prefix exists — every
         //   signature hash mints, and the walk must degrade to the plain
@@ -175,8 +173,8 @@ proptest! {
                     "{} query: pipeline diverged (t*={})", label, t_star);
                 prop_assert_eq!(
                     &scan,
-                    &index.search_parallel_threads(query.elements(), t_star, 3),
-                    "{} query: intra-query parallel diverged (t*={})", label, t_star);
+                    &index.search_batch_threads(std::slice::from_ref(query), t_star, 3)[0],
+                    "{} query: batch on 3 threads diverged (t*={})", label, t_star);
                 let batch = index.search_batch_threads(
                     std::slice::from_ref(query), t_star, 2);
                 prop_assert_eq!(&scan, &batch[0],
@@ -295,7 +293,7 @@ proptest! {
         extra in vec(vec(0u32..3_000, 1..60), 1..3),
     ) {
         // The engine-variant sweep: each shard count over the sequential,
-        // intra-query-parallel, batch and top-k paths, persistence and the
+        // batch and top-k paths, persistence and the
         // serving layer (insert-then-search) — every combination pinned
         // bit-identical to the scan reference.
         let base = GbKmvConfig::with_space_fraction(budget_fraction)
@@ -326,8 +324,8 @@ proptest! {
             "sequential pipeline diverged (t*={})", t_star);
         prop_assert_eq!(
             &scan,
-            &reference.search_parallel_threads(query.elements(), t_star, 3),
-            "intra-query parallel diverged (t*={})", t_star);
+            &reference.search_batch_threads(std::slice::from_ref(&query), t_star, 3)[0],
+            "batch on 3 threads diverged (t*={})", t_star);
         let batch = reference.search_batch_threads(std::slice::from_ref(&query), t_star, 2);
         prop_assert_eq!(&scan, &batch[0], "batch diverged (t*={})", t_star);
 

@@ -37,19 +37,6 @@ pub struct ExperimentConfig {
     /// contract); only the timing protocol changes — per-query latency is
     /// then the amortised batch time.
     pub batch: bool,
-    /// Answer each query through `ContainmentIndex::search_parallel` (the
-    /// intra-query parallel path) instead of `search`. Answers are
-    /// identical (the trait contract); per-query latencies then measure the
-    /// parallel engine. Mutually exclusive with `batch` in spirit — `batch`
-    /// wins when both are set, since the batch path already owns all cores.
-    pub parallel_query: bool,
-    /// Submit the workload through `ContainmentIndex::search_auto`, letting
-    /// the index pick its own schedule (sequential, batch, or intra-query
-    /// parallel) from the workload shape and the machine. Answers are
-    /// identical (the trait contract); the timing protocol is the batch
-    /// one — one timed call for the whole workload, amortised per query.
-    /// Takes precedence over both `batch` and `parallel_query` when set.
-    pub auto: bool,
     /// Route the workload through a `ContainmentService` wrapping the index
     /// (snapshot reads over the serving layer) instead of querying the
     /// index directly. Answers are identical — a service snapshot with no
@@ -65,8 +52,6 @@ impl Default for ExperimentConfig {
             num_queries: 60,
             threads: 0,
             batch: false,
-            parallel_query: false,
-            auto: false,
             service: false,
         }
     }
@@ -94,19 +79,6 @@ impl ExperimentConfig {
     /// Enables or disables batch query submission.
     pub fn batch(mut self, batch: bool) -> Self {
         self.batch = batch;
-        self
-    }
-
-    /// Enables or disables intra-query parallel submission.
-    pub fn parallel_query(mut self, parallel_query: bool) -> Self {
-        self.parallel_query = parallel_query;
-        self
-    }
-
-    /// Enables or disables automatic schedule selection (the index picks
-    /// sequential, batch, or intra-query parallel itself).
-    pub fn auto(mut self, auto: bool) -> Self {
-        self.auto = auto;
         self
     }
 
@@ -185,50 +157,6 @@ pub fn evaluate_index(
     threshold: f64,
     dataset_total_elements: usize,
 ) -> MethodReport {
-    evaluate_each_with(
-        index,
-        queries,
-        ground_truth,
-        threshold,
-        dataset_total_elements,
-        |query| index.search(query.elements(), threshold),
-    )
-}
-
-/// The intra-query parallel counterpart of [`evaluate_index`]: each query
-/// is answered through [`ContainmentIndex::search_parallel`], which fans a
-/// *single* query's work over all cores (for indexes that implement it —
-/// the trait default falls back to `search`). Answers are identical to
-/// [`evaluate_index`]; the per-query latencies measure the parallel engine.
-pub fn evaluate_index_parallel(
-    index: &dyn ContainmentIndex,
-    queries: &[Record],
-    ground_truth: &GroundTruth,
-    threshold: f64,
-    dataset_total_elements: usize,
-) -> MethodReport {
-    evaluate_each_with(
-        index,
-        queries,
-        ground_truth,
-        threshold,
-        dataset_total_elements,
-        |query| index.search_parallel(query.elements(), threshold),
-    )
-}
-
-/// The shared query-at-a-time protocol of [`evaluate_index`] and
-/// [`evaluate_index_parallel`]: time `search` on every query individually,
-/// then aggregate (the batch protocol differs — one timed call for the
-/// whole workload — and stays separate in [`evaluate_index_batch`]).
-fn evaluate_each_with(
-    index: &dyn ContainmentIndex,
-    queries: &[Record],
-    ground_truth: &GroundTruth,
-    threshold: f64,
-    dataset_total_elements: usize,
-    mut search: impl FnMut(&Record) -> Vec<gbkmv_core::index::SearchHit>,
-) -> MethodReport {
     assert_eq!(
         queries.len(),
         ground_truth.len(),
@@ -239,7 +167,7 @@ fn evaluate_each_with(
     let mut total_time = Duration::ZERO;
     for query in queries {
         let start = Instant::now();
-        answers.push(search(query));
+        answers.push(index.search(query.elements(), threshold));
         let latency = start.elapsed();
         total_time += latency;
         latencies.push(latency);
@@ -252,32 +180,6 @@ fn evaluate_each_with(
         &answers,
         &latencies,
         total_time,
-    )
-}
-
-/// The auto-scheduled counterpart of [`evaluate_index`]: the whole
-/// workload goes through one `ContainmentIndex::search_auto` call, letting
-/// the index pick its own execution schedule (for `GbKmvIndex`: the
-/// parallel batch path for multi-query workloads on multi-core machines,
-/// the intra-query parallel path for large single queries, the sequential
-/// loop otherwise — a live-slot / core-count cost model). Answers are
-/// identical to [`evaluate_index`] per the trait contract; like the batch
-/// protocol, only the amortised per-query time is observable.
-/// `ExperimentConfig::auto(true)` selects this path.
-pub fn evaluate_index_auto(
-    index: &dyn ContainmentIndex,
-    queries: &[Record],
-    ground_truth: &GroundTruth,
-    threshold: f64,
-    dataset_total_elements: usize,
-) -> MethodReport {
-    evaluate_whole_workload_with(
-        index,
-        queries,
-        ground_truth,
-        threshold,
-        dataset_total_elements,
-        |qs| index.search_auto(qs, threshold),
     )
 }
 
@@ -318,38 +220,13 @@ pub fn evaluate_index_batch(
     threshold: f64,
     dataset_total_elements: usize,
 ) -> MethodReport {
-    evaluate_whole_workload_with(
-        index,
-        queries,
-        ground_truth,
-        threshold,
-        dataset_total_elements,
-        |qs| index.search_batch(qs, threshold),
-    )
-}
-
-/// The shared whole-workload protocol of [`evaluate_index_batch`] and
-/// [`evaluate_index_auto`]: one timed call answers everything, and the
-/// reported per-query latency is the amortised total (individual query
-/// latencies are not observable).
-fn evaluate_whole_workload_with<F>(
-    index: &dyn ContainmentIndex,
-    queries: &[Record],
-    ground_truth: &GroundTruth,
-    threshold: f64,
-    dataset_total_elements: usize,
-    run: F,
-) -> MethodReport
-where
-    F: FnOnce(&[Record]) -> Vec<Vec<gbkmv_core::index::SearchHit>>,
-{
     assert_eq!(
         queries.len(),
         ground_truth.len(),
         "workload and ground truth must cover the same queries"
     );
     let start = Instant::now();
-    let answers = run(queries);
+    let answers = index.search_batch(queries, threshold);
     let total_time = start.elapsed();
     let amortised = if queries.is_empty() {
         Duration::ZERO
@@ -541,50 +418,6 @@ mod tests {
         assert!(config.batch);
         assert_eq!(config.num_queries, 7);
         assert!(!ExperimentConfig::default().batch);
-        assert!(!ExperimentConfig::default().parallel_query);
-        assert!(!ExperimentConfig::default().auto);
-        assert!(
-            ExperimentConfig::default()
-                .parallel_query(true)
-                .parallel_query
-        );
-        assert!(ExperimentConfig::default().auto(true).auto);
-    }
-
-    #[test]
-    fn auto_evaluation_matches_per_query_answers() {
-        let d = dataset();
-        let workload = QueryWorkload::sample_from_dataset(&d, 14, 6);
-        let truth = GroundTruth::compute(&d, &workload.queries, 0.5);
-        let index = GbKmvIndex::build(&d, GbKmvConfig::with_space_fraction(0.2));
-        let single = evaluate_index(&index, &workload.queries, &truth, 0.5, d.total_elements());
-        let auto = evaluate_index_auto(&index, &workload.queries, &truth, 0.5, d.total_elements());
-        // The search_auto contract: whatever schedule the index picks, the
-        // answers — and so the confusion counts — are identical.
-        assert_eq!(single.accuracy, auto.accuracy);
-        assert_eq!(single.per_query.len(), auto.per_query.len());
-        for (s, a) in single.per_query.iter().zip(&auto.per_query) {
-            assert_eq!(s.counts, a.counts);
-            assert_eq!(s.answer_size, a.answer_size);
-        }
-    }
-
-    #[test]
-    fn parallel_evaluation_matches_per_query_answers() {
-        let d = dataset();
-        let workload = QueryWorkload::sample_from_dataset(&d, 12, 5);
-        let truth = GroundTruth::compute(&d, &workload.queries, 0.5);
-        let index = GbKmvIndex::build(&d, GbKmvConfig::with_space_fraction(0.2));
-        let single = evaluate_index(&index, &workload.queries, &truth, 0.5, d.total_elements());
-        let parallel =
-            evaluate_index_parallel(&index, &workload.queries, &truth, 0.5, d.total_elements());
-        // The search_parallel contract: identical answers, so identical
-        // confusion counts; only the engine schedule differs.
-        assert_eq!(single.accuracy, parallel.accuracy);
-        for (s, p) in single.per_query.iter().zip(&parallel.per_query) {
-            assert_eq!(s.counts, p.counts);
-            assert_eq!(s.answer_size, p.answer_size);
-        }
     }
 
     #[test]

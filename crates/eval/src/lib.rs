@@ -24,8 +24,7 @@ pub mod metrics;
 pub mod report;
 
 pub use experiment::{
-    evaluate_index, evaluate_index_auto, ConstructionReport, ExperimentConfig, MethodReport,
-    QueryEvaluation,
+    evaluate_index, ConstructionReport, ExperimentConfig, MethodReport, QueryEvaluation,
 };
 pub use ground_truth::GroundTruth;
 pub use metrics::{f_score, precision_recall, AccuracySummary, ConfusionCounts};
