@@ -299,47 +299,61 @@ fn sharded_index_answers_are_bit_identical_to_unsharded() {
     }
 }
 
-#[test]
-fn batch_search_matches_single_queries_for_any_thread_count() {
-    // The small dataset splits 40 queries over the workers; the large one
-    // has live ranges of thousands of slots, and `t* = 0` takes the scan
-    // fallback.
-    let small = varied_dataset(90);
-    let big = varied_dataset(6_000);
-    let cases = [
-        (&small, 0.25, 40usize, 2usize, vec![0.5]),
-        (&big, 0.2, 4, big.len() / 4 + 1, vec![0.0, 0.1, 0.5, 0.9]),
-    ];
-    for (dataset, space, count, step, thresholds) in cases {
-        for shards in [1usize, 3] {
-            let index = GbKmvIndex::build(
-                dataset,
-                GbKmvConfig::with_space_fraction(space).shards(shards),
-            );
-            let queries: Vec<Record> = (0..count)
-                .map(|i| dataset.record(i * step).clone())
+/// Answers `count` queries (records `0, step, 2·step, …`) of `dataset` with
+/// `search_batch_threads` at 1, 2 and 5 threads, and through the trait's
+/// `search_batch`, on 1- and 3-shard indexes; every answer must equal the
+/// single-query `search_record` answer.
+fn assert_threaded_batch_matches_single_queries(
+    dataset: &Dataset,
+    space: f64,
+    count: usize,
+    step: usize,
+    thresholds: &[f64],
+) {
+    for shards in [1usize, 3] {
+        let index = GbKmvIndex::build(
+            dataset,
+            GbKmvConfig::with_space_fraction(space).shards(shards),
+        );
+        let queries: Vec<Record> = (0..count)
+            .map(|i| dataset.record(i * step).clone())
+            .collect();
+        for &t_star in thresholds {
+            let expected: Vec<Vec<SearchHit>> = queries
+                .iter()
+                .map(|q| index.search_record(q, t_star))
                 .collect();
-            for &t_star in &thresholds {
-                let expected: Vec<Vec<SearchHit>> = queries
-                    .iter()
-                    .map(|q| index.search_record(q, t_star))
-                    .collect();
-                for threads in [1usize, 2, 5] {
-                    assert_eq!(
-                        index.search_batch_threads(&queries, t_star, threads),
-                        expected,
-                        "batch with {threads} threads / {shards} shards diverged \
-                         (t*={t_star}, {} records)",
-                        dataset.len()
-                    );
-                }
-                // The trait route (default-overriding impl) answers
-                // identically.
-                let boxed: &dyn ContainmentIndex = &index;
-                assert_eq!(boxed.search_batch(&queries, t_star), expected);
+            for threads in [1usize, 2, 5] {
+                assert_eq!(
+                    index.search_batch_threads(&queries, t_star, threads),
+                    expected,
+                    "batch with {threads} threads / {shards} shards diverged \
+                     (t*={t_star}, {} records)",
+                    dataset.len()
+                );
             }
+            // The trait route (default-overriding impl) answers identically.
+            let boxed: &dyn ContainmentIndex = &index;
+            assert_eq!(boxed.search_batch(&queries, t_star), expected);
         }
     }
+}
+
+#[test]
+fn batch_search_matches_single_queries_for_any_thread_count() {
+    // 40 queries split over the workers.
+    let dataset = varied_dataset(90);
+    assert_threaded_batch_matches_single_queries(&dataset, 0.25, 40, 2, &[0.5]);
+}
+
+#[test]
+fn search_parallel_matches_sequential_for_any_thread_count() {
+    // Searching over threads answers like the sequential engine on an index
+    // whose live ranges run to thousands of slots; `t* = 0` takes the scan
+    // fallback.
+    let dataset = varied_dataset(6_000);
+    let step = dataset.len() / 4 + 1;
+    assert_threaded_batch_matches_single_queries(&dataset, 0.2, 4, step, &[0.0, 0.1, 0.5, 0.9]);
 }
 
 #[test]
