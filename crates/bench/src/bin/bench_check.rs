@@ -49,8 +49,10 @@
 //!   checkpoint that reused at least one clean shard section without
 //!   falling back to a full rewrite; at full scale the 1-record COW flush
 //!   must beat the pre-COW whole-index clone by
-//!   [`MIN_FLUSH_SPEEDUP_VS_CLONE`] and the 1-dirty-shard delta checkpoint
-//!   must beat the full rewrite by [`MIN_DELTA_CHECKPOINT_SPEEDUP`].
+//!   [`MIN_FLUSH_SPEEDUP_VS_CLONE`], a 128-record flush must ingest
+//!   [`MIN_FLUSH_BATCH_AMORTISATION`] times the records/s of a 1-record one
+//!   (one merge per flush), and the 1-dirty-shard delta checkpoint must beat
+//!   the full rewrite by [`MIN_DELTA_CHECKPOINT_SPEEDUP`].
 //!
 //! The gate also re-reads the scale-sweep report (`--sweep`, by default the
 //! smoke-scale one CI produces with `scale_sweep --scales 1000`) and fails
@@ -133,6 +135,13 @@ const MIN_LOAD_SPEEDUP: f64 = 5.0;
 /// publication has regressed back toward O(index) flushes. The committed
 /// full-scale report holds well above this.
 const MIN_FLUSH_SPEEDUP_VS_CLONE: f64 = 5.0;
+
+/// Minimum acceptable ratio of the ingest section's `records_per_sec` at a
+/// 128-record flush over a 1-record flush, at full scale. A flush merges its
+/// whole batch into the tail shard once, so records/s grows almost with the
+/// batch size; splicing record by record, as earlier builds did, read 7.8x
+/// (42,195 over 5,416 records/s).
+const MIN_FLUSH_BATCH_AMORTISATION: f64 = 20.0;
 
 /// Minimum acceptable `full_checkpoint_ms / delta_checkpoint_ms` ratio at
 /// full scale: a delta checkpoint of an index with 1 dirty shard out of
@@ -482,7 +491,24 @@ fn check(report_path: &Path) -> Result<Vec<String>, String> {
         .get("delta_speedup_vs_full")
         .and_then(Value::as_f64)
         .ok_or("ingest section has no `delta_speedup_vs_full`")?;
+    let batches = json_array(ingest, "ingest section", "batches")?;
+    let rate_at = |size: i64| {
+        batches
+            .iter()
+            .find(|b| b.get("batch_size").and_then(Value::as_i64) == Some(size))
+            .ok_or_else(|| format!("ingest section has no {size}-record flush batch"))
+            .and_then(|b| json_f64(b, "ingest flush batch", "records_per_sec"))
+    };
+    let (rate_1, rate_128) = (rate_at(1)?, rate_at(128)?);
+    let amortisation = if rate_1 > 0.0 { rate_128 / rate_1 } else { 0.0 };
     if num_records >= MIN_RECORDS_FOR_SPEED_GATE {
+        if amortisation < MIN_FLUSH_BATCH_AMORTISATION {
+            return Err(format!(
+                "a 128-record flush ingests only {amortisation:.1}x the records/s of a \
+                 1-record flush, below the {MIN_FLUSH_BATCH_AMORTISATION}x floor — the \
+                 flush no longer merges its batch once"
+            ));
+        }
         if flush_speedup < MIN_FLUSH_SPEEDUP_VS_CLONE {
             return Err(format!(
                 "a 1-record COW flush is only {flush_speedup:.1}x faster than the pre-COW \
@@ -499,16 +525,18 @@ fn check(report_path: &Path) -> Result<Vec<String>, String> {
         }
         summary.push(format!(
             "ingest: COW flush {flush_speedup:.1}x vs whole-index clone (floor \
-             {MIN_FLUSH_SPEEDUP_VS_CLONE}x), delta checkpoint {delta_speedup:.1}x vs full \
-             (floor {MIN_DELTA_CHECKPOINT_SPEEDUP}x, {reused} sections reused), \
-             {shared_bytes} bytes shared, service hits == direct hits ({ingest_service})"
+             {MIN_FLUSH_SPEEDUP_VS_CLONE}x), 128-record flush {amortisation:.1}x the \
+             records/s of a 1-record one (floor {MIN_FLUSH_BATCH_AMORTISATION}x), delta \
+             checkpoint {delta_speedup:.1}x vs full (floor {MIN_DELTA_CHECKPOINT_SPEEDUP}x, \
+             {reused} sections reused), {shared_bytes} bytes shared, service hits == \
+             direct hits ({ingest_service})"
         ));
     } else {
         summary.push(format!(
             "ingest: {reused} delta sections reused, {shared_bytes} bytes shared, service \
              hits == direct hits ({ingest_service}) (speedup gates skipped at \
-             {num_records} records; measured flush {flush_speedup:.1}x, delta \
-             {delta_speedup:.1}x)"
+             {num_records} records; measured flush {flush_speedup:.1}x, batch \
+             {amortisation:.1}x, delta {delta_speedup:.1}x)"
         ));
     }
 
@@ -841,7 +869,8 @@ mod tests {
     ) -> String {
         format!(
             "{{\"ingest_shards\": 16, \"base_records\": 10000, \"batches\": \
-             [{{\"batch_size\": 1, \"flush_ms\": 0.1, \"records_per_sec\": 10000.0}}], \
+             [{{\"batch_size\": 1, \"flush_ms\": 0.1, \"records_per_sec\": 10000.0}}, \
+             {{\"batch_size\": 128, \"flush_ms\": 0.2, \"records_per_sec\": 640000.0}}], \
              \"cow_flush_ms\": 0.1, \"deep_clone_flush_ms\": 1.2, \
              \"flush_speedup_vs_deep_clone\": {flush_speedup}, \"shared_bytes\": {shared}, \
              \"checkpoint_shards\": 4, \"full_checkpoint_ms\": 3.0, \
@@ -1169,6 +1198,28 @@ mod tests {
             );
         let p = write_report(&fallback_smoke);
         assert!(check(&p).unwrap_err().contains("fell back"));
+        std::fs::remove_file(p).unwrap();
+    }
+
+    /// At full scale a 128-record flush that ingests only 7.8x the records/s
+    /// of a 1-record flush (what splicing one record at a time read) fails
+    /// the amortisation floor; at smoke scale the floor is skipped.
+    #[test]
+    fn rejects_a_flush_that_does_not_amortise_its_batch() {
+        let per_record =
+            ingest_json(12.0, 3.0, 3, false, 40_000, 42, 42).replace("640000.0", "78000.0");
+        let p = write_report(&report_with_ingest(Some(per_record.clone())));
+        assert!(check(&p)
+            .unwrap_err()
+            .contains("no longer merges its batch once"));
+        std::fs::remove_file(p).unwrap();
+
+        let smoke = report_with_ingest(Some(per_record)).replace(
+            "\"bench\": \"query_throughput\",",
+            "\"bench\": \"query_throughput\", \"dataset\": {\"num_records\": 800},",
+        );
+        let p = write_report(&smoke);
+        assert!(check(&p).is_ok());
         std::fs::remove_file(p).unwrap();
     }
 

@@ -5,23 +5,24 @@
 //! in memory, or a borrowed `&'static [T]` pointing straight into a loaded
 //! arena file (see the [`persist`](crate::persist) module). The borrowed
 //! form is what makes loading zero-copy — no per-record decode, no posting
-//! rebuild — while the owned form is what every build path produces.
+//! rebuild — while the owned form is what every build and merge produces.
 //!
-//! The enum behaves like a slice for reads (`Deref<Target = [T]>`) and
-//! promotes itself to an owned `Vec` on first mutation ([`ArenaVec::to_mut`]
-//! or `DerefMut`), so insert-after-load takes one bulk copy of the touched
-//! arena and is bit-identical to insert-after-build from then on. Equality
-//! is by content, not by owner, so a loaded index compares equal to the
-//! index that was saved.
+//! Either way an arena is read-only once built: the enum derefs to a slice
+//! and offers no mutable access. Growing an index builds a new tail shard
+//! (see [`crate::store::SketchStore::merge`]) rather than writing into the
+//! old one, so the clean shards of a loaded index keep borrowing the file
+//! buffer and a published snapshot is never written under its readers.
+//! Equality is by content, not by owner, so a loaded index compares equal
+//! to the index that was saved.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::ops::{Deref, DerefMut};
+use std::ops::Deref;
 
 /// A flat buffer that is either owned (`Vec<T>`) or borrowed zero-copy from
 /// a leaked arena-file buffer (`&'static [T]`).
 pub enum ArenaVec<T: 'static> {
-    /// Heap-owned storage; what every build and mutation path produces.
+    /// Heap-owned storage; what every build and merge produces.
     Owned(Vec<T>),
     /// Zero-copy view into a loaded arena file. The referent is a buffer
     /// intentionally leaked for the process lifetime by the load path, so
@@ -59,29 +60,6 @@ impl<T: 'static> ArenaVec<T> {
             ArenaVec::Borrowed(slice) => std::mem::size_of_val(*slice),
         }
     }
-
-    /// Whether the storage still borrows from a loaded arena file.
-    #[inline]
-    pub fn is_borrowed(&self) -> bool {
-        matches!(self, ArenaVec::Borrowed(_))
-    }
-}
-
-impl<T: Clone + 'static> ArenaVec<T> {
-    /// Mutable access, promoting borrowed storage to an owned copy first.
-    ///
-    /// The promotion is a single bulk copy of this arena only; other arenas
-    /// of a loaded index keep borrowing from the file buffer.
-    #[inline]
-    pub fn to_mut(&mut self) -> &mut Vec<T> {
-        if let ArenaVec::Borrowed(slice) = self {
-            *self = ArenaVec::Owned(slice.to_vec());
-        }
-        match self {
-            ArenaVec::Owned(vec) => vec,
-            ArenaVec::Borrowed(_) => unreachable!("promoted above"),
-        }
-    }
 }
 
 impl<T: 'static> Deref for ArenaVec<T> {
@@ -90,13 +68,6 @@ impl<T: 'static> Deref for ArenaVec<T> {
     #[inline]
     fn deref(&self) -> &[T] {
         self.as_slice()
-    }
-}
-
-impl<T: Clone + 'static> DerefMut for ArenaVec<T> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut [T] {
-        self.to_mut().as_mut_slice()
     }
 }
 
@@ -159,31 +130,11 @@ mod tests {
         let borrowed = ArenaVec::Borrowed(leaked);
         assert_eq!(owned, borrowed);
         assert_ne!(owned, ArenaVec::Owned(vec![1, 2]));
-    }
-
-    #[test]
-    fn to_mut_promotes_borrowed_storage_once() {
-        let leaked: &'static [u32] = Box::leak(vec![7, 8].into_boxed_slice());
-        let mut arena = ArenaVec::Borrowed(leaked);
-        assert!(arena.is_borrowed());
-        assert_eq!(arena.borrowed_bytes(), 8);
-        assert_eq!(arena.owned_capacity_bytes(), 0);
-
-        arena.to_mut().push(9);
-        assert!(!arena.is_borrowed());
-        assert_eq!(&arena[..], &[7, 8, 9]);
-        assert_eq!(arena.borrowed_bytes(), 0);
-        assert!(arena.owned_capacity_bytes() >= 3 * 4);
-        // The leaked original is untouched.
-        assert_eq!(leaked, &[7, 8]);
-    }
-
-    #[test]
-    fn deref_mut_also_promotes() {
-        let leaked: &'static [u32] = Box::leak(vec![3, 1].into_boxed_slice());
-        let mut arena = ArenaVec::Borrowed(leaked);
-        arena.sort_unstable();
-        assert_eq!(&arena[..], &[1, 3]);
-        assert!(!arena.is_borrowed());
+        // Only the owned arena counts heap bytes; only the borrowed one
+        // counts file bytes.
+        assert_eq!(borrowed.borrowed_bytes(), 12);
+        assert_eq!(borrowed.owned_capacity_bytes(), 0);
+        assert_eq!(owned.borrowed_bytes(), 0);
+        assert!(owned.owned_capacity_bytes() >= 12);
     }
 }

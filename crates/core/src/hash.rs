@@ -108,6 +108,48 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The hasher of the maps keyed by signature hash values (a shard's posting
+/// lists and document frequencies): one [`mix64`] of the key xor a random
+/// seed. Every flush hashes each posting of the grown tail shard, and
+/// SipHash made a 1-record flush into a 625-record shard about twice as
+/// slow. The seed comes from the standard library's random keys, per map,
+/// so keys crafted to collide need it, as with `hashbrown`'s randomly seeded
+/// default hasher. One value is both the hasher builder and the hasher.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HashValueState(u64);
+
+impl Default for HashValueState {
+    fn default() -> Self {
+        use std::hash::BuildHasher;
+        HashValueState(std::collections::hash_map::RandomState::new().hash_one(0))
+    }
+}
+
+impl std::hash::BuildHasher for HashValueState {
+    type Hasher = Self;
+
+    fn build_hasher(&self) -> Self {
+        *self
+    }
+}
+
+impl std::hash::Hasher for HashValueState {
+    fn finish(&self) -> u64 {
+        mix64(self.0)
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the keys are u64 hash values, hashed by write_u64")
+    }
+
+    fn write_u64(&mut self, value: u64) {
+        self.0 ^= value;
+    }
+}
+
+/// A map keyed by signature hash values (see [`HashValueState`]).
+pub(crate) type HashValueMap<V> = std::collections::HashMap<u64, V, HashValueState>;
+
 /// Combines a band index and a slice of hash values into a single 64-bit
 /// bucket key (a simple multiply–xor fold finished with the same
 /// `mix64` finaliser the hashers use).

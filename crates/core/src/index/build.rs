@@ -4,11 +4,20 @@
 //! size `r` with the cost model (unless fixed by the caller), selects the
 //! global threshold `τ` from the remaining budget, sketches every record —
 //! fanning the sketching out over `threads` scoped threads — and hands the
-//! sketches to the sharded storage layer (`ShardedIndex::build`), which splits them into
-//! contiguous shards of size-ordered stores with size-sorted posting lists.
+//! sketches to the sharded storage layer (`ShardedIndex::build`), which
+//! splits them into contiguous shards of size-ordered stores with
+//! size-sorted posting lists. Each store is laid out by the one layout
+//! function, [`SketchStore::merge`](crate::store::SketchStore::merge), here
+//! the merge of the empty store with the shard's records.
 //! A dataset under `PARALLEL_BUILD_MIN_RECORDS` (10,000) records builds on
 //! one thread whatever `threads` says.
-//! [`GbKmvIndex::insert`] appends through the same sharded path.
+//! [`GbKmvIndex::insert_batch`] grows the index through the same layout
+//! code: the tail shard's store is merged with the sketched batch and the
+//! grown shard's postings are built as a bulk build builds them
+//! ([`crate::index::sharded`]); [`GbKmvIndex::insert`] is its one-record
+//! case.
+
+use std::ops::Range;
 
 use crate::cost::{bitmap_budget_cap, BufferCostModel};
 use crate::dataset::{Dataset, Record, RecordId};
@@ -21,9 +30,9 @@ use crate::stats::DatasetStats;
 
 /// The smallest dataset whose build fans out over `GbKmvConfig::threads`;
 /// a smaller one builds on one thread. Each fan-out (the sketching, then
-/// the posting construction) spawns scoped threads at a fixed cost of about
-/// 0.15 ms, which a build of a few milliseconds does not earn back. The
-/// index is identical either way.
+/// the shards when there are several) spawns scoped threads at a fixed cost
+/// of about 0.15 ms, which a build of a few milliseconds does not earn
+/// back. The index is identical either way.
 ///
 /// Measured with 61 alternating pairs of one-thread and two-thread builds
 /// per size on `query_throughput`'s Zipf data (10% budget, `r = 0`), 2-core
@@ -90,24 +99,29 @@ impl GbKmvIndex {
         }
     }
 
-    /// Appends a new record to the index, reusing the existing layout and
-    /// global threshold (the dynamic-data maintenance path described in the
-    /// paper; a full rebuild re-optimises `τ` and `r`).
-    ///
-    /// The record goes through the same sharded path as the bulk build: it
-    /// is appended to the tail shard, spliced into the slot that keeps the
-    /// shard's store size-ordered, and its signature postings are inserted
-    /// at their sorted positions — so the pruned query pipeline sees a
-    /// structure indistinguishable from a from-scratch build (with matching
-    /// sketcher parameters, *identical* to one; the tests pin this).
-    pub fn insert(&mut self, record: &Record) -> RecordId {
-        let sketch = self.sketcher.sketch_record(record);
-        let id = self.sharded.insert(&sketch);
-        self.summary.space_used_elements += self.sketcher.sketch_cost_elements(&sketch);
-        self.total_elements += record.len();
+    /// Appends a batch of records, reusing the existing layout and global
+    /// threshold (the paper's dynamic-data maintenance; a full rebuild
+    /// re-optimises `τ` and `r`), and returns the ids they took, in order.
+    /// The batch is merged into the tail shard in one pass, by the bulk
+    /// build's layout code, so with matching sketcher parameters the grown
+    /// index is *identical* to a from-scratch build at any batch size.
+    pub fn insert_batch(&mut self, records: &[Record]) -> Range<RecordId> {
+        let mut sketches = Vec::with_capacity(records.len());
+        for record in records {
+            let sketch = self.sketcher.sketch_record(record);
+            self.summary.space_used_elements += self.sketcher.sketch_cost_elements(&sketch);
+            self.total_elements += record.len();
+            sketches.push(sketch);
+        }
         self.summary.space_used_fraction =
             self.summary.space_used_elements / self.total_elements.max(1) as f64;
-        self.summary.num_records += 1;
-        id
+        self.summary.num_records += records.len();
+        self.sharded.insert_batch(&sketches)
+    }
+
+    /// Appends one record: [`GbKmvIndex::insert_batch`] of a one-record
+    /// batch.
+    pub fn insert(&mut self, record: &Record) -> RecordId {
+        self.insert_batch(std::slice::from_ref(record)).start
     }
 }

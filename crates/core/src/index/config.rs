@@ -27,9 +27,9 @@ pub struct GbKmvConfig {
     pub buffer: BufferSizing,
     /// Seed of the sketch hash function.
     pub hash_seed: u64,
-    /// Number of threads used for sketching and posting construction at build
-    /// time (`0` = all available cores); a dataset under 10,000 records
-    /// builds on one thread regardless. The built index is identical for
+    /// Number of threads used for sketching, and for building several shards,
+    /// at build time (`0` = all available cores); a dataset under 10,000
+    /// records builds on one thread regardless. The built index is identical for
     /// every thread count.
     pub threads: usize,
     /// Number of storage shards (`0` and `1` both mean a single shard). The
@@ -43,10 +43,10 @@ pub struct GbKmvConfig {
     /// Queue length at which a [`crate::service::ContainmentService`]
     /// wrapping an index built with this configuration publishes a new
     /// generation automatically (`0` is clamped to 1: publish every
-    /// record). A flush costs O(touched shard + batch), not O(index) (see
-    /// [`crate::service`]): larger batches amortise the per-flush copy of
-    /// the touched shard and the publication over more inserts; smaller
-    /// ones shorten the ingest-to-visible latency.
+    /// record). A flush is one O(tail shard + batch) merge, not O(index)
+    /// work (see [`crate::service`]): larger batches amortise that merge and
+    /// the publication over more records; smaller ones shorten the
+    /// ingest-to-visible latency.
     pub ingest_batch: usize,
 }
 

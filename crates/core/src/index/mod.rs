@@ -35,7 +35,7 @@
 //!   postings, accumulating `K∩` and candidate membership into an
 //!   epoch-stamped [`QueryScratch`](crate::scratch::QueryScratch): minting
 //!   hashes are ordered by ascending **document frequency** (maintained in the
-//!   [`SketchStore`](crate::store::SketchStore) through build and insert)
+//!   [`SketchStore`](crate::store::SketchStore) by every build and merge)
 //!   and walked first, then the frequent hashes accumulate lookup-only,
 //!   then a popcount sweep over the store's buffer words (the buffer is
 //!   stored once, as those words; there are no buffer postings) finds the
@@ -171,11 +171,12 @@ pub(crate) fn with_canonical_query<R>(query: &[ElementId], f: impl FnOnce(&[Elem
 
 /// The GB-KMV containment similarity search index.
 ///
-/// Cloning is **copy-on-write cheap**: the shards (via
-/// [`ShardedIndex`]) and the sketcher live behind [`Arc`](std::sync::Arc)s,
-/// so a clone is a handful of pointer bumps and storage is duplicated only
-/// when a shared shard is actually mutated (see `ShardedIndex::insert`).
-/// The serving layer's per-generation publish depends on this.
+/// Cloning is **cheap**: the shards (via [`ShardedIndex`]) and the
+/// sketcher live behind [`Arc`](std::sync::Arc)s, so a clone is a handful
+/// of pointer bumps. Storage is never written in place: growing a clone
+/// builds a new tail shard and leaves the shards it shares untouched (see
+/// [`GbKmvIndex::insert_batch`]). The serving layer's per-generation
+/// publish depends on this.
 #[derive(Debug, Clone)]
 pub struct GbKmvIndex {
     pub(crate) sketcher: std::sync::Arc<GbKmvSketcher>,

@@ -15,15 +15,14 @@
 //! deleted. Arena images that store compressed lists still open:
 //! [`crate::persist`] decodes them into plain lists at load.
 //!
-//! # Dynamic maintenance
+//! # Growing
 //!
-//! Posting lists mutate on [`crate::index::GbKmvIndex::insert`] in two
-//! ways: [`PostingList::renumber_from`] shifts the suffix of slots at or
-//! past a store splice point up by one, and [`PostingList::insert_sorted`]
-//! splices the new record's slot in (an append in the common case, see the
-//! fast path in [`crate::index::sharded`]). A list whose slots all lie
-//! below the splice point is left untouched, so a list borrowed from a
-//! loaded file stays borrowed.
+//! A list is never edited once built. Growing an index merges the tail
+//! shard's store with the new records, which renumbers that shard's slots,
+//! and then builds every posting list of the grown shard afresh from the
+//! merged store, with the same code as a bulk build (see
+//! [`crate::index::sharded`]). The lists of every other shard, owned or
+//! borrowed from a loaded file, are shared untouched.
 
 use crate::arena::ArenaVec;
 use crate::mem::MemUsage;
@@ -85,26 +84,6 @@ impl PostingList {
         }
     }
 
-    /// Adds one to every stored slot ≥ `slot` (the posting half of a store
-    /// splice: every store slot at or above the insertion point was
-    /// renumbered up by one).
-    pub fn renumber_from(&mut self, slot: u32) {
-        let at = self.slots.partition_point(|&s| s < slot);
-        if at < self.slots.len() {
-            for s in &mut self.slots.to_mut()[at..] {
-                *s += 1;
-            }
-        }
-    }
-
-    /// Splices `slot` into sorted position. The slot must not already be
-    /// present (posting lists are deduplicated by construction: a record
-    /// contributes each hash at most once).
-    pub fn insert_sorted(&mut self, slot: u32) {
-        let at = self.slots.partition_point(|&s| s < slot);
-        self.slots.to_mut().insert(at, slot);
-    }
-
     /// Heap bytes held by the list (its `Vec` capacity, i.e. what the
     /// allocator handed out, not just the live length). A list borrowed
     /// from a loaded file counts zero.
@@ -156,48 +135,5 @@ mod tests {
         assert_eq!(list.prefix(9), &[0, 2, 5]);
         assert_eq!(list.prefix(1), &[0]);
         assert_eq!(PostingList::default().prefix(3), &[] as &[u32]);
-    }
-
-    #[test]
-    fn renumber_matches_raw_oracle() {
-        let slots: Vec<u32> = (0..300u32).map(|i| i * 2).collect();
-        for boundary in [0u32, 1, 5, 127, 128, 256, 598, 599, 10_000] {
-            let mut grown = list(&slots);
-            grown.renumber_from(boundary);
-            let expected: Vec<u32> = slots
-                .iter()
-                .map(|&s| if s >= boundary { s + 1 } else { s })
-                .collect();
-            assert_eq!(grown.as_slice(), expected, "boundary {boundary}");
-        }
-    }
-
-    #[test]
-    fn renumber_below_every_slot_leaves_a_borrowed_list_borrowed() {
-        let leaked: &'static [u32] = Box::leak(vec![1u32, 4, 6].into_boxed_slice());
-        let mut borrowed = PostingList::from_arena(ArenaVec::Borrowed(leaked));
-        borrowed.renumber_from(7);
-        assert!(borrowed.slots.is_borrowed());
-        borrowed.renumber_from(4);
-        assert_eq!(borrowed.as_slice(), &[1, 5, 7]);
-        assert!(!borrowed.slots.is_borrowed());
-    }
-
-    #[test]
-    fn insert_matches_raw_oracle_everywhere() {
-        let base: Vec<u32> = (0..260u32).map(|i| i * 4 + 2).collect();
-        // Head, interior and append positions (none of these values is in
-        // `base`, which holds `4i + 2`).
-        for slot in [0u32, 3, 500, 511, 1037, 1039, 2_000] {
-            let mut grown = list(&base);
-            grown.insert_sorted(slot);
-            let mut expected = base.clone();
-            expected.push(slot);
-            expected.sort_unstable();
-            assert_eq!(grown.as_slice(), expected, "insert {slot}");
-        }
-        let mut empty = PostingList::default();
-        empty.insert_sorted(9);
-        assert_eq!(empty.as_slice(), &[9]);
     }
 }

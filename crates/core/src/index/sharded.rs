@@ -4,8 +4,8 @@
 //! signature posting lists over its slots; a [`ShardedIndex`] is an ordered
 //! sequence of shards covering contiguous, ascending record-id ranges. Every
 //! [`crate::index::GbKmvIndex`] owns a `ShardedIndex` — an unsharded index is
-//! simply the one-shard case — so the single-query, batch and dynamic-insert
-//! paths all go through the same storage code.
+//! simply the one-shard case — so the single-query, batch and grow paths
+//! all go through the same storage code.
 //!
 //! **Why shards?** The sketcher (hash function, buffer layout, global
 //! threshold `τ`) is always chosen over the whole dataset, so shard
@@ -14,8 +14,17 @@
 //! ascending, concatenating per-shard results (each sorted by record id)
 //! yields the globally sorted result with no merge. Shards therefore give
 //! the engine independent units of work — for parallel builds, for the batch
-//! query path, and for bounding the O(shard) cost of a dynamic insert — at
-//! zero accuracy cost.
+//! query path, and for bounding the O(shard) cost of growing the index —
+//! at zero accuracy cost.
+//!
+//! **Growing.** New records always join the tail shard, which owns the
+//! highest ids. `ShardedIndex::insert_batch` merges the tail's store with
+//! the whole batch ([`SketchStore::merge`], the same layout function the
+//! bulk build runs over the empty store), builds the grown shard's postings
+//! from the merged store with the bulk build's code, and swaps the new
+//! shard in. One flush is one merge, whatever its batch size, and the
+//! result is bit-identical to a build over the grown dataset with the same
+//! sketcher.
 //!
 //! **Posting storage.** Every posting list is a
 //! [`crate::index::postings::PostingList`]: the ascending slot numbers of
@@ -24,15 +33,15 @@
 //! **The buffer is stored once.** A record's buffer lives only in the
 //! store's fixed-stride buffer words: the candidates stage mints buffered
 //! candidates by a popcount sweep over those words at every `b_min ≥ 1`,
-//! so there are no inverted buffer-bit postings to build, splice on insert
-//! or checkpoint.
+//! so there are no inverted buffer-bit postings to build, merge or
+//! checkpoint.
 
-use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::gbkmv::GbKmvRecordSketch;
-use crate::hash::mix64;
+use crate::hash::{mix64, HashValueMap};
 use crate::index::postings::PostingList;
 use crate::mem::MemUsage;
 use crate::parallel;
@@ -76,39 +85,38 @@ pub struct Shard {
     store: SketchStore,
     /// Inverted postings from G-KMV signature hash value to slots
     /// (ascending within each list).
-    signature_postings: HashMap<u64, PostingList>,
+    signature_postings: HashValueMap<PostingList>,
 }
 
 impl Shard {
     /// Builds a shard over `sketches` (the records `base..base +
-    /// sketches.len()`), fanning posting construction over `threads` scoped
-    /// threads. The shard is identical for every thread count: slots are
-    /// chunked contiguously and the per-chunk posting fragments are merged
-    /// in chunk order, so every list stays ascending.
+    /// sketches.len()`): its store is the merge of the empty store with
+    /// every sketch ([`SketchStore::from_sketches`]).
     pub(crate) fn build(
         base: usize,
         sketches: &[GbKmvRecordSketch],
         words_per_record: usize,
-        threads: usize,
     ) -> Self {
-        let store = SketchStore::from_sketches(words_per_record, sketches);
-        let slots: Vec<u32> = (0..store.len() as u32).collect();
-        let chunked = parallel::map_chunks(&slots, threads, |_, chunk| {
-            let mut sig: HashMap<u64, Vec<u32>> = HashMap::new();
-            for &slot in chunk {
-                for &h in store.view(slot as usize).hashes {
-                    sig.entry(h).or_default().push(slot);
-                }
-            }
-            sig
-        });
-        let mut merged: HashMap<u64, Vec<u32>> = HashMap::new();
-        for sig in chunked {
-            for (h, slots) in sig {
-                merged.entry(h).or_default().extend(slots);
+        Self::from_store(base, SketchStore::from_sketches(words_per_record, sketches))
+    }
+
+    /// Builds the signature postings over a laid-out store, visiting the
+    /// slots in ascending order so every list comes out ascending.
+    fn from_store(base: usize, store: SketchStore) -> Self {
+        // The store's document frequencies are the final list lengths, so
+        // the table and every list are allocated once, at full size.
+        let df = store.hash_df_map();
+        let mut lists: HashValueMap<Vec<u32>> =
+            HashValueMap::with_capacity_and_hasher(df.len(), Default::default());
+        for slot in 0..store.len() {
+            for &h in store.hashes(slot) {
+                lists
+                    .entry(h)
+                    .or_insert_with(|| Vec::with_capacity(df[&h] as usize))
+                    .push(slot as u32);
             }
         }
-        let signature_postings = merged
+        let signature_postings = lists
             .into_iter()
             .map(|(h, list)| (h, PostingList::from_sorted(list)))
             .collect();
@@ -117,42 +125,6 @@ impl Shard {
             store,
             signature_postings,
         }
-    }
-
-    /// Appends one record to the shard, keeping the store size-ordered and
-    /// every posting list sorted. Returns the record's **global** id.
-    ///
-    /// The store splice renumbers every slot at or above the insertion
-    /// point, so the existing posting entries are renumbered to match before
-    /// the new record's own postings are spliced in at their sorted
-    /// positions. This is O(shard postings) in general — the price of
-    /// keeping the pruned query path exact under dynamic inserts; bulk
-    /// loads go through [`Shard::build`].
-    ///
-    /// **Fast path:** when the new record sorts last (smallest size, and
-    /// among the smallest the lowest hot-first buffer words; see
-    /// [`SketchStore`]), its slot lands at the tail of the slot order, so no
-    /// existing entry is at or above it — the whole renumber pass is
-    /// skipped and every posting splice is an O(1) tail push. Loading
-    /// records in slot order therefore inserts in O(record postings)
-    /// instead of O(shard).
-    pub(crate) fn insert(&mut self, sketch: &GbKmvRecordSketch) -> usize {
-        let (local_id, slot) = self.store.insert(sketch);
-        let slot = slot as u32;
-        // The tail slot (store.len() grew by one, so the old tail index is
-        // len − 1) has no slots above it to renumber.
-        if (slot as usize) < self.store.len() - 1 {
-            for list in self.signature_postings.values_mut() {
-                list.renumber_from(slot);
-            }
-        }
-        for &h in self.store.view(slot as usize).hashes {
-            self.signature_postings
-                .entry(h)
-                .or_default()
-                .insert_sorted(slot);
-        }
-        self.base + local_id
     }
 
     /// First global record id owned by this shard.
@@ -207,7 +179,7 @@ impl Shard {
     pub(crate) fn from_parts(
         base: usize,
         store: SketchStore,
-        signature_postings: HashMap<u64, PostingList>,
+        signature_postings: HashValueMap<PostingList>,
     ) -> Self {
         Shard {
             base,
@@ -217,7 +189,7 @@ impl Shard {
     }
 
     /// The full signature posting map (persistence and accounting).
-    pub(crate) fn signature_posting_map(&self) -> &HashMap<u64, PostingList> {
+    pub(crate) fn signature_posting_map(&self) -> &HashValueMap<PostingList> {
         &self.signature_postings
     }
 
@@ -239,14 +211,14 @@ impl Shard {
 ///
 /// Shards are held behind [`Arc`]s, so **cloning an index is N pointer
 /// bumps**, not a storage copy: the serving layer's per-generation publish
-/// clones the current index, splices the batch into the tail shard through
-/// [`Arc::make_mut`] (copy-on-write — only the touched shard's storage is
-/// duplicated, and only when a previous generation still shares it), and
-/// publishes. Untouched shards stay pointer-equal across generations, which
-/// both the race tests and the `mem_usage_shared` accounting rely on.
+/// clones the current index, replaces the tail shard's `Arc` with the
+/// shard grown by the batch (built new; the old tail is never written),
+/// and publishes. Untouched shards stay pointer-equal across generations,
+/// which both the race tests and the `mem_usage_shared` accounting rely
+/// on.
 ///
 /// Each shard carries a **dirty epoch** and the index a **lineage** stamp
-/// (see `next_stamp`): every mutation of shard `i` replaces `epochs[i]`,
+/// (see `next_stamp`): every replacement of shard `i` restamps `epochs[i]`,
 /// while clones (and the arena save/load round trip) preserve both. A
 /// matching `(lineage, epoch)` pair is therefore proof that a shard's
 /// storage is bit-identical to the one a previous checkpoint serialised —
@@ -280,9 +252,8 @@ impl ShardedIndex {
     /// sketches. The sketches are split into contiguous chunks, so the
     /// record-id ranges are ascending by construction.
     ///
-    /// With one shard, posting construction fans out over `threads` inside
-    /// the shard; with several, whole shards build in parallel. Either way
-    /// the result is identical for every thread count.
+    /// Several shards build in parallel over `threads`; the result is
+    /// identical for every thread count.
     pub(crate) fn build(
         sketches: &[GbKmvRecordSketch],
         num_shards: usize,
@@ -291,13 +262,13 @@ impl ShardedIndex {
     ) -> Self {
         let num_shards = num_shards.max(1);
         let shards = if num_shards == 1 || sketches.len() <= 1 {
-            vec![Shard::build(0, sketches, words_per_record, threads)]
+            vec![Shard::build(0, sketches, words_per_record)]
         } else {
             let chunk = sketches.len().div_ceil(num_shards);
             let bounds: Vec<usize> = (0..sketches.len()).step_by(chunk).collect();
             parallel::par_map(&bounds, threads, |&lo| {
                 let hi = (lo + chunk).min(sketches.len());
-                Shard::build(lo, &sketches[lo..hi], words_per_record, 1)
+                Shard::build(lo, &sketches[lo..hi], words_per_record)
             })
         };
         let epochs = shards.iter().map(|_| next_stamp()).collect();
@@ -407,26 +378,33 @@ impl ShardedIndex {
         shard.store.view_of_record(local)
     }
 
-    /// Appends one record to the tail shard (the one owning the highest id
-    /// range, keeping the ranges contiguous) and returns its global id.
+    /// Grows the tail shard (the one owning the highest id range, keeping
+    /// the ranges contiguous) by `batch` and returns the global ids the
+    /// batch took, in batch order.
     ///
-    /// Copy-on-write: if the tail shard is shared with another index clone
-    /// (a published reader snapshot), [`Arc::make_mut`] duplicates that one
-    /// shard's storage first — every other shard stays shared untouched, so
-    /// growing a cloned index costs O(tail shard + record), not O(index).
-    /// The tail shard's epoch is restamped; clean shards keep theirs.
-    pub(crate) fn insert(&mut self, sketch: &GbKmvRecordSketch) -> usize {
+    /// The grown tail is a new shard: the old tail's store merged with the
+    /// batch ([`SketchStore::merge`]), with postings built afresh over it.
+    /// It replaces the old tail's [`Arc`] and gets a new epoch. No shard is
+    /// written in place: a clone holding the old tail (a published reader
+    /// snapshot) keeps it unchanged, and every other shard stays shared, so
+    /// growing a cloned index costs O(tail shard + batch), not O(index). An
+    /// empty batch changes nothing.
+    pub(crate) fn insert_batch(&mut self, batch: &[GbKmvRecordSketch]) -> Range<usize> {
+        let start = self.len();
+        if batch.is_empty() {
+            return start..start;
+        }
         // Infallible: `ShardedIndex::build` always creates at least one
         // shard (the empty dataset builds one empty shard) and shards are
         // never removed.
         let tail = self
             .shards
-            .len()
-            .checked_sub(1)
+            .last_mut()
             .expect("a ShardedIndex always has at least one shard");
-        let id = Arc::make_mut(&mut self.shards[tail]).insert(sketch);
-        self.epochs[tail] = next_stamp();
-        id
+        let batch: Vec<&GbKmvRecordSketch> = batch.iter().collect();
+        *tail = Arc::new(Shard::from_store(tail.base, tail.store.merge(&batch)));
+        *self.epochs.last_mut().expect("one epoch per shard") = next_stamp();
+        start..start + batch.len()
     }
 }
 
@@ -504,10 +482,10 @@ mod tests {
     fn store_df_equals_posting_list_length() {
         // The invariant the prefix filter's df-ordering relies on: the
         // store-maintained document frequency is exactly the posting-list
-        // length, through bulk build and dynamic insert alike.
-        let sk = sketches(30);
-        let mut index = ShardedIndex::build(&sk, 3, 1, 2);
-        index.insert(&sketches(31)[30]);
+        // length, through bulk build and merge alike.
+        let sk = sketches(40);
+        let mut index = ShardedIndex::build(&sk[..30], 3, 1, 2);
+        index.insert_batch(&sk[30..]);
         for shard in index.shards() {
             for (&h, list) in &shard.signature_postings {
                 assert_eq!(
@@ -530,46 +508,53 @@ mod tests {
         }
     }
 
+    /// Growing by batches of every size {1, 7, 64, 65, more than the tail
+    /// holds}, over one and three shards, appends to the tail shard only
+    /// and leaves it equal to a shard built from scratch over its records
+    /// (with one shard, to the whole from-scratch build). The records come
+    /// in id order and, to cover a batch landing wholly after the stored
+    /// slots, in slot-key order (descending size, then hot-first buffer
+    /// word).
     #[test]
     fn insert_appends_to_tail_shard_and_matches_rebuild() {
-        let sk = sketches(12);
-        let mut grown = ShardedIndex::build(&sk[..9], 1, 1, 1);
-        for (i, s) in sk[9..].iter().enumerate() {
-            assert_eq!(grown.insert(s), 9 + i);
+        let hot_first =
+            |s: &GbKmvRecordSketch| s.buffer.words().first().map_or(0, |w| w.reverse_bits());
+        let mut in_slot_order = sketches(300);
+        in_slot_order.sort_by_key(|s| std::cmp::Reverse((s.record_size, hot_first(s))));
+        for sk in [sketches(300), in_slot_order] {
+            for num_shards in [1, 3] {
+                let built = ShardedIndex::build(&sk[..100], num_shards, 1, 1);
+                for batch in [1, 7, 64, 65, 250] {
+                    let mut grown = built.clone();
+                    for chunk in sk[100..].chunks(batch) {
+                        let start = grown.len();
+                        assert_eq!(grown.insert_batch(chunk), start..start + chunk.len());
+                    }
+                    let n = grown.shards().len();
+                    assert_eq!(n, built.shards().len());
+                    for i in 0..n - 1 {
+                        assert!(Arc::ptr_eq(&grown.shards()[i], &built.shards()[i]));
+                        assert_eq!(grown.epochs()[i], built.epochs()[i]);
+                    }
+                    let tail = &grown.shards()[n - 1];
+                    let rebuilt = Shard::build(tail.base(), &sk[tail.base()..], 1);
+                    assert_eq!(**tail, rebuilt, "{num_shards} shards, batch {batch}");
+                    if num_shards == 1 {
+                        assert_eq!(grown, ShardedIndex::build(&sk, 1, 1, 1));
+                    }
+                }
+            }
         }
-        let scratch_built = ShardedIndex::build(&sk, 1, 1, 1);
-        assert_eq!(grown, scratch_built, "insert diverged from rebuild");
     }
 
     #[test]
-    fn descending_size_inserts_take_the_append_fast_path_and_match_rebuild() {
-        // Records inserted in slot-key order (descending size, then
-        // descending hot-first buffer words) always land at the tail of the
-        // slot order, so every insert takes the renumber-free fast path —
-        // and the result must still be bit-identical to a bulk build over
-        // the same sequence.
-        let mut sk = sketches(20);
-        let hot_first =
-            |s: &GbKmvRecordSketch| s.buffer.words().first().map_or(0, |w| w.reverse_bits());
-        sk.sort_by_key(|s| std::cmp::Reverse((s.record_size, hot_first(s))));
-        assert!(
-            sk.windows(2).any(
-                |w| w[0].record_size == w[1].record_size && hot_first(&w[0]) > hot_first(&w[1])
-            ),
-            "no size class orders by its buffer words"
-        );
-        let mut grown = ShardedIndex::build(&sk[..1], 1, 1, 1);
-        for s in &sk[1..] {
-            let tail = grown.len();
-            grown.insert(s);
-            assert_eq!(
-                grown.shards()[0].store().slot_of(tail),
-                tail,
-                "not a tail append"
-            );
-        }
-        let bulk = ShardedIndex::build(&sk, 1, 1, 1);
-        assert_eq!(grown, bulk, "fast-path inserts diverged from rebuild");
+    fn empty_batch_changes_nothing() {
+        let sk = sketches(10);
+        let mut index = ShardedIndex::build(&sk, 2, 1, 1);
+        let before = index.clone();
+        assert_eq!(index.insert_batch(&[]), 10..10);
+        assert_eq!(index.epochs(), before.epochs());
+        assert!(Arc::ptr_eq(&index.shards()[1], &before.shards()[1]));
     }
 
     #[test]

@@ -493,54 +493,92 @@ fn insert_extends_index_and_is_searchable() {
     assert!(hits.iter().any(|h| h.record_id == id));
 }
 
-#[test]
-fn insert_then_search_equals_build_from_scratch() {
-    // With a saturating budget and no buffer, the sketcher parameters
-    // (hash function, empty layout, τ = keep-all) are independent of the
-    // dataset, so the grown index must be *identical* — storage layer and
-    // all — to a from-scratch build over the grown dataset.
-    let base = varied_dataset(70);
-    let extra: Vec<Record> = (0..12)
-        .map(|i| {
-            Record::new(
-                (0..(5 + (i * 19) % 60))
-                    .map(|j| ((i * 211 + j * 7) % 3100) as u32)
-                    .collect(),
-            )
-        })
-        .collect();
-    let mut grown_records: Vec<Vec<u32>> = base
-        .records()
+/// Records to grow `base` by, in three runs: records larger than any base
+/// record (a batch of them sorts before every stored slot), copies of base
+/// records (tied with stored slots on size and buffer words), and varied
+/// ones.
+fn grow_records(base: &Dataset) -> Vec<Record> {
+    let spread = |i: usize, len: usize| {
+        Record::new(
+            (0..len)
+                .map(|j| ((i * 211 + j * 7) % 3100) as u32)
+                .collect(),
+        )
+    };
+    let larger = (0..30).map(|i| spread(i, 120 + i));
+    let copies = (0..40).map(|i| base.record(i * 3 % base.len()).clone());
+    let varied = (0..70).map(|i| spread(i, 5 + (i * 19) % 60));
+    larger.chain(copies).chain(varied).collect()
+}
+
+/// Asserts that every shard of `grown`, which holds `records`, equals the
+/// shard a from-scratch build lays out over the same records with the same
+/// sketcher, and that the search paths answer like the scan.
+fn assert_grown_equals_rebuilt(grown: &GbKmvIndex, records: &[Record], label: &str) {
+    assert_eq!(grown.num_records(), records.len(), "{label}");
+    let sketches: Vec<GbKmvRecordSketch> = records
         .iter()
-        .map(|r| r.elements().to_vec())
+        .map(|r| grown.sketcher().sketch_record(r))
         .collect();
-    grown_records.extend(extra.iter().map(|r| r.elements().to_vec()));
-    let grown_dataset = Dataset::from_records(grown_records);
-
-    let config = GbKmvConfig::with_budget_elements(1_000_000).buffer_size(0);
-    let mut grown = GbKmvIndex::build(&base, config);
-    for record in &extra {
-        grown.insert(record);
+    let words = grown.sketcher().layout().words();
+    for shard in grown.sharded().shards() {
+        let range = shard.base()..shard.base() + shard.len();
+        let rebuilt = Shard::build(shard.base(), &sketches[range], words);
+        assert_eq!(**shard, rebuilt, "{label}: shard at {}", shard.base());
     }
-    let from_scratch = GbKmvIndex::build(&grown_dataset, config);
-
-    assert_eq!(
-        grown.sharded, from_scratch.sharded,
-        "insert path built a different storage layer than a rebuild"
-    );
-    for qid in (0..grown_dataset.len()).step_by(7) {
-        let query = grown_dataset.record(qid);
+    for query in records.iter().step_by(11) {
         for t_star in [0.2, 0.5, 0.9] {
             assert_eq!(
                 grown.search_record(query, t_star),
-                from_scratch.search_record(query, t_star),
-                "query {qid} at t*={t_star}: insert-then-search != build-from-scratch"
+                grown.search_scan(query, t_star),
+                "{label}: pipeline diverged from the scan at t*={t_star}"
             );
         }
-        assert_eq!(
-            grown.search_topk(query, 5),
-            from_scratch.search_topk(query, 5)
-        );
+        assert_eq!(grown.search_topk(query, 5), ranked_scan(grown, query, 5));
+    }
+}
+
+#[test]
+fn insert_then_search_equals_build_from_scratch() {
+    // Grows a built, a loaded and an empty index in batches of 1, 7, 64, 65
+    // and more than the tail shard holds, over one and three shards. Every
+    // grown shard must equal a from-scratch shard over its records. With a
+    // saturating budget and no buffer, the sketcher (hash function, empty
+    // layout, τ = keep-all) does not depend on the data, so a one-shard
+    // grown index must also be *identical* to a from-scratch build over the
+    // grown dataset; a buffered sketcher's layout depends on the data.
+    let base = varied_dataset(70);
+    let extra = grow_records(&base);
+    let all: Vec<Record> = base.records().iter().chain(&extra).cloned().collect();
+    let grown_dataset = Dataset::from_records(all.iter().map(|r| r.elements().to_vec()));
+    let empty = Dataset::from_records(Vec::<Record>::new());
+    let saturating = GbKmvConfig::with_budget_elements(1_000_000).buffer_size(0);
+    let buffered = GbKmvConfig::with_space_fraction(0.3).buffer_size(16);
+    for (name, config) in [("saturating", saturating), ("buffered", buffered)] {
+        for shards in [1, 3] {
+            let config = config.shards(shards);
+            let built = GbKmvIndex::build(&base, config);
+            let loaded = GbKmvIndex::from_arena_bytes(&built.to_arena_bytes()).expect("load");
+            let from_scratch = GbKmvIndex::build(&grown_dataset, config);
+            for batch in [1, 7, 64, 65, 200] {
+                let starts = [
+                    ("built", built.clone(), &extra[..]),
+                    ("loaded", loaded.clone(), &extra[..]),
+                    ("empty", GbKmvIndex::build(&empty, config), &all[..]),
+                ];
+                for (start, mut grown, records) in starts {
+                    for chunk in records.chunks(batch) {
+                        let first = grown.num_records();
+                        assert_eq!(grown.insert_batch(chunk), first..first + chunk.len());
+                    }
+                    let label = format!("{name}, {shards} shards, {start}, batch {batch}");
+                    assert_grown_equals_rebuilt(&grown, &all, &label);
+                    if name == "saturating" && shards == 1 {
+                        assert_eq!(grown.sharded, from_scratch.sharded, "{label}");
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -560,11 +598,11 @@ fn insert_keeps_sharded_answers_consistent() {
             )
         })
         .collect();
-    for shards in [1usize, 3] {
+    for (shards, batch) in [(1usize, 1usize), (3, 1), (1, 7), (3, 64)] {
         let mut index =
             GbKmvIndex::build(&base, GbKmvConfig::with_space_fraction(0.25).shards(shards));
-        for record in &extra {
-            index.insert(record);
+        for chunk in extra.chunks(batch) {
+            index.insert_batch(chunk);
         }
         assert_eq!(index.num_records(), 90);
         for qid in (0..80).step_by(13) {

@@ -16,8 +16,8 @@ use serde::Serialize;
 ///
 /// Component figures measure content; [`borrowed_bytes`](Self::borrowed_bytes)
 /// measures, across all components, the subset backed zero-copy by a loaded
-/// arena file (zero for a built index, and shrinking as post-load inserts
-/// promote arenas to owned copies).
+/// arena file (zero for a built index; growing a loaded index replaces
+/// only its tail shard with an owned one, so the clean shards keep theirs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct MemUsage {
     /// Concatenated G-KMV hash values (CSR data array), in bytes.

@@ -123,7 +123,6 @@
 //! now-mismatching stored checksum and still surfaces as a typed error
 //! when the new file is opened.
 
-use std::collections::HashMap;
 use std::path::Path;
 
 use crate::arena::ArenaVec;
@@ -132,7 +131,7 @@ use crate::cost::CostModelConfig;
 use crate::error::{Error, Result};
 use crate::gbkmv::GbKmvSketcher;
 use crate::gkmv::GlobalThreshold;
-use crate::hash::{mix64, Hasher64};
+use crate::hash::{mix64, HashValueMap, Hasher64};
 use crate::index::postings::PostingList;
 use crate::index::sharded::{next_stamp, Shard};
 use crate::index::{BufferSizing, GbKmvConfig, GbKmvIndex, IndexSummary, ShardedIndex};
@@ -1308,7 +1307,7 @@ fn assemble_index(buf: &'static [u64], pre: &PreParsed) -> Result<GbKmvIndex> {
             return Err(corrupt("record metadata is not size-ordered"));
         }
 
-        let hash_df: HashMap<u64, u32> = sp.hash_df.iter().copied().collect();
+        let hash_df: HashValueMap<u32> = sp.hash_df.iter().copied().collect();
         let store = SketchStore::from_arena_parts(
             ArenaVec::Borrowed(hash_arena),
             ArenaVec::Borrowed(hash_offsets),
@@ -1323,7 +1322,8 @@ fn assemble_index(buf: &'static [u64], pre: &PreParsed) -> Result<GbKmvIndex> {
         let mut sig_words = u64_view(section_bytes(s + 6));
         let mut sig_blocks = section_bytes(s + 7);
         let mut sig_raw = u32_view(section_bytes(s + 8));
-        let mut signature_postings = HashMap::with_capacity(sp.sig.len());
+        let mut signature_postings =
+            HashValueMap::with_capacity_and_hasher(sp.sig.len(), Default::default());
         for (h, desc) in &sp.sig {
             let list = take_posting(desc, &mut sig_words, &mut sig_blocks, &mut sig_raw, n)?;
             signature_postings.insert(*h, list);

@@ -14,13 +14,13 @@
 //!   ([`ContainmentService::submit`]). When the queue reaches the
 //!   configured batch size (or on an explicit
 //!   [`ContainmentService::flush`]) the next generation is built *outside*
-//!   the publication lock — the current index is cloned and the queued
-//!   records are spliced in through the exact insert path the sequential
-//!   [`GbKmvIndex::insert`] uses — and then published with one atomic `Arc`
-//!   swap.
+//!   the publication lock — the current index is cloned and the whole queue
+//!   is merged into its tail shard by one [`GbKmvIndex::insert_batch`] —
+//!   and then published with one atomic `Arc` swap.
 //!
-//! Because the generation build reuses the sorted-splice insert path, the
-//! load-bearing invariant of the sequential engine carries over verbatim:
+//! Because the generation build is the same sorted merge a bulk build
+//! runs, the load-bearing invariant of the sequential engine carries over
+//! verbatim:
 //! **every published generation is bit-identical to an index built from
 //! scratch over the same record sequence**, so snapshot queries agree with
 //! build-from-scratch queries under concurrent publication (the
@@ -29,9 +29,9 @@
 //!
 //! Publication is copy-on-write at shard granularity: a generation "clone"
 //! is a handful of `Arc` pointer bumps (the shards themselves are shared),
-//! and the batch inserts copy only the tail shard they touch
-//! (`Arc::make_mut`), so a flush costs O(touched shard + batch) rather than
-//! O(index) while readers still get wait-free immutable snapshots with zero
+//! and the merge builds a new tail shard in place of the old one's `Arc`,
+//! so a flush costs one O(tail shard + batch) merge rather than O(index)
+//! work, while readers still get wait-free immutable snapshots with zero
 //! coordination on the hot query path. Untouched shards are pointer-equal
 //! across generations — the property suite asserts this, and
 //! [`ContainmentService::checkpoint_delta`] exploits it to rewrite only
@@ -286,15 +286,13 @@ impl ContainmentService {
             return 0;
         }
         // Clone-and-grow outside the publication lock. The clone is
-        // copy-on-write — O(shards) Arc bumps, no shard data copied — and
-        // the inserts below make a private copy of only the tail shard
-        // they touch, so this whole build is O(touched shard + batch).
-        // The writer lock is held, so `current` cannot change underneath
-        // us.
+        // O(shards) Arc bumps, no shard data copied, and the one merge
+        // below builds a new tail shard from the old one and the whole
+        // queue, so this build is O(tail shard + batch) once per flush,
+        // not once per record. The writer lock is held, so `current`
+        // cannot change underneath us.
         let mut next = GbKmvIndex::clone(&self.snapshot());
-        for record in &pending {
-            next.insert(record);
-        }
+        next.insert_batch(&pending);
         *relock(&self.current) = Arc::new(next);
         self.generation.fetch_add(1, Ordering::AcqRel);
         pending.len()

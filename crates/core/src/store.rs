@@ -41,6 +41,19 @@
 //! [`SketchStore::slot_of`] maps a record id to its slot. Record ids are
 //! *local* to the store — a sharded index adds its shard's base offset.
 //!
+//! # One layout function
+//!
+//! Every store is laid out by [`SketchStore::merge`]: a linear merge of an
+//! already ordered slot run (an existing store) with a batch sorted by the
+//! slot key. The bulk build ([`SketchStore::from_sketches`]) is the merge of
+//! the empty store with the whole dataset; growing an index merges its tail
+//! shard's store with the new records. The new records carry the next
+//! record ids, larger than every stored one, so on equal size and buffer
+//! words the stored slots go first — exactly the order a build over the
+//! grown dataset gives. A merge reads the old store and builds a new one:
+//! stored arenas are never written (a loaded store keeps borrowing its file
+//! buffer), and readers of the old store are never disturbed.
+//!
 //! # Block summaries
 //!
 //! For every aligned block of 64 slots (`SWEEP_BLOCK`) the store keeps the OR
@@ -50,9 +63,8 @@
 //! sweep of [`crate::index::candidates`] skips every block whose summary
 //! cannot reach the query's minimum buffered overlap `b_min`. The
 //! clustered order is what makes such blocks common. The summary is
-//! derived data: rebuilt when a loaded store is reassembled (the arena
-//! format does not hold it) and kept current by [`SketchStore::insert`]
-//! from the spliced block onward.
+//! derived data, computed once per layout: by every merge, and when a
+//! loaded store is reassembled (the arena format does not hold it).
 //!
 //! # Document frequencies
 //!
@@ -62,10 +74,9 @@
 //! hash's df is by construction the length of its posting list, so the
 //! prefix-filter stage of the query pipeline ([`crate::index::candidates`])
 //! can order a query's hashes from rarest to most frequent without touching
-//! the posting lists themselves. The counts are maintained through every
-//! build path (bulk [`SketchStore::from_sketches`] and the dynamic
-//! [`SketchStore::insert`] splice), so the ordering stays exact under
-//! dynamic maintenance.
+//! the posting lists themselves. Each merge derives the counts once (the
+//! old store's counts plus the batch's), so they stay exact as the index
+//! grows.
 //!
 //! [`SketchView`] is the borrowed, non-allocating view of one stored sketch
 //! (arena subslices plus the [`RecordMeta`] scalars); materialising a
@@ -73,7 +84,6 @@
 //! arenas' slices and is only meant for diagnostics and serialisation.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -81,6 +91,7 @@ use crate::arena::ArenaVec;
 use crate::buffer::ElementBuffer;
 use crate::gbkmv::GbKmvRecordSketch;
 use crate::gkmv::{GKmvPairEstimate, GKmvSketch};
+use crate::hash::HashValueMap;
 use crate::kmv::sorted_intersection_count;
 use crate::mem::MemUsage;
 
@@ -146,7 +157,7 @@ pub struct SketchStore {
     slots: ArenaVec<u32>,
     /// Signature hash value → number of records containing it (document
     /// frequency). Equals the posting-list length when postings are built.
-    hash_df: HashMap<u64, u32>,
+    hash_df: HashValueMap<u32>,
     /// OR of the buffer words of each aligned [`SWEEP_BLOCK`]-slot block,
     /// `words_per_record` words per block (derived from `buffer_arena`).
     block_summary: Vec<u64>,
@@ -172,7 +183,7 @@ impl SketchStore {
             meta: ArenaVec::default(),
             record_ids: ArenaVec::default(),
             slots: ArenaVec::default(),
-            hash_df: HashMap::new(),
+            hash_df: HashValueMap::default(),
             block_summary: Vec::new(),
         }
     }
@@ -193,9 +204,10 @@ impl SketchStore {
         meta: ArenaVec<RecordMeta>,
         record_ids: ArenaVec<u32>,
         slots: ArenaVec<u32>,
-        hash_df: HashMap<u64, u32>,
+        hash_df: HashValueMap<u32>,
     ) -> Self {
-        let mut store = SketchStore {
+        SketchStore {
+            block_summary: summarize(&buffer_arena, words_per_record),
             hash_arena,
             hash_offsets,
             buffer_arena,
@@ -204,10 +216,7 @@ impl SketchStore {
             record_ids,
             slots,
             hash_df,
-            block_summary: Vec::new(),
-        };
-        store.summarize_from(0);
-        store
+        }
     }
 
     /// The raw hash arena (persistence and accounting).
@@ -241,7 +250,7 @@ impl SketchStore {
     }
 
     /// The full document-frequency map (persistence).
-    pub(crate) fn hash_df_map(&self) -> &HashMap<u64, u32> {
+    pub(crate) fn hash_df_map(&self) -> &HashValueMap<u32> {
         &self.hash_df
     }
 
@@ -270,76 +279,144 @@ impl SketchStore {
     }
 
     /// Builds the store from materialised per-record sketches in record-id
-    /// order; slot `0` receives the largest record, and each size class is
-    /// clustered by hot-first buffer words (module docs). The parallel build
-    /// produces sketches in chunks; appending here is a memcpy per arena, so
-    /// it is not worth parallelising.
+    /// order: the merge of the empty store with the whole dataset, so slot
+    /// `0` receives the largest record and each size class is clustered by
+    /// hot-first buffer words (module docs).
     pub fn from_sketches<'a, I>(words_per_record: usize, sketches: I) -> Self
     where
         I: IntoIterator<Item = &'a GbKmvRecordSketch>,
     {
         let sketches: Vec<&GbKmvRecordSketch> = sketches.into_iter().collect();
-        let mut store = SketchStore::new(words_per_record);
-        // One packed key per record, sorted ascending: descending size in
-        // the top 32 bits, the descending hot-first first buffer word in the
-        // middle 64, the ascending record id in the low 32. The keys are
-        // unique, so the unstable sort is deterministic. Keys are built up
-        // front: reading the words inside the comparator is far slower.
-        let mut order: Vec<u128> = sketches
+        SketchStore::new(words_per_record).merge(&sketches)
+    }
+
+    /// The one layout function (module docs): a new store holding this
+    /// store's records plus `batch`, whose records take the next
+    /// store-local ids `len()..len() + batch.len()` in batch order. The
+    /// sorted batch is merged with the stored slots in one pass, and the
+    /// document frequencies, the id → slot map and the block summary are
+    /// derived once: O(store + batch · log store).
+    pub fn merge(&self, batch: &[&GbKmvRecordSketch]) -> Self {
+        let stride = self.words_per_record;
+        let base = self.len() as u32;
+        // Every batch record's buffer words, padded to the stride.
+        let mut words = Vec::with_capacity(batch.len() * stride);
+        for sketch in batch {
+            let start = words.len();
+            words.extend_from_slice(self.padded_words(sketch));
+            words.resize(start + stride, 0);
+        }
+        let words_of = |i: usize| &words[i * stride..(i + 1) * stride];
+
+        // One packed key per batch record, sorted ascending: descending size
+        // in the top 32 bits, the descending hot-first first buffer word in
+        // the middle 64, the ascending batch index (hence record id) in the
+        // low 32. The keys are unique, so the unstable sort is
+        // deterministic. Keys are built up front: reading the words inside
+        // the comparator is far slower.
+        let mut order: Vec<u128> = batch
             .iter()
             .zip(0u32..)
-            .map(|(sketch, rid)| {
-                let first = store.padded_words(sketch).first().copied().unwrap_or(0);
+            .map(|(sketch, i)| {
+                let first = words_of(i as usize).first().copied().unwrap_or(0);
                 (u128::from(u32::MAX - sketch.record_size as u32) << 96)
                     | (u128::from(!first.reverse_bits()) << 32)
-                    | u128::from(rid)
+                    | u128::from(i)
             })
             .collect();
         order.sort_unstable();
-        if words_per_record > 1 {
+        if stride > 1 {
             // Records tied on size and first word order by their remaining
             // words, then by id.
-            let rest = |rid: u32| &store.padded_words(sketches[rid as usize])[1..];
+            let rest = |i: u128| &words_of(i as u32 as usize)[1..];
             for run in order.chunk_by_mut(|a, b| a >> 32 == b >> 32) {
                 run.sort_unstable_by(|&a, &b| {
-                    hot_first_cmp(rest(b as u32), rest(a as u32)).then((a as u32).cmp(&(b as u32)))
+                    hot_first_cmp(rest(b), rest(a)).then((a as u32).cmp(&(b as u32)))
                 });
             }
         }
 
-        store.slots = vec![0; sketches.len()].into();
-        for key in order {
-            let rid = key as u32;
-            let slot = store.meta.len() as u32;
-            store.append_slot(sketches[rid as usize], rid);
-            store.slots[rid as usize] = slot;
+        let len = self.len() + batch.len();
+        let batch_hashes: usize = batch.iter().map(|s| s.gkmv.len()).sum();
+        let mut hash_arena = Vec::with_capacity(self.total_hashes() + batch_hashes);
+        let mut hash_offsets = Vec::with_capacity(len + 1);
+        hash_offsets.push(0);
+        let mut buffer_arena = Vec::with_capacity(len * stride);
+        let mut meta = Vec::with_capacity(len);
+        let mut record_ids = Vec::with_capacity(len);
+        // Each batch record in key order, then the end of the store: copy
+        // the stored slots up to the landing slot, one run per arena, then
+        // append the record.
+        let mut from = 0;
+        for next in order
+            .iter()
+            .map(|&key| Some(key as u32 as usize))
+            .chain([None])
+        {
+            let to = next.map_or(self.len(), |i| {
+                self.landing(from, batch[i].record_size as u32, words_of(i))
+            });
+            let (start, end) = (self.hash_offsets[from], self.hash_offsets[to]);
+            let shift = hash_arena.len() as u64 - start;
+            hash_arena.extend_from_slice(&self.hash_arena[start as usize..end as usize]);
+            hash_offsets.extend(self.hash_offsets[from + 1..=to].iter().map(|&o| o + shift));
+            buffer_arena.extend_from_slice(&self.buffer_arena[from * stride..to * stride]);
+            meta.extend_from_slice(&self.meta[from..to]);
+            record_ids.extend_from_slice(&self.record_ids[from..to]);
+            from = to;
+            if let Some(i) = next {
+                hash_arena.extend_from_slice(batch[i].gkmv.hashes());
+                hash_offsets.push(hash_arena.len() as u64);
+                buffer_arena.extend_from_slice(words_of(i));
+                meta.push(Self::meta_of(batch[i]));
+                record_ids.push(base + i as u32);
+            }
         }
-        store.summarize_from(0);
-        store
-    }
 
-    /// Appends one sketch as the next slot, recording the record id it
-    /// holds. Callers maintain the slot order, the `slots` reverse map and
-    /// the block summary.
-    fn append_slot(&mut self, sketch: &GbKmvRecordSketch, record_id: u32) {
-        let hashes = sketch.gkmv.hashes();
+        let mut slots = vec![0; len];
+        for (slot, &rid) in (0u32..).zip(&record_ids) {
+            slots[rid as usize] = slot;
+        }
+        let mut hash_df = self.hash_df.clone();
         // Per-record hashes are deduplicated (the GKmvSketch invariant), so
         // each occurrence is one more containing record.
-        for &h in hashes {
-            *self.hash_df.entry(h).or_insert(0) += 1;
+        for sketch in batch {
+            for &h in sketch.gkmv.hashes() {
+                *hash_df.entry(h).or_insert(0) += 1;
+            }
         }
-        self.hash_arena.to_mut().extend_from_slice(hashes);
-        self.hash_offsets
-            .to_mut()
-            .push(self.hash_arena.len() as u64);
-        let words = self.padded_words(sketch);
-        let pad = self.pad_len(sketch);
-        self.buffer_arena.to_mut().extend_from_slice(words);
-        self.buffer_arena
-            .to_mut()
-            .extend(std::iter::repeat_n(0, pad));
-        self.meta.to_mut().push(Self::meta_of(sketch));
-        self.record_ids.to_mut().push(record_id);
+        SketchStore {
+            block_summary: summarize(&buffer_arena, stride),
+            hash_arena: hash_arena.into(),
+            hash_offsets: hash_offsets.into(),
+            buffer_arena: buffer_arena.into(),
+            words_per_record: stride,
+            meta: meta.into(),
+            record_ids: record_ids.into(),
+            slots: slots.into(),
+            hash_df,
+        }
+    }
+
+    /// The slot a new record of `size` with the padded buffer `words` lands
+    /// in, searching from slot `from`: past every stored slot of larger
+    /// size, and of equal size with equal or hotter words (the stored slot
+    /// holds the smaller record id, so it wins the tie).
+    fn landing(&self, from: usize, size: u32, words: &[u64]) -> usize {
+        let meta = &self.meta[from..];
+        let (mut lo, mut hi) = (
+            from + meta.partition_point(|m| m.record_size > size),
+            from + meta.partition_point(|m| m.record_size >= size),
+        );
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if hot_first_cmp(self.buffer_words(mid), words) == Ordering::Less {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
     }
 
     /// The prefix of the sketch's buffer words that fits the stride.
@@ -359,10 +436,6 @@ impl SketchStore {
         &words[..copied]
     }
 
-    fn pad_len(&self, sketch: &GbKmvRecordSketch) -> usize {
-        self.words_per_record - sketch.buffer.words().len().min(self.words_per_record)
-    }
-
     fn meta_of(sketch: &GbKmvRecordSketch) -> RecordMeta {
         let hashes = sketch.gkmv.hashes();
         RecordMeta {
@@ -370,106 +443,6 @@ impl SketchStore {
             record_size: sketch.record_size as u32,
             gkmv_len: hashes.len() as u32,
             saturated: sketch.gkmv.is_saturated(),
-        }
-    }
-
-    /// Inserts one record's sketch with the next record id, splicing it into
-    /// the slot that keeps the slot order, and returns `(record_id, slot)`.
-    ///
-    /// This is the dynamic-maintenance path: the new record carries the
-    /// largest record id, so inserting *after* every slot of equal size and
-    /// equal buffer words reproduces exactly the slot order a from-scratch
-    /// [`SketchStore::from_sketches`] build over the grown dataset would
-    /// choose. Arena splicing is O(store size); the block summary is
-    /// recomputed from the spliced block onward, which reads no more words
-    /// than the splice moves. Callers that bulk-load should use
-    /// `from_sketches`.
-    pub fn insert(&mut self, sketch: &GbKmvRecordSketch) -> (usize, usize) {
-        let record_id = self.len() as u32;
-        let size = sketch.record_size as u32;
-        let pad = self.pad_len(sketch);
-        let words: Vec<u64> = self
-            .padded_words(sketch)
-            .iter()
-            .copied()
-            .chain(std::iter::repeat_n(0, pad))
-            .collect();
-        // The size class, then the first slot whose words sort after the
-        // new record's (binary search; the class is sorted by those words).
-        let (mut lo, mut hi) = (
-            self.meta.partition_point(|m| m.record_size > size),
-            self.meta.partition_point(|m| m.record_size >= size),
-        );
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if hot_first_cmp(self.buffer_words(mid), &words) == Ordering::Less {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        let slot = lo;
-
-        let hashes = sketch.gkmv.hashes();
-        for &h in hashes {
-            *self.hash_df.entry(h).or_insert(0) += 1;
-        }
-        let pos = self.hash_offsets[slot] as usize;
-        self.hash_arena
-            .to_mut()
-            .splice(pos..pos, hashes.iter().copied());
-        self.hash_offsets
-            .to_mut()
-            .insert(slot + 1, (pos + hashes.len()) as u64);
-        for offset in &mut self.hash_offsets.to_mut()[slot + 2..] {
-            *offset += hashes.len() as u64;
-        }
-
-        let wpos = slot * self.words_per_record;
-        self.buffer_arena.to_mut().splice(wpos..wpos, words);
-        self.summarize_from(slot / SWEEP_BLOCK);
-
-        self.meta.to_mut().insert(slot, Self::meta_of(sketch));
-        self.record_ids.to_mut().insert(slot, record_id);
-        for s in self.slots.to_mut().iter_mut() {
-            if *s >= slot as u32 {
-                *s += 1;
-            }
-        }
-        self.slots.to_mut().push(slot as u32);
-        (record_id as usize, slot)
-    }
-
-    /// Recomputes the block summary from block `first_block` to the end of
-    /// the buffer arena.
-    fn summarize_from(&mut self, first_block: usize) {
-        let stride = self.words_per_record;
-        self.block_summary.truncate(first_block * stride);
-        if stride == 0 {
-            return;
-        }
-        let words = &self.buffer_arena[first_block * SWEEP_BLOCK * stride..];
-        // One-word strides (the cost model's usual `r ≤ 64`) fold each block
-        // in one vectorised pass; an insert into a 200k-record store redoes
-        // half the blocks on average, and the general loop below made
-        // `ingest_visible_p50_ms` measurably slower there.
-        if stride == 1 {
-            let ors = words
-                .chunks(SWEEP_BLOCK)
-                .map(|block| block.iter().fold(0, |or, &w| or | w));
-            self.block_summary.extend(ors);
-            return;
-        }
-        for block in words.chunks(SWEEP_BLOCK * stride) {
-            let (first, rest) = block.split_at(stride);
-            let start = self.block_summary.len();
-            self.block_summary.extend_from_slice(first);
-            let summary = &mut self.block_summary[start..];
-            for record in rest.chunks_exact(stride) {
-                for (or, &w) in summary.iter_mut().zip(record) {
-                    *or |= w;
-                }
-            }
         }
     }
 
@@ -648,6 +621,39 @@ impl SketchStore {
     }
 }
 
+/// The block summary of a buffer arena of `stride` words per slot: the OR
+/// of each aligned [`SWEEP_BLOCK`]-slot block's words, `stride` words per
+/// block.
+fn summarize(buffer_arena: &[u64], stride: usize) -> Vec<u64> {
+    if stride == 0 {
+        return Vec::new();
+    }
+    // One-word strides (the cost model's usual `r ≤ 64`) fold each block in
+    // one vectorised pass. Every build and every merge summarises its whole
+    // arena, so each flush into a 200k-record shard runs this over 200k
+    // words; the general loop below made `ingest_visible_p50_ms` measurably
+    // slower when it ran on that path.
+    if stride == 1 {
+        return buffer_arena
+            .chunks(SWEEP_BLOCK)
+            .map(|block| block.iter().fold(0, |or, &w| or | w))
+            .collect();
+    }
+    let mut summary =
+        Vec::with_capacity(buffer_arena.len().div_ceil(SWEEP_BLOCK * stride) * stride);
+    for block in buffer_arena.chunks(SWEEP_BLOCK * stride) {
+        let (first, rest) = block.split_at(stride);
+        let start = summary.len();
+        summary.extend_from_slice(first);
+        for record in rest.chunks_exact(stride) {
+            for (or, &w) in summary[start..].iter_mut().zip(record) {
+                *or |= w;
+            }
+        }
+    }
+    summary
+}
+
 /// Orders two records' buffer words hot-first: by the bit-reversed words,
 /// compared from word 0 upward, so the record holding the lower (more
 /// frequent) buffered position is `Greater`. The slot order sorts each size
@@ -773,7 +779,7 @@ mod tests {
     }
 
     /// Wide strides order by every word: records tied on size and word 0
-    /// fall back to word 1, then to the id, through build and insert alike.
+    /// fall back to word 1, then to the id, through build and merge alike.
     #[test]
     fn slot_order_compares_every_buffer_word() {
         let layout = BufferLayout::new((0..130).collect());
@@ -792,11 +798,10 @@ mod tests {
         assert_eq!(store.words_per_record(), 3);
         let slot_order: Vec<usize> = (0..store.len()).map(|s| store.record_id(s)).collect();
         assert_eq!(slot_order, vec![1, 5, 0, 2, 4, 3]);
-        let mut grown = SketchStore::from_sketches(layout.words(), &sketches[..1]);
-        for s in &sketches[1..] {
-            grown.insert(s);
+        for batch in [1, 2, 5] {
+            let built = SketchStore::from_sketches(layout.words(), &sketches[..1]);
+            assert_eq!(grow(built, &sketches[1..], batch), store, "batch {batch}");
         }
-        assert_eq!(grown, store);
     }
 
     #[test]
@@ -820,17 +825,50 @@ mod tests {
         assert_eq!(store.live_prefix(usize::MAX), 0);
     }
 
+    /// Batch sizes the grow tests merge in: one record, a few, one and just
+    /// over one 64-slot block, and more than the store holds.
+    const BATCHES: [usize; 5] = [1, 7, 64, 65, 1_000];
+
+    /// `store` grown by `sketches` in merges of `batch` records, checking
+    /// the ids each merge hands out.
+    fn grow(mut store: SketchStore, sketches: &[GbKmvRecordSketch], batch: usize) -> SketchStore {
+        for chunk in sketches.chunks(batch) {
+            let first = store.len();
+            let refs: Vec<&GbKmvRecordSketch> = chunk.iter().collect();
+            store = store.merge(&refs);
+            for (rid, s) in (first..).zip(chunk) {
+                assert_eq!(store.view_of_record(rid).hashes, s.gkmv.hashes());
+                assert_eq!(store.record_id(store.slot_of(rid)), rid);
+            }
+        }
+        store
+    }
+
+    /// Records for the grow tests over a 40-element buffer (one word):
+    /// `0..n` varied, then records larger than any of those (they sort
+    /// before every stored slot), then copies of earlier records (tied on
+    /// size and buffer words with stored slots).
+    fn grow_records(layout: &BufferLayout, n: u32) -> Vec<GbKmvRecordSketch> {
+        let record = |i: u32| {
+            let mut elements: Vec<u32> = (0..40).filter(|&e| (e * 7 + i * 13) % 23 < 3).collect();
+            elements.extend((0..(1 + i % 9)).map(|j| 1_000 + i * 10 + j));
+            elements
+        };
+        let mut sketches: Vec<GbKmvRecordSketch> =
+            (0..n).map(|i| sketch(&record(i), layout)).collect();
+        sketches.extend((0..70).map(|i| {
+            let mut elements = record(i);
+            elements.extend((0..40 + i % 5).map(|j| 50_000 + i * 100 + j));
+            sketch(&elements, layout)
+        }));
+        sketches.extend((0..70).map(|i| sketch(&record(i * 3 % n), layout)));
+        sketches
+    }
+
     #[test]
     fn hash_df_counts_containing_records_through_build_and_insert() {
-        let layout = BufferLayout::empty();
-        let sketches: Vec<GbKmvRecordSketch> =
-            [&[1u32, 2, 3][..], &[2, 3, 4], &[3, 4, 5, 6], &[7, 8]]
-                .iter()
-                .map(|els| sketch(els, &layout))
-                .collect();
-        let mut store = SketchStore::from_sketches(0, &sketches[..3]);
-        store.insert(&sketches[3]);
-
+        let layout = BufferLayout::new((0..40).collect());
+        let sketches = grow_records(&layout, 60);
         // Reference: count containing records straight off the sketches.
         let mut expected: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
         for s in &sketches {
@@ -838,44 +876,60 @@ mod tests {
                 *expected.entry(h).or_insert(0) += 1;
             }
         }
-        for (&h, &df) in &expected {
-            assert_eq!(store.hash_df(h), df, "df mismatch for hash {h:#x}");
+        for batch in BATCHES {
+            let built = SketchStore::from_sketches(layout.words(), &sketches[..60]);
+            let store = grow(built, &sketches[60..], batch);
+            for (&h, &df) in &expected {
+                assert_eq!(store.hash_df(h), df, "df of {h:#x}, batch {batch}");
+            }
+            assert_eq!(store.hash_df_map().len(), expected.len());
+            assert_eq!(store.hash_df(0xDEAD_BEEF), 0, "unseen hash must have df 0");
         }
-        assert_eq!(store.hash_df(0xDEAD_BEEF), 0, "unseen hash must have df 0");
     }
 
+    /// Growing a store by merges equals the from-scratch build over every
+    /// record, at every batch size, from a built or an empty store; the
+    /// grown records include a run sorting before every stored slot and
+    /// copies tied with stored slots on size and buffer words.
     #[test]
     fn insert_matches_from_scratch_build() {
-        let layout = BufferLayout::new(vec![1, 2, 3]);
-        let sketches: Vec<GbKmvRecordSketch> = [
-            &[1u32, 2, 10, 20][..],
-            &[3, 30],
-            &[40, 50, 60, 70, 80],
-            &[2, 3],
-            &[5, 6, 7],
-            &[1, 31],
-            &[3, 32],
-        ]
-        .iter()
-        .map(|els| sketch(els, &layout))
-        .collect();
-
+        let layout = BufferLayout::new((0..40).collect());
+        let sketches = grow_records(&layout, 60);
         let from_scratch = SketchStore::from_sketches(layout.words(), &sketches);
-        let mut incremental = SketchStore::from_sketches(layout.words(), &sketches[..2]);
-        for (expected_id, s) in sketches.iter().enumerate().skip(2) {
-            let (rid, slot) = incremental.insert(s);
-            assert_eq!(rid, expected_id);
-            assert_eq!(incremental.record_id(slot), expected_id);
-        }
-        assert_eq!(
-            incremental, from_scratch,
-            "incremental inserts diverged from the from-scratch build"
+        assert!(
+            (60..130).contains(&from_scratch.record_id(0)),
+            "a larger record leads the slot order"
         );
+        let tied = |slot: usize| {
+            from_scratch.record_id(slot - 1) < 60
+                && from_scratch.record_id(slot) >= 130
+                && from_scratch.view(slot - 1).meta.record_size
+                    == from_scratch.view(slot).meta.record_size
+                && from_scratch.buffer_words(slot - 1) == from_scratch.buffer_words(slot)
+        };
+        assert!(
+            (1..from_scratch.len()).any(tied),
+            "no copy ties with a stored slot"
+        );
+        for batch in BATCHES {
+            let built = SketchStore::from_sketches(layout.words(), &sketches[..60]);
+            assert_eq!(
+                grow(built, &sketches[60..], batch),
+                from_scratch,
+                "merges of {batch} diverged from the from-scratch build"
+            );
+            let empty = SketchStore::new(layout.words());
+            assert_eq!(
+                grow(empty, &sketches, batch),
+                from_scratch,
+                "batch {batch} from empty"
+            );
+        }
     }
 
     /// The block summary equals a slot-by-slot recomputation after the
-    /// build and after every insert, wherever the insert splices: into the
-    /// first block, a middle one, or past the last full block.
+    /// build and after every merge, at every batch size: merges land in
+    /// the first block, a middle one, or past the last full block.
     #[test]
     fn block_summary_tracks_build_and_every_insert() {
         for (buffered, stride) in [(40u32, 1usize), (100, 2)] {
@@ -887,19 +941,23 @@ mod tests {
                 elements.extend((0..(1 + i % 9)).map(|j| 1_000 + i * 10 + j));
                 sketch(&elements, &layout)
             };
-            let mut store = SketchStore::from_sketches(
-                layout.words(),
-                &(0..150).map(record).collect::<Vec<_>>(),
-            );
-            assert_eq!(store.words_per_record(), stride);
-            assert_eq!(store.block_summary(), store.block_summary_recomputed());
-            for i in 150..250 {
-                store.insert(&record(i));
-                assert_eq!(
-                    store.block_summary(),
-                    store.block_summary_recomputed(),
-                    "after inserting record {i}"
+            let grown: Vec<GbKmvRecordSketch> = (150..400).map(record).collect();
+            for batch in BATCHES {
+                let mut store = SketchStore::from_sketches(
+                    layout.words(),
+                    &(0..150).map(record).collect::<Vec<_>>(),
                 );
+                assert_eq!(store.words_per_record(), stride);
+                assert_eq!(store.block_summary(), store.block_summary_recomputed());
+                for chunk in grown.chunks(batch) {
+                    store = grow(store, chunk, batch);
+                    assert_eq!(
+                        store.block_summary(),
+                        store.block_summary_recomputed(),
+                        "after growing to {} records in merges of {batch}",
+                        store.len()
+                    );
+                }
             }
         }
         assert!(SketchStore::new(1).block_summary().is_empty());
@@ -929,9 +987,8 @@ mod tests {
     #[test]
     fn default_store_upholds_offset_invariant() {
         let layout = BufferLayout::empty();
-        let mut store = SketchStore::default();
-        let (rid, slot) = store.insert(&sketch(&[5, 6, 7], &layout));
-        assert_eq!(rid, 0);
+        let store = SketchStore::default().merge(&[&sketch(&[5, 6, 7], &layout)]);
+        let slot = store.slot_of(0);
         assert_eq!(store.hashes(slot).len(), 3);
         assert_eq!(store.gkmv_len(slot), 3);
     }

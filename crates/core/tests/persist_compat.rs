@@ -207,11 +207,16 @@ fn delta_checkpoint_against_a_parent_image_rewrites_its_shards() {
     assert_eq!((stats.reused_shards, stats.rewritten_shards), (0, 3));
     assert_eq!(unchanged, index.to_arena_bytes());
 
-    for rid in [3usize, 77, 210] {
-        let mut grown = dataset.record(rid).elements().to_vec();
-        grown.push(5_000 + rid as u32);
-        index.insert(&Record::new(grown));
-    }
+    // One merge of three records into the unclustered tail shard.
+    let grown: Vec<Record> = [3usize, 77, 210]
+        .iter()
+        .map(|&rid| {
+            let mut elements = dataset.record(rid).elements().to_vec();
+            elements.push(5_000 + rid as u32);
+            Record::new(elements)
+        })
+        .collect();
+    index.insert_batch(&grown);
     let (bytes, stats) = index.to_arena_bytes_delta(FIXTURE);
     assert!(!stats.fallback);
     assert_eq!((stats.reused_shards, stats.rewritten_shards), (0, 3));

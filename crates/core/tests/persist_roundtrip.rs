@@ -1,8 +1,8 @@
 //! Round-trip suite for the single-file index arena (`crate::persist`):
 //! save→load→save byte identity, storage and answer identity of loaded
 //! indexes, zero-copy accounting (`mem_usage` reports every loaded arena as
-//! borrowed), and growth after a load — inserting into a loaded index (which
-//! promotes borrowed arenas to owned on first write) must leave it
+//! borrowed), and growth after a load — growing a loaded index (which builds
+//! a new tail shard and leaves every clean shard borrowed) must leave it
 //! bit-identical to the same inserts applied to the built index.
 
 use gbkmv_core::dataset::{Dataset, Record};
@@ -116,18 +116,30 @@ fn insert_after_load_matches_insert_after_build() {
     ] {
         let mut built = GbKmvIndex::build(&data, config);
         let mut loaded = GbKmvIndex::from_arena_bytes(&built.to_arena_bytes()).expect("load");
-        // Growing a loaded index promotes its borrowed arenas to owned
-        // (one bulk copy each, on first write) and must land in exactly
-        // the state the same inserts produce on the built index.
+        // Growing a loaded index builds a new tail shard from the borrowed
+        // one and must land in exactly the state the same inserts produce
+        // on the built index, in one merge or one per record.
+        loaded.insert_batch(&extra);
         for record in &extra {
             built.insert(record);
-            loaded.insert(record);
         }
         assert_eq!(
             loaded.sharded(),
             built.sharded(),
             "{label}: grown loaded index diverged from grown built index"
         );
+        // Every clean shard still borrows the file; the grown tail owns
+        // its storage.
+        let shards = loaded.sharded().shards();
+        for (i, shard) in shards.iter().enumerate() {
+            let usage = shard.mem_usage();
+            if i + 1 < shards.len() {
+                assert!(usage.borrowed_bytes > 0, "{label}: clean shard {i}");
+                assert_eq!(usage.borrowed_bytes, usage.arena_content_bytes());
+            } else {
+                assert_eq!(usage.borrowed_bytes, 0, "{label}: the grown tail");
+            }
+        }
         let query = &extra[3];
         assert_eq!(
             loaded.search_record(query, 0.4),

@@ -3,12 +3,13 @@
 //! dense consecutive runs, single-element lists, gaps up to the top of the
 //! `u32` range, and everything in between.
 //!
-//! * **prefix cuts** — `PostingList::prefix(hi)` is exactly the model's
-//!   slots below `hi`, in order, for every cutoff, including those past, at
-//!   or just above the last slot (the search-free cut); this is the
-//!   contract the candidates stage and the prune-stage truncation rely on;
-//! * **mutations** — `renumber_from` then `insert_sorted` (the dynamic
-//!   insert path) leave the list equal to the same edit of the model.
+//! **Prefix cuts:** `PostingList::prefix(hi)` is exactly the model's slots
+//! below `hi`, in order, for every cutoff, including those past, at or just
+//! above the last slot (the search-free cut); this is the contract the
+//! candidates stage and the prune-stage truncation rely on.
+//!
+//! Lists are never edited once built: growing an index rebuilds the grown
+//! shard's lists from its merged store (see `gbkmv_core::index::sharded`).
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -94,30 +95,5 @@ proptest! {
                 "prefix cut broke below {}", hi
             );
         }
-    }
-
-    #[test]
-    fn insert_and_renumber_commute_with_encoding(
-        slots in slots_strategy(),
-        splice_pick in 0usize..1_000,
-    ) {
-        // The exact mutation sequence of a dynamic index insert: renumber
-        // everything at or above the splice slot, then splice the (now
-        // free) slot in. Mutating the list must equal building it from the
-        // mutated model.
-        let max = slots.last().copied().unwrap_or(0);
-        let slot = (splice_pick as u64 * (max as u64 + 1) / 1_000) as u32;
-        let mut list = PostingList::from_sorted(slots.clone());
-        let mut model = slots;
-        list.renumber_from(slot);
-        for s in model.iter_mut().filter(|s| **s >= slot) {
-            *s += 1;
-        }
-        prop_assert_eq!(list.as_slice(), &model[..], "renumber_from({}) diverged", slot);
-        list.insert_sorted(slot);
-        let at = model.partition_point(|&s| s < slot);
-        model.insert(at, slot);
-        prop_assert_eq!(list.as_slice(), &model[..], "insert_sorted({}) diverged", slot);
-        prop_assert_eq!(&list, &PostingList::from_sorted(model), "grown list differs from a fresh build");
     }
 }

@@ -255,29 +255,40 @@ proptest! {
     #[test]
     fn insert_then_search_matches_scan_on_grown_index(
         dataset in dataset_strategy(),
-        extra in vec(vec(0u32..3_000, 1..80), 1..6),
+        extra in vec(vec(0u32..3_000, 1..80), 1..140),
         budget_fraction in 0.05f64..1.1,
         t_star in 0.0f64..1.0,
         shards in 1usize..4,
         seed in 0u64..1_000_000,
+        batch_pick in 0usize..5,
     ) {
-        // Dynamic inserts go through the same sharded, size-ordered path as
-        // the bulk build; the pruned pipeline must stay exact on the grown
-        // index (the scan recomputes from the stored sketches, so this
-        // cross-checks the posting renumbering and splices).
+        // Growing merges each batch into the tail shard with the bulk
+        // build's layout code; the pruned pipeline must stay exact on the
+        // grown index (the scan recomputes from the stored sketches, so
+        // this cross-checks the merged store and the rebuilt postings), and
+        // the grown storage must not depend on how the records were
+        // batched: one merge per record lays out the same index.
+        let batch = [1usize, 7, 64, 65, 1_000][batch_pick];
         let inserted: Vec<Record> = extra.into_iter().map(Record::new).collect();
         let config = GbKmvConfig::with_space_fraction(budget_fraction)
             .hash_seed(seed | 1)
             .shards(shards);
         let mut index = GbKmvIndex::build(&dataset, config);
-        for record in &inserted {
-            index.insert(record);
+        let mut one_by_one = index.clone();
+        for chunk in inserted.chunks(batch) {
+            let first = index.num_records();
+            prop_assert_eq!(index.insert_batch(chunk), first..first + chunk.len());
         }
-        for query in inserted.iter().chain(std::iter::once(dataset.record(0))) {
+        for record in &inserted {
+            one_by_one.insert(record);
+        }
+        prop_assert_eq!(index.sharded(), one_by_one.sharded(),
+            "batches of {} laid out a different index than single inserts", batch);
+        for query in inserted.iter().step_by(9).chain(std::iter::once(dataset.record(0))) {
             let scan = index.search_scan(query, t_star);
             prop_assert_eq!(&scan, &index.search_record(query, t_star),
-                "grown {}-shard index: pipeline diverged from scan (t*={})",
-                shards, t_star);
+                "grown {}-shard index: pipeline diverged from scan (t*={}, batch {})",
+                shards, t_star, batch);
         }
     }
 

@@ -42,11 +42,12 @@ fn main() {
         index.summary().tau
     );
 
-    // Append the new batch incrementally and keep a combined dataset for
-    // ground-truth comparison.
+    // Append the new batch in one merge into the index's tail shard, and
+    // keep a combined dataset for ground-truth comparison.
+    let ids = index.insert_batch(arriving.records());
+    assert_eq!(ids, initial.len()..initial.len() + arriving.len());
     let mut combined = initial.clone();
     for record in arriving.records() {
-        index.insert(record);
         combined.push(record.clone());
     }
     println!(
