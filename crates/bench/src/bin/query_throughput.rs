@@ -19,11 +19,13 @@
 //! All paths are asserted to return bit-identical hits while measuring, so
 //! the numbers can never drift from a correctness regression silently.
 //!
-//! A `dense_profile` section repeats `scan` and `prefix_pruned` on a second
-//! dataset: a near-uniform element distribution over a small universe, so
-//! the hottest signature postings cover most of the slot space and most
-//! queries take the prefix filter's prefixed walk. The section records the
-//! posting bytes of that index.
+//! The main profile (the bench lib's `zipf_profile`) and the
+//! `dense_profile` section are two rows of one profile table, measured by
+//! one function. The dense row is a near-uniform element distribution over
+//! a small universe, so the hottest signature postings cover most of the
+//! slot space and most queries take the prefix filter's prefixed walk; it
+//! measures `scan` and `prefix_pruned` only. Every index is built with the
+//! bench lib's `pinned_engine` (the sketch-only operating point, `r = 0`).
 //!
 //! The `build` section times sequential against parallel index builds in
 //! alternating pairs and reports the median of the per-pair speedups.
@@ -70,9 +72,11 @@ use std::time::Instant;
 use serde::Serialize;
 
 use gbkmv_bench::harness::arg_value;
-use gbkmv_bench::report::{latency_stats, measure, parsed_arg, percentile};
-use gbkmv_core::dataset::Record;
-use gbkmv_core::index::{GbKmvConfig, GbKmvIndex, QueryPipeline, SearchHit};
+use gbkmv_bench::report::{
+    latency_stats, measure, parsed_arg, percentile, pinned_engine, zipf_profile,
+};
+use gbkmv_core::dataset::{Dataset, Record};
+use gbkmv_core::index::{GbKmvIndex, QueryPipeline, SearchHit};
 use gbkmv_core::mem::MemUsage;
 use gbkmv_core::parallel::resolve_threads;
 use gbkmv_core::persist::DeltaStats;
@@ -207,19 +211,34 @@ struct PostingMemorySection {
     posting_bytes: usize,
 }
 
-/// The dense-postings companion profile: a near-uniform element
-/// distribution (`alpha_element_freq` ≈ 1.01) over a small universe, so
-/// frequent signatures land in most records' sketches and their posting
-/// lists cover well over half of the slot space. Most of its queries take
-/// the prefix filter's prefixed walk, which the sparse default profile
-/// above rarely does.
+/// One measured row of the profile table: its dataset, the posting bytes
+/// of its unsharded index, and its measured paths. The main row's fields
+/// sit at the top level of the report, the dense row's under
+/// `dense_profile`.
 #[derive(Debug, Serialize)]
-struct DenseProfileSection {
+struct ProfileSection {
     dataset: DatasetSection,
-    /// Posting-list bytes on the dense data.
     posting_memory: PostingMemorySection,
-    /// `scan` reference plus the engine.
     paths: Vec<PathSection>,
+}
+
+/// A row of the profile table: the dataset family, the workload's sampling
+/// seed, and the shard count of the `sharded_pruned` / `batch_parallel`
+/// paths (`None` measures `scan` and `prefix_pruned` only).
+struct Profile {
+    config: SyntheticConfig,
+    query_seed: u64,
+    shards: Option<usize>,
+}
+
+/// What measuring a [`Profile`] leaves behind for the main row's further
+/// sections.
+struct ProfileRun {
+    section: ProfileSection,
+    dataset: Dataset,
+    queries: Vec<Record>,
+    index: GbKmvIndex,
+    sharded: Option<GbKmvIndex>,
 }
 
 /// The single-file index-arena measurement: save the engine's index, reopen it zero-copy, and time both against rebuilding
@@ -279,8 +298,8 @@ struct ThroughputReport {
     /// clone, batch flush throughput, snapshot sharing, and the
     /// delta-vs-full checkpoint comparison.
     ingest: IngestSection,
-    /// The dense-postings companion profile.
-    dense_profile: DenseProfileSection,
+    /// The dense-postings companion row of the profile table.
+    dense_profile: ProfileSection,
     paths: Vec<PathSection>,
     /// Speedup of the engine (`prefix_pruned`) over the scan.
     speedup_prefix_vs_scan: f64,
@@ -296,7 +315,39 @@ fn qps(paths: &[PathSection], name: &str) -> f64 {
         .queries_per_sec
 }
 
-fn path_section(name: &str, latencies: Vec<f64>, total_hits: usize) -> PathSection {
+/// Runs `f` `reps` times (at least once): the fastest run's seconds and the
+/// last run's value, dropped outside the timed runs.
+fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut best = f64::INFINITY;
+    let mut value = None;
+    for _ in 0..reps.max(1) {
+        let start = Instant::now();
+        let v = f();
+        best = best.min(start.elapsed().as_secs_f64());
+        value = Some(v);
+    }
+    (best, value.expect("at least one rep"))
+}
+
+/// `a / b`, or 0 when `b` is not positive.
+fn ratio(a: f64, b: f64) -> f64 {
+    if b > 0.0 {
+        a / b
+    } else {
+        0.0
+    }
+}
+
+/// The workload's hits summed over its queries, answered one by one.
+fn workload_hits(index: &GbKmvIndex, queries: &[Record], threshold: f64) -> usize {
+    queries
+        .iter()
+        .map(|q| index.search_record(q, threshold).len())
+        .sum()
+}
+
+/// A [`PathSection`] from a measured loop's latencies and hit count.
+fn path(name: &str, (latencies, total_hits): (Vec<f64>, usize)) -> PathSection {
     let stats = latency_stats(latencies);
     PathSection {
         name: name.to_string(),
@@ -307,42 +358,176 @@ fn path_section(name: &str, latencies: Vec<f64>, total_hits: usize) -> PathSecti
     }
 }
 
-/// Measures the batch path over `reps` timed passes of the whole workload
-/// and returns (best pass seconds, per-pass hit count).
-fn measure_batch<F>(queries: &[Record], reps: usize, run: F) -> (f64, usize)
-where
-    F: Fn(&[Record]) -> usize,
-{
-    let total_hits = run(queries); // warm-up
-    let mut best = f64::INFINITY;
+/// Times `search_batch` over the whole workload: one warm-up pass, then the
+/// best of `reps` timed passes. Only the amortised per-query time is
+/// observable, so it fills both latency columns.
+fn batch_section(
+    index: &GbKmvIndex,
+    queries: &[Record],
+    threshold: f64,
+    reps: usize,
+) -> PathSection {
+    let run = || -> usize {
+        index
+            .search_batch(queries, threshold)
+            .iter()
+            .map(Vec::len)
+            .sum()
+    };
+    let total_hits = run();
+    let mut best_seconds = f64::INFINITY;
     for _ in 0..reps.max(1) {
         let start = Instant::now();
-        let check_hits = run(queries);
-        let secs = start.elapsed().as_secs_f64();
+        let check_hits = run();
+        best_seconds = best_seconds.min(start.elapsed().as_secs_f64());
         assert_eq!(total_hits, check_hits, "non-deterministic batch path");
-        best = best.min(secs);
     }
-    (best, total_hits)
-}
-
-/// A [`PathSection`] for a batch pass, where only the amortised per-query
-/// time is observable (reported in both latency columns).
-fn batch_section(name: &str, best_seconds: f64, num_queries: usize, hits: usize) -> PathSection {
-    let amortised_us = if num_queries > 0 {
-        best_seconds * 1e6 / num_queries as f64
-    } else {
+    let amortised_us = if queries.is_empty() {
         0.0
+    } else {
+        best_seconds * 1e6 / queries.len() as f64
     };
     PathSection {
-        name: name.to_string(),
-        queries_per_sec: if best_seconds > 0.0 {
-            num_queries as f64 / best_seconds
-        } else {
-            0.0
-        },
+        name: "batch_parallel".to_string(),
+        queries_per_sec: ratio(queries.len() as f64, best_seconds),
         p50_latency_us: amortised_us,
         p99_latency_us: amortised_us,
-        total_hits: hits,
+        total_hits,
+    }
+}
+
+/// Measures one row of the profile table. Generates its dataset and
+/// workload, builds the engine's index (and the sharded one when the row
+/// asks for it), asserts — per query, before anything is timed — that
+/// every path answers bit-identically to the `search_scan` reference, so a
+/// path that loses a hit on one query and gains one on another can't slip
+/// through a workload-wide total, then times each path.
+fn run_profile(
+    profile: &Profile,
+    num_queries: usize,
+    budget: f64,
+    threshold: f64,
+    threads: usize,
+    reps: usize,
+) -> ProfileRun {
+    let config = profile.config;
+    let dataset = SyntheticDataset::generate(config).dataset;
+    let queries =
+        QueryWorkload::sample_from_dataset(&dataset, num_queries, profile.query_seed).queries;
+    let index = GbKmvIndex::build(&dataset, pinned_engine(budget).threads(threads));
+    let sharded = profile
+        .shards
+        .map(|n| GbKmvIndex::build(&dataset, pinned_engine(budget).threads(threads).shards(n)));
+
+    let reference: Vec<Vec<SearchHit>> = queries
+        .iter()
+        .map(|q| index.search_scan(q, threshold))
+        .collect();
+    let assert_agrees = |name: &str, answers: Vec<Vec<SearchHit>>| {
+        for (qi, (got, expected)) in answers.iter().zip(&reference).enumerate() {
+            assert_eq!(got, expected, "{name} diverged from scan on query {qi}");
+        }
+    };
+    let one_by_one = |index: &GbKmvIndex| -> Vec<Vec<SearchHit>> {
+        queries
+            .iter()
+            .map(|q| index.search_record(q, threshold))
+            .collect()
+    };
+    assert_agrees("prefix_pruned", one_by_one(&index));
+    if let Some(sharded) = &sharded {
+        assert_agrees("sharded_pruned", one_by_one(sharded));
+        assert_agrees("batch_parallel", sharded.search_batch(&queries, threshold));
+    }
+
+    let engine = |index: &GbKmvIndex| {
+        let mut pipeline = QueryPipeline::new();
+        measure(&queries, reps, |q| {
+            pipeline.search_sorted(index, q.elements(), threshold).len()
+        })
+    };
+    let mut paths = vec![
+        path(
+            "scan",
+            measure(&queries, reps, |q| index.search_scan(q, threshold).len()),
+        ),
+        path("prefix_pruned", engine(&index)),
+    ];
+    if let Some(sharded) = &sharded {
+        paths.push(path("sharded_pruned", engine(sharded)));
+        paths.push(batch_section(sharded, &queries, threshold, reps));
+    }
+    // Belt-and-braces on top of the per-query agreement check above: the
+    // measured loops must reproduce the scan's workload-wide hit count.
+    for path in &paths {
+        assert_eq!(
+            path.total_hits, paths[0].total_hits,
+            "{} diverged from scan",
+            path.name
+        );
+    }
+
+    let section = ProfileSection {
+        dataset: DatasetSection {
+            num_records: dataset.len(),
+            universe_size: config.universe_size,
+            alpha_element_freq: config.alpha_element_freq,
+            alpha_record_size: config.alpha_record_size,
+            total_elements: dataset.total_elements(),
+            num_queries: queries.len(),
+            space_budget_fraction: budget,
+            containment_threshold: threshold,
+        },
+        posting_memory: PostingMemorySection {
+            posting_bytes: index.posting_bytes(),
+        },
+        paths,
+    };
+    ProfileRun {
+        section,
+        dataset,
+        queries,
+        index,
+        sharded,
+    }
+}
+
+/// Times sequential against parallel builds of `dataset`. An untimed
+/// warm-up build runs first so allocator/page-cache warm-up is not recorded
+/// as parallel speedup. The timed builds then run in alternating pairs, the
+/// order flipping every pair, and the reported speedup is the median of the
+/// per-pair ratios: host noise that slows one build cannot move it the way
+/// it moved a ratio of two best-of runs (0.75x against a 0.8x floor on one
+/// 800-record smoke run, with the build code unchanged).
+fn measure_build(dataset: &Dataset, budget: f64, threads: usize, reps: usize) -> BuildSection {
+    std::hint::black_box(GbKmvIndex::build(dataset, pinned_engine(budget)));
+    let timed_build = |t: usize| {
+        let start = Instant::now();
+        std::hint::black_box(GbKmvIndex::build(dataset, pinned_engine(budget).threads(t)));
+        start.elapsed().as_secs_f64()
+    };
+    let mut pair_speedups = Vec::new();
+    let (mut seconds_single, mut seconds_parallel) = (f64::INFINITY, f64::INFINITY);
+    for pair in 0..2 * reps.max(1) + 1 {
+        let (single, parallel) = if pair % 2 == 0 {
+            let single = timed_build(1);
+            (single, timed_build(threads))
+        } else {
+            let parallel = timed_build(threads);
+            (timed_build(1), parallel)
+        };
+        seconds_single = seconds_single.min(single);
+        seconds_parallel = seconds_parallel.min(parallel);
+        pair_speedups.push(ratio(single, parallel));
+    }
+    let mut sorted_speedups = pair_speedups.clone();
+    sorted_speedups.sort_by(f64::total_cmp);
+    BuildSection {
+        seconds_single_thread: seconds_single,
+        seconds_parallel,
+        parallel_threads: resolve_threads(threads),
+        parallel_speedup: percentile(&sorted_speedups, 0.5),
+        pair_speedups,
     }
 }
 
@@ -361,14 +546,11 @@ fn measure_persistence(
     save_path: &std::path::Path,
     load_path: &std::path::Path,
 ) -> PersistenceSection {
-    let mut save_secs = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
+    let (save_secs, ()) = best_of(reps, || {
         built
             .save(save_path)
-            .expect("saving the index arena failed");
-        save_secs = save_secs.min(start.elapsed().as_secs_f64());
-    }
+            .expect("saving the index arena failed")
+    });
     let arena_file_bytes = std::fs::metadata(save_path)
         .expect("stat on the written arena failed")
         .len();
@@ -376,32 +558,18 @@ fn measure_persistence(
     // `open` validates the header and checksum, copies the image once into
     // an aligned arena, and reconstructs every component by borrowing into
     // it — no per-record work, which is what the speedup below records.
-    let mut load_secs = f64::INFINITY;
-    let mut loaded: Option<GbKmvIndex> = None;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        let reopened = GbKmvIndex::open(load_path).expect("loading the index arena failed");
-        load_secs = load_secs.min(start.elapsed().as_secs_f64());
-        loaded = Some(reopened);
-    }
-    let loaded = loaded.expect("at least one load rep");
+    let (load_secs, loaded) = best_of(reps, || {
+        GbKmvIndex::open(load_path).expect("loading the index arena failed")
+    });
 
-    let mut rebuild_secs = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        std::hint::black_box(rebuild());
-        rebuild_secs = rebuild_secs.min(start.elapsed().as_secs_f64());
-    }
+    let (rebuild_secs, ()) = best_of(reps, || drop(std::hint::black_box(rebuild())));
 
     // The loaded index must answer the workload exactly as the built one
     // (under `--load` the built index comes from the same pinned seeds, so
     // the comparison holds across processes too). Run the loaded side
     // through its own pipeline so the scratch figure reflects exactly this
     // workload's steady state.
-    let total_hits_built: usize = queries
-        .iter()
-        .map(|q| built.search_record(q, threshold).len())
-        .sum();
+    let total_hits_built: usize = workload_hits(built, queries, threshold);
     let mut pipeline = QueryPipeline::new();
     let total_hits_loaded: usize = queries
         .iter()
@@ -435,11 +603,7 @@ fn measure_persistence(
         save_ms: save_secs * 1e3,
         load_ms: load_secs * 1e3,
         rebuild_ms: rebuild_secs * 1e3,
-        load_speedup_vs_rebuild: if load_secs > 0.0 {
-            rebuild_secs / load_secs
-        } else {
-            0.0
-        },
+        load_speedup_vs_rebuild: ratio(rebuild_secs, load_secs),
         total_hits_built,
         total_hits_loaded,
         mem_built,
@@ -465,9 +629,7 @@ fn measure_concurrent(
 
     let service = ContainmentService::new(base_index.clone());
     let mut direct = base_index.clone();
-    for record in ingest_stream {
-        direct.insert(record);
-    }
+    direct.insert_batch(ingest_stream);
 
     let batches = batches.clamp(1, ingest_stream.len().max(1));
     let chunk = ingest_stream.len().div_ceil(batches);
@@ -507,14 +669,8 @@ fn measure_concurrent(
 
     let generations_published = service.generation();
     let snapshot = service.snapshot();
-    let total_hits_service: usize = queries
-        .iter()
-        .map(|q| snapshot.search_record(q, threshold).len())
-        .sum();
-    let total_hits_direct: usize = queries
-        .iter()
-        .map(|q| direct.search_record(q, threshold).len())
-        .sum();
+    let total_hits_service: usize = workload_hits(&snapshot, queries, threshold);
+    let total_hits_direct: usize = workload_hits(&direct, queries, threshold);
     assert_eq!(
         total_hits_service, total_hits_direct,
         "service snapshot diverged from the directly grown index"
@@ -526,16 +682,8 @@ fn measure_concurrent(
         writer_batches: ingest_stream.len().div_ceil(chunk.max(1)),
         generations_published,
         reader_queries_total,
-        reader_queries_per_sec: if elapsed > 0.0 {
-            reader_queries_total as f64 / elapsed
-        } else {
-            0.0
-        },
-        ingest_records_per_sec: if elapsed > 0.0 {
-            ingest_stream.len() as f64 / elapsed
-        } else {
-            0.0
-        },
+        reader_queries_per_sec: ratio(reader_queries_total as f64, elapsed),
+        ingest_records_per_sec: ratio(ingest_stream.len() as f64, elapsed),
         total_hits_service,
         total_hits_direct,
     }
@@ -604,15 +752,12 @@ fn measure_ingest(
     // same index size — only the clone strategy differs.
     let probe = draw(1).remove(0);
     let snapshot = service.snapshot();
-    let mut deep_secs = f64::INFINITY;
-    for _ in 0..flush_reps {
-        let start = Instant::now();
+    let (deep_secs, cloned) = best_of(flush_reps, || {
         let mut cloned = snapshot.deep_clone();
         cloned.insert(&probe);
-        let secs = start.elapsed().as_secs_f64();
-        std::hint::black_box(&cloned);
-        deep_secs = deep_secs.min(secs);
-    }
+        cloned
+    });
+    std::hint::black_box(&cloned);
 
     // Flush latency and records/s at growing batch sizes. A flush is one
     // merge of its whole batch, so records/s grows with the batch;
@@ -631,11 +776,7 @@ fn measure_ingest(
         batches.push(IngestBatchPoint {
             batch_size,
             flush_ms: secs * 1e3,
-            records_per_sec: if secs > 0.0 {
-                batch_size as f64 / secs
-            } else {
-                0.0
-            },
+            records_per_sec: ratio(batch_size as f64, secs),
         });
     }
 
@@ -659,18 +800,10 @@ fn measure_ingest(
     // Hit identity: the quiesced service vs a direct index grown by the
     // same inserts in the same order.
     let mut direct = base.clone();
-    for record in &submitted {
-        direct.insert(record);
-    }
+    direct.insert_batch(&submitted);
     let quiesced = service.snapshot();
-    let total_hits_service: usize = queries
-        .iter()
-        .map(|q| quiesced.search_record(q, threshold).len())
-        .sum();
-    let total_hits_direct: usize = queries
-        .iter()
-        .map(|q| direct.search_record(q, threshold).len())
-        .sum();
+    let total_hits_service: usize = workload_hits(&quiesced, queries, threshold);
+    let total_hits_direct: usize = workload_hits(&direct, queries, threshold);
     assert_eq!(
         total_hits_service, total_hits_direct,
         "ingest service snapshot diverged from the directly grown index"
@@ -721,96 +854,16 @@ fn measure_ingest(
         batches,
         cow_flush_ms: cow_secs * 1e3,
         deep_clone_flush_ms: deep_secs * 1e3,
-        flush_speedup_vs_deep_clone: if cow_secs > 0.0 {
-            deep_secs / cow_secs
-        } else {
-            0.0
-        },
+        flush_speedup_vs_deep_clone: ratio(deep_secs, cow_secs),
         shared_bytes: pair.shared_bytes,
         checkpoint_shards: checkpoint_index.sharded().shards().len(),
         full_checkpoint_ms: full_secs * 1e3,
         delta_checkpoint_ms: delta_secs * 1e3,
-        delta_speedup_vs_full: if delta_secs > 0.0 {
-            full_secs / delta_secs
-        } else {
-            0.0
-        },
+        delta_speedup_vs_full: ratio(full_secs, delta_secs),
         delta,
         delta_arena_path: delta_path.display().to_string(),
         total_hits_service,
         total_hits_direct,
-    }
-}
-
-/// Builds and measures the dense-postings companion profile: near-uniform
-/// element frequencies (`α1 = 1.01`) over a 160-element universe with
-/// records covering most of it, so the globally smallest signature hashes
-/// survive sketching in well over half of all records. Asserts the engine
-/// stays bit-identical to the scan reference before timing anything.
-fn measure_dense_profile(
-    num_records: usize,
-    num_queries: usize,
-    budget: f64,
-    threshold: f64,
-    threads: usize,
-    reps: usize,
-) -> DenseProfileSection {
-    let config = SyntheticConfig {
-        num_records,
-        universe_size: 160,
-        alpha_element_freq: 1.01,
-        alpha_record_size: 3.0,
-        min_record_len: 96,
-        max_record_len: 160,
-        seed: 0xDE5E_0001,
-    };
-    let dataset = SyntheticDataset::generate(config).dataset;
-    let workload = QueryWorkload::sample_from_dataset(&dataset, num_queries, 0x0DE5_E002);
-    let queries = &workload.queries;
-
-    // Same operating point as the main profile (sketch-only, pinned buffer)
-    // so the two sections differ only in the data shape.
-    let index = GbKmvIndex::build(
-        &dataset,
-        GbKmvConfig::with_space_fraction(budget)
-            .buffer_size(0)
-            .threads(threads),
-    );
-    for (qi, q) in queries.iter().enumerate() {
-        assert_eq!(
-            index.search_record(q, threshold),
-            index.search_scan(q, threshold),
-            "dense prefix_pruned diverged from scan on query {qi}"
-        );
-    }
-
-    let (scan_lat, scan_hits) = measure(queries, reps, |q| index.search_scan(q, threshold).len());
-    let mut pipeline = QueryPipeline::new();
-    let (prefix_lat, prefix_hits) = measure(queries, reps, |q| {
-        pipeline
-            .search_sorted(&index, q.elements(), threshold)
-            .len()
-    });
-    assert_eq!(scan_hits, prefix_hits, "dense prefix_pruned diverged");
-
-    DenseProfileSection {
-        dataset: DatasetSection {
-            num_records: dataset.len(),
-            universe_size: config.universe_size,
-            alpha_element_freq: config.alpha_element_freq,
-            alpha_record_size: config.alpha_record_size,
-            total_elements: dataset.total_elements(),
-            num_queries: queries.len(),
-            space_budget_fraction: budget,
-            containment_threshold: threshold,
-        },
-        posting_memory: PostingMemorySection {
-            posting_bytes: index.posting_bytes(),
-        },
-        paths: vec![
-            path_section("scan", scan_lat, scan_hits),
-            path_section("prefix_pruned", prefix_lat, prefix_hits),
-        ],
     }
 }
 
@@ -837,130 +890,52 @@ fn main() {
     let full_out = format!("{out}.full.arena");
     let delta_out = format!("{out}.delta.arena");
 
-    let config = SyntheticConfig {
-        num_records,
-        universe_size: (num_records * 2).max(1_000),
-        alpha_element_freq: 1.1,
-        alpha_record_size: 3.0,
-        min_record_len: 10,
-        max_record_len: 500,
-        seed: 0xBE7C_4A11,
-    };
-    let dataset = SyntheticDataset::generate(config).dataset;
-    let workload = QueryWorkload::sample_from_dataset(&dataset, num_queries, 0x0051_EED5);
-    println!(
-        "dataset: {} records, {} occurrences, {} queries, {:.0}% budget, t* = {}",
-        dataset.len(),
-        dataset.total_elements(),
-        workload.queries.len(),
-        budget * 100.0,
-        threshold
-    );
+    // The profile table. The main row is the Zipf family the scale sweep
+    // also measures; the dense row is near-uniform (`α1 = 1.01`) over a
+    // 160-element universe with records covering most of it, so the
+    // globally smallest signature hashes survive sketching in well over half
+    // of all records and most queries take the prefix filter's prefixed walk.
+    let profiles = [
+        Profile {
+            config: zipf_profile(num_records, 0xBE7C_4A11),
+            query_seed: 0x0051_EED5,
+            shards: Some(shards),
+        },
+        Profile {
+            config: SyntheticConfig {
+                num_records,
+                universe_size: 160,
+                alpha_element_freq: 1.01,
+                alpha_record_size: 3.0,
+                min_record_len: 96,
+                max_record_len: 160,
+                seed: 0xDE5E_0001,
+            },
+            query_seed: 0x0DE5_E002,
+            shards: None,
+        },
+    ];
+    let [main_run, dense_run] =
+        profiles.map(|p| run_profile(&p, num_queries, budget, threshold, threads, reps));
+    let ProfileRun {
+        section: main_section,
+        dataset,
+        queries,
+        index,
+        sharded: sharded_index,
+    } = main_run;
+    let sharded_index = sharded_index.expect("the main row measures the sharded paths");
+    let queries = &queries;
 
-    // Build: single-thread vs. parallel (the two must agree bit-for-bit,
-    // which the core test suite already asserts). An untimed warm-up build
-    // runs first so allocator/page-cache warm-up is not recorded as parallel
-    // speedup. The timed builds then run in alternating pairs, the order
-    // flipping every pair, and the reported speedup is the median of the
-    // per-pair ratios: host noise that slows one build cannot move it the
-    // way it moved a ratio of two best-of runs (0.75x against a 0.8x floor
-    // on one 800-record smoke run, with the build code unchanged).
-    //
-    // Every index here pins the buffer to the sketch-only operating point
-    // (`buffer_size(0)`) rather than letting the cost model pick: this
-    // binary tracks query-engine mechanics across PRs, so the measured
-    // index shape must not move when the accuracy-side cost model does.
-    // (The starvation-floor/dominance fix changed Auto's pick on this
-    // deliberately starved 10% Zipf profile from r = 0 to a
-    // buffer-dominant r, which empties the sketches and would have
-    // silently swapped the workload under the historical entries. Whether
-    // Auto picks well is the eval suite's question, not this bench's.)
-    let engine_config = || GbKmvConfig::with_space_fraction(budget).buffer_size(0);
-    let _warmup = GbKmvIndex::build(&dataset, engine_config());
-    let timed_build = |t: usize| {
-        let start = Instant::now();
-        let built = GbKmvIndex::build(&dataset, engine_config().threads(t));
-        (start.elapsed().as_secs_f64(), built)
-    };
-    let mut pair_speedups = Vec::new();
-    let (mut seconds_single, mut seconds_parallel) = (f64::INFINITY, f64::INFINITY);
-    let mut index = None;
-    for pair in 0..2 * reps.max(1) + 1 {
-        let ((single, _), (parallel, built)) = if pair % 2 == 0 {
-            let single = timed_build(1);
-            (single, timed_build(threads))
-        } else {
-            let parallel = timed_build(threads);
-            (timed_build(1), parallel)
-        };
-        seconds_single = seconds_single.min(single);
-        seconds_parallel = seconds_parallel.min(parallel);
-        pair_speedups.push(if parallel > 0.0 {
-            single / parallel
-        } else {
-            0.0
-        });
-        index = Some(built);
-    }
-    let index = index.expect("at least one build pair");
-    let mut sorted_speedups = pair_speedups.clone();
-    sorted_speedups.sort_by(f64::total_cmp);
-    let parallel_speedup = percentile(&sorted_speedups, 0.5);
-    let sharded_index =
-        GbKmvIndex::build(&dataset, engine_config().threads(threads).shards(shards));
-    let posting_memory = PostingMemorySection {
-        posting_bytes: index.posting_bytes(),
-    };
-
-    let queries = &workload.queries;
-
-    // Per-query, bit-identical agreement of every path against the scan
-    // reference, checked up front (outside the measured loops) so a path
-    // that loses a hit on one query and gains one on another can't slip
-    // through a workload-wide total.
-    let reference: Vec<Vec<SearchHit>> = queries
-        .iter()
-        .map(|q| index.search_scan(q, threshold))
-        .collect();
-    let assert_agrees = |name: &str, f: &dyn Fn(&Record) -> Vec<SearchHit>| {
-        for (qi, (q, expected)) in queries.iter().zip(&reference).enumerate() {
-            assert_eq!(&f(q), expected, "{name} diverged from scan on query {qi}");
-        }
-    };
-    assert_agrees("prefix_pruned", &|q| index.search_record(q, threshold));
-    assert_agrees("sharded_pruned", &|q| {
-        sharded_index.search_record(q, threshold)
-    });
-    assert_eq!(
-        sharded_index.search_batch(queries, threshold),
-        reference,
-        "batch_parallel diverged from scan"
-    );
-
-    let (scan_lat, scan_hits) = measure(queries, reps, |q| index.search_scan(q, threshold).len());
-    let mut prefix = QueryPipeline::new();
-    let (prefix_lat, prefix_hits) = measure(queries, reps, |q| {
-        prefix.search_sorted(&index, q.elements(), threshold).len()
-    });
-    let mut sharded_pipeline = QueryPipeline::new();
-    let (sharded_lat, sharded_hits) = measure(queries, reps, |q| {
-        sharded_pipeline
-            .search_sorted(&sharded_index, q.elements(), threshold)
-            .len()
-    });
-    let (batch_secs, batch_hits) = measure_batch(queries, reps, |qs| {
-        sharded_index
-            .search_batch(qs, threshold)
-            .iter()
-            .map(Vec::len)
-            .sum()
-    });
+    // Single-thread vs parallel builds (the two must agree bit-for-bit,
+    // which the core test suite already asserts).
+    let build = measure_build(&dataset, budget, threads, reps);
 
     // Persistence: save the engine's index, reopen it zero-copy, and time
     // both against rebuilding it from the records.
     let persistence = measure_persistence(
         &index,
-        || GbKmvIndex::build(&dataset, engine_config().threads(threads)),
+        || GbKmvIndex::build(&dataset, pinned_engine(budget).threads(threads)),
         queries,
         threshold,
         reps,
@@ -971,10 +946,10 @@ fn main() {
     // Serving layer: readers on snapshots race a publishing writer. The
     // ingest stream is fresh synthetic data from a different seed, so the
     // merges exercise real new postings rather than duplicates.
+    // It keeps the main profile's universe.
     let ingest_stream: Vec<Record> = SyntheticDataset::generate(SyntheticConfig {
         num_records: ingest.max(1),
-        seed: 0x1463_E57A,
-        ..config
+        ..zipf_profile(num_records, 0x1463_E57A)
     })
     .dataset
     .records()
@@ -996,7 +971,7 @@ fn main() {
     // measured explicit `flush()` calls, never inline in `submit_batch`.
     let ingest_index = GbKmvIndex::build(
         &dataset,
-        engine_config()
+        pinned_engine(budget)
             .threads(threads)
             .shards(16)
             .ingest_batch(1_000_000),
@@ -1014,189 +989,77 @@ fn main() {
         },
     );
 
-    // The dense-postings companion profile.
-    let dense_profile =
-        measure_dense_profile(num_records, num_queries, budget, threshold, threads, reps);
-
-    // Belt-and-braces on top of the per-query agreement check above: the
-    // measured loops must reproduce the same workload-wide hit count.
-    for (name, hits) in [
-        ("prefix_pruned", prefix_hits),
-        ("sharded_pruned", sharded_hits),
-        ("batch_parallel", batch_hits),
-    ] {
-        assert_eq!(scan_hits, hits, "{name} diverged from scan");
-    }
-
-    let paths = vec![
-        path_section("scan", scan_lat, scan_hits),
-        path_section("prefix_pruned", prefix_lat, prefix_hits),
-        path_section("sharded_pruned", sharded_lat, sharded_hits),
-        batch_section("batch_parallel", batch_secs, queries.len(), batch_hits),
-    ];
     let report = ThroughputReport {
         bench: "query_throughput".to_string(),
-        dataset: DatasetSection {
-            num_records: dataset.len(),
-            universe_size: config.universe_size,
-            alpha_element_freq: config.alpha_element_freq,
-            alpha_record_size: config.alpha_record_size,
-            total_elements: dataset.total_elements(),
-            num_queries: queries.len(),
-            space_budget_fraction: budget,
-            containment_threshold: threshold,
-        },
-        build: BuildSection {
-            seconds_single_thread: seconds_single,
-            seconds_parallel,
-            parallel_threads: resolve_threads(threads),
-            pair_speedups,
-            parallel_speedup,
-        },
+        dataset: main_section.dataset,
+        build,
         batch_shards: sharded_index.sharded().shards().len(),
-        posting_memory,
+        posting_memory: main_section.posting_memory,
         persistence,
         concurrent,
         ingest: ingest_section,
-        dense_profile,
-        speedup_prefix_vs_scan: qps(&paths, "prefix_pruned") / qps(&paths, "scan"),
-        paths,
+        dense_profile: dense_run.section,
+        speedup_prefix_vs_scan: qps(&main_section.paths, "prefix_pruned")
+            / qps(&main_section.paths, "scan"),
+        paths: main_section.paths,
     };
 
-    let rows: Vec<Vec<String>> = report
-        .paths
-        .iter()
-        .map(|p| {
-            vec![
-                p.name.clone(),
-                format!("{:.0}", p.queries_per_sec),
-                format!("{:.1}", p.p50_latency_us),
-                format!("{:.1}", p.p99_latency_us),
-                p.total_hits.to_string(),
-            ]
-        })
-        .collect();
+    for (label, dataset, posting_memory, paths) in [
+        (
+            "main",
+            &report.dataset,
+            &report.posting_memory,
+            &report.paths,
+        ),
+        (
+            "dense",
+            &report.dense_profile.dataset,
+            &report.dense_profile.posting_memory,
+            &report.dense_profile.paths,
+        ),
+    ] {
+        let rows: Vec<Vec<String>> = paths
+            .iter()
+            .map(|p| {
+                vec![
+                    p.name.clone(),
+                    format!("{:.0}", p.queries_per_sec),
+                    format!("{:.1}", p.p50_latency_us),
+                    format!("{:.1}", p.p99_latency_us),
+                    p.total_hits.to_string(),
+                ]
+            })
+            .collect();
+        println!(
+            "{label} profile: {} records, {} occurrences, {} queries, α1 = {}, universe {}, \
+             {:.0}% budget, t* = {}; posting lists {} bytes",
+            dataset.num_records,
+            dataset.total_elements,
+            dataset.num_queries,
+            dataset.alpha_element_freq,
+            dataset.universe_size,
+            dataset.space_budget_fraction * 100.0,
+            dataset.containment_threshold,
+            posting_memory.posting_bytes
+        );
+        println!(
+            "{}",
+            format_table(&["path", "queries/s", "p50 µs", "p99 µs", "hits"], &rows)
+        );
+    }
     println!(
-        "{}",
-        format_table(&["path", "queries/s", "p50 µs", "p99 µs", "hits"], &rows)
+        "engine: {:.2}x vs scan ({} shards for batch)",
+        report.speedup_prefix_vs_scan, report.batch_shards
     );
-    println!(
-        "build: {:.3}s single-thread, {:.3}s on {} threads (median {:.2}x over {} pairs{})",
-        report.build.seconds_single_thread,
-        report.build.seconds_parallel,
-        report.build.parallel_threads,
-        report.build.parallel_speedup,
-        report.build.pair_speedups.len(),
-        // A "speedup" measured on one core is pure scheduler noise and reads
-        // like a regression; flag it so nobody chases a 0.98x ghost (the
-        // bench_check gate skips its speedup assertion in this case too).
-        if report.build.parallel_threads <= 1 {
-            "; single core — speedup not meaningful"
-        } else {
-            ""
-        }
-    );
-    println!(
-        "engine: {:.2}x vs scan ({} shards for batch); posting lists {} bytes",
-        report.speedup_prefix_vs_scan, report.batch_shards, report.posting_memory.posting_bytes
-    );
-    let dense = &report.dense_profile;
-    let dense_rows: Vec<Vec<String>> = dense
-        .paths
-        .iter()
-        .map(|p| {
-            vec![
-                p.name.clone(),
-                format!("{:.0}", p.queries_per_sec),
-                format!("{:.1}", p.p50_latency_us),
-                format!("{:.1}", p.p99_latency_us),
-                p.total_hits.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "dense profile ({} records, α1 = {}, universe {}):",
-        dense.dataset.num_records, dense.dataset.alpha_element_freq, dense.dataset.universe_size
-    );
-    println!(
-        "{}",
-        format_table(
-            &["path", "queries/s", "p50 µs", "p99 µs", "hits"],
-            &dense_rows
-        )
-    );
-    println!(
-        "dense posting lists: {} bytes",
-        dense.posting_memory.posting_bytes
-    );
-    let persist = &report.persistence;
-    println!(
-        "persistence: arena {} bytes at {}; save {:.2} ms, load {:.2} ms, \
-         rebuild {:.2} ms ({:.1}x load speedup); loaded hits {} == built hits {}; \
-         {} of {} loaded content bytes borrowed zero-copy; query scratch {} bytes",
-        persist.arena_file_bytes,
-        persist.arena_path,
-        persist.save_ms,
-        persist.load_ms,
-        persist.rebuild_ms,
-        persist.load_speedup_vs_rebuild,
-        persist.total_hits_loaded,
-        persist.total_hits_built,
-        persist.mem_loaded.borrowed_bytes,
-        persist.mem_loaded.total_bytes(),
-        persist.scratch_bytes
-    );
-    println!(
-        "concurrent serving: {} readers served {} queries ({:.0}/s) while the \
-         writer published {} generations ({} records in {} batches, {:.0}/s); \
-         quiesced hits {} == direct hits {}",
-        report.concurrent.readers,
-        report.concurrent.reader_queries_total,
-        report.concurrent.reader_queries_per_sec,
-        report.concurrent.generations_published,
-        report.concurrent.ingested_records,
-        report.concurrent.writer_batches,
-        report.concurrent.ingest_records_per_sec,
-        report.concurrent.total_hits_service,
-        report.concurrent.total_hits_direct
-    );
-    let ingest = &report.ingest;
-    println!(
-        "ingest ({} shards, {} base records): 1-record COW flush {:.3} ms vs \
-         {:.3} ms whole-index clone ({:.1}x); snapshot pair shares {} bytes; \
-         service hits {} == direct hits {}",
-        ingest.ingest_shards,
-        ingest.base_records,
-        ingest.cow_flush_ms,
-        ingest.deep_clone_flush_ms,
-        ingest.flush_speedup_vs_deep_clone,
-        ingest.shared_bytes,
-        ingest.total_hits_service,
-        ingest.total_hits_direct
-    );
-    let batch_cols: Vec<String> = ingest
-        .batches
-        .iter()
-        .map(|b| {
-            format!(
-                "{} rec {:.3} ms ({:.0}/s)",
-                b.batch_size, b.flush_ms, b.records_per_sec
-            )
-        })
-        .collect();
-    println!("ingest flush batches: {}", batch_cols.join(", "));
-    println!(
-        "ingest checkpoint ({} shards, 1 dirty): delta {:.2} ms vs full {:.2} ms \
-         ({:.1}x, {} reused / {} rewritten shard sections, fallback {}) at {}",
-        ingest.checkpoint_shards,
-        ingest.delta_checkpoint_ms,
-        ingest.full_checkpoint_ms,
-        ingest.delta_speedup_vs_full,
-        ingest.delta.reused_shards,
-        ingest.delta.rewritten_shards,
-        ingest.delta.fallback,
-        ingest.delta_arena_path
-    );
+    // The other sections print as the JSON the report file records.
+    for (name, section) in [
+        ("build", serde_json::to_string(&report.build)),
+        ("persistence", serde_json::to_string(&report.persistence)),
+        ("concurrent", serde_json::to_string(&report.concurrent)),
+        ("ingest", serde_json::to_string(&report.ingest)),
+    ] {
+        println!("{name}: {}", section.expect("a report section serialises"));
+    }
 
     write_json_report(std::path::Path::new(&out), &report).expect("failed to write report");
     println!("wrote {out}");

@@ -17,7 +17,8 @@
 //! (`raw` keeps the name it had when the sweep also measured a
 //! block-compressed posting format.)
 //!
-//! Every variant pins the sketch-only operating point (`buffer_size(0)`)
+//! Every variant is built with the bench lib's [`pinned_engine`] (the
+//! sketch-only operating point, `r = 0`) over its [`zipf_profile`] family,
 //! so the cells differ only in shard count, never in sketch shape.
 //! Each cell records build time, the per-component [`mem_usage`]
 //! breakdown, the serialized arena image size, q/s with p50/p99 latency,
@@ -42,12 +43,14 @@ use std::time::Instant;
 use serde::Serialize;
 
 use gbkmv_bench::harness::arg_value;
-use gbkmv_bench::report::{latency_stats, measure, pareto_frontier, parsed_arg};
+use gbkmv_bench::report::{
+    latency_stats, measure, pareto_frontier, parsed_arg, pinned_engine, zipf_profile,
+};
 use gbkmv_core::dataset::Dataset;
-use gbkmv_core::index::{GbKmvConfig, GbKmvIndex, QueryPipeline, SearchHit};
+use gbkmv_core::index::{GbKmvIndex, QueryPipeline, SearchHit};
 use gbkmv_core::mem::MemUsage;
 use gbkmv_datagen::queries::QueryWorkload;
-use gbkmv_datagen::synthetic::{SyntheticConfig, SyntheticStream};
+use gbkmv_datagen::synthetic::SyntheticStream;
 use gbkmv_eval::report::{format_table, write_json_report};
 
 /// The fixed variant grid: (name, shard count) of each engine
@@ -134,17 +137,9 @@ fn measure_scale(
     threads: usize,
     reps: usize,
 ) -> ScaleSection {
-    // The same profile family as `query_throughput`, re-seeded per scale so
-    // the scales are independent draws rather than prefixes of each other.
-    let config = SyntheticConfig {
-        num_records,
-        universe_size: (num_records * 2).max(1_000),
-        alpha_element_freq: 1.1,
-        alpha_record_size: 3.0,
-        min_record_len: 10,
-        max_record_len: 500,
-        seed: 0xBE7C_4A11 ^ num_records as u64,
-    };
+    // Re-seeded per scale so the scales are independent draws rather than
+    // prefixes of each other.
+    let config = zipf_profile(num_records, 0xBE7C_4A11 ^ num_records as u64);
     let gen_start = Instant::now();
     let dataset = Dataset::from_records(SyntheticStream::new(config));
     let gen_seconds = gen_start.elapsed().as_secs_f64();
@@ -163,10 +158,7 @@ fn measure_scale(
         let build_start = Instant::now();
         let index = GbKmvIndex::build(
             &dataset,
-            GbKmvConfig::with_space_fraction(budget)
-                .buffer_size(0)
-                .threads(threads)
-                .shards(shards),
+            pinned_engine(budget).threads(threads).shards(shards),
         );
         let build_seconds = build_start.elapsed().as_secs_f64();
 

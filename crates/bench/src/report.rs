@@ -1,22 +1,50 @@
-//! Shared report plumbing for the flag-taking bench binaries
-//! (`query_throughput`, `scale_sweep`, `bench_check`): typed CLI flag
-//! parsing, latency statistics over measured query loops, `serde_json`
-//! accessors for re-reading committed reports, and the space-vs-throughput
-//! Pareto-frontier arithmetic.
+//! Shared plumbing for the flag-taking bench binaries (`query_throughput`,
+//! `scale_sweep`, `bench_check`): the Zipf profile family and the engine
+//! configuration the two producers measure, typed CLI flag parsing, latency
+//! statistics over measured query loops, the dotted-path accessor that
+//! re-reads committed reports, and the space-vs-throughput Pareto-frontier
+//! arithmetic.
 //!
-//! The JSON accessors exist so the *producer* (`scale_sweep`,
-//! `query_throughput`) and the *gate* (`bench_check`) read reports through
-//! one vocabulary: a gate failure message always names the section and key
-//! it was probing, and the frontier a sweep writes is recomputed by the
-//! gate with the very same [`pareto_frontier`] function — the two cannot
-//! disagree about what "dominated" means.
+//! The producers and the gate read reports through one vocabulary: a gate
+//! failure message always names the path it was probing, and the frontier a
+//! sweep writes is recomputed by the gate with the very same
+//! [`pareto_frontier`] function — the two cannot disagree about what
+//! "dominated" means.
 
 use std::time::Instant;
 
 use gbkmv_core::dataset::Record;
+use gbkmv_core::index::GbKmvConfig;
+use gbkmv_datagen::synthetic::SyntheticConfig;
 use serde_json::Value;
 
 use crate::harness::arg_value;
+
+/// The synthetic Zipf profile family `query_throughput` and `scale_sweep`
+/// measure: `num_records` records over a universe of twice as many elements
+/// (at least 1,000), element popularity Zipf with `α1 = 1.1`, record sizes a
+/// power law with `α2 = 3.0` between 10 and 500 elements.
+pub fn zipf_profile(num_records: usize, seed: u64) -> SyntheticConfig {
+    SyntheticConfig {
+        num_records,
+        universe_size: (num_records * 2).max(1_000),
+        alpha_element_freq: 1.1,
+        alpha_record_size: 3.0,
+        min_record_len: 10,
+        max_record_len: 500,
+        seed,
+    }
+}
+
+/// The engine every index of `query_throughput` and `scale_sweep` is built
+/// with: the `budget` space fraction at the sketch-only operating point,
+/// the buffer pinned to `r = 0` instead of the cost model's pick. The
+/// committed reports and every `bench_check` floor were measured at that
+/// shape, and it must not move when the accuracy-side cost model does:
+/// whether the model picks a good `r` is the eval suite's question.
+pub fn pinned_engine(budget: f64) -> GbKmvConfig {
+    GbKmvConfig::with_space_fraction(budget).buffer_size(0)
+}
 
 /// Typed value of a space-separated `--name value` CLI flag, falling back
 /// to `default` when the flag is absent.
@@ -107,44 +135,82 @@ where
     (best.expect("at least one rep"), total_hits)
 }
 
-/// The field of `value` named `key`, or an error naming both the enclosing
-/// context and the missing key.
-pub fn json_field<'a>(value: &'a Value, ctx: &str, key: &str) -> Result<&'a Value, String> {
-    value
-        .get(key)
-        .ok_or_else(|| format!("{ctx} has no `{key}`"))
+/// The value at dotted `path` inside a report, or an error naming the path.
+///
+/// Each segment is an object key, optionally followed by `[field=value]`,
+/// which picks the first entry of that array whose `field` reads `value`
+/// (how the reports key their per-path, per-variant and per-batch tables):
+/// `paths[name=scan].total_hits`, `ingest.batches[batch_size=128].flush_ms`.
+pub fn at<'a>(report: &'a Value, path: &str) -> Result<&'a Value, String> {
+    path.split('.')
+        .try_fold(report, |v, segment| {
+            let (key, pick) = parse_segment(segment);
+            let v = v.get(key)?;
+            match pick {
+                None => Some(v),
+                Some((field, want)) => v.as_array()?.iter().find(|e| picks(e, field, want)),
+            }
+        })
+        .ok_or_else(|| format!("the report has no `{path}`"))
 }
 
-/// Integral field accessor: `value[key]` as an `i64`.
-pub fn json_i64(value: &Value, ctx: &str, key: &str) -> Result<i64, String> {
-    value
-        .get(key)
-        .and_then(Value::as_i64)
-        .ok_or_else(|| format!("{ctx} has no integral `{key}`"))
+/// [`at`] for writing: the value at `path`, if present.
+pub fn at_mut<'a>(report: &'a mut Value, path: &str) -> Option<&'a mut Value> {
+    path.split('.').try_fold(report, |v, segment| {
+        let (key, pick) = parse_segment(segment);
+        let Value::Object(entries) = v else {
+            return None;
+        };
+        let (_, v) = entries.iter_mut().find(|(k, _)| k == key)?;
+        match (pick, v) {
+            (None, v) => Some(v),
+            (Some((field, want)), Value::Array(items)) => {
+                items.iter_mut().find(|e| picks(e, field, want))
+            }
+            _ => None,
+        }
+    })
 }
 
-/// Float field accessor: `value[key]` as an `f64` (integers coerce).
-pub fn json_f64(value: &Value, ctx: &str, key: &str) -> Result<f64, String> {
-    value
-        .get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("{ctx} has no numeric `{key}`"))
+/// The number at `path` (integers widen).
+pub fn num(report: &Value, path: &str) -> Result<f64, String> {
+    at(report, path)?
+        .as_f64()
+        .ok_or_else(|| format!("`{path}` is not a number"))
 }
 
-/// Array field accessor: `value[key]` as a JSON array.
-pub fn json_array<'a>(value: &'a Value, ctx: &str, key: &str) -> Result<&'a [Value], String> {
-    value
-        .get(key)
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("{ctx} has no `{key}` array"))
+/// The integer at `path`.
+pub fn int(report: &Value, path: &str) -> Result<i64, String> {
+    at(report, path)?
+        .as_i64()
+        .ok_or_else(|| format!("`{path}` is not an integer"))
 }
 
-/// The first entry of `entries` whose string field `field` equals `name`
-/// (how the reports key their per-path / per-variant tables).
-pub fn find_named<'a>(entries: &'a [Value], field: &str, name: &str) -> Option<&'a Value> {
-    entries
-        .iter()
-        .find(|e| e.get(field).and_then(Value::as_str) == Some(name))
+/// The array at `path`.
+pub fn list<'a>(report: &'a Value, path: &str) -> Result<&'a [Value], String> {
+    at(report, path)?
+        .as_array()
+        .ok_or_else(|| format!("`{path}` is not an array"))
+}
+
+/// Splits `key[field=value]` into the key and the optional selector.
+fn parse_segment(segment: &str) -> (&str, Option<(&str, &str)>) {
+    match segment.split_once('[') {
+        Some((key, selector)) => (
+            key,
+            selector.strip_suffix(']').and_then(|s| s.split_once('=')),
+        ),
+        None => (segment, None),
+    }
+}
+
+/// Whether `entry[field]` reads `want`: a string field compares its text,
+/// any other field its JSON rendering.
+fn picks(entry: &Value, field: &str, want: &str) -> bool {
+    entry.get(field).is_some_and(|f| {
+        f.as_str()
+            .map_or_else(|| f.to_json() == want, |s| s == want)
+    })
 }
 
 /// Whether cell `a` dominates cell `b` on the space-vs-throughput plane:
@@ -205,35 +271,37 @@ mod tests {
 
     #[test]
     fn json_accessors_name_context_and_key() {
-        let v: Value = serde_json::from_str(r#"{"a": 3, "b": 1.5, "c": [1], "d": "x"}"#).unwrap();
-        assert_eq!(json_i64(&v, "obj", "a").unwrap(), 3);
-        assert_eq!(json_f64(&v, "obj", "a").unwrap(), 3.0);
-        assert_eq!(json_f64(&v, "obj", "b").unwrap(), 1.5);
-        assert_eq!(json_array(&v, "obj", "c").unwrap().len(), 1);
-        assert!(json_field(&v, "obj", "d").is_ok());
+        let v: Value =
+            serde_json::from_str(r#"{"a": 3, "b": {"c": 1.5, "d": [1], "e": "x"}}"#).unwrap();
+        assert_eq!(int(&v, "a").unwrap(), 3);
+        assert_eq!(num(&v, "a").unwrap(), 3.0);
+        assert_eq!(num(&v, "b.c").unwrap(), 1.5);
+        assert_eq!(list(&v, "b.d").unwrap().len(), 1);
+        assert!(at(&v, "b.e").is_ok());
         assert_eq!(
-            json_i64(&v, "obj", "missing").unwrap_err(),
-            "obj has no integral `missing`"
+            int(&v, "b.missing").unwrap_err(),
+            "the report has no `b.missing`"
         );
-        assert_eq!(
-            json_i64(&v, "obj", "b").unwrap_err(),
-            "obj has no integral `b`"
-        );
-        assert_eq!(
-            json_array(&v, "obj", "a").unwrap_err(),
-            "obj has no `a` array"
-        );
-        assert_eq!(json_field(&v, "obj", "e").unwrap_err(), "obj has no `e`");
+        assert_eq!(int(&v, "b.c").unwrap_err(), "`b.c` is not an integer");
+        assert_eq!(num(&v, "b.e").unwrap_err(), "`b.e` is not a number");
+        assert_eq!(list(&v, "a").unwrap_err(), "`a` is not an array");
+        assert_eq!(at(&v, "a.b").unwrap_err(), "the report has no `a.b`");
     }
 
     #[test]
     fn find_named_matches_on_the_given_field() {
-        let v: Value =
-            serde_json::from_str(r#"[{"name": "a", "x": 1}, {"variant": "b", "x": 2}]"#).unwrap();
-        let arr = v.as_array().unwrap();
-        assert!(find_named(arr, "name", "a").is_some());
-        assert!(find_named(arr, "variant", "b").is_some());
-        assert!(find_named(arr, "name", "b").is_none());
+        let mut v: Value = serde_json::from_str(
+            r#"{"t": [{"name": "a", "x": 1}, {"variant": "b", "x": 2}, {"size": 128, "x": 3}]}"#,
+        )
+        .unwrap();
+        assert_eq!(int(&v, "t[name=a].x").unwrap(), 1);
+        assert_eq!(int(&v, "t[variant=b].x").unwrap(), 2);
+        assert_eq!(int(&v, "t[size=128].x").unwrap(), 3);
+        assert!(at(&v, "t[name=b].x").is_err());
+        assert!(at(&v, "t[size=12].x").is_err());
+        *at_mut(&mut v, "t[variant=b].x").unwrap() = Value::Int(7);
+        assert_eq!(int(&v, "t[variant=b].x").unwrap(), 7);
+        assert!(at_mut(&mut v, "t[name=c].x").is_none());
     }
 
     #[test]
