@@ -690,7 +690,7 @@ fn measure_concurrent(
 }
 
 /// Where the checkpoint comparison writes its two arena files: the full
-/// baseline re-saves to `full`, the delta path patches `delta` in place.
+/// baseline re-saves to `full`, the delta path rewrites `delta` in place.
 struct CheckpointPaths<'a> {
     full: &'a std::path::Path,
     delta: &'a std::path::Path,
@@ -812,9 +812,8 @@ fn measure_ingest(
     // Delta vs full checkpoint at the serving cadence: grow the
     // `--shards`-way index by one record (dirtying the tail shard only),
     // checkpoint, repeat. The full baseline re-serializes and rewrites the
-    // whole arena each round; the delta path re-serializes one shard and
-    // patches the file in place, leaving the clean sections untouched on
-    // disk.
+    // whole arena each round; the delta path re-serializes the tail shard
+    // and rewrites it in place, leaving the clean shards untouched on disk.
     let ckpt_reps = (reps.max(1) * 3).max(5);
     let mut full_ckpt = checkpoint_index.clone();
     let mut full_secs = f64::INFINITY;

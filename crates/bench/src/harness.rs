@@ -9,14 +9,11 @@
 
 use gbkmv_core::dataset::{Dataset, Record};
 use gbkmv_core::index::{ContainmentIndex, GbKmvConfig, GbKmvIndex};
-use gbkmv_core::service::ContainmentService;
 use gbkmv_core::stats::DatasetStats;
 use gbkmv_core::variants::{KmvConfig, KmvIndex};
 use gbkmv_datagen::profiles::DatasetProfile;
 use gbkmv_datagen::queries::QueryWorkload;
-use gbkmv_eval::experiment::{
-    evaluate_index, evaluate_index_batch, ExperimentConfig, MethodReport,
-};
+use gbkmv_eval::experiment::{evaluate_index, ExperimentConfig, MethodReport};
 use gbkmv_eval::ground_truth::GroundTruth;
 use gbkmv_lsh::ensemble::{LshEnsembleConfig, LshEnsembleIndex};
 
@@ -104,14 +101,6 @@ pub struct ExperimentEnv {
     pub ground_truth: GroundTruth,
     /// The containment threshold of the cached ground truth.
     pub threshold: f64,
-    /// Whether [`ExperimentEnv::evaluate`] submits the workload as one
-    /// batch (`ContainmentIndex::search_batch`) instead of query-at-a-time.
-    pub batch: bool,
-    /// Whether [`evaluate_on_profile`] routes the GB-KMV method through a
-    /// [`ContainmentService`] (the serving layer's snapshot read path)
-    /// instead of the bare index. Answers are identical; the timing
-    /// includes snapshot acquisition.
-    pub service: bool,
 }
 
 impl ExperimentEnv {
@@ -148,8 +137,6 @@ impl ExperimentEnv {
             queries: workload.queries,
             ground_truth,
             threshold: config.threshold,
-            batch: config.batch,
-            service: config.service,
         }
     }
 
@@ -169,16 +156,10 @@ impl ExperimentEnv {
         self.stats.total_elements
     }
 
-    /// Evaluates an already-built index against the cached workload,
-    /// submitting it as one batch when the environment's `batch` knob is
-    /// on, query-at-a-time otherwise.
+    /// Evaluates an already-built index against the cached workload, one
+    /// query at a time.
     pub fn evaluate(&self, index: &dyn ContainmentIndex) -> MethodReport {
-        let run = if self.batch {
-            evaluate_index_batch
-        } else {
-            evaluate_index
-        };
-        run(
+        evaluate_index(
             index,
             &self.queries,
             &self.ground_truth,
@@ -249,10 +230,6 @@ pub fn evaluate_on_profile(
     space_fraction: f64,
     lshe_hashes: usize,
 ) -> MethodReport {
-    if env.service && method == MethodUnderTest::GbKmv {
-        let service = ContainmentService::new(build_gbkmv(&env.dataset, space_fraction));
-        return env.evaluate(&service);
-    }
     let index = build_method(method, &env.dataset, space_fraction, lshe_hashes);
     env.evaluate(index.as_ref())
 }
@@ -285,33 +262,6 @@ mod tests {
             assert!(report.space_elements > 0.0);
             assert!(report.accuracy.recall >= 0.0 && report.accuracy.recall <= 1.0);
         }
-    }
-
-    #[test]
-    fn batch_environment_reports_identical_accuracy() {
-        let config = ExperimentConfig::default().num_queries(8);
-        let single = ExperimentEnv::with_config(DatasetProfile::Netflix, 16, config);
-        let batch = ExperimentEnv::with_config(DatasetProfile::Netflix, 16, config.batch(true));
-        assert!(batch.batch && !single.batch);
-        // Same profile/scale/seed ⇒ same dataset and workload; the batch
-        // submission path must report the same accuracy.
-        let a = evaluate_on_profile(&single, MethodUnderTest::GbKmv, 0.2, 32);
-        let b = evaluate_on_profile(&batch, MethodUnderTest::GbKmv, 0.2, 32);
-        assert_eq!(a.accuracy, b.accuracy);
-    }
-
-    #[test]
-    fn service_environment_reports_identical_accuracy() {
-        let config = ExperimentConfig::default().num_queries(8);
-        let direct = ExperimentEnv::with_config(DatasetProfile::Netflix, 16, config);
-        let served = ExperimentEnv::with_config(DatasetProfile::Netflix, 16, config.service(true));
-        assert!(served.service && !direct.service);
-        let a = evaluate_on_profile(&direct, MethodUnderTest::GbKmv, 0.2, 32);
-        let b = evaluate_on_profile(&served, MethodUnderTest::GbKmv, 0.2, 32);
-        // A quiescent service snapshot is the index itself: identical
-        // accuracy, different method label.
-        assert_eq!(a.accuracy, b.accuracy);
-        assert_eq!(b.method, "GB-KMV/service");
     }
 
     #[test]

@@ -50,8 +50,8 @@
 //!   that stores buffer postings (one list per buffered element) still
 //!   opens: its sections are checksum-validated and length-checked against
 //!   their descriptors like any other, then dropped. Each such shard gets
-//!   a fresh dirty epoch on load, so a delta checkpoint against the old
-//!   image rewrites it instead of copying its stale bytes, and the result
+//!   a fresh dirty epoch on load, so a delta checkpoint over the old
+//!   image rewrites it instead of keeping its stale bytes, and the result
 //!   stays byte-identical to a full save.
 //! * The config byte that held the candidate-filter flag is always written
 //!   as 1. An image with 0 there was built without signature postings and
@@ -102,27 +102,32 @@
 //! of the file is therefore protected (header fields by direct validation,
 //! the table by the header checksum, payloads by the per-section sums),
 //! and any single-bit flip is caught, but re-stamping a file whose
-//! sections are partially reused costs O(reused table entries), not
-//! O(reused bytes).
+//! sections are partially kept costs O(kept table entries), not
+//! O(kept bytes).
 //!
 //! # Delta checkpoints
 //!
-//! [`GbKmvIndex::to_arena_bytes_delta`] serialises against a previous
-//! arena image: shards whose `(lineage, epoch)` stamps (see
-//! [`ShardedIndex`]) match the previous file's shard directory have their
-//! 13 sections — meta stream included — **copied byte-for-byte with their
-//! stored checksums**, and only dirty shards (plus the small head,
-//! directory and table) are re-serialised and re-summed, so a checkpoint
-//! costs O(dirty shards), not O(index). The output is byte-identical to a
-//! full [`GbKmvIndex::to_arena_bytes`] of the same index. The previous
-//! image's skeleton (header words, header checksum, table bounds,
-//! directory) is validated first and any mismatch — including a foreign
-//! lineage — falls back to a full rewrite ([`DeltaStats::fallback`]);
-//! reused payload bytes are deliberately *not* re-verified, so latent
-//! corruption in the previous file is inherited together with its
-//! now-mismatching stored checksum and still surfaces as a typed error
-//! when the new file is opened.
+//! [`GbKmvIndex::save_delta`] rewrites a previous arena file of the same
+//! index lineage in place. The head and the shard directory have a fixed
+//! length within a lineage, so every shard before the first one whose
+//! dirty epoch (see [`ShardedIndex`]) differs from the file's directory
+//! sits at the same offset in the old file and in the new one. The writer
+//! reads only the old header, section table and directory, serialises the
+//! first dirty shard and every shard after it, writes them at their
+//! offsets, then writes the fresh head, directory, table and header, and
+//! cuts the file to its new length. Ingest only ever grows the tail shard,
+//! so a checkpoint costs O(tail shard), not O(index), in serialisation and
+//! in I/O alike. The result is byte-identical to a full
+//! [`GbKmvIndex::save`] of the same index.
+//!
+//! The kept shards are never read, so their bytes are not re-verified:
+//! they keep their stored checksums, and latent corruption in them still
+//! surfaces as a typed error when the new file is opened. A previous file
+//! that is missing, damaged in its skeleton, of a foreign lineage or of a
+//! different shape (head or directory length, shard count) falls back to
+//! a full rewrite ([`DeltaStats::fallback`]).
 
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use crate::arena::ArenaVec;
@@ -196,14 +201,21 @@ const LEGACY_BLOCK_META_LEN: usize = 12;
 /// The descriptor `width` that marks a bitmap block.
 const LEGACY_BITMAP_WIDTH: u8 = u8::MAX;
 
-/// Checksum of a body that is a whole number of little-endian `u64` words:
-/// a [`mix64`] fold, one word at a time.
+/// Checksum of a section body: a [`mix64`] fold over its little-endian
+/// `u64` words, a partial last word zero-padded (the padding the file
+/// stores after the body).
 fn checksum_of(body: &[u8]) -> u64 {
-    debug_assert_eq!(body.len() % 8, 0);
     let mut acc = ARENA_MAGIC ^ ARENA_VERSION;
-    for chunk in body.chunks_exact(8) {
+    let mut words = body.chunks_exact(8);
+    for chunk in &mut words {
         let word = u64::from_le_bytes(chunk.try_into().expect("chunks_exact yields 8-byte chunks"));
         acc = mix64(acc ^ word);
+    }
+    let rest = words.remainder();
+    if !rest.is_empty() {
+        let mut word = [0u8; 8];
+        word[..rest.len()].copy_from_slice(rest);
+        acc = mix64(acc ^ u64::from_le_bytes(word));
     }
     acc
 }
@@ -366,108 +378,59 @@ fn write_posting(meta: &mut Vec<u8>, list: &PostingList, raw: &mut Vec<u8>) {
     }
 }
 
-/// One section destined for an assembled arena image: freshly serialized
-/// bytes (checksum computed here), or an extent reused verbatim from a
-/// previous image together with its already-stored checksum.
-enum SectionSrc<'a> {
-    Fresh(Vec<u8>),
-    Reused { bytes: &'a [u8], checksum: u64 },
+/// One section-table entry: byte offset, unpadded length, checksum.
+type Entry = (usize, usize, u64);
+
+/// End of the header and section table of an image with `sections`
+/// sections: where the first section starts.
+fn table_end(sections: usize) -> usize {
+    HEADER_LEN + sections * TABLE_ENTRY_LEN
 }
 
-impl SectionSrc<'_> {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            SectionSrc::Fresh(v) => v,
-            SectionSrc::Reused { bytes, .. } => bytes,
-        }
-    }
+/// The format's one layout rule: places `sections` one after another from
+/// byte `start`, each on an 8-byte boundary and zero-padded to the next.
+/// Returns each section's table entry and the end of the last padding.
+fn lay_out(start: usize, sections: &[Vec<u8>]) -> (Vec<Entry>, usize) {
+    let mut at = start;
+    let entries = sections
+        .iter()
+        .map(|s| {
+            let entry = (at, s.len(), checksum_of(s));
+            at += s.len().next_multiple_of(8);
+            entry
+        })
+        .collect();
+    (entries, at)
 }
 
-/// Lays the sections out in `out` (emptied first, its capacity reused)
-/// after the header and table (each starting on an 8-byte boundary),
-/// fills in the header, and stamps the per-section and header checksums.
-/// Reused sections keep their stored checksum — that is what makes a
-/// delta O(dirty): clean payloads are copied, never re-summed.
-fn assemble_into(sections: Vec<SectionSrc>, out: &mut Vec<u8>) {
-    let table_end = HEADER_LEN + sections.len() * TABLE_ENTRY_LEN;
-    let mut offset = table_end;
-    let mut table: Vec<(usize, usize)> = Vec::with_capacity(sections.len());
-    for s in &sections {
-        table.push((offset, s.bytes().len()));
-        offset += s.bytes().len().next_multiple_of(8);
+/// Writes `sections` as [`lay_out`] places them: each body, then its zero
+/// padding.
+fn write_sections(out: &mut impl Write, sections: &[Vec<u8>]) -> std::io::Result<()> {
+    for s in sections {
+        out.write_all(s)?;
+        out.write_all(&[0; 8][..s.len().next_multiple_of(8) - s.len()])?;
     }
-    let file_len = offset;
-    make_room(out, file_len);
-    out.resize(file_len, 0);
-    out[0..8].copy_from_slice(&ARENA_MAGIC.to_le_bytes());
-    out[8..16].copy_from_slice(&ARENA_VERSION.to_le_bytes());
-    out[16..24].copy_from_slice(&ENDIAN_PROBE.to_ne_bytes());
-    out[24..32].copy_from_slice(&(file_len as u64).to_le_bytes());
-    out[40..48].copy_from_slice(&(sections.len() as u64).to_le_bytes());
-    for (i, (&(off, len), s)) in table.iter().zip(&sections).enumerate() {
-        out[off..off + len].copy_from_slice(s.bytes());
-        let sum = match s {
-            SectionSrc::Fresh(_) => checksum_of(&out[off..off + len.next_multiple_of(8)]),
-            SectionSrc::Reused { checksum, .. } => {
-                debug_assert_eq!(
-                    checksum_of(&out[off..off + len.next_multiple_of(8)]),
-                    *checksum,
-                    "a reused section's stored checksum does not match its bytes"
-                );
-                *checksum
-            }
-        };
-        let t = HEADER_LEN + i * TABLE_ENTRY_LEN;
-        out[t..t + 8].copy_from_slice(&(off as u64).to_le_bytes());
-        out[t + 8..t + 16].copy_from_slice(&(len as u64).to_le_bytes());
-        out[t + 16..t + 24].copy_from_slice(&sum.to_le_bytes());
-    }
-    let sum = checksum_of(&out[CHECKSUM_COVER_FROM..table_end]);
-    out[32..40].copy_from_slice(&sum.to_le_bytes());
-}
-
-/// Empties `buf` and makes room for `len` bytes. A buffer that already
-/// held an image and must grow gets an eighth more, so the image of a
-/// growing index is reallocated only every few checkpoints.
-fn make_room(buf: &mut Vec<u8>, len: usize) {
-    let headroom = if buf.capacity() == 0 { 0 } else { len / 8 };
-    buf.clear();
-    if buf.capacity() < len {
-        buf.reserve_exact(len + headroom);
-    }
-}
-
-/// Reads the file at `path` into `buf`, reusing its capacity.
-fn read_into(path: &Path, buf: &mut Vec<u8>) -> std::io::Result<()> {
-    use std::io::Read;
-    let mut file = std::fs::File::open(path)?;
-    let len = usize::try_from(file.metadata()?.len()).unwrap_or(0);
-    make_room(buf, len);
-    file.read_to_end(buf)?;
     Ok(())
 }
 
-/// The two image-sized buffers of a delta save: the previous image as read
-/// from disk and the new image. A caller that checkpoints repeatedly keeps
-/// them, so each checkpoint after the first writes into memory the process
-/// already has mapped. Allocated afresh every time, these megabyte-sized
-/// buffers come straight from `mmap` and page-fault on first touch until
-/// the allocator's adaptive mmap threshold happens to grow past their
-/// size; that doubled a checkpoint's cost for a number of checkpoints that
-/// varied from run to run.
-#[derive(Default)]
-pub(crate) struct DeltaBuffers {
-    prev: Vec<u8>,
-    image: Vec<u8>,
-}
-
-impl std::fmt::Debug for DeltaBuffers {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DeltaBuffers")
-            .field("prev_capacity", &self.prev.capacity())
-            .field("image_capacity", &self.image.capacity())
-            .finish()
+/// The header and section table of a `file_len`-byte image whose sections
+/// sit at `entries`, with the header checksum stamped.
+fn header_and_table(entries: &[Entry], file_len: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(table_end(entries.len()));
+    put_u64(&mut out, ARENA_MAGIC);
+    put_u64(&mut out, ARENA_VERSION);
+    out.extend_from_slice(&ENDIAN_PROBE.to_ne_bytes());
+    put_u64(&mut out, file_len as u64);
+    put_u64(&mut out, 0); // the header checksum, stamped below
+    put_u64(&mut out, entries.len() as u64);
+    for &(off, len, sum) in entries {
+        put_u64(&mut out, off as u64);
+        put_u64(&mut out, len as u64);
+        put_u64(&mut out, sum);
     }
+    let sum = checksum_of(&out[CHECKSUM_COVER_FROM..]);
+    out[32..40].copy_from_slice(&sum.to_le_bytes());
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -822,20 +785,21 @@ impl PreParsed {
     }
 }
 
-/// Header and section-table validation *without* touching section
-/// payloads — header words, the header checksum (which covers the table),
-/// and every entry's alignment and bounds. O(header + table). Returns the
-/// `(offset, length, stored checksum)` of every section.
+/// Validates the skeleton of a `file_len`-byte image from `bytes`, its
+/// first bytes (at least the header and the section table), without
+/// touching section payloads: header words, the header checksum (which
+/// covers the table), and every entry's alignment and bounds. O(header +
+/// table). Returns the `(offset, length, stored checksum)` of every
+/// section.
 ///
-/// This is the "skeleton" a delta serialisation trusts: it proves the
-/// table itself is intact, so stored per-section checksums can be carried
-/// into the new image without re-reading the payloads they cover.
-fn parse_table(bytes: &[u8]) -> Result<Vec<(usize, usize, u64)>> {
-    let actual = bytes.len() as u64;
+/// A load passes the whole file; a delta checkpoint passes only the bytes
+/// up to the end of the shard directory, and keeps the stored checksums
+/// of the sections it does not rewrite.
+fn parse_table(bytes: &[u8], file_len: u64) -> Result<Vec<Entry>> {
     if bytes.len() < HEADER_LEN {
         return Err(Error::PersistTruncated {
             expected: HEADER_LEN as u64,
-            actual,
+            actual: file_len,
         });
     }
     let magic = read_header_word(bytes, 0);
@@ -855,14 +819,14 @@ fn parse_table(bytes: &[u8]) -> Result<Vec<(usize, usize, u64)>> {
             "endianness probe mismatch (arena written on a different byte order)",
         ));
     }
-    let file_len = read_header_word(bytes, 24);
-    if file_len != actual {
+    let stored_len = read_header_word(bytes, 24);
+    if stored_len != file_len {
         return Err(Error::PersistTruncated {
-            expected: file_len,
-            actual,
+            expected: stored_len,
+            actual: file_len,
         });
     }
-    if !bytes.len().is_multiple_of(8) {
+    if !file_len.is_multiple_of(8) {
         return Err(corrupt("file length is not a multiple of 8"));
     }
     let count = to_usize(read_header_word(bytes, 40))?;
@@ -903,7 +867,7 @@ fn parse_table(bytes: &[u8]) -> Result<Vec<(usize, usize, u64)>> {
             .checked_next_multiple_of(8)
             .and_then(|p| p.checked_add(off))
             .ok_or_else(|| corrupt("a section's extent overflows"))?;
-        if padded_end > bytes.len() {
+        if padded_end as u64 > file_len {
             return Err(corrupt("a section reaches past the end of the file"));
         }
         sections.push((off, len, sum));
@@ -915,7 +879,7 @@ fn parse_table(bytes: &[u8]) -> Result<Vec<(usize, usize, u64)>> {
 /// plus every section's payload checksum. Returns the byte
 /// `(offset, length)` of every section.
 fn validate_header(bytes: &[u8]) -> Result<Vec<(usize, usize)>> {
-    let table = parse_table(bytes)?;
+    let table = parse_table(bytes, bytes.len() as u64)?;
     let mut sections = Vec::with_capacity(table.len());
     for (off, len, stored) in table {
         let actual = checksum_of(&bytes[off..off + len.next_multiple_of(8)]);
@@ -961,8 +925,7 @@ fn check_shard_sections(bytes: &[u8], sections: &[(usize, usize)], shard: &Shard
             None => Err(corrupt("a section size computation overflows")),
         }
     };
-    let (hash_off, hash_len) = sections[0];
-    let _ = hash_off;
+    let (_, hash_len) = sections[0];
     if hash_len % 8 != 0 {
         return Err(corrupt("hash arena length is not a multiple of 8"));
     }
@@ -1436,15 +1399,15 @@ fn directory_section(sharded: &ShardedIndex) -> Vec<u8> {
     out
 }
 
-/// Outcome accounting for one delta serialisation (see
-/// [`GbKmvIndex::to_arena_bytes_delta`]).
+/// Outcome accounting for one delta checkpoint (see
+/// [`GbKmvIndex::save_delta`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct DeltaStats {
-    /// Shards whose 13 sections were copied verbatim — stored checksums
-    /// included — from the previous image.
+    /// Shards before the first dirty one: kept in the file, neither read
+    /// nor written, with their stored checksums.
     pub reused_shards: usize,
-    /// Shards re-serialised because their dirty epoch changed (or all of
-    /// them, on fallback).
+    /// The first shard whose dirty epoch changed and every shard after it,
+    /// re-serialised (all of them, on fallback).
     pub rewritten_shards: usize,
     /// True when the previous image was unusable (missing, foreign
     /// lineage, structural mismatch) and the delta degenerated to a full
@@ -1458,21 +1421,15 @@ impl GbKmvIndex {
     /// index always produces the same bytes, and a loaded index re-saves
     /// byte-identically.
     pub fn to_arena_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.arena_into(&mut out);
-        out
-    }
-
-    /// [`GbKmvIndex::to_arena_bytes`] into `out`, reusing its capacity.
-    fn arena_into(&self, out: &mut Vec<u8>) {
-        let shards = self.sharded.shards();
-        let mut sections = Vec::with_capacity(FIXED_SECTIONS + shards.len() * SECTIONS_PER_SHARD);
-        sections.push(SectionSrc::Fresh(self.head_section()));
-        sections.push(SectionSrc::Fresh(directory_section(&self.sharded)));
-        for shard in shards {
-            sections.extend(shard_sections(shard).into_iter().map(SectionSrc::Fresh));
+        let mut sections = vec![self.head_section(), directory_section(&self.sharded)];
+        for shard in self.sharded.shards() {
+            sections.extend(shard_sections(shard));
         }
-        assemble_into(sections, out);
+        let (entries, file_len) = lay_out(table_end(sections.len()), &sections);
+        let mut out = header_and_table(&entries, file_len);
+        out.reserve_exact(file_len - out.len());
+        write_sections(&mut out, &sections).expect("writing to a Vec cannot fail");
+        out
     }
 
     /// Section 0: the global meta head — config, summary, sketcher
@@ -1491,80 +1448,6 @@ impl GbKmvIndex {
         }
         put_u64(&mut meta, self.sharded.shards().len() as u64);
         meta
-    }
-
-    /// Serializes against a previous arena image of the same index
-    /// lineage: shards whose dirty epoch matches the previous file's shard
-    /// directory are copied byte-for-byte (stored checksums carried over,
-    /// payloads neither re-serialised nor re-summed), so the cost is
-    /// O(dirty shards + table). The output is byte-identical to
-    /// [`GbKmvIndex::to_arena_bytes`]. Any structural mismatch in the
-    /// previous image — wrong magic/version, damaged table, foreign
-    /// lineage, different shard count — falls back to a full rewrite,
-    /// reported via [`DeltaStats::fallback`].
-    pub fn to_arena_bytes_delta(&self, prev: &[u8]) -> (Vec<u8>, DeltaStats) {
-        let mut out = Vec::new();
-        let stats = self.delta_into(prev, &mut out);
-        (out, stats)
-    }
-
-    /// [`GbKmvIndex::to_arena_bytes_delta`] into `out`, reusing its
-    /// capacity.
-    fn delta_into(&self, prev: &[u8], out: &mut Vec<u8>) -> DeltaStats {
-        self.try_delta(prev, out)
-            .unwrap_or_else(|| self.full_into(out))
-    }
-
-    /// A full image into `out`, reported as a delta that fell back.
-    fn full_into(&self, out: &mut Vec<u8>) -> DeltaStats {
-        self.arena_into(out);
-        DeltaStats {
-            reused_shards: 0,
-            rewritten_shards: self.sharded.shards().len(),
-            fallback: true,
-        }
-    }
-
-    fn try_delta(&self, prev: &[u8], out: &mut Vec<u8>) -> Option<DeltaStats> {
-        let table = parse_table(prev).ok()?;
-        let (lineage, prev_epochs) = {
-            let &(off, len, _) = table.get(1)?;
-            parse_directory(&prev[off..off + len]).ok()?
-        };
-        let shards = self.sharded.shards();
-        let epochs = self.sharded.epochs();
-        if lineage != self.sharded.lineage()
-            || prev_epochs.len() != shards.len()
-            || table.len() != FIXED_SECTIONS + prev_epochs.len() * SECTIONS_PER_SHARD
-        {
-            return None;
-        }
-        let mut sections = Vec::with_capacity(FIXED_SECTIONS + shards.len() * SECTIONS_PER_SHARD);
-        sections.push(SectionSrc::Fresh(self.head_section()));
-        sections.push(SectionSrc::Fresh(directory_section(&self.sharded)));
-        let mut reused_shards = 0;
-        let mut rewritten_shards = 0;
-        for (si, shard) in shards.iter().enumerate() {
-            if prev_epochs[si] == epochs[si] {
-                reused_shards += 1;
-                for j in 0..SECTIONS_PER_SHARD {
-                    let (off, len, checksum) = table[FIXED_SECTIONS + si * SECTIONS_PER_SHARD + j];
-                    sections.push(SectionSrc::Reused {
-                        bytes: &prev[off..off + len],
-                        checksum,
-                    });
-                }
-            } else {
-                rewritten_shards += 1;
-                sections.extend(shard_sections(shard).into_iter().map(SectionSrc::Fresh));
-            }
-        }
-        assemble_into(sections, out);
-        Some(DeltaStats {
-            reused_shards,
-            rewritten_shards,
-            fallback: false,
-        })
     }
 
     /// Loads an index from an arena image, borrowing the heavy sections
@@ -1600,49 +1483,105 @@ impl GbKmvIndex {
         std::fs::write(path, self.to_arena_bytes()).map_err(|e| io_error(&e))
     }
 
-    /// Writes the index to `path`, reusing clean shard sections from the
-    /// arena previously saved at `prev_path` (see
-    /// [`GbKmvIndex::to_arena_bytes_delta`]). The two paths may be the
-    /// same file — the previous image is read in full before the new one
-    /// is written — and checkpointing in place like that additionally
-    /// patches only the byte ranges that changed (the header, table and
-    /// directory up front plus the dirty shards' sections) instead of
-    /// rewriting the whole file, so repeated checkpoints of a growing
-    /// index cost O(dirty) in I/O as well as in serialization. A missing
-    /// or unusable previous file degrades to a full rewrite, never an
-    /// error.
+    /// Checkpoints the index to `path` as a delta against the arena saved
+    /// earlier at `prev_path` (see the module docs): the file is rewritten
+    /// in place from its first dirty shard on, and shards before that are
+    /// neither read nor written. When the paths differ, `prev_path` is
+    /// first copied to `path`. The file ends byte-identical to a full
+    /// [`GbKmvIndex::save`]. A missing or unusable previous file degrades
+    /// to a full rewrite, never an error.
     pub fn save_delta(
         &self,
         path: impl AsRef<Path>,
         prev_path: impl AsRef<Path>,
     ) -> Result<DeltaStats> {
-        self.save_delta_with(
-            path.as_ref(),
-            prev_path.as_ref(),
-            &mut DeltaBuffers::default(),
-        )
+        let (path, prev_path) = (path.as_ref(), prev_path.as_ref());
+        // Copying a file onto itself would empty it: the paths may spell
+        // one file differently.
+        let same = path == prev_path
+            || matches!((path.canonicalize(), prev_path.canonicalize()), (Ok(a), Ok(b)) if a == b);
+        if same || std::fs::copy(prev_path, path).is_ok() {
+            if let Some(stats) = self.rewrite_suffix(path) {
+                return Ok(stats);
+            }
+        }
+        self.save(path)?;
+        Ok(DeltaStats {
+            reused_shards: 0,
+            rewritten_shards: self.sharded.shards().len(),
+            fallback: true,
+        })
     }
 
-    /// [`GbKmvIndex::save_delta`] through buffers the caller keeps between
-    /// checkpoints (see [`DeltaBuffers`]).
-    pub(crate) fn save_delta_with(
-        &self,
-        path: &Path,
-        prev_path: &Path,
-        buffers: &mut DeltaBuffers,
-    ) -> Result<DeltaStats> {
-        let DeltaBuffers { prev, image } = buffers;
-        let have_prev = read_into(prev_path, prev).is_ok();
-        let stats = if have_prev {
-            self.delta_into(prev, image)
-        } else {
-            self.full_into(image)
-        };
-        if have_prev && path == prev_path && patch_in_place(path, prev, image).is_ok() {
-            return Ok(stats);
+    /// The in-place step of [`GbKmvIndex::save_delta`]. `None` means the
+    /// file at `path` is not an image of this lineage and shape (nothing
+    /// was written), or the rewrite failed part way; either way the caller
+    /// rewrites the whole file.
+    fn rewrite_suffix(&self, path: &Path) -> Option<DeltaStats> {
+        let mut file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(path)
+            .ok()?;
+        let shards = self.sharded.shards();
+        let count = FIXED_SECTIONS + shards.len() * SECTIONS_PER_SHARD;
+        let fixed = [self.head_section(), directory_section(&self.sharded)];
+        let (fixed_entries, fixed_end) = lay_out(table_end(count), &fixed);
+        // A usable previous image has today's section count and a head and
+        // directory of today's lengths, so the header, table, head and
+        // directory fill the same first bytes as in the new image.
+        let mut skeleton = vec![0; fixed_end];
+        file.read_exact(&mut skeleton).ok()?;
+        let prev = parse_table(&skeleton, file.metadata().ok()?.len())
+            .ok()
+            .filter(|prev| prev.len() == count)?;
+        let (doff, dlen, _) = prev[1];
+        let (lineage, prev_epochs) = parse_directory(skeleton.get(doff..doff + dlen)?).ok()?;
+        if lineage != self.sharded.lineage() || prev_epochs.len() != shards.len() {
+            return None;
         }
-        std::fs::write(path, &image[..]).map_err(|e| io_error(&e))?;
-        Ok(stats)
+        let kept = prev_epochs
+            .iter()
+            .zip(self.sharded.epochs())
+            .take_while(|(old, new)| old == new)
+            .count();
+
+        // The kept shards stay where they are only if the previous image
+        // laid its sections out as `lay_out` does.
+        let kept_end = FIXED_SECTIONS + kept * SECTIONS_PER_SHARD;
+        let mut at = table_end(count);
+        for (i, &(off, len, _)) in prev[..kept_end].iter().enumerate() {
+            if off != at || fixed.get(i).is_some_and(|s| s.len() != len) {
+                return None;
+            }
+            at += len.next_multiple_of(8);
+        }
+        let suffix: Vec<Vec<u8>> = shards[kept..]
+            .iter()
+            .flat_map(|s| shard_sections(s))
+            .collect();
+        let (suffix_entries, file_len) = lay_out(at, &suffix);
+        let entries: Vec<Entry> = fixed_entries
+            .into_iter()
+            .chain(prev[FIXED_SECTIONS..kept_end].iter().copied())
+            .chain(suffix_entries)
+            .collect();
+        let mut prefix = header_and_table(&entries, file_len);
+        write_sections(&mut prefix, &fixed).expect("writing to a Vec cannot fail");
+
+        // The dirty suffix first, then the head, directory, table and
+        // header that describe it.
+        let mut out = BufWriter::new(file);
+        out.seek(SeekFrom::Start(at as u64)).ok()?;
+        write_sections(&mut out, &suffix).ok()?;
+        out.seek(SeekFrom::Start(0)).ok()?;
+        out.write_all(&prefix).ok()?;
+        out.into_inner().ok()?.set_len(file_len as u64).ok()?;
+        Some(DeltaStats {
+            reused_shards: kept,
+            rewritten_shards: shards.len() - kept,
+            fallback: false,
+        })
     }
 
     /// Loads an index previously written by [`GbKmvIndex::save`],
@@ -1651,48 +1590,6 @@ impl GbKmvIndex {
         let bytes = std::fs::read(path).map_err(|e| io_error(&e))?;
         Self::from_arena_bytes(&bytes)
     }
-}
-
-/// Overwrites `path` — whose current on-disk content is `prev` — with
-/// `new`, writing only the 4 KiB block runs where the two images differ
-/// plus any tail growth, then truncating to the new length. The resulting
-/// file is byte-identical to what `fs::write(path, new)` would produce;
-/// only the I/O volume differs. For a delta image that reused most shard
-/// sections, the clean middle of the file is never written: an in-place
-/// checkpoint of a 4-shard index with one dirty shard touches the few-KiB
-/// header/table/directory prefix and roughly a quarter of the payload.
-fn patch_in_place(path: &Path, prev: &[u8], new: &[u8]) -> std::io::Result<()> {
-    use std::io::{Seek, SeekFrom, Write};
-    const BLOCK: usize = 4096;
-    let mut file = std::fs::OpenOptions::new().write(true).open(path)?;
-    let common = prev.len().min(new.len());
-    let mut off = 0usize;
-    while off < common {
-        let end = (off + BLOCK).min(common);
-        if prev[off..end] == new[off..end] {
-            off = end;
-            continue;
-        }
-        // Extend the run across every consecutive differing block so one
-        // seek+write covers it.
-        let mut run = end;
-        while run < common {
-            let next = (run + BLOCK).min(common);
-            if prev[run..next] == new[run..next] {
-                break;
-            }
-            run = next;
-        }
-        file.seek(SeekFrom::Start(off as u64))?;
-        file.write_all(&new[off..run])?;
-        off = run;
-    }
-    if new.len() > common {
-        file.seek(SeekFrom::Start(common as u64))?;
-        file.write_all(&new[common..])?;
-    }
-    file.set_len(new.len() as u64)?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1875,6 +1772,24 @@ mod tests {
         }
     }
 
+    /// A path for `name` in a directory of its own for this process.
+    fn temp_path(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("gbkmv_persist_unit_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(format!("{name}.arena"))
+    }
+
+    /// Checkpoints `index` by [`GbKmvIndex::save_delta`] in place over a
+    /// file holding `prev`; returns the file's bytes afterwards.
+    fn delta_over(index: &GbKmvIndex, prev: &[u8], name: &str) -> (Vec<u8>, DeltaStats) {
+        let path = temp_path(name);
+        std::fs::write(&path, prev).unwrap();
+        let stats = index.save_delta(&path, &path).expect("delta save");
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        (bytes, stats)
+    }
+
     #[test]
     fn delta_reuses_clean_shards_and_matches_full_bytes() {
         let ds = dataset();
@@ -1883,7 +1798,7 @@ mod tests {
         for r in &ds.records()[..5] {
             index.insert(r);
         }
-        let (delta, stats) = index.to_arena_bytes_delta(&prev);
+        let (delta, stats) = delta_over(&index, &prev, "reuse");
         assert_eq!(delta, index.to_arena_bytes(), "delta image diverged");
         assert_eq!(stats.reused_shards, 2, "only the tail shard was touched");
         assert_eq!(stats.rewritten_shards, 1);
@@ -1896,7 +1811,7 @@ mod tests {
     fn unchanged_index_delta_reuses_every_shard() {
         let index = build(GbKmvConfig::with_space_fraction(0.6).shards(3));
         let prev = index.to_arena_bytes();
-        let (delta, stats) = index.to_arena_bytes_delta(&prev);
+        let (delta, stats) = delta_over(&index, &prev, "unchanged");
         assert_eq!(delta, prev);
         assert_eq!(
             stats,
@@ -1913,9 +1828,61 @@ mod tests {
         let built = build(GbKmvConfig::with_space_fraction(0.6).shards(2));
         let bytes = built.to_arena_bytes();
         let loaded = GbKmvIndex::from_arena_bytes(&bytes).expect("load");
-        let (delta, stats) = loaded.to_arena_bytes_delta(&bytes);
+        let (delta, stats) = delta_over(&loaded, &bytes, "own_file");
         assert_eq!(stats.reused_shards, 2);
         assert_eq!(delta, bytes);
+    }
+
+    #[test]
+    fn dirty_non_tail_shard_rewrites_every_shard_from_it_on() {
+        let mut index = build(GbKmvConfig::with_space_fraction(0.6).shards(3));
+        let prev = index.to_arena_bytes();
+        // Restamp shard 0 as if it had been replaced: the shards after it
+        // are clean, but their offsets follow a rewritten shard.
+        let shards = index
+            .sharded
+            .shards()
+            .iter()
+            .map(|s| Shard::clone(s))
+            .collect();
+        let mut epochs = index.sharded.epochs().to_vec();
+        epochs[0] = next_stamp();
+        index.sharded = ShardedIndex::from_parts(shards, index.sharded.lineage(), epochs);
+        let (delta, stats) = delta_over(&index, &prev, "dirty_head");
+        assert_eq!(
+            stats,
+            DeltaStats {
+                reused_shards: 0,
+                rewritten_shards: 3,
+                fallback: false
+            }
+        );
+        assert_eq!(delta, index.to_arena_bytes());
+    }
+
+    #[test]
+    fn flipped_bit_in_a_kept_section_survives_as_a_checksum_error() {
+        let ds = dataset();
+        let mut index = build(GbKmvConfig::with_space_fraction(0.6).shards(3));
+        let mut prev = index.to_arena_bytes();
+        let table = parse_table(&prev, prev.len() as u64).expect("a fresh image parses");
+        // Shard 0's hash arena: kept, never read, by the checkpoint below.
+        let (off, len, _) = table[FIXED_SECTIONS + 1];
+        assert!(len > 0);
+        prev[off] ^= 0x04;
+        for r in &ds.records()[..4] {
+            index.insert(r);
+        }
+        let path = temp_path("kept_flip");
+        std::fs::write(&path, &prev).unwrap();
+        let stats = index.save_delta(&path, &path).expect("delta save");
+        assert_eq!((stats.reused_shards, stats.fallback), (2, false));
+        let opened = GbKmvIndex::open(&path);
+        std::fs::remove_file(&path).ok();
+        match opened {
+            Err(Error::PersistChecksum { .. }) => {}
+            other => panic!("expected PersistChecksum, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1924,7 +1891,7 @@ mod tests {
         // which is exactly what must stop cross-index section reuse.
         let a = build(GbKmvConfig::with_space_fraction(0.6).shards(3));
         let b = build(GbKmvConfig::with_space_fraction(0.6).shards(3));
-        let (delta, stats) = b.to_arena_bytes_delta(&a.to_arena_bytes());
+        let (delta, stats) = delta_over(&b, &a.to_arena_bytes(), "foreign");
         assert_eq!(
             stats,
             DeltaStats {
@@ -1939,7 +1906,7 @@ mod tests {
     #[test]
     fn garbage_previous_image_falls_back() {
         let index = build(GbKmvConfig::with_space_fraction(0.5));
-        let (delta, stats) = index.to_arena_bytes_delta(b"not an arena");
+        let (delta, stats) = delta_over(&index, b"not an arena", "garbage");
         assert!(stats.fallback);
         assert_eq!(delta, index.to_arena_bytes());
     }
@@ -1958,13 +1925,13 @@ mod tests {
         let stats = index.save_delta(&path, &path).expect("delta save");
         assert_eq!(stats.reused_shards, 1);
         assert!(!stats.fallback);
-        // The in-place patch writes only changed block runs; the file must
-        // nonetheless be byte-identical to a from-scratch serialization —
-        // across repeated grow-then-checkpoint rounds.
+        // Only the tail shard is rewritten; the file must nonetheless be
+        // byte-identical to a from-scratch serialization — across repeated
+        // grow-then-checkpoint rounds.
         assert_eq!(
             std::fs::read(&path).unwrap(),
             index.to_arena_bytes(),
-            "patched checkpoint diverged from the full serialization"
+            "in-place checkpoint diverged from the full serialization"
         );
         for r in &ds.records()[3..6] {
             index.insert(r);
@@ -1978,10 +1945,29 @@ mod tests {
     }
 
     #[test]
+    fn save_delta_over_one_file_spelled_two_ways_keeps_it() {
+        let ds = dataset();
+        let path = temp_path("two_spellings");
+        // `dir/../dir/file`: `Path` equality keeps `..`, unlike `.`.
+        let dir = path.parent().unwrap();
+        let alias = dir
+            .join("..")
+            .join(dir.file_name().unwrap())
+            .join(path.file_name().unwrap());
+        let mut index = build(GbKmvConfig::with_space_fraction(0.6).shards(2));
+        index.save(&path).expect("full save");
+        index.insert(&ds.records()[0]);
+        let stats = index.save_delta(&path, &alias).expect("delta save");
+        assert_eq!((stats.reused_shards, stats.fallback), (1, false));
+        assert_eq!(std::fs::read(&path).unwrap(), index.to_arena_bytes());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn in_place_fallback_over_a_larger_foreign_file_truncates() {
         // Overwriting a checkpoint of a *different* (bigger) index in
-        // place falls back to a full rewrite, and the patch path's
-        // truncation must shed the old file's surplus bytes.
+        // place falls back to a full rewrite, which must shed the old
+        // file's surplus bytes.
         let dir = std::env::temp_dir().join("gbkmv_persist_delta_shrink");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("shrink.arena");

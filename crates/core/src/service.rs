@@ -35,9 +35,10 @@
 //! coordination on the hot query path. Untouched shards are pointer-equal
 //! across generations — the property suite asserts this, and
 //! [`ContainmentService::checkpoint_delta`] exploits it to rewrite only
-//! dirty shard sections on disk. Writers are serialised by a dedicated
-//! mutex, so concurrent flushes cannot lose queued records or publish out
-//! of order.
+//! the dirty tail of the file on disk. Writers are serialised by a
+//! dedicated mutex, so concurrent flushes cannot lose queued records or
+//! publish out of order; checkpoints are serialised by another, so two
+//! checkpoints of one file never interleave their writes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -45,7 +46,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use crate::dataset::{ElementId, Record};
 use crate::error::{Error, Result};
 use crate::index::{ContainmentIndex, GbKmvIndex, SearchHit};
-use crate::persist::{DeltaBuffers, DeltaStats};
+use crate::persist::DeltaStats;
 
 /// What a [`ContainmentService::checkpoint`] (or
 /// [`checkpoint_delta`](ContainmentService::checkpoint_delta)) wrote.
@@ -101,10 +102,11 @@ pub struct ContainmentService {
     /// Queue length at which [`ContainmentService::submit`] flushes
     /// automatically (from [`crate::index::GbKmvConfig::ingest_batch`]).
     ingest_batch: usize,
-    /// The image buffers every [`ContainmentService::checkpoint_delta`]
-    /// reuses, so a checkpoint's cost does not depend on how the allocator
-    /// hands out fresh megabyte-sized buffers (see [`DeltaBuffers`]).
-    checkpoint_buffers: Mutex<DeltaBuffers>,
+    /// Serialises checkpoints: every [`ContainmentService::checkpoint`] and
+    /// [`ContainmentService::checkpoint_delta`] holds it while it writes,
+    /// so a full and a delta checkpoint of one file cannot tear it. Apart
+    /// from `writer`, so flushes never wait on checkpoint I/O.
+    checkpoint: Mutex<()>,
 }
 
 impl ContainmentService {
@@ -120,7 +122,7 @@ impl ContainmentService {
             writer: Mutex::new(()),
             generation: AtomicU64::new(0),
             ingest_batch,
-            checkpoint_buffers: Mutex::new(DeltaBuffers::default()),
+            checkpoint: Mutex::new(()),
         }
     }
 
@@ -147,31 +149,23 @@ impl ContainmentService {
     /// directly — no clone, no extra generation, readers and writers
     /// completely unaffected — and any queued-but-unflushed records are
     /// reported in [`CheckpointReport::pending`] rather than silently left
-    /// out.
+    /// out. Concurrent checkpoints, full or delta, take turns, so each
+    /// leaves a whole image.
     pub fn checkpoint(
         &self,
         path: impl AsRef<std::path::Path>,
         flush_first: bool,
     ) -> Result<CheckpointReport> {
-        let flushed = if flush_first { self.flush() } else { 0 };
-        let snapshot = self.snapshot();
-        let pending = self.pending();
-        snapshot.save(path)?;
-        Ok(CheckpointReport {
-            records: snapshot.num_records() as u64,
-            flushed,
-            pending,
-            delta: None,
-        })
+        self.write_checkpoint(flush_first, |index| index.save(path).map(|()| None))
     }
 
     /// [`ContainmentService::checkpoint`], but written as a **delta**
-    /// against the arena previously saved at `prev_path`: shards untouched
-    /// since that image was written are copied byte-for-byte instead of
-    /// re-serialized (see [`GbKmvIndex::save_delta`]), so periodic
-    /// checkpoints under steady ingest cost O(dirty shards). The two paths
-    /// may be the same file for an in-place checkpoint; a missing or
-    /// unusable previous image degrades to a full rewrite
+    /// against the arena previously saved at `prev_path` (see
+    /// [`GbKmvIndex::save_delta`]): the file is rewritten in place from its
+    /// first dirty shard on, so periodic checkpoints under steady ingest
+    /// cost O(tail shard) in serialisation and I/O. When the paths differ,
+    /// `prev_path` is copied to `path` first. A missing or unusable
+    /// previous image degrades to a full rewrite
     /// ([`DeltaStats::fallback`]), never an error.
     pub fn checkpoint_delta(
         &self,
@@ -179,19 +173,26 @@ impl ContainmentService {
         prev_path: impl AsRef<std::path::Path>,
         flush_first: bool,
     ) -> Result<CheckpointReport> {
+        self.write_checkpoint(flush_first, |index| {
+            index.save_delta(path, prev_path).map(Some)
+        })
+    }
+
+    /// Both checkpoints: flushes first if asked, then writes the current
+    /// generation under the checkpoint lock.
+    fn write_checkpoint(
+        &self,
+        flush_first: bool,
+        write: impl FnOnce(&GbKmvIndex) -> Result<Option<DeltaStats>>,
+    ) -> Result<CheckpointReport> {
         let flushed = if flush_first { self.flush() } else { 0 };
+        let _checkpoint = relock(&self.checkpoint);
         let snapshot = self.snapshot();
-        let pending = self.pending();
-        let stats = snapshot.save_delta_with(
-            path.as_ref(),
-            prev_path.as_ref(),
-            &mut relock(&self.checkpoint_buffers),
-        )?;
         Ok(CheckpointReport {
             records: snapshot.num_records() as u64,
             flushed,
-            pending,
-            delta: Some(stats),
+            pending: self.pending(),
+            delta: write(&snapshot)?,
         })
     }
 
@@ -539,8 +540,8 @@ mod tests {
         for path in [&live, &copy, &small, &missing] {
             std::fs::remove_file(path).ok();
         }
-        // A smaller, foreign image: reading it after the live one leaves
-        // the kept buffers longer than the bytes they now hold.
+        // A smaller, foreign image: copied over the longer copy, it must
+        // fall back and leave no stale tail behind.
         GbKmvIndex::build(&dataset(4), config())
             .save(&small)
             .unwrap();
@@ -575,6 +576,61 @@ mod tests {
         for path in [&live, &copy, &small] {
             std::fs::remove_file(path).ok();
         }
+    }
+
+    #[test]
+    fn mixed_checkpoints_beside_a_flushing_writer_leave_the_last_generation() {
+        let dir = std::env::temp_dir().join("gbkmv_service_checkpoint_lock");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("mixed_{}.arena", std::process::id()));
+        let records = dataset(360).records().to_vec();
+        // A torn or stale final file needs an unlucky interleaving, so the
+        // race runs several times.
+        for trial in 0..10 {
+            std::fs::remove_file(&path).ok();
+            let base = Dataset::from_records(records[..300].iter().map(|r| r.elements().to_vec()));
+            let service = ContainmentService::build(&base, config().shards(3).ingest_batch(100));
+            let done = std::sync::atomic::AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    for batch in records[300..].chunks(6) {
+                        service.submit_batch(batch.to_vec()).unwrap();
+                        service.flush();
+                    }
+                    done.store(true, Ordering::Release);
+                });
+                for thread in 0..3 {
+                    let (service, path, done) = (&service, &path, &done);
+                    scope.spawn(move || {
+                        // Full and delta checkpoints alternate, out of
+                        // phase across threads. Thread 0 writes one more
+                        // after the writer finished, while the others may
+                        // still be writing older generations.
+                        for round in thread.. {
+                            let finished = done.load(Ordering::Acquire);
+                            if finished && thread != 0 {
+                                break;
+                            }
+                            let report = if round % 2 == 0 {
+                                service.checkpoint(path, false)
+                            } else {
+                                service.checkpoint_delta(path, path, false)
+                            };
+                            report.unwrap();
+                            if finished {
+                                break;
+                            }
+                        }
+                    });
+                }
+            });
+            let last = service.snapshot();
+            assert_eq!(last.num_records(), 360);
+            let reopened = GbKmvIndex::open(&path).expect("the final checkpoint opens");
+            assert_eq!(reopened.sharded(), last.sharded(), "trial {trial}");
+            assert_eq!(std::fs::read(&path).unwrap(), last.to_arena_bytes());
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -192,17 +192,35 @@ fn parent_image_answers_like_the_scan() {
     }
 }
 
-/// A delta checkpoint never copies a shard whose old bytes still hold
+/// Checkpoints `index` by `save_delta` to `path` against a fresh copy of
+/// `prev` at `prev_path` (the two paths may be one file); returns the
+/// written bytes and the stats.
+fn delta_file(
+    index: &GbKmvIndex,
+    prev: &[u8],
+    path: &std::path::Path,
+    prev_path: &std::path::Path,
+) -> (Vec<u8>, gbkmv_core::persist::DeltaStats) {
+    std::fs::write(prev_path, prev).expect("write the previous image");
+    let stats = index.save_delta(path, prev_path).expect("delta checkpoint");
+    (std::fs::read(path).expect("read the checkpoint"), stats)
+}
+
+/// A delta checkpoint never keeps a shard whose old bytes still hold
 /// buffer postings: every such shard is re-serialised (no fallback to a
 /// whole-image rewrite is needed), so the result is byte-identical to a
 /// full save, reopens, and answers like the scan. The next delta, against
-/// the new image, reuses the clean shards again.
+/// the new image, keeps the clean shards again.
 #[test]
 fn delta_checkpoint_against_a_parent_image_rewrites_its_shards() {
+    let dir =
+        std::env::temp_dir().join(format!("gbkmv_persist_compat_delta_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (path, parent) = (dir.join("index.arena"), dir.join("parent.arena"));
     let dataset = fixture_dataset();
     let mut index = GbKmvIndex::from_arena_bytes(FIXTURE).expect("a parent-written image opens");
 
-    let (unchanged, stats) = index.to_arena_bytes_delta(FIXTURE);
+    let (unchanged, stats) = delta_file(&index, FIXTURE, &path, &path);
     assert!(!stats.fallback);
     assert_eq!((stats.reused_shards, stats.rewritten_shards), (0, 3));
     assert_eq!(unchanged, index.to_arena_bytes());
@@ -217,7 +235,7 @@ fn delta_checkpoint_against_a_parent_image_rewrites_its_shards() {
         })
         .collect();
     index.insert_batch(&grown);
-    let (bytes, stats) = index.to_arena_bytes_delta(FIXTURE);
+    let (bytes, stats) = delta_file(&index, FIXTURE, &path, &parent);
     assert!(!stats.fallback);
     assert_eq!((stats.reused_shards, stats.rewritten_shards), (0, 3));
     assert_eq!(
@@ -229,7 +247,8 @@ fn delta_checkpoint_against_a_parent_image_rewrites_its_shards() {
     assert_eq!(reopened.sharded(), index.sharded());
     assert_answers_like_the_scan(&reopened, "delta over a parent image");
 
-    let (again, stats) = index.to_arena_bytes_delta(&bytes);
+    let (again, stats) = delta_file(&index, &bytes, &path, &path);
+    std::fs::remove_dir_all(&dir).ok();
     assert_eq!((stats.reused_shards, stats.rewritten_shards), (3, 0));
     assert_eq!(again, bytes);
 }

@@ -25,17 +25,23 @@ fn arena(config: GbKmvConfig) -> Vec<u8> {
     GbKmvIndex::build(&dataset, config).to_arena_bytes()
 }
 
-/// An image produced by the *delta* writer (clean shards copied from a
-/// previous image, dirty ones re-serialized) rather than the full one.
+/// An image produced by the *delta* writer (clean shards kept in place in
+/// a previous checkpoint file, dirty ones re-serialized over it) rather
+/// than the full one.
 fn delta_arena(config: GbKmvConfig) -> Vec<u8> {
     let all = records(80);
     let mut index = GbKmvIndex::build(&Dataset::from_records(all[..70].to_vec()), config);
-    let prev = index.to_arena_bytes();
+    let dir = std::env::temp_dir().join(format!("gbkmv_persist_corruption_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("delta.arena");
+    index.save(&path).expect("full save");
     let tail = Dataset::from_records(all[70..].to_vec());
     for r in tail.records() {
         index.insert(r);
     }
-    let (bytes, stats) = index.to_arena_bytes_delta(&prev);
+    let stats = index.save_delta(&path, &path).expect("delta save");
+    let bytes = std::fs::read(&path).expect("read the checkpoint");
+    std::fs::remove_dir_all(&dir).ok();
     assert!(
         stats.reused_shards > 0 && !stats.fallback,
         "the delta test arena must actually reuse sections"

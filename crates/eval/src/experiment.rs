@@ -21,8 +21,7 @@ use crate::metrics::{AccuracySummary, ConfusionCounts};
 /// Workload-level knobs of an experiment run, shared by the benchmark
 /// binaries: the containment threshold, the number of sampled queries, the
 /// thread count used for the exact ground-truth scans (the dominant setup
-/// cost), and whether queries are submitted as one batch. Index-build
-/// threading is configured separately on the index's own config
+/// cost). Index-build threading is configured separately on the index's own config
 /// (e.g. `GbKmvConfig::threads`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentConfig {
@@ -32,17 +31,6 @@ pub struct ExperimentConfig {
     pub num_queries: usize,
     /// Threads for the exact ground-truth scans (`0` = all cores).
     pub threads: usize,
-    /// Submit the workload through `ContainmentIndex::search_batch` instead
-    /// of one `search` call per query. Answers are identical (the batch
-    /// contract); only the timing protocol changes — per-query latency is
-    /// then the amortised batch time.
-    pub batch: bool,
-    /// Route the workload through a `ContainmentService` wrapping the index
-    /// (snapshot reads over the serving layer) instead of querying the
-    /// index directly. Answers are identical — a service snapshot with no
-    /// pending ingest *is* the index — so the knob measures the serving
-    /// layer's overhead and exercises its read path in the harness.
-    pub service: bool,
 }
 
 impl Default for ExperimentConfig {
@@ -51,8 +39,6 @@ impl Default for ExperimentConfig {
             threshold: 0.5,
             num_queries: 60,
             threads: 0,
-            batch: false,
-            service: false,
         }
     }
 }
@@ -73,19 +59,6 @@ impl ExperimentConfig {
     /// Overrides the thread count (`0` = all available cores).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Enables or disables batch query submission.
-    pub fn batch(mut self, batch: bool) -> Self {
-        self.batch = batch;
-        self
-    }
-
-    /// Enables or disables routing the workload through the serving layer
-    /// (a `ContainmentService` snapshot) instead of the bare index.
-    pub fn service(mut self, service: bool) -> Self {
-        self.service = service;
         self
     }
 }
@@ -183,69 +156,7 @@ pub fn evaluate_index(
     )
 }
 
-/// The serving-layer counterpart of [`evaluate_index`]: the workload is
-/// answered through a [`gbkmv_core::service::ContainmentService`]'s
-/// snapshot read path — exactly
-/// what a concurrent reader thread executes — rather than the bare index.
-/// With no pending ingest the snapshot *is* the wrapped index, so answers
-/// (and accuracy) are identical to [`evaluate_index`] on it; the timing
-/// additionally includes the per-query snapshot acquisition, which is the
-/// serving layer's read-side overhead. `ExperimentConfig::service(true)`
-/// selects this path in the bench harness.
-pub fn evaluate_service(
-    service: &gbkmv_core::service::ContainmentService,
-    queries: &[Record],
-    ground_truth: &GroundTruth,
-    threshold: f64,
-    dataset_total_elements: usize,
-) -> MethodReport {
-    evaluate_index(
-        service,
-        queries,
-        ground_truth,
-        threshold,
-        dataset_total_elements,
-    )
-}
-
-/// The batch counterpart of [`evaluate_index`]: the whole workload goes
-/// through one `ContainmentIndex::search_batch` call (the parallel path for
-/// indexes that provide one). The reported per-query latency is the
-/// amortised batch time — individual query latencies are not observable in
-/// batch mode.
-pub fn evaluate_index_batch(
-    index: &dyn ContainmentIndex,
-    queries: &[Record],
-    ground_truth: &GroundTruth,
-    threshold: f64,
-    dataset_total_elements: usize,
-) -> MethodReport {
-    assert_eq!(
-        queries.len(),
-        ground_truth.len(),
-        "workload and ground truth must cover the same queries"
-    );
-    let start = Instant::now();
-    let answers = index.search_batch(queries, threshold);
-    let total_time = start.elapsed();
-    let amortised = if queries.is_empty() {
-        Duration::ZERO
-    } else {
-        total_time / queries.len() as u32
-    };
-    let latencies = vec![amortised; queries.len()];
-    aggregate_report(
-        index,
-        ground_truth,
-        threshold,
-        dataset_total_elements,
-        &answers,
-        &latencies,
-        total_time,
-    )
-}
-
-/// Shared accuracy/timing aggregation of the per-query answer lists.
+/// Accuracy/timing aggregation of the per-query answer lists.
 fn aggregate_report(
     index: &dyn ContainmentIndex,
     ground_truth: &GroundTruth,
@@ -394,33 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_evaluation_matches_per_query_accuracy() {
-        let d = dataset();
-        let workload = QueryWorkload::sample_from_dataset(&d, 15, 4);
-        let truth = GroundTruth::compute(&d, &workload.queries, 0.5);
-        let index = GbKmvIndex::build(&d, GbKmvConfig::with_space_fraction(0.2));
-        let single = evaluate_index(&index, &workload.queries, &truth, 0.5, d.total_elements());
-        let batch =
-            evaluate_index_batch(&index, &workload.queries, &truth, 0.5, d.total_elements());
-        // Identical answers ⇒ identical confusion counts and accuracy; only
-        // the timing protocol differs.
-        assert_eq!(single.accuracy, batch.accuracy);
-        assert_eq!(single.per_query.len(), batch.per_query.len());
-        for (s, b) in single.per_query.iter().zip(&batch.per_query) {
-            assert_eq!(s.counts, b.counts);
-            assert_eq!(s.answer_size, b.answer_size);
-        }
-    }
-
-    #[test]
-    fn batch_config_knob_round_trips() {
-        let config = ExperimentConfig::default().batch(true).num_queries(7);
-        assert!(config.batch);
-        assert_eq!(config.num_queries, 7);
-        assert!(!ExperimentConfig::default().batch);
-    }
-
-    #[test]
     fn service_evaluation_matches_direct_index() {
         use gbkmv_core::service::ContainmentService;
         let d = dataset();
@@ -430,7 +314,7 @@ mod tests {
         let index = GbKmvIndex::build(&d, config);
         let direct = evaluate_index(&index, &workload.queries, &truth, 0.5, d.total_elements());
         let service = ContainmentService::new(index);
-        let served = evaluate_service(&service, &workload.queries, &truth, 0.5, d.total_elements());
+        let served = evaluate_index(&service, &workload.queries, &truth, 0.5, d.total_elements());
         // A quiescent service snapshot is the wrapped index: identical
         // answers, identical accuracy; only the method label differs.
         assert_eq!(served.method, "GB-KMV/service");
@@ -439,8 +323,6 @@ mod tests {
             assert_eq!(a.counts, b.counts);
             assert_eq!(a.answer_size, b.answer_size);
         }
-        assert!(ExperimentConfig::default().service(true).service);
-        assert!(!ExperimentConfig::default().service);
     }
 
     #[test]

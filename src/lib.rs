@@ -45,7 +45,7 @@ pub mod prelude {
     pub use gbkmv_datagen::profiles::DatasetProfile;
     pub use gbkmv_datagen::queries::QueryWorkload;
     pub use gbkmv_datagen::synthetic::{SyntheticConfig, SyntheticDataset};
-    pub use gbkmv_eval::experiment::{evaluate_index, evaluate_index_batch};
+    pub use gbkmv_eval::experiment::evaluate_index;
     pub use gbkmv_eval::ground_truth::GroundTruth;
     pub use gbkmv_exact::brute::BruteForceIndex;
     pub use gbkmv_lsh::ensemble::{LshEnsembleConfig, LshEnsembleIndex};
