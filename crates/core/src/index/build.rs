@@ -12,8 +12,9 @@
 //! A dataset under `PARALLEL_BUILD_MIN_RECORDS` (10,000) records builds on
 //! one thread whatever `threads` says.
 //! [`GbKmvIndex::insert_batch`] grows the index through the same layout
-//! code: the tail shard's store is merged with the sketched batch and the
-//! grown shard's postings are built as a bulk build builds them
+//! code: the tail shard's store is merged with the sketched batch until it
+//! holds `TAIL_SHARD_CAP` records, the rest opens new shards, and every
+//! grown or new shard's postings are built as a bulk build builds them
 //! ([`crate::index::sharded`]); [`GbKmvIndex::insert`] is its one-record
 //! case.
 
@@ -24,7 +25,7 @@ use crate::dataset::{Dataset, Record, RecordId};
 use crate::gbkmv::GbKmvSketcher;
 use crate::hash::Hasher64;
 use crate::index::config::{BufferSizing, GbKmvConfig, IndexSummary};
-use crate::index::sharded::ShardedIndex;
+use crate::index::sharded::{ShardedIndex, TAIL_SHARD_CAP};
 use crate::index::GbKmvIndex;
 use crate::stats::DatasetStats;
 
@@ -102,10 +103,23 @@ impl GbKmvIndex {
     /// Appends a batch of records, reusing the existing layout and global
     /// threshold (the paper's dynamic-data maintenance; a full rebuild
     /// re-optimises `τ` and `r`), and returns the ids they took, in order.
-    /// The batch is merged into the tail shard in one pass, by the bulk
-    /// build's layout code, so with matching sketcher parameters the grown
-    /// index is *identical* to a from-scratch build at any batch size.
+    /// The batch fills the tail shard up to
+    /// [`TAIL_SHARD_CAP`](crate::index::sharded) records and opens new
+    /// shards of at most that many for the rest, each laid out by the bulk
+    /// build's code, so with matching sketcher parameters the grown index
+    /// is *identical* to a from-scratch build at the same shard boundaries,
+    /// at any batch size (the boundaries depend only on the record count).
     pub fn insert_batch(&mut self, records: &[Record]) -> Range<RecordId> {
+        self.insert_batch_capped(records, TAIL_SHARD_CAP)
+    }
+
+    /// [`GbKmvIndex::insert_batch`] with grown shards capped at `cap`
+    /// records; tests cross the cap through it with small indexes.
+    pub(crate) fn insert_batch_capped(
+        &mut self,
+        records: &[Record],
+        cap: usize,
+    ) -> Range<RecordId> {
         let mut sketches = Vec::with_capacity(records.len());
         for record in records {
             let sketch = self.sketcher.sketch_record(record);
@@ -116,7 +130,7 @@ impl GbKmvIndex {
         self.summary.space_used_fraction =
             self.summary.space_used_elements / self.total_elements.max(1) as f64;
         self.summary.num_records += records.len();
-        self.sharded.insert_batch(&sketches)
+        self.sharded.insert_batch(&sketches, cap)
     }
 
     /// Appends one record: [`GbKmvIndex::insert_batch`] of a one-record

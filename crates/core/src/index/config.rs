@@ -32,18 +32,21 @@ pub struct GbKmvConfig {
     /// records builds on one thread regardless. The built index is identical for
     /// every thread count.
     pub threads: usize,
-    /// Number of storage shards (`0` and `1` both mean a single shard). The
-    /// sketcher (hash function, buffer layout, global threshold `τ`) is
-    /// always chosen globally, so the answers are identical for every shard
-    /// count; sharding bounds per-shard arena sizes and gives the batch path
-    /// independent units of work.
+    /// Number of storage shards a build lays out (`0` and `1` both mean a
+    /// single shard). The sketcher (hash function, buffer layout, global
+    /// threshold `τ`) is always chosen globally, so the answers are
+    /// identical for every shard count; sharding bounds per-shard arena
+    /// sizes and gives the batch path independent units of work. A grown
+    /// index adds shards of its own: inserts fill the tail shard up to
+    /// `TAIL_SHARD_CAP` records and then open new shards of at most
+    /// that many (see [`crate::index::sharded`]).
     pub shards: usize,
     /// Cost model configuration used when `buffer` is [`BufferSizing::Auto`].
     pub cost_model: CostModelConfig,
     /// Queue length at which a [`crate::service::ContainmentService`]
     /// wrapping an index built with this configuration publishes a new
     /// generation automatically (`0` is clamped to 1: publish every
-    /// record). A flush is one O(tail shard + batch) merge, not O(index)
+    /// record). A flush is at most one O(shard cap + batch) merge, not O(index)
     /// work (see [`crate::service`]): larger batches amortise that merge and
     /// the publication over more records; smaller ones shorten the
     /// ingest-to-visible latency.

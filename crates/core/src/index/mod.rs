@@ -174,7 +174,8 @@ pub(crate) fn with_canonical_query<R>(query: &[ElementId], f: impl FnOnce(&[Elem
 /// Cloning is **cheap**: the shards (via [`ShardedIndex`]) and the
 /// sketcher live behind [`Arc`](std::sync::Arc)s, so a clone is a handful
 /// of pointer bumps. Storage is never written in place: growing a clone
-/// builds a new tail shard and leaves the shards it shares untouched (see
+/// builds a new tail shard (or new shards after it) and leaves the shards
+/// it shares untouched (see
 /// [`GbKmvIndex::insert_batch`]). The serving layer's per-generation
 /// publish depends on this.
 #[derive(Debug, Clone)]

@@ -17,14 +17,20 @@
 //! query path, and for bounding the O(shard) cost of growing the index —
 //! at zero accuracy cost.
 //!
-//! **Growing.** New records always join the tail shard, which owns the
-//! highest ids. `ShardedIndex::insert_batch` merges the tail's store with
-//! the whole batch ([`SketchStore::merge`], the same layout function the
-//! bulk build runs over the empty store), builds the grown shard's postings
-//! from the merged store with the bulk build's code, and swaps the new
-//! shard in. One flush is one merge, whatever its batch size, and the
-//! result is bit-identical to a build over the grown dataset with the same
-//! sketcher.
+//! **Growing.** New records join the tail shard, which owns the highest
+//! ids, until it holds `TAIL_SHARD_CAP` records; the rest of a batch
+//! opens new shards of at most `TAIL_SHARD_CAP` records each. A shard that
+//! is full (or was built over the cap) is never merged into again.
+//! `ShardedIndex::insert_batch` merges the tail's store with the part of
+//! the batch that fits ([`SketchStore::merge`], the same layout function
+//! the bulk build runs over the empty store), builds the grown shard's
+//! postings from the merged store with the bulk build's code, and swaps
+//! the new shard in; every new shard is built by `Shard::build`. One
+//! flush is at most one merge of an under-cap shard, whatever its batch
+//! size, so growing costs O(`TAIL_SHARD_CAP` + batch), not O(tail shard).
+//! Shard boundaries depend only on the record count, not on how the
+//! records were batched, and every grown shard is bit-identical to a
+//! shard built over its records with the same sketcher.
 //!
 //! **Posting storage.** Every posting list is a
 //! [`crate::index::postings::PostingList`]: the ascending slot numbers of
@@ -69,6 +75,21 @@ pub(crate) fn next_stamp() -> u64 {
         })
         .fetch_add(1, Ordering::Relaxed)
 }
+
+/// Most records a shard reaches by growing: `ShardedIndex::insert_batch`
+/// merges records into the tail shard until it holds this many, then
+/// opens a new shard. Shards a build lays out may be larger; they are
+/// never merged into once over the cap.
+///
+/// The shard is the unit of a merge and of a delta checkpoint, so the cap
+/// bounds both: a flush merges at most `TAIL_SHARD_CAP` stored records
+/// with its batch, and a checkpoint rewrites only shards that changed
+/// since the last one. A smaller cap makes both cheaper and adds shards,
+/// each of which costs every query a few posting lookups. Chosen from an
+/// in-process measurement of both sides (one 64-record merge against the
+/// per-query cost of one more small shard, caps 2^13 to 2^16), recorded
+/// in the repository's change log.
+pub(crate) const TAIL_SHARD_CAP: usize = 1 << 14;
 
 /// One storage shard: a size-ordered sketch store plus the inverted
 /// signature posting lists over its slots.
@@ -212,10 +233,10 @@ impl Shard {
 /// Shards are held behind [`Arc`]s, so **cloning an index is N pointer
 /// bumps**, not a storage copy: the serving layer's per-generation publish
 /// clones the current index, replaces the tail shard's `Arc` with the
-/// shard grown by the batch (built new; the old tail is never written),
-/// and publishes. Untouched shards stay pointer-equal across generations,
-/// which both the race tests and the `mem_usage_shared` accounting rely
-/// on.
+/// shard grown by the batch (built new; the old tail is never written) or
+/// appends the shards the batch opens, and publishes. Untouched shards
+/// stay pointer-equal across generations, which both the race tests and
+/// the `mem_usage_shared` accounting rely on.
 ///
 /// Each shard carries a **dirty epoch** and the index a **lineage** stamp
 /// (see `next_stamp`): every replacement of shard `i` restamps `epochs[i]`,
@@ -378,22 +399,24 @@ impl ShardedIndex {
         shard.store.view_of_record(local)
     }
 
-    /// Grows the tail shard (the one owning the highest id range, keeping
-    /// the ranges contiguous) by `batch` and returns the global ids the
-    /// batch took, in batch order.
+    /// Appends `batch` after the highest record id and returns the global
+    /// ids it took, in batch order.
     ///
-    /// The grown tail is a new shard: the old tail's store merged with the
-    /// batch ([`SketchStore::merge`]), with postings built afresh over it.
-    /// It replaces the old tail's [`Arc`] and gets a new epoch. No shard is
-    /// written in place: a clone holding the old tail (a published reader
-    /// snapshot) keeps it unchanged, and every other shard stays shared, so
-    /// growing a cloned index costs O(tail shard + batch), not O(index). An
-    /// empty batch changes nothing.
-    pub(crate) fn insert_batch(&mut self, batch: &[GbKmvRecordSketch]) -> Range<usize> {
+    /// The tail shard takes records until it holds `cap` (at least 1;
+    /// [`TAIL_SHARD_CAP`] outside tests, which cross the cap with small
+    /// indexes); the rest of the batch opens new shards of at most `cap`
+    /// records each, so the shard boundaries are the same whether the
+    /// records come one by one or in batches of any size. A grown tail is
+    /// a new shard: the old tail's store merged with its part of the batch
+    /// ([`SketchStore::merge`]), with postings built afresh over it. It
+    /// replaces the old tail's [`Arc`] and gets a new epoch, and every new
+    /// shard gets an epoch of its own. No shard is written in place: a
+    /// clone holding the old tail (a published reader snapshot) keeps it
+    /// unchanged, and every other shard stays shared, so growing a cloned
+    /// index costs O(`cap` + batch), not O(index). An empty batch changes
+    /// nothing.
+    pub(crate) fn insert_batch(&mut self, batch: &[GbKmvRecordSketch], cap: usize) -> Range<usize> {
         let start = self.len();
-        if batch.is_empty() {
-            return start..start;
-        }
         // Infallible: `ShardedIndex::build` always creates at least one
         // shard (the empty dataset builds one empty shard) and shards are
         // never removed.
@@ -401,9 +424,21 @@ impl ShardedIndex {
             .shards
             .last_mut()
             .expect("a ShardedIndex always has at least one shard");
-        let batch: Vec<&GbKmvRecordSketch> = batch.iter().collect();
-        *tail = Arc::new(Shard::from_store(tail.base, tail.store.merge(&batch)));
-        *self.epochs.last_mut().expect("one epoch per shard") = next_stamp();
+        let words_per_record = tail.store.words_per_record();
+        let room = cap.saturating_sub(tail.len()).min(batch.len());
+        let (fill, rest) = batch.split_at(room);
+        if !fill.is_empty() {
+            let fill: Vec<&GbKmvRecordSketch> = fill.iter().collect();
+            *tail = Arc::new(Shard::from_store(tail.base, tail.store.merge(&fill)));
+            *self.epochs.last_mut().expect("one epoch per shard") = next_stamp();
+        }
+        let mut base = start + room;
+        for chunk in rest.chunks(cap.max(1)) {
+            self.shards
+                .push(Arc::new(Shard::build(base, chunk, words_per_record)));
+            self.epochs.push(next_stamp());
+            base += chunk.len();
+        }
         start..start + batch.len()
     }
 }
@@ -485,7 +520,7 @@ mod tests {
         // length, through bulk build and merge alike.
         let sk = sketches(40);
         let mut index = ShardedIndex::build(&sk[..30], 3, 1, 2);
-        index.insert_batch(&sk[30..]);
+        index.insert_batch(&sk[30..], TAIL_SHARD_CAP);
         for shard in index.shards() {
             for (&h, list) in &shard.signature_postings {
                 assert_eq!(
@@ -528,7 +563,10 @@ mod tests {
                     let mut grown = built.clone();
                     for chunk in sk[100..].chunks(batch) {
                         let start = grown.len();
-                        assert_eq!(grown.insert_batch(chunk), start..start + chunk.len());
+                        assert_eq!(
+                            grown.insert_batch(chunk, TAIL_SHARD_CAP),
+                            start..start + chunk.len()
+                        );
                     }
                     let n = grown.shards().len();
                     assert_eq!(n, built.shards().len());
@@ -547,12 +585,105 @@ mod tests {
         }
     }
 
+    /// The shard bases growth must produce: the built shards, the built
+    /// tail filled up to `cap`, then a new shard every `cap` records.
+    fn capped_bases(built: &ShardedIndex, total: usize, cap: usize) -> Vec<usize> {
+        let mut bases: Vec<usize> = built.shards().iter().map(|s| s.base()).collect();
+        let tail = built.shards().last().expect("one shard at least");
+        let mut next = tail.base() + tail.len().max(cap);
+        while next < total {
+            bases.push(next);
+            next += cap;
+        }
+        bases
+    }
+
+    /// Grows `built` (over `sk[..n0]`) to all of `sk` in chunks of `batch`
+    /// at shard cap `cap`, checking every step: the ids taken, the shards
+    /// the chunk did not touch still shared with unchanged epochs, and at
+    /// the end the shard bases and every shard equal to a shard built from
+    /// scratch over its records.
+    fn grow_and_check(built: &ShardedIndex, sk: &[GbKmvRecordSketch], batch: usize, cap: usize) {
+        let label = format!("{} built records, batch {batch}, cap {cap}", built.len());
+        let mut grown = built.clone();
+        for chunk in sk[built.len()..].chunks(batch) {
+            let before = grown.clone();
+            let start = grown.len();
+            assert_eq!(grown.insert_batch(chunk, cap), start..start + chunk.len());
+            // A full tail is never merged into again, so it stays clean too.
+            let n = before.shards().len();
+            let clean = if before.shards()[n - 1].len() >= cap {
+                n
+            } else {
+                n - 1
+            };
+            for i in 0..clean {
+                assert!(
+                    Arc::ptr_eq(&grown.shards()[i], &before.shards()[i]),
+                    "{label}"
+                );
+                assert_eq!(grown.epochs()[i], before.epochs()[i], "{label}");
+            }
+            for i in clean..grown.shards().len() {
+                assert!(!before.epochs().contains(&grown.epochs()[i]), "{label}");
+            }
+        }
+        let bases: Vec<usize> = grown.shards().iter().map(|s| s.base()).collect();
+        assert_eq!(bases, capped_bases(built, sk.len(), cap), "{label}");
+        for (i, shard) in grown.shards().iter().enumerate() {
+            let records = &sk[shard.base()..shard.base() + shard.len()];
+            assert_eq!(**shard, Shard::build(shard.base(), records, 1), "{label}");
+            if i >= built.shards().len() {
+                assert!(shard.len() <= cap, "{label}: a new shard over the cap");
+            }
+        }
+    }
+
+    /// Growing across the shard cap, from an empty build, from builds whose
+    /// tail is under the cap and from builds whose tail is already over it,
+    /// in batches of {1, 7, 64, cap − 1, cap, cap + 1, 2·cap + 3}: the
+    /// batch fills the tail to the cap and opens shards of at most `cap`
+    /// records for the rest, so record-by-record and batched growth give
+    /// the same shard bases, and every shard equals a shard built from
+    /// scratch over its records.
+    #[test]
+    fn insert_across_the_tail_cap_matches_rebuild() {
+        const CAP: usize = 16;
+        let sk = sketches(160);
+        for (n0, shards) in [(0, 1), (10, 1), (40, 1), (30, 3), (60, 2)] {
+            let built = ShardedIndex::build(&sk[..n0], shards, 1, 1);
+            for batch in [1, 7, 64, CAP - 1, CAP, CAP + 1, 2 * CAP + 3] {
+                grow_and_check(&built, &sk, batch, CAP);
+            }
+        }
+    }
+
+    /// The same at the shipped [`TAIL_SHARD_CAP`]: batches of cap − 1,
+    /// cap, cap + 1 and 2·cap + 3 from a small build, and single records
+    /// across the boundary from a build just under the cap.
+    #[test]
+    fn insert_across_the_shipped_tail_cap_matches_rebuild() {
+        let sk = sketches(2 * TAIL_SHARD_CAP + 103);
+        let built = ShardedIndex::build(&sk[..100], 1, 1, 1);
+        for batch in [
+            TAIL_SHARD_CAP - 1,
+            TAIL_SHARD_CAP,
+            TAIL_SHARD_CAP + 1,
+            2 * TAIL_SHARD_CAP + 3,
+        ] {
+            grow_and_check(&built, &sk, batch, TAIL_SHARD_CAP);
+        }
+        let near = &sk[..TAIL_SHARD_CAP + 3];
+        let built = ShardedIndex::build(&near[..TAIL_SHARD_CAP - 3], 1, 1, 1);
+        grow_and_check(&built, near, 1, TAIL_SHARD_CAP);
+    }
+
     #[test]
     fn empty_batch_changes_nothing() {
         let sk = sketches(10);
         let mut index = ShardedIndex::build(&sk, 2, 1, 1);
         let before = index.clone();
-        assert_eq!(index.insert_batch(&[]), 10..10);
+        assert_eq!(index.insert_batch(&[], TAIL_SHARD_CAP), 10..10);
         assert_eq!(index.epochs(), before.epochs());
         assert!(Arc::ptr_eq(&index.shards()[1], &before.shards()[1]));
     }

@@ -583,6 +583,57 @@ fn insert_then_search_equals_build_from_scratch() {
 }
 
 #[test]
+fn insert_across_the_tail_cap_answers_like_the_scan() {
+    // Grows a built index whose one shard is over the cap, a three-shard
+    // build whose tail is under it, a loaded index and an empty one across
+    // a shard cap of 24 in batches of {1, 7, 64, cap − 1, cap, cap + 1,
+    // 2·cap + 3}. Every grown index must have the shard bases of
+    // record-by-record growth, every shard must equal a from-scratch shard
+    // over its records, and search and top-k must answer like the scan.
+    const CAP: usize = 24;
+    let base = varied_dataset(70);
+    let extra = grow_records(&base);
+    let all: Vec<Record> = base.records().iter().chain(&extra).cloned().collect();
+    let empty = Dataset::from_records(Vec::<Record>::new());
+    let bases = |index: &GbKmvIndex| -> Vec<usize> {
+        index.sharded().shards().iter().map(|s| s.base()).collect()
+    };
+    let config = GbKmvConfig::with_space_fraction(0.3).buffer_size(16);
+    let built = GbKmvIndex::build(&base, config);
+    let loaded = GbKmvIndex::from_arena_bytes(&built.to_arena_bytes()).expect("load");
+    let starts = [
+        ("built", built, &extra[..]),
+        (
+            "three shards",
+            GbKmvIndex::build(&base, config.shards(3)),
+            &extra[..],
+        ),
+        ("loaded", loaded, &extra[..]),
+        ("empty", GbKmvIndex::build(&empty, config), &all[..]),
+    ];
+    for (start, index, records) in starts {
+        let mut one_by_one = index.clone();
+        for record in records {
+            one_by_one.insert_batch_capped(std::slice::from_ref(record), CAP);
+        }
+        assert!(one_by_one.sharded().shards().len() > index.sharded().shards().len());
+        for batch in [1, 7, 64, CAP - 1, CAP, CAP + 1, 2 * CAP + 3] {
+            let mut grown = index.clone();
+            for chunk in records.chunks(batch) {
+                let first = grown.num_records();
+                assert_eq!(
+                    grown.insert_batch_capped(chunk, CAP),
+                    first..first + chunk.len()
+                );
+            }
+            let label = format!("{start}, batch {batch}");
+            assert_eq!(bases(&grown), bases(&one_by_one), "{label}");
+            assert_grown_equals_rebuilt(&grown, &all, &label);
+        }
+    }
+}
+
+#[test]
 fn insert_keeps_sharded_answers_consistent() {
     // Under a *constrained* budget the sketcher differs between the grown
     // and rebuilt datasets, so exact equality is not expected — but the

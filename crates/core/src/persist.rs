@@ -3,7 +3,7 @@
 //! rebuilding — no re-hashing, no per-record decode, no posting-list
 //! rebuild.
 //!
-//! # File layout (format version 2)
+//! # File layout (format version 3)
 //!
 //! ```text
 //! offset 0   ┌────────────────────────────────────────────────┐
@@ -11,21 +11,30 @@
 //!            │   magic | version | endian probe | file length │
 //!            │   | header checksum | section count            │
 //! offset 48  ├────────────────────────────────────────────────┤
-//!            │ section table: (offset u64, length u64,        │
-//!            │ checksum u64) per section; offsets 8-aligned   │
+//!            │ 13 sections per shard, shard by shard — the    │
+//!            │ shard's meta stream (counts, df pairs, posting │
+//!            │ descriptors) then its 12 arena sections, each  │
+//!            │ padded to the next 8-byte boundary             │
 //!            ├────────────────────────────────────────────────┤
-//!            │ section 0: global meta head (config, summary,  │
-//!            │ sketcher, shard count — cursor-parsed)         │
+//!            │ global meta head (config, summary, sketcher,   │
+//!            │ shard count — cursor-parsed)                   │
 //!            ├────────────────────────────────────────────────┤
-//!            │ section 1: shard directory (lineage stamp +    │
-//!            │ one dirty epoch per shard)                     │
-//!            ├────────────────────────────────────────────────┤
-//!            │ sections 2…: 13 per shard — the shard's meta   │
-//!            │ stream (counts, df pairs, posting descriptors) │
-//!            │ then its 12 arena sections, each padded to the │
-//!            │ next 8-byte boundary                           │
+//!            │ shard directory (lineage stamp + one dirty     │
+//!            │ epoch per shard)                               │
+//! file_len − ├────────────────────────────────────────────────┤
+//! count·24   │ section table (the footer): (offset u64,       │
+//!            │ length u64, checksum u64) per section          │
 //!            └────────────────────────────────────────────────┘
 //! ```
+//!
+//! The table lists the sections in a fixed logical order whatever their
+//! place in the file: section 0 is the meta head, section 1 the shard
+//! directory, and sections `2 + 13·i …` the 13 sections of shard `i`.
+//! Readers find every section through the table, so the physical order
+//! above is the writer's choice; it puts everything that changes as the
+//! index grows (the newest shards, the head, the directory and the table)
+//! at the end of the file, which is what makes delta checkpoints cheap
+//! (see below).
 //!
 //! Per shard, the arena sections are, in order: hash arena (`u64`), CSR
 //! hash offsets (`u64`), buffer bitmap arena (`u64`), record metadata
@@ -39,41 +48,21 @@
 //! section (sorted by hash value), so the format needs no per-list offsets
 //! and a save→load→save round trip is byte-identical.
 //!
-//! # Compatibility within version 2
+//! # Compatibility
 //!
-//! The index stores a record's buffer once, as its bitmap words; earlier
-//! writers of this version also stored inverted buffer-bit postings. The
-//! layout is kept, so both kinds of image open:
+//! **Version 2** kept the section table right after the header, at byte
+//! 48, with the head, the directory and the shards after it. It differs
+//! from version 3 only in where the table sits (and in the version word
+//! that seeds every checksum), so both versions share one table parser
+//! and one loader. A loaded version-2 image keeps its stamps, re-saves as
+//! version 3, and a delta checkpoint over a version-2 file falls back to
+//! a full save once ([`DeltaStats::fallback`]); the next delta is
+//! incremental again.
 //!
-//! * This build writes a buffer-posting count of 0 in every shard's meta
-//!   stream, and the three buffer-posting sections are empty. An image
-//!   that stores buffer postings (one list per buffered element) still
-//!   opens: its sections are checksum-validated and length-checked against
-//!   their descriptors like any other, then dropped. Each such shard gets
-//!   a fresh dirty epoch on load, so a delta checkpoint over the old
-//!   image rewrites it instead of keeping its stale bytes, and the result
-//!   stays byte-identical to a full save.
-//! * The config byte that held the candidate-filter flag is always written
-//!   as 1. An image with 0 there was built without signature postings and
-//!   cannot be queried through the pipeline, so it is rejected with
-//!   [`Error::PersistCorrupt`].
-//! * The next config byte held the removed prefix-filter off switch (the
-//!   filter now decides per query): written as 1, which every
-//!   default-config image already held, read as 0 or 1 and dropped. Any
-//!   other value is rejected with [`Error::PersistCorrupt`].
-//! * The byte after it held the tag of a removed accumulate-kernel knob:
-//!   written as 0, read as 0 or 1.
-//! * Posting lists have one format, a plain ascending slot list. Earlier
-//!   builds could store them block-compressed, tagged 0 in the config byte
-//!   before the kernel byte and in each shard's meta stream. This build
-//!   writes tag 1 in both places and leaves the two block-compressed
-//!   sections empty. The config tag is read as 0 or 1 and dropped. A shard
-//!   tagged 0 still opens: its lists are decoded into owned slot lists at
-//!   load, and a block with a gap width above 32, a payload shorter than
-//!   its descriptor claims, a bitmap whose base bit is clear, or slots that
-//!   are not strictly ascending or reach past the shard is rejected with
-//!   [`Error::PersistCorrupt`]. Such a shard gets a fresh dirty epoch on
-//!   load, like a shard with buffer postings.
+//! Within version 2 the index stores a record's buffer once, as its bitmap
+//! words; earlier writers of that version also stored inverted buffer-bit
+//! postings and could block-compress posting lists. The section layout is
+//! the same, so all such images open:
 //!
 //! # Zero-copy loading
 //!
@@ -96,39 +85,51 @@
 //!
 //! # Integrity is two-level (and that is what makes deltas cheap)
 //!
-//! The header checksum covers bytes `[40, end of section table)` — the
-//! section count plus every `(offset, length, checksum)` entry — and each
-//! section's own checksum covers that section's padded extent. Every byte
-//! of the file is therefore protected (header fields by direct validation,
-//! the table by the header checksum, payloads by the per-section sums),
-//! and any single-bit flip is caught, but re-stamping a file whose
-//! sections are partially kept costs O(kept table entries), not
-//! O(kept bytes).
+//! The header checksum covers the section count (header bytes `[40, 48)`)
+//! followed by the whole section table — every `(offset, length,
+//! checksum)` entry — and each section's own checksum covers that
+//! section's padded extent. Sections lie between the header and the table
+//! and never overlap the table. Every byte of the file is therefore
+//! protected (header fields by direct validation, the table by the header
+//! checksum, payloads by the per-section sums), and any single-bit flip is
+//! caught, but re-stamping a file whose sections are partially kept costs
+//! O(table), not O(kept bytes).
 //!
 //! # Delta checkpoints
 //!
 //! [`GbKmvIndex::save_delta`] rewrites a previous arena file of the same
-//! index lineage in place. The head and the shard directory have a fixed
-//! length within a lineage, so every shard before the first one whose
+//! index lineage in place. Shards are laid out in shard order from byte
+//! 48, and growing the index only ever replaces the tail shard (while it
+//! is under `TAIL_SHARD_CAP` records) or appends new shards
+//! ([`crate::index::sharded`]). So the shards before the first one whose
 //! dirty epoch (see [`ShardedIndex`]) differs from the file's directory
-//! sits at the same offset in the old file and in the new one. The writer
-//! reads only the old header, section table and directory, serialises the
-//! first dirty shard and every shard after it, writes them at their
-//! offsets, then writes the fresh head, directory, table and header, and
-//! cuts the file to its new length. Ingest only ever grows the tail shard,
-//! so a checkpoint costs O(tail shard), not O(index), in serialisation and
-//! in I/O alike. The result is byte-identical to a full
-//! [`GbKmvIndex::save`] of the same index.
+//! sit at the same offsets in the old file and in the new one. The writer
+//! reads only the old header, the table at the end of the file and the
+//! directory it names; keeps that run of shards, neither read nor
+//! written; writes every later shard (new shards included), then the
+//! fresh head, directory and table, from the end of the kept run; then
+//! rewrites the 48-byte header and cuts the file to its new length. A
+//! checkpoint after a flush therefore writes the shards the flush touched
+//! — at most one under-cap shard plus the new ones — in serialisation
+//! and in I/O alike, not the whole index. The result is byte-identical to
+//! a full [`GbKmvIndex::save`] of the same index.
 //!
 //! The kept shards are never read, so their bytes are not re-verified:
 //! they keep their stored checksums, and latent corruption in them still
 //! surfaces as a typed error when the new file is opened. A previous file
-//! that is missing, damaged in its skeleton, of a foreign lineage or of a
-//! different shape (head or directory length, shard count) falls back to
-//! a full rewrite ([`DeltaStats::fallback`]).
+//! that is missing, of another format version, damaged in its header,
+//! table or directory, of a foreign lineage, or whose kept run is not laid
+//! out contiguously from byte 48 falls back to a full rewrite
+//! ([`DeltaStats::fallback`]). A previous file may hold fewer shards than
+//! the index (the flushes since opened new ones).
+//!
+//! A full [`GbKmvIndex::save`] writes a sibling temporary file and renames
+//! it over the target, so a failed or interrupted save leaves the previous
+//! file as it was.
 
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
-use std::path::Path;
+use std::ops::Range;
+use std::path::{Path, PathBuf};
 
 use crate::arena::ArenaVec;
 use crate::buffer::BufferLayout;
@@ -146,8 +147,12 @@ use crate::store::{RecordMeta, SketchStore};
 /// little-endian integer).
 pub const ARENA_MAGIC: u64 = u64::from_le_bytes(*b"GBKMVAR1");
 
-/// Format version this build writes and reads.
-pub const ARENA_VERSION: u64 = 2;
+/// Format version this build writes. It also reads version-2 images.
+pub const ARENA_VERSION: u64 = 3;
+
+/// The earlier format version this build still reads: the section table
+/// follows the header instead of ending the file (see the module docs).
+const VERSION_2: u64 = 2;
 
 /// Header word whose *native* byte interpretation must match: a file
 /// written on a little-endian machine refuses to load where the zero-copy
@@ -157,9 +162,9 @@ const ENDIAN_PROBE: u64 = 0x0102_0304_0506_0708;
 /// Bytes occupied by the six-word header.
 const HEADER_LEN: usize = 48;
 
-/// Byte offset the header checksum covers from (the section count and the
-/// section table — everything after the checksum field itself up to the
-/// end of the table; section payloads carry their own checksums).
+/// Byte offset of the section count, the header word the header checksum
+/// covers before the section table (section payloads carry their own
+/// checksums).
 const CHECKSUM_COVER_FROM: usize = 40;
 
 /// Bytes per section-table entry: offset, length, checksum.
@@ -201,11 +206,10 @@ const LEGACY_BLOCK_META_LEN: usize = 12;
 /// The descriptor `width` that marks a bitmap block.
 const LEGACY_BITMAP_WIDTH: u8 = u8::MAX;
 
-/// Checksum of a section body: a [`mix64`] fold over its little-endian
-/// `u64` words, a partial last word zero-padded (the padding the file
-/// stores after the body).
-fn checksum_of(body: &[u8]) -> u64 {
-    let mut acc = ARENA_MAGIC ^ ARENA_VERSION;
+/// Folds `body` into a running checksum: a [`mix64`] fold over its
+/// little-endian `u64` words, a partial last word zero-padded (the padding
+/// the file stores after the body).
+fn fold(mut acc: u64, body: &[u8]) -> u64 {
     let mut words = body.chunks_exact(8);
     for chunk in &mut words {
         let word = u64::from_le_bytes(chunk.try_into().expect("chunks_exact yields 8-byte chunks"));
@@ -220,14 +224,41 @@ fn checksum_of(body: &[u8]) -> u64 {
     acc
 }
 
-/// Recomputes every checksum of a serialized arena — each section's sum
-/// over its padded extent, then the header sum over the section table —
-/// and writes them back. This is the helper corruption tests use to craft
+/// Checksum of a section body in an image of format `version`.
+fn checksum_of(version: u64, body: &[u8]) -> u64 {
+    fold(ARENA_MAGIC ^ version, body)
+}
+
+/// The header checksum of an image of format `version`: the section count
+/// word, then the section table.
+fn table_checksum(version: u64, count_word: &[u8], table: &[u8]) -> u64 {
+    fold(checksum_of(version, count_word), table)
+}
+
+/// Byte range of the section table of a `file_len`-byte image of format
+/// `version` holding `count` sections, if it fits between the header and
+/// the end of the file: right after the header in version 2, at the end
+/// of the file otherwise.
+fn table_range(version: u64, count: usize, file_len: usize) -> Option<Range<usize>> {
+    let len = count.checked_mul(TABLE_ENTRY_LEN)?;
+    let start = if version == VERSION_2 {
+        HEADER_LEN
+    } else {
+        file_len.checked_sub(len).filter(|&at| at >= HEADER_LEN)?
+    };
+    let end = start.checked_add(len).filter(|&end| end <= file_len)?;
+    Some(start..end)
+}
+
+/// Recomputes every checksum of a serialized arena of either format
+/// version (read from its header) — each section's sum over its padded
+/// extent, then the header sum over the section count and the table — and
+/// writes them back. This is the helper corruption tests use to craft
 /// files whose checksums are valid but whose structure is not, so it is
 /// deliberately lenient: table entries whose extents fall outside the
 /// image keep their stored checksum (the loader rejects them
-/// structurally), and an implausible section count leaves the header sum
-/// covering whatever tail fits.
+/// structurally), and a section count whose table does not fit leaves the
+/// header sum covering whatever fits after the header.
 ///
 /// # Panics
 ///
@@ -239,15 +270,12 @@ pub fn rewrite_checksum(bytes: &mut [u8]) {
         "not an arena image: {} bytes",
         bytes.len()
     );
+    let version = read_header_word(bytes, 8);
     let count = usize::try_from(read_header_word(bytes, 40)).unwrap_or(usize::MAX);
-    let table_end = count
-        .checked_mul(TABLE_ENTRY_LEN)
-        .and_then(|t| t.checked_add(HEADER_LEN))
-        .filter(|&end| end <= bytes.len())
-        .unwrap_or(bytes.len());
-    let entries = (table_end - HEADER_LEN) / TABLE_ENTRY_LEN;
+    let table = table_range(version, count, bytes.len()).unwrap_or(HEADER_LEN..bytes.len());
+    let entries = table.len() / TABLE_ENTRY_LEN;
     for i in 0..entries {
-        let t = HEADER_LEN + i * TABLE_ENTRY_LEN;
+        let t = table.start + i * TABLE_ENTRY_LEN;
         let off = read_header_word(bytes, t);
         let len = read_header_word(bytes, t + 8);
         let extent = usize::try_from(off).ok().and_then(|o| {
@@ -259,11 +287,15 @@ pub fn rewrite_checksum(bytes: &mut [u8]) {
                 .map(|end| (o, end))
         });
         if let Some((off, end)) = extent {
-            let sum = checksum_of(&bytes[off..end]);
+            let sum = checksum_of(version, &bytes[off..end]);
             bytes[t + 16..t + 24].copy_from_slice(&sum.to_le_bytes());
         }
     }
-    let sum = checksum_of(&bytes[CHECKSUM_COVER_FROM..table_end]);
+    let sum = table_checksum(
+        version,
+        &bytes[CHECKSUM_COVER_FROM..HEADER_LEN],
+        &bytes[table.start..table.start + entries * TABLE_ENTRY_LEN],
+    );
     bytes[32..40].copy_from_slice(&sum.to_le_bytes());
 }
 
@@ -381,12 +413,6 @@ fn write_posting(meta: &mut Vec<u8>, list: &PostingList, raw: &mut Vec<u8>) {
 /// One section-table entry: byte offset, unpadded length, checksum.
 type Entry = (usize, usize, u64);
 
-/// End of the header and section table of an image with `sections`
-/// sections: where the first section starts.
-fn table_end(sections: usize) -> usize {
-    HEADER_LEN + sections * TABLE_ENTRY_LEN
-}
-
 /// The format's one layout rule: places `sections` one after another from
 /// byte `start`, each on an 8-byte boundary and zero-padded to the next.
 /// Returns each section's table entry and the end of the last padding.
@@ -395,7 +421,7 @@ fn lay_out(start: usize, sections: &[Vec<u8>]) -> (Vec<Entry>, usize) {
     let entries = sections
         .iter()
         .map(|s| {
-            let entry = (at, s.len(), checksum_of(s));
+            let entry = (at, s.len(), checksum_of(ARENA_VERSION, s));
             at += s.len().next_multiple_of(8);
             entry
         })
@@ -413,23 +439,31 @@ fn write_sections(out: &mut impl Write, sections: &[Vec<u8>]) -> std::io::Result
     Ok(())
 }
 
-/// The header and section table of a `file_len`-byte image whose sections
-/// sit at `entries`, with the header checksum stamped.
-fn header_and_table(entries: &[Entry], file_len: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(table_end(entries.len()));
-    put_u64(&mut out, ARENA_MAGIC);
-    put_u64(&mut out, ARENA_VERSION);
-    out.extend_from_slice(&ENDIAN_PROBE.to_ne_bytes());
-    put_u64(&mut out, file_len as u64);
-    put_u64(&mut out, 0); // the header checksum, stamped below
-    put_u64(&mut out, entries.len() as u64);
+/// The section table listing `entries`, in table order.
+fn table_bytes(entries: &[Entry]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(entries.len() * TABLE_ENTRY_LEN);
     for &(off, len, sum) in entries {
         put_u64(&mut out, off as u64);
         put_u64(&mut out, len as u64);
         put_u64(&mut out, sum);
     }
-    let sum = checksum_of(&out[CHECKSUM_COVER_FROM..]);
-    out[32..40].copy_from_slice(&sum.to_le_bytes());
+    out
+}
+
+/// The header of a `file_len`-byte image ending in the section table
+/// `table`, with the header checksum stamped.
+fn header_bytes(table: &[u8], file_len: usize) -> Vec<u8> {
+    let count = (table.len() / TABLE_ENTRY_LEN) as u64;
+    let mut out = Vec::with_capacity(HEADER_LEN);
+    put_u64(&mut out, ARENA_MAGIC);
+    put_u64(&mut out, ARENA_VERSION);
+    out.extend_from_slice(&ENDIAN_PROBE.to_ne_bytes());
+    put_u64(&mut out, file_len as u64);
+    put_u64(
+        &mut out,
+        table_checksum(ARENA_VERSION, &count.to_le_bytes(), table),
+    );
+    put_u64(&mut out, count);
     out
 }
 
@@ -785,17 +819,22 @@ impl PreParsed {
     }
 }
 
-/// Validates the skeleton of a `file_len`-byte image from `bytes`, its
-/// first bytes (at least the header and the section table), without
-/// touching section payloads: header words, the header checksum (which
-/// covers the table), and every entry's alignment and bounds. O(header +
-/// table). Returns the `(offset, length, stored checksum)` of every
-/// section.
-///
-/// A load passes the whole file; a delta checkpoint passes only the bytes
-/// up to the end of the shard directory, and keeps the stored checksums
-/// of the sections it does not rewrite.
-fn parse_table(bytes: &[u8], file_len: u64) -> Result<Vec<Entry>> {
+/// The validated header of an arena image.
+struct Header {
+    /// Format version: [`ARENA_VERSION`] or [`VERSION_2`].
+    version: u64,
+    /// Byte range of the section table.
+    table: Range<usize>,
+    /// Byte range every section must lie in: between the header and the
+    /// table (version 3), or between the table and the end of the file
+    /// (version 2).
+    body: Range<usize>,
+}
+
+/// Validates the header of a `file_len`-byte image from `bytes`, at least
+/// its first 48 bytes: magic, version, endianness probe, stored length,
+/// and that the section count puts the table inside the file. O(1).
+fn parse_header(bytes: &[u8], file_len: u64) -> Result<Header> {
     if bytes.len() < HEADER_LEN {
         return Err(Error::PersistTruncated {
             expected: HEADER_LEN as u64,
@@ -807,7 +846,7 @@ fn parse_table(bytes: &[u8], file_len: u64) -> Result<Vec<Entry>> {
         return Err(Error::PersistMagic { found: magic });
     }
     let version = read_header_word(bytes, 8);
-    if version != ARENA_VERSION {
+    if version != ARENA_VERSION && version != VERSION_2 {
         return Err(Error::PersistVersion {
             found: version,
             supported: ARENA_VERSION,
@@ -829,29 +868,58 @@ fn parse_table(bytes: &[u8], file_len: u64) -> Result<Vec<Entry>> {
     if !file_len.is_multiple_of(8) {
         return Err(corrupt("file length is not a multiple of 8"));
     }
+    let file_len = to_usize(file_len)?;
     let count = to_usize(read_header_word(bytes, 40))?;
     if count == 0 {
         return Err(corrupt("no sections (missing meta streams)"));
     }
-    let table_end = count
-        .checked_mul(TABLE_ENTRY_LEN)
-        .and_then(|t| t.checked_add(HEADER_LEN))
-        .filter(|&end| end <= bytes.len())
-        .ok_or_else(|| corrupt("section table reaches past the end of the file"))?;
-    let stored_sum = read_header_word(bytes, 32);
-    let computed = checksum_of(&bytes[CHECKSUM_COVER_FROM..table_end]);
+    let table = table_range(version, count, file_len).ok_or_else(|| {
+        corrupt("the section table does not fit between the header and the end of the file")
+    })?;
+    let body = if version == VERSION_2 {
+        table.end..file_len
+    } else {
+        HEADER_LEN..table.start
+    };
+    Ok(Header {
+        version,
+        table,
+        body,
+    })
+}
+
+/// Validates the section table `table` of an image whose header `header`
+/// came from `header_bytes` (its first 48 bytes), without touching section
+/// payloads: the header checksum (which covers the section count and the
+/// table), and every entry's alignment and bounds. O(table). Returns the
+/// `(offset, length, stored checksum)` of every section, in table order.
+///
+/// A load passes the whole file's header and table; a delta checkpoint
+/// reads only the header and the table, and keeps the stored checksums of
+/// the sections it does not rewrite.
+fn parse_table(header_bytes: &[u8], header: &Header, table: &[u8]) -> Result<Vec<Entry>> {
+    let stored_sum = read_header_word(header_bytes, 32);
+    let computed = table_checksum(
+        header.version,
+        &header_bytes[CHECKSUM_COVER_FROM..HEADER_LEN],
+        table,
+    );
     if computed != stored_sum {
         return Err(Error::PersistChecksum {
             expected: stored_sum,
             actual: computed,
         });
     }
-    let mut sections = Vec::with_capacity(count);
-    for i in 0..count {
-        let t = HEADER_LEN + i * TABLE_ENTRY_LEN;
-        let off = read_header_word(bytes, t);
-        let len = read_header_word(bytes, t + 8);
-        let sum = read_header_word(bytes, t + 16);
+    let past_body = if header.version == VERSION_2 {
+        "a section reaches past the end of the file"
+    } else {
+        "a section reaches into the section table"
+    };
+    let mut sections = Vec::with_capacity(table.len() / TABLE_ENTRY_LEN);
+    for (i, entry) in table.chunks_exact(TABLE_ENTRY_LEN).enumerate() {
+        let off = read_header_word(entry, 0);
+        let len = read_header_word(entry, 8);
+        let sum = read_header_word(entry, 16);
         if !off.is_multiple_of(8) {
             return Err(Error::PersistMisaligned {
                 section: i,
@@ -860,29 +928,30 @@ fn parse_table(bytes: &[u8], file_len: u64) -> Result<Vec<Entry>> {
         }
         let off = to_usize(off)?;
         let len = to_usize(len)?;
-        if off < table_end {
+        if off < header.body.start {
             return Err(corrupt("a section overlaps the header or section table"));
         }
         let padded_end = len
             .checked_next_multiple_of(8)
             .and_then(|p| p.checked_add(off))
             .ok_or_else(|| corrupt("a section's extent overflows"))?;
-        if padded_end as u64 > file_len {
-            return Err(corrupt("a section reaches past the end of the file"));
+        if padded_end > header.body.end {
+            return Err(corrupt(past_body));
         }
         sections.push((off, len, sum));
     }
     Ok(sections)
 }
 
-/// Full header validation for a load: the table checks of [`parse_table`]
-/// plus every section's payload checksum. Returns the byte
-/// `(offset, length)` of every section.
+/// Full header validation for a load: the header and table checks of
+/// [`parse_header`] and [`parse_table`] plus every section's payload
+/// checksum. Returns the byte `(offset, length)` of every section.
 fn validate_header(bytes: &[u8]) -> Result<Vec<(usize, usize)>> {
-    let table = parse_table(bytes, bytes.len() as u64)?;
+    let header = parse_header(bytes, bytes.len() as u64)?;
+    let table = parse_table(bytes, &header, &bytes[header.table.clone()])?;
     let mut sections = Vec::with_capacity(table.len());
     for (off, len, stored) in table {
-        let actual = checksum_of(&bytes[off..off + len.next_multiple_of(8)]);
+        let actual = checksum_of(header.version, &bytes[off..off + len.next_multiple_of(8)]);
         if actual != stored {
             return Err(Error::PersistChecksum {
                 expected: stored,
@@ -1333,6 +1402,22 @@ fn io_error(e: &std::io::Error) -> Error {
     }
 }
 
+/// Reads the bytes `range` of `file`; `None` if they are not all there.
+fn read_at(file: &mut std::fs::File, range: Range<usize>) -> Option<Vec<u8>> {
+    let mut bytes = vec![0; range.len()];
+    file.seek(SeekFrom::Start(range.start as u64)).ok()?;
+    file.read_exact(&mut bytes).ok()?;
+    Some(bytes)
+}
+
+/// A temporary path beside `path` for a save to write before renaming it
+/// over `path`, unique to this process and call (see `next_stamp`).
+fn temp_sibling(path: &Path) -> PathBuf {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(format!(".{:016x}.tmp", next_stamp()));
+    path.with_file_name(name)
+}
+
 /// Serializes one shard into its 13 sections: the shard's meta stream
 /// followed by the 12 arena sections, in the fixed order the module docs
 /// describe. Deterministic — sorted orders make the bytes canonical — so
@@ -1409,9 +1494,9 @@ pub struct DeltaStats {
     /// The first shard whose dirty epoch changed and every shard after it,
     /// re-serialised (all of them, on fallback).
     pub rewritten_shards: usize,
-    /// True when the previous image was unusable (missing, foreign
-    /// lineage, structural mismatch) and the delta degenerated to a full
-    /// rewrite.
+    /// True when the previous image was unusable (missing, of another
+    /// format version, foreign lineage, structural mismatch) and the delta
+    /// degenerated to a full rewrite.
     pub fallback: bool,
 }
 
@@ -1421,15 +1506,39 @@ impl GbKmvIndex {
     /// index always produces the same bytes, and a loaded index re-saves
     /// byte-identically.
     pub fn to_arena_bytes(&self) -> Vec<u8> {
-        let mut sections = vec![self.head_section(), directory_section(&self.sharded)];
-        for shard in self.sharded.shards() {
-            sections.extend(shard_sections(shard));
-        }
-        let (entries, file_len) = lay_out(table_end(sections.len()), &sections);
-        let mut out = header_and_table(&entries, file_len);
+        let (sections, table, file_len) = self.image_after(&[], HEADER_LEN);
+        let mut out = header_bytes(&table, file_len);
         out.reserve_exact(file_len - out.len());
         write_sections(&mut out, &sections).expect("writing to a Vec cannot fail");
+        out.extend_from_slice(&table);
         out
+    }
+
+    /// Lays out the image after a run of kept shards: `kept` holds their
+    /// table entries (13 per shard) and their sections end at byte `at`.
+    /// Every later shard, then the meta head and the shard directory, go
+    /// from `at` on, and the section table follows them. Returns those
+    /// sections, the table and the file length.
+    fn image_after(&self, kept: &[Entry], at: usize) -> (Vec<Vec<u8>>, Vec<u8>, usize) {
+        let first = kept.len() / SECTIONS_PER_SHARD;
+        let mut sections: Vec<Vec<u8>> = self.sharded.shards()[first..]
+            .iter()
+            .flat_map(|s| shard_sections(s))
+            .collect();
+        sections.push(self.head_section());
+        sections.push(directory_section(&self.sharded));
+        let (mut laid, end) = lay_out(at, &sections);
+        // Table order: the head and the directory, then every shard's
+        // sections in shard order.
+        let fixed = laid.split_off(laid.len() - FIXED_SECTIONS);
+        let entries: Vec<Entry> = fixed
+            .into_iter()
+            .chain(kept.iter().copied())
+            .chain(laid)
+            .collect();
+        let table = table_bytes(&entries);
+        let file_len = end + table.len();
+        (sections, table, file_len)
     }
 
     /// Section 0: the global meta head — config, summary, sketcher
@@ -1478,18 +1587,34 @@ impl GbKmvIndex {
         }
     }
 
-    /// Writes the index to `path` as a single arena file.
+    /// Writes the index to `path` as a single arena file. The image goes
+    /// to a temporary file beside `path`, named for this process and call,
+    /// which is then renamed over `path`: a save that fails or is cut
+    /// short leaves the previous file at `path` as it was.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        std::fs::write(path, self.to_arena_bytes()).map_err(|e| io_error(&e))
+        let path = path.as_ref();
+        self.save_through(path, &temp_sibling(path))
+    }
+
+    /// [`GbKmvIndex::save`] through the temporary file `tmp`, which is
+    /// removed if the write fails.
+    fn save_through(&self, path: &Path, tmp: &Path) -> Result<()> {
+        let saved =
+            std::fs::write(tmp, self.to_arena_bytes()).and_then(|()| std::fs::rename(tmp, path));
+        if saved.is_err() {
+            std::fs::remove_file(tmp).ok();
+        }
+        saved.map_err(|e| io_error(&e))
     }
 
     /// Checkpoints the index to `path` as a delta against the arena saved
     /// earlier at `prev_path` (see the module docs): the file is rewritten
-    /// in place from its first dirty shard on, and shards before that are
-    /// neither read nor written. When the paths differ, `prev_path` is
-    /// first copied to `path`. The file ends byte-identical to a full
-    /// [`GbKmvIndex::save`]. A missing or unusable previous file degrades
-    /// to a full rewrite, never an error.
+    /// in place from the end of its longest run of unchanged shards on,
+    /// and the shards of that run are neither read nor written. When the
+    /// paths differ, `prev_path` is first copied to `path`. The file ends
+    /// byte-identical to a full [`GbKmvIndex::save`]. A missing or
+    /// unusable previous file (a version-2 image included) degrades to a
+    /// full save, never an error.
     pub fn save_delta(
         &self,
         path: impl AsRef<Path>,
@@ -1514,32 +1639,38 @@ impl GbKmvIndex {
     }
 
     /// The in-place step of [`GbKmvIndex::save_delta`]. `None` means the
-    /// file at `path` is not an image of this lineage and shape (nothing
-    /// was written), or the rewrite failed part way; either way the caller
-    /// rewrites the whole file.
+    /// file at `path` is not a version-3 image of this lineage whose kept
+    /// shards lie where this writer puts them (nothing was written), or
+    /// the rewrite failed part way; either way the caller rewrites the
+    /// whole file.
     fn rewrite_suffix(&self, path: &Path) -> Option<DeltaStats> {
         let mut file = std::fs::OpenOptions::new()
             .read(true)
             .write(true)
             .open(path)
             .ok()?;
-        let shards = self.sharded.shards();
-        let count = FIXED_SECTIONS + shards.len() * SECTIONS_PER_SHARD;
-        let fixed = [self.head_section(), directory_section(&self.sharded)];
-        let (fixed_entries, fixed_end) = lay_out(table_end(count), &fixed);
-        // A usable previous image has today's section count and a head and
-        // directory of today's lengths, so the header, table, head and
-        // directory fill the same first bytes as in the new image.
-        let mut skeleton = vec![0; fixed_end];
-        file.read_exact(&mut skeleton).ok()?;
-        let prev = parse_table(&skeleton, file.metadata().ok()?.len())
+        let file_len = file.metadata().ok()?.len();
+        let mut head = [0; HEADER_LEN];
+        file.read_exact(&mut head).ok()?;
+        let header = parse_header(&head, file_len)
             .ok()
-            .filter(|prev| prev.len() == count)?;
-        let (doff, dlen, _) = prev[1];
-        let (lineage, prev_epochs) = parse_directory(skeleton.get(doff..doff + dlen)?).ok()?;
-        if lineage != self.sharded.lineage() || prev_epochs.len() != shards.len() {
+            .filter(|h| h.version == ARENA_VERSION)?;
+        let table = read_at(&mut file, header.table.clone())?;
+        let prev = parse_table(&head, &header, &table).ok()?;
+        let prev_shards = prev.len().checked_sub(FIXED_SECTIONS)? / SECTIONS_PER_SHARD;
+        if FIXED_SECTIONS + prev_shards * SECTIONS_PER_SHARD != prev.len() {
             return None;
         }
+        let (doff, dlen, dsum) = prev[1];
+        let directory = read_at(&mut file, doff..doff + dlen.next_multiple_of(8))?;
+        if checksum_of(ARENA_VERSION, &directory) != dsum {
+            return None;
+        }
+        let (lineage, prev_epochs) = parse_directory(&directory[..dlen]).ok()?;
+        if lineage != self.sharded.lineage() || prev_epochs.len() != prev_shards {
+            return None;
+        }
+        let shards = self.sharded.shards();
         let kept = prev_epochs
             .iter()
             .zip(self.sharded.epochs())
@@ -1547,35 +1678,25 @@ impl GbKmvIndex {
             .count();
 
         // The kept shards stay where they are only if the previous image
-        // laid its sections out as `lay_out` does.
-        let kept_end = FIXED_SECTIONS + kept * SECTIONS_PER_SHARD;
-        let mut at = table_end(count);
-        for (i, &(off, len, _)) in prev[..kept_end].iter().enumerate() {
-            if off != at || fixed.get(i).is_some_and(|s| s.len() != len) {
+        // laid them out as `lay_out` does, from the end of the header.
+        let kept_entries = &prev[FIXED_SECTIONS..FIXED_SECTIONS + kept * SECTIONS_PER_SHARD];
+        let mut at = HEADER_LEN;
+        for &(off, len, _) in kept_entries {
+            if off != at {
                 return None;
             }
             at += len.next_multiple_of(8);
         }
-        let suffix: Vec<Vec<u8>> = shards[kept..]
-            .iter()
-            .flat_map(|s| shard_sections(s))
-            .collect();
-        let (suffix_entries, file_len) = lay_out(at, &suffix);
-        let entries: Vec<Entry> = fixed_entries
-            .into_iter()
-            .chain(prev[FIXED_SECTIONS..kept_end].iter().copied())
-            .chain(suffix_entries)
-            .collect();
-        let mut prefix = header_and_table(&entries, file_len);
-        write_sections(&mut prefix, &fixed).expect("writing to a Vec cannot fail");
+        let (sections, table, file_len) = self.image_after(kept_entries, at);
 
-        // The dirty suffix first, then the head, directory, table and
-        // header that describe it.
+        // The rewritten shards, head, directory and table first, then the
+        // header that describes them.
         let mut out = BufWriter::new(file);
         out.seek(SeekFrom::Start(at as u64)).ok()?;
-        write_sections(&mut out, &suffix).ok()?;
+        write_sections(&mut out, &sections).ok()?;
+        out.write_all(&table).ok()?;
         out.seek(SeekFrom::Start(0)).ok()?;
-        out.write_all(&prefix).ok()?;
+        out.write_all(&header_bytes(&table, file_len)).ok()?;
         out.into_inner().ok()?.set_len(file_len as u64).ok()?;
         Some(DeltaStats {
             reused_shards: kept,
@@ -1758,13 +1879,23 @@ mod tests {
         }
     }
 
+    /// The section table of a well-formed image.
+    fn table_of(bytes: &[u8]) -> Vec<Entry> {
+        let header = parse_header(bytes, bytes.len() as u64).expect("a fresh header parses");
+        parse_table(bytes, &header, &bytes[header.table.clone()]).expect("a fresh table parses")
+    }
+
     #[test]
     fn misaligned_section_offset_is_typed() {
         let mut bytes = build(GbKmvConfig::with_space_fraction(0.5)).to_arena_bytes();
         // Knock section 0's offset off alignment, then re-stamp the
         // checksum so only the alignment check can reject it.
-        let off = u64::from_le_bytes(bytes[48..56].try_into().unwrap());
-        bytes[48..56].copy_from_slice(&(off + 4).to_le_bytes());
+        let t = parse_header(&bytes, bytes.len() as u64)
+            .expect("a fresh header parses")
+            .table
+            .start;
+        let off = u64::from_le_bytes(bytes[t..t + 8].try_into().unwrap());
+        bytes[t..t + 8].copy_from_slice(&(off + 4).to_le_bytes());
         rewrite_checksum(&mut bytes);
         match GbKmvIndex::from_arena_bytes(&bytes) {
             Err(Error::PersistMisaligned { section: 0, .. }) => {}
@@ -1805,6 +1936,133 @@ mod tests {
         assert!(!stats.fallback);
         let loaded = GbKmvIndex::from_arena_bytes(&delta).expect("delta image loads");
         assert_eq!(loaded.sharded, index.sharded);
+    }
+
+    /// Flushes that open shards (at a cap of 8 records, below the built
+    /// shard's 60): each checkpoint keeps the shards before the first one
+    /// the flushes since the last checkpoint touched, never falls back, and
+    /// leaves the file equal to a full save — also when several flushes
+    /// pass between two checkpoints.
+    #[test]
+    fn delta_after_flushes_that_open_shards_keeps_the_full_ones() {
+        const CAP: usize = 8;
+        let records = dataset().records().to_vec();
+        let mut index = build(GbKmvConfig::with_space_fraction(0.6));
+        let path = temp_path("opening_shards");
+        index.save(&path).expect("full save");
+        let mut next = 0;
+        for flushes in [&[3][..], &[5], &[9], &[1, 1], &[16], &[2, 6, 8], &[4]] {
+            let epochs = index.sharded.epochs().to_vec();
+            for &batch in flushes {
+                index.insert_batch_capped(&records[next..next + batch], CAP);
+                next += batch;
+            }
+            let first_dirty = epochs
+                .iter()
+                .zip(index.sharded.epochs())
+                .take_while(|(old, new)| old == new)
+                .count();
+            assert!(first_dirty < index.sharded.shards().len());
+            let stats = index.save_delta(&path, &path).expect("delta save");
+            assert_eq!(
+                stats,
+                DeltaStats {
+                    reused_shards: first_dirty,
+                    rewritten_shards: index.sharded.shards().len() - first_dirty,
+                    fallback: false
+                },
+                "after flushes of {flushes:?}"
+            );
+            assert_eq!(std::fs::read(&path).unwrap(), index.to_arena_bytes());
+        }
+        assert_eq!(index.sharded.shards().len(), 8);
+        let loaded = GbKmvIndex::open(&path).expect("open");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(loaded.sharded, index.sharded);
+    }
+
+    #[test]
+    fn version_2_previous_file_falls_back_to_a_full_save() {
+        // A version-2 image of the same index: the sections of a version-3
+        // image laid out after a table at byte 48.
+        let index = build(GbKmvConfig::with_space_fraction(0.6).shards(3));
+        let v3 = index.to_arena_bytes();
+        let table = table_of(&v3);
+        let count = table.len();
+        let mut v2 = v3[..HEADER_LEN].to_vec();
+        v2[8..16].copy_from_slice(&VERSION_2.to_le_bytes());
+        v2.resize(HEADER_LEN + count * TABLE_ENTRY_LEN, 0);
+        for (i, &(off, len, _)) in table.iter().enumerate() {
+            let t = HEADER_LEN + i * TABLE_ENTRY_LEN;
+            let at = v2.len() as u64;
+            v2[t..t + 8].copy_from_slice(&at.to_le_bytes());
+            v2[t + 8..t + 16].copy_from_slice(&(len as u64).to_le_bytes());
+            v2.extend_from_slice(&v3[off..off + len.next_multiple_of(8)]);
+        }
+        assert_eq!(v2.len(), v3.len());
+        rewrite_checksum(&mut v2);
+        let loaded = GbKmvIndex::from_arena_bytes(&v2).expect("a version-2 image opens");
+        assert_eq!(loaded.sharded, index.sharded);
+        assert_eq!(
+            loaded.to_arena_bytes(),
+            v3,
+            "a version-2 image re-saves as version 3"
+        );
+
+        let (delta, stats) = delta_over(&index, &v2, "version_2");
+        assert_eq!(
+            stats,
+            DeltaStats {
+                reused_shards: 0,
+                rewritten_shards: 3,
+                fallback: true
+            }
+        );
+        assert_eq!(delta, v3);
+        let (again, stats) = delta_over(&index, &delta, "version_2_again");
+        assert_eq!((stats.reused_shards, stats.fallback), (3, false));
+        assert_eq!(again, v3);
+    }
+
+    #[test]
+    fn save_that_fails_keeps_the_previous_file_byte_for_byte() {
+        let ds = dataset();
+        let path = temp_path("atomic_keep");
+        let mut index = build(GbKmvConfig::with_space_fraction(0.6).shards(2));
+        index.save(&path).expect("first save");
+        let before = std::fs::read(&path).unwrap();
+        index.insert(&ds.records()[0]);
+        // A directory where the temporary file would go makes the write
+        // fail before anything is renamed.
+        let blocked = path.with_extension("blocked.tmp");
+        std::fs::create_dir_all(&blocked).unwrap();
+        let saved = index.save_through(&path, &blocked);
+        let after = std::fs::read(&path).unwrap();
+        std::fs::remove_dir(&blocked).ok();
+        std::fs::remove_file(&path).ok();
+        assert!(
+            matches!(saved, Err(Error::PersistIo { .. })),
+            "got {saved:?}"
+        );
+        assert_eq!(after, before, "a failed save changed the previous file");
+    }
+
+    #[test]
+    fn save_leaves_no_temp_file_behind() {
+        let dir = std::env::temp_dir().join(format!("gbkmv_persist_atomic_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("index.arena");
+        let index = build(GbKmvConfig::with_space_fraction(0.6));
+        index.save(&path).expect("save over nothing");
+        index.save(&path).expect("save over the previous file");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(names, ["index.arena"], "only the saved file is left");
+        assert_eq!(bytes, index.to_arena_bytes());
     }
 
     #[test]
@@ -1865,7 +2123,7 @@ mod tests {
         let ds = dataset();
         let mut index = build(GbKmvConfig::with_space_fraction(0.6).shards(3));
         let mut prev = index.to_arena_bytes();
-        let table = parse_table(&prev, prev.len() as u64).expect("a fresh image parses");
+        let table = table_of(&prev);
         // Shard 0's hash arena: kept, never read, by the checkpoint below.
         let (off, len, _) = table[FIXED_SECTIONS + 1];
         assert!(len > 0);

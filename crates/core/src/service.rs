@@ -15,23 +15,26 @@
 //!   configured batch size (or on an explicit
 //!   [`ContainmentService::flush`]) the next generation is built *outside*
 //!   the publication lock — the current index is cloned and the whole queue
-//!   is merged into its tail shard by one [`GbKmvIndex::insert_batch`] —
-//!   and then published with one atomic `Arc` swap.
+//!   is appended by one [`GbKmvIndex::insert_batch`], which merges it into
+//!   the tail shard up to the shard cap and opens new shards past it — and
+//!   then published with one atomic `Arc` swap.
 //!
 //! Because the generation build is the same sorted merge a bulk build
 //! runs, the load-bearing invariant of the sequential engine carries over
 //! verbatim:
-//! **every published generation is bit-identical to an index built from
-//! scratch over the same record sequence**, so snapshot queries agree with
-//! build-from-scratch queries under concurrent publication (the
+//! **every published generation is bit-identical, shard for shard, to
+//! shards built from scratch over the same record sequence at the same
+//! shard boundaries** (which depend only on the record count, not on the
+//! batching), so snapshot queries agree with build-from-scratch queries
+//! under concurrent publication (the
 //! `query_agreement` property suite and the `concurrent` bench section pin
 //! this).
 //!
 //! Publication is copy-on-write at shard granularity: a generation "clone"
 //! is a handful of `Arc` pointer bumps (the shards themselves are shared),
-//! and the merge builds a new tail shard in place of the old one's `Arc`,
-//! so a flush costs one O(tail shard + batch) merge rather than O(index)
-//! work, while readers still get wait-free immutable snapshots with zero
+//! and the merge builds a new tail shard in place of the old one's `Arc`
+//! (or new shards after it), so a flush costs at most one merge of an
+//! under-cap shard with the batch rather than O(index) work, while readers still get wait-free immutable snapshots with zero
 //! coordination on the hot query path. Untouched shards are pointer-equal
 //! across generations — the property suite asserts this, and
 //! [`ContainmentService::checkpoint_delta`] exploits it to rewrite only
@@ -162,8 +165,9 @@ impl ContainmentService {
     /// [`ContainmentService::checkpoint`], but written as a **delta**
     /// against the arena previously saved at `prev_path` (see
     /// [`GbKmvIndex::save_delta`]): the file is rewritten in place from its
-    /// first dirty shard on, so periodic checkpoints under steady ingest
-    /// cost O(tail shard) in serialisation and I/O. When the paths differ,
+    /// first dirty shard on, so a checkpoint under steady ingest writes only
+    /// the shards the flushes since the last one touched, each at most the
+    /// shard cap. When the paths differ,
     /// `prev_path` is copied to `path` first. A missing or unusable
     /// previous image degrades to a full rewrite
     /// ([`DeltaStats::fallback`]), never an error.
@@ -287,10 +291,10 @@ impl ContainmentService {
             return 0;
         }
         // Clone-and-grow outside the publication lock. The clone is
-        // O(shards) Arc bumps, no shard data copied, and the one merge
-        // below builds a new tail shard from the old one and the whole
-        // queue, so this build is O(tail shard + batch) once per flush,
-        // not once per record. The writer lock is held, so `current`
+        // O(shards) Arc bumps, no shard data copied, and the insert below
+        // builds a new tail shard from the old one and the queue (opening
+        // new shards past the shard cap), so this build is O(shard cap +
+        // batch) once per flush, not once per record. The writer lock is held, so `current`
         // cannot change underneath us.
         let mut next = GbKmvIndex::clone(&self.snapshot());
         next.insert_batch(&pending);
@@ -529,6 +533,54 @@ mod tests {
         let reopened = ContainmentService::open(&path).unwrap();
         assert_eq!(reopened.snapshot().num_records(), 15);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Flushes that fill the tail shard to `TAIL_SHARD_CAP` and open the
+    /// next: each delta checkpoint keeps the shards before the first one
+    /// the flushes touched and leaves the file equal to a full save.
+    #[test]
+    fn delta_checkpoints_keep_full_shards_as_flushes_open_new_ones() {
+        use crate::index::sharded::TAIL_SHARD_CAP;
+        let dir = std::env::temp_dir().join(format!("gbkmv_service_cap_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("delta.arena");
+        let all = dataset(TAIL_SHARD_CAP + 10);
+        let built = TAIL_SHARD_CAP - 2;
+        let base =
+            Dataset::from_records(all.records()[..built].iter().map(|r| r.elements().to_vec()));
+        let service = ContainmentService::build(&base, config());
+        let first = service.checkpoint_delta(&path, &path, false).unwrap();
+        assert!(first.delta.expect("delta stats").fallback);
+        // (records submitted, shards after the flush, expected stats)
+        let steps = [
+            (4, 2, (0, 2)), // the tail fills to the cap and a shard opens
+            (4, 2, (1, 1)), // the full shard is kept
+            (4, 2, (1, 1)),
+        ];
+        let mut next = built;
+        for (step, (records, shards, (reused, rewritten))) in steps.into_iter().enumerate() {
+            service
+                .submit_batch(all.records()[next..next + records].to_vec())
+                .unwrap();
+            next += records;
+            let report = service.checkpoint_delta(&path, &path, true).unwrap();
+            let snap = service.snapshot();
+            assert_eq!(snap.sharded().shards().len(), shards, "step {step}");
+            assert_eq!(snap.sharded().shards()[0].len(), TAIL_SHARD_CAP);
+            assert_eq!(
+                report.delta,
+                Some(DeltaStats {
+                    reused_shards: reused,
+                    rewritten_shards: rewritten,
+                    fallback: false
+                }),
+                "step {step}"
+            );
+            assert_eq!(std::fs::read(&path).unwrap(), snap.to_arena_bytes());
+        }
+        let reopened = GbKmvIndex::open(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(reopened.sharded(), service.snapshot().sharded());
     }
 
     #[test]

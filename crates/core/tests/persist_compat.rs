@@ -1,5 +1,4 @@
-//! Arena images written while the index still stored buffer postings and
-//! block-compressed posting lists.
+//! Arena images written by earlier builds, in format version 2.
 //!
 //! `fixtures/arena_v2_d4b4a26.bin` was written by commit `d4b4a26`, the
 //! last writer of arena version 2 that kept an inverted posting list per
@@ -15,11 +14,21 @@
 //! id; a fresh build clusters it by buffer words, so the slot order of the
 //! image is not the fresh build's, and only the size order both keep is
 //! required.
+//!
+//! `fixtures/arena_v2_9821968.bin` was written by commit `9821968`, the
+//! last writer of version 2, from the same data and config (42 KB). It
+//! stores plain slot lists and no buffer postings, so it must open as
+//! exactly a fresh build. Version 3 moved the section table from after the
+//! header to the end of the file; a version-2 image re-saves as version 3,
+//! and a delta checkpoint over a version-2 file falls back to a full save.
 
 use gbkmv_core::dataset::{Dataset, Record};
 use gbkmv_core::index::{GbKmvConfig, GbKmvIndex, SearchHit, ShardedIndex};
 
 const FIXTURE: &[u8] = include_bytes!("fixtures/arena_v2_d4b4a26.bin");
+
+/// The plain version-2 image of the last version-2 writer.
+const PLAIN_V2: &[u8] = include_bytes!("fixtures/arena_v2_9821968.bin");
 
 /// Sections per shard and before the first shard (see `gbkmv_core::persist`).
 const SECTIONS_PER_SHARD: usize = 13;
@@ -58,16 +67,27 @@ fn packed_posting_bytes(image: &[u8], shard: usize) -> u64 {
     section_bytes(image, shard, 7..9)
 }
 
+fn word_at(image: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(image[at..at + 8].try_into().expect("8-byte word"))
+}
+
+/// The format version in an image's header.
+fn version(image: &[u8]) -> u64 {
+    word_at(image, 8)
+}
+
 /// Bytes in the sections `range` of shard `shard`, read from the section
-/// table (entries of offset, length, checksum after the 48-byte header).
+/// table (entries of offset, length, checksum): right after the 48-byte
+/// header in version 2, at the end of the file in version 3.
 fn section_bytes(image: &[u8], shard: usize, range: std::ops::Range<usize>) -> u64 {
+    let count = word_at(image, 40) as usize;
+    let table = match version(image) {
+        2 => 48,
+        _ => image.len() - 24 * count,
+    };
     let first = FIXED_SECTIONS + shard * SECTIONS_PER_SHARD;
     range
-        .map(|k| first + k)
-        .map(|section| {
-            let at = 48 + section * 24 + 8;
-            u64::from_le_bytes(image[at..at + 8].try_into().expect("8-byte table word"))
-        })
+        .map(|k| word_at(image, table + (first + k) * 24 + 8))
         .sum()
 }
 
@@ -206,11 +226,10 @@ fn delta_file(
     (std::fs::read(path).expect("read the checkpoint"), stats)
 }
 
-/// A delta checkpoint never keeps a shard whose old bytes still hold
-/// buffer postings: every such shard is re-serialised (no fallback to a
-/// whole-image rewrite is needed), so the result is byte-identical to a
-/// full save, reopens, and answers like the scan. The next delta, against
-/// the new image, keeps the clean shards again.
+/// A delta checkpoint over a version-2 image falls back to a full save,
+/// which writes version 3 and drops the buffer postings: the result is
+/// byte-identical to a full save, reopens, and answers like the scan. The
+/// next delta, against the new image, keeps the clean shards again.
 #[test]
 fn delta_checkpoint_against_a_parent_image_rewrites_its_shards() {
     let dir =
@@ -221,9 +240,10 @@ fn delta_checkpoint_against_a_parent_image_rewrites_its_shards() {
     let mut index = GbKmvIndex::from_arena_bytes(FIXTURE).expect("a parent-written image opens");
 
     let (unchanged, stats) = delta_file(&index, FIXTURE, &path, &path);
-    assert!(!stats.fallback);
+    assert!(stats.fallback, "a version-2 file is rewritten whole");
     assert_eq!((stats.reused_shards, stats.rewritten_shards), (0, 3));
     assert_eq!(unchanged, index.to_arena_bytes());
+    assert_eq!(version(&unchanged), 3);
 
     // One merge of three records into the unclustered tail shard.
     let grown: Vec<Record> = [3usize, 77, 210]
@@ -236,7 +256,7 @@ fn delta_checkpoint_against_a_parent_image_rewrites_its_shards() {
         .collect();
     index.insert_batch(&grown);
     let (bytes, stats) = delta_file(&index, FIXTURE, &path, &parent);
-    assert!(!stats.fallback);
+    assert!(stats.fallback, "a version-2 file is rewritten whole");
     assert_eq!((stats.reused_shards, stats.rewritten_shards), (0, 3));
     assert_eq!(
         bytes,
@@ -250,6 +270,7 @@ fn delta_checkpoint_against_a_parent_image_rewrites_its_shards() {
     let (again, stats) = delta_file(&index, &bytes, &path, &path);
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!((stats.reused_shards, stats.rewritten_shards), (3, 0));
+    assert!(!stats.fallback);
     assert_eq!(again, bytes);
 }
 
@@ -267,4 +288,61 @@ fn in_place_checkpoint_over_a_parent_image_file_reopens() {
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(reopened.sharded(), index.sharded());
     assert_answers_like_the_scan(&reopened, "in-place checkpoint");
+}
+
+#[test]
+fn plain_v2_image_opens_and_equals_a_fresh_build() {
+    assert_eq!(
+        version(PLAIN_V2),
+        2,
+        "the fixture must be a version-2 image"
+    );
+    for shard in 0..3 {
+        assert_eq!(buffer_posting_bytes(PLAIN_V2, shard), 0);
+        assert_eq!(packed_posting_bytes(PLAIN_V2, shard), 0);
+    }
+    let loaded = GbKmvIndex::from_arena_bytes(PLAIN_V2).expect("a version-2 image opens");
+    let fresh = GbKmvIndex::build(&fixture_dataset(), fixture_config());
+    assert!(fresh.summary().buffer_size > 0);
+    assert_eq!(loaded.sharded(), fresh.sharded());
+    assert_eq!(loaded.sketcher(), fresh.sketcher());
+    assert_eq!(loaded.summary(), fresh.summary());
+    assert_eq!(loaded.config(), fresh.config());
+}
+
+#[test]
+fn plain_v2_image_answers_like_the_scan() {
+    let loaded = GbKmvIndex::from_arena_bytes(PLAIN_V2).expect("a version-2 image opens");
+    assert_answers_like_the_scan(&loaded, "plain version-2 image");
+}
+
+/// A version-2 image re-saves as version 3 with the same sections, and a
+/// delta over the version-2 file falls back to that full save once; the
+/// next delta after a flush keeps the clean shards.
+#[test]
+fn plain_v2_image_resaves_as_v3() {
+    let loaded = GbKmvIndex::from_arena_bytes(PLAIN_V2).expect("a version-2 image opens");
+    let resaved = loaded.to_arena_bytes();
+    assert_eq!(version(&resaved), 3);
+    assert_eq!(resaved.len(), PLAIN_V2.len(), "only the table moved");
+    let reopened = GbKmvIndex::from_arena_bytes(&resaved).expect("the version-3 image opens");
+    assert_eq!(reopened.sharded(), loaded.sharded());
+    assert_eq!(reopened.to_arena_bytes(), resaved);
+
+    let dir = std::env::temp_dir().join(format!("gbkmv_persist_compat_v3_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("index.arena");
+    let mut index = loaded;
+    let (bytes, stats) = delta_file(&index, PLAIN_V2, &path, &path);
+    assert!(stats.fallback, "a version-2 file is rewritten whole");
+    assert_eq!(bytes, resaved);
+    index.insert(&Record::new(vec![0, 1, 2, 700, 9_000]));
+    let stats = index.save_delta(&path, &path).expect("delta checkpoint");
+    let bytes = std::fs::read(&path).expect("read the checkpoint");
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(!stats.fallback);
+    assert_eq!((stats.reused_shards, stats.rewritten_shards), (2, 1));
+    assert_eq!(bytes, index.to_arena_bytes());
+    let reopened = GbKmvIndex::from_arena_bytes(&bytes).expect("the delta image opens");
+    assert_answers_like_the_scan(&reopened, "delta over a re-saved version-2 image");
 }

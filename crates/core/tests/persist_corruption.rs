@@ -5,7 +5,10 @@
 //! never undefined behaviour. The sweep tests re-stamp the per-section and
 //! header checksums after each mutation (via
 //! [`gbkmv_core::persist::rewrite_checksum`]) so the structural validators
-//! — not just the checksums — are what's exercised. The hostile legacy
+//! — not just the checksums — are what's exercised. The `footer_` tests
+//! aim at the section table that ends a version-3 image: cut, moved by a
+//! wrong section count, overlapped by a section, bit-flipped, or read
+//! under the other version's layout. The hostile legacy
 //! image tests do the same to the block-compressed posting lists of the
 //! committed `fixtures/arena_v2_d4b4a26.bin`, which the loader decodes.
 
@@ -116,14 +119,24 @@ fn single_bit_flips_never_panic_and_never_load() {
     }
 }
 
+/// Byte offset of an image's section table: right after the 48-byte
+/// header in version 2, at the end of the file (24 bytes per section)
+/// since version 3.
+fn table_at(image: &[u8]) -> usize {
+    match word_at(image, 8) {
+        2 => 48,
+        _ => image.len() - 24 * word_at(image, 40) as usize,
+    }
+}
+
 /// Offset of the config's reserved byte (it held the tag of the removed
 /// accumulate-kernel knob) in a serialized arena. Section 0 — the meta
-/// head, whose offset is the first section-table entry at byte 48 — opens
-/// with the config; the fields before the reserved byte take 53 bytes
-/// (`f64`, two `u8`+`u64` tagged options, seed `u64`, two filter `u8`s,
-/// threads and shards `u64`s, the posting-format `u8`).
+/// head, whose offset is the first section-table entry — opens with the
+/// config; the fields before the reserved byte take 53 bytes (`f64`, two
+/// `u8`+`u64` tagged options, seed `u64`, two filter `u8`s, threads and
+/// shards `u64`s, the posting-format `u8`).
 fn reserved_config_byte(bytes: &[u8]) -> usize {
-    let head = u64::from_le_bytes(bytes[48..56].try_into().expect("8-byte table word"));
+    let head = word_at(bytes, table_at(bytes));
     usize::try_from(head).expect("section offset fits in usize") + 53
 }
 
@@ -297,7 +310,7 @@ fn misaligned_section_offsets_are_typed_errors() {
     // re-stamp the checksum: the alignment guard (which protects the
     // zero-copy casts) must fire, not a crash inside them.
     for section in 0..4usize {
-        let t = 48 + section * 24;
+        let t = table_at(&bytes) + section * 24;
         let mut corrupted = bytes.clone();
         let off = u64::from_le_bytes(corrupted[t..t + 8].try_into().unwrap());
         corrupted[t..t + 8].copy_from_slice(&(off + 2).to_le_bytes());
@@ -364,7 +377,8 @@ fn oversized_counts_do_not_allocate_or_panic() {
 
     // Same for a section whose extent wraps the address space.
     let mut wrapping = bytes;
-    wrapping[48..56].copy_from_slice(&(u64::MAX - 7).to_le_bytes());
+    let t = table_at(&wrapping);
+    wrapping[t..t + 8].copy_from_slice(&(u64::MAX - 7).to_le_bytes());
     rewrite_checksum(&mut wrapping);
     match GbKmvIndex::from_arena_bytes(&wrapping) {
         Err(
@@ -394,6 +408,133 @@ fn empty_and_tiny_inputs_are_typed_errors() {
     }
 }
 
+/// Opening `image` must fail with a typed persistence error (which is
+/// returned); a panic or a successful load fails `case`.
+fn assert_typed(image: &[u8], case: &str) -> Error {
+    match GbKmvIndex::from_arena_bytes(image) {
+        Err(
+            e @ (Error::PersistCorrupt { .. }
+            | Error::PersistChecksum { .. }
+            | Error::PersistTruncated { .. }
+            | Error::PersistMisaligned { .. }),
+        ) => e,
+        Err(other) => panic!("{case}: expected a typed persistence error, got {other}"),
+        Ok(_) => panic!("{case}: the image loaded"),
+    }
+}
+
+#[test]
+fn footer_truncated_is_a_typed_error() {
+    let bytes = arena(GbKmvConfig::with_space_fraction(0.4).shards(3));
+    let table = bytes.len() - table_at(&bytes);
+    for cut in [8, 24, table - 8, table] {
+        let short = &bytes[..bytes.len() - cut];
+        match GbKmvIndex::from_arena_bytes(short) {
+            Err(Error::PersistTruncated { .. }) => {}
+            other => panic!("footer cut by {cut} bytes: expected PersistTruncated, got {other:?}"),
+        }
+        // With the stored length patched to match, the table is read from
+        // the wrong bytes: the header checksum rejects them, and with the
+        // checksums re-stamped the structural checks do.
+        let mut patched = short.to_vec();
+        let len = patched.len() as u64;
+        patched[24..32].copy_from_slice(&len.to_le_bytes());
+        match GbKmvIndex::from_arena_bytes(&patched) {
+            Err(Error::PersistChecksum { .. }) => {}
+            other => panic!("footer cut by {cut} bytes: expected PersistChecksum, got {other:?}"),
+        }
+        rewrite_checksum(&mut patched);
+        assert_typed(&patched, &format!("footer cut by {cut} bytes, re-stamped"));
+    }
+}
+
+#[test]
+fn footer_count_before_the_header_or_over_a_section_is_a_typed_error() {
+    let bytes = arena(GbKmvConfig::with_space_fraction(0.4).shards(2));
+    let count = word_at(&bytes, 40);
+    let before_the_header = (bytes.len() as u64 - 48) / 24 + 1;
+    let cases = [
+        ("a table starting before byte 48", before_the_header),
+        ("a table over the shard directory", count + 1),
+        ("a table over the shards", count + 40),
+        ("a table missing its first entry", count - 1),
+    ];
+    for (case, c) in cases {
+        let mut image = bytes.clone();
+        image[40..48].copy_from_slice(&c.to_le_bytes());
+        rewrite_checksum(&mut image);
+        let e = assert_typed(&image, case);
+        if c == before_the_header {
+            assert!(
+                matches!(e, Error::PersistCorrupt { what } if what.contains("section table")),
+                "{case}: {e}"
+            );
+        }
+    }
+}
+
+#[test]
+fn footer_overlapped_by_a_section_is_a_typed_error() {
+    let bytes = arena(GbKmvConfig::with_space_fraction(0.4).shards(2));
+    let t = table_at(&bytes);
+    let into_the_table = |entry: usize, field: usize, value: u64, case: &str| {
+        let mut image = bytes.clone();
+        let at = t + 24 * entry + field;
+        image[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        rewrite_checksum(&mut image);
+        match assert_typed(&image, case) {
+            Error::PersistCorrupt { what } if what.contains("section table") => {}
+            other => panic!("{case}: rejected for {other}"),
+        }
+    };
+    // The shard directory (section 1) ends where the table starts: one
+    // more word reaches into it.
+    let dir_len = word_at(&bytes, t + 24 + 8);
+    into_the_table(
+        1,
+        8,
+        dir_len.next_multiple_of(8) + 8,
+        "directory one word longer",
+    );
+    // Shard 0's meta stream (section 2) moved onto the table.
+    into_the_table(2, 0, t as u64, "shard meta stream at the table");
+}
+
+#[test]
+fn footer_bit_flip_is_a_checksum_error() {
+    let bytes = arena(GbKmvConfig::with_space_fraction(0.4).shards(3));
+    for pos in (table_at(&bytes)..bytes.len()).step_by(5) {
+        for bit in [0u8, 3, 7] {
+            let mut image = bytes.clone();
+            image[pos] ^= 1 << bit;
+            match GbKmvIndex::from_arena_bytes(&image) {
+                Err(Error::PersistChecksum { .. }) => {}
+                other => {
+                    panic!("bit {bit} of table byte {pos}: expected PersistChecksum, got {other:?}")
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn footer_image_stamped_version_2_is_a_typed_error() {
+    // Read as version 2, a version-3 image's table is looked for at byte
+    // 48, where the first shard's meta stream is.
+    let bytes = arena(GbKmvConfig::with_space_fraction(0.4).shards(2));
+    let mut image = bytes.clone();
+    image[8..16].copy_from_slice(&2u64.to_le_bytes());
+    assert_typed(&image, "version-3 body stamped version 2");
+    rewrite_checksum(&mut image);
+    assert_typed(&image, "version-3 body stamped version 2, re-stamped");
+    // And the other way round: a version-2 image stamped version 3.
+    let mut image = LEGACY.to_vec();
+    image[8..16].copy_from_slice(&3u64.to_le_bytes());
+    assert_typed(&image, "version-2 body stamped version 3");
+    rewrite_checksum(&mut image);
+    assert_typed(&image, "version-2 body stamped version 3, re-stamped");
+}
+
 /// An image written by a build that stored block-compressed posting lists
 /// (see `persist_compat.rs`): 3 shards of 100 records, every signature list
 /// short enough to be a single block described inline.
@@ -411,16 +552,17 @@ fn word_at(bytes: &[u8], at: usize) -> u64 {
 fn sections_of(image: &[u8]) -> Vec<Vec<u8>> {
     (0..word_at(image, 40) as usize)
         .map(|i| {
-            let t = 48 + 24 * i;
+            let t = table_at(image) + 24 * i;
             let (off, len) = (word_at(image, t) as usize, word_at(image, t + 8) as usize);
             image[off..off + len].to_vec()
         })
         .collect()
 }
 
-/// Lays `sections` out after the header of `template` (magic, version,
-/// endian probe), each on an 8-byte boundary as the writer does, and seals
-/// the checksums.
+/// Lays `sections` out in the version-2 layout (the table right after the
+/// header) after the header of the version-2 image `template` (magic,
+/// version, endian probe), each on an 8-byte boundary as that writer did,
+/// and seals the checksums.
 fn image_of(template: &[u8], sections: &[Vec<u8>]) -> Vec<u8> {
     let mut out = template[..48].to_vec();
     out.resize(48 + 24 * sections.len(), 0);
